@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -143,16 +144,13 @@ class RunConfig:
     d_z: int = 16
     kl_weight: float = 1.0
     k: int = 2
-    corpus: Optional[str] = None
-    checkpoint: Optional[str] = None
-    out: Optional[str] = None
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _coerce(field_name: str, raw: str):
-    if field_name in ("model", "corpus", "checkpoint", "out"):
+    if field_name == "model":
         return raw
     try:
         if field_name in ("seed", "epochs", "hidden", "d_z", "k"):
@@ -229,7 +227,10 @@ def load_corpus(path) -> list[dict]:
             f"corpus {path}: format_version {doc.get('format_version')!r} "
             f"!= supported {CORPUS_FORMAT_VERSION}"
         )
-    return doc["molecules"]
+    molecules = doc.get("molecules")
+    if not isinstance(molecules, list) or not molecules:
+        raise ConfigError(f"corpus {path}: no molecules")
+    return molecules
 
 
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
@@ -258,7 +259,9 @@ def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     failures = 0
-    for cid in cids:
+    for i, cid in enumerate(cids):
+        if i and delay > 0:
+            time.sleep(delay)
         try:
             body = pubchem.fetch_pubchem_sdf(int(cid), transport, base=base)
         except TiergaeError as exc:
@@ -318,17 +321,14 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     return out
 
 
-def _build_models(cfg: RunConfig, d_in: int):
-    if cfg.model == "tgae":
-        return make_tier_models(d_in, cfg.hidden, cfg.d_z, cfg.k, cfg.seed)
-    return make_variational_tier_models(d_in, cfg.hidden, cfg.d_z, cfg.k, cfg.seed)
-
-
-def _all_params(models):
-    out = []
-    for m in models:
-        out.extend(m.params())
-    return out
+def _flavor(kind: str):
+    """(make_models, train_tiered, encode_tiered, train config class) of a
+    model kind. The functions are read from the module on each call, so
+    wrappers installed on them (the perfbench tracer's) are the ones run."""
+    if kind == "tgae":
+        return make_tier_models, train_tiered, encode_tiered, TrainConfig
+    return (make_variational_tier_models, train_tiered_variational,
+            encode_tiered_variational, VariationalTrainConfig)
 
 
 def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
@@ -339,20 +339,18 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     for graph, _ in items:
         if graph.x.shape[1] != d_in:
             raise CliError("train: corpus mixes node-feature widths")
-    models = _build_models(cfg, d_in)
-    if cfg.model == "tgae":
-        histories = train_tiered(models, items, TrainConfig(cfg.epochs, cfg.lr))
-    else:
-        histories = train_tiered_variational(
-            models, items,
-            VariationalTrainConfig(cfg.epochs, cfg.lr, cfg.kl_weight, cfg.seed),
-        )
+    make_models, train_tiered_fn, _, train_config = _flavor(cfg.model)
+    models = make_models(d_in, cfg.hidden, cfg.d_z, cfg.k, cfg.seed)
+    # the train config takes the run config's values of the fields it shares
+    config = train_config(**{f.name: getattr(cfg, f.name)
+                             for f in fields(train_config) if hasattr(cfg, f.name)})
+    histories = train_tiered_fn(models, items, config)
     checkpoint = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": cfg.model,
         "dims": {"d_in": d_in, "hidden": cfg.hidden, "d_z": cfg.d_z, "k": cfg.k},
         "seed": cfg.seed,
-        "params": params_state(_all_params(models)),
+        "params": params_state([p for m in models for p in m.params()]),
     }
     out = Path(out_path)
     write_json(out, checkpoint)
@@ -382,14 +380,9 @@ def load_checkpoint(path, d_in: Optional[int] = None):
     kind = doc["model"]
     if kind not in MODELS:
         raise ConfigError(f"checkpoint {path}: unknown model {kind!r}")
-    if kind == "tgae":
-        models = make_tier_models(dims["d_in"], dims["hidden"], dims["d_z"],
-                                  dims["k"], doc.get("seed", 0))
-    else:
-        models = make_variational_tier_models(dims["d_in"], dims["hidden"],
-                                              dims["d_z"], dims["k"],
-                                              doc.get("seed", 0))
-    set_params_state(_all_params(models), doc["params"])
+    models = _flavor(kind)[0](dims["d_in"], dims["hidden"], dims["d_z"], dims["k"],
+                              doc.get("seed", 0))
+    set_params_state([p for m in models for p in m.params()], doc["params"])
     return models, kind
 
 
@@ -425,16 +418,13 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     """Read-only inference over the corpus; one export JSON per molecule."""
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
-    d_in = items[0][0].x.shape[1] if items else None
-    models, kind = load_checkpoint(checkpoint_path, d_in=d_in)
+    models, kind = load_checkpoint(checkpoint_path, d_in=items[0][0].x.shape[1])
+    encode = _flavor(kind)[2]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
     for index, (entry, (graph, membership)) in enumerate(zip(entries, items)):
-        if kind == "tgae":
-            rep = encode_tiered(graph, membership, models)
-        else:
-            rep = encode_tiered_variational(graph, membership, models)
+        rep = encode(graph, membership, models)
         path = out / _export_filename(entry, index)
         write_json(path, _export_doc(entry, rep, kind))
         written.append(path)
@@ -443,13 +433,6 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
 
 # ---------------------------------------------------------------------------
 # argument parsing
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--seed", type=int, help="rng seed (overrides config file)")
-    sub.add_argument("--model", choices=MODELS, help="autoencoder variant")
-    sub.add_argument("--out", help="output path (file or directory by command)")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -462,11 +445,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fetch.add_argument("cids", nargs="+", type=int)
     p_fetch.add_argument("--delay", type=float, default=0.2,
                          help="politeness pause between requests, seconds")
-    _add_common(p_fetch)
+    p_fetch.add_argument("--out", default="sdf", help="directory for the SDF files")
 
     p_ingest = subs.add_parser("ingest", help="parse SDF files into a corpus")
     p_ingest.add_argument("paths", nargs="+")
-    _add_common(p_ingest)
+    p_ingest.add_argument("--out", default="corpus.json", help="corpus file")
 
     p_train = subs.add_parser("train", help="train a tiered autoencoder")
     p_train.add_argument("corpus")
@@ -476,12 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--d-z", dest="d_z", type=int)
     p_train.add_argument("--kl-weight", dest="kl_weight", type=float)
     p_train.add_argument("--k", type=int)
-    _add_common(p_train)
+    p_train.add_argument("--config", help="flat key = value config file")
+    p_train.add_argument("--seed", type=int, help="rng seed (overrides config file)")
+    p_train.add_argument("--model", choices=MODELS, help="autoencoder variant")
+    p_train.add_argument("--out", default="checkpoint.json",
+                         help="checkpoint file")
 
     p_embed = subs.add_parser("embed", help="export tiered representations")
     p_embed.add_argument("corpus")
     p_embed.add_argument("--checkpoint", required=True)
-    _add_common(p_embed)
+    p_embed.add_argument("--out", default="export", help="directory for the exports")
 
     return parser
 
@@ -490,20 +477,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "fetch":
-            cmd_fetch(args.cids, args.out or "sdf", delay=args.delay)
+            cmd_fetch(args.cids, args.out, delay=args.delay)
         elif args.command == "ingest":
-            cmd_ingest(args.paths, args.out or "corpus.json")
+            cmd_ingest(args.paths, args.out)
         elif args.command == "train":
             cfg = resolve_config(
                 args.config, model=args.model, seed=args.seed, epochs=args.epochs,
                 lr=args.lr, hidden=args.hidden, d_z=args.d_z,
                 kl_weight=args.kl_weight, k=args.k,
             )
-            checkpoint, history = cmd_train(cfg, args.corpus,
-                                            args.out or "checkpoint.json")
+            checkpoint, history = cmd_train(cfg, args.corpus, args.out)
             print(f"wrote {checkpoint} and {history}", file=sys.stderr)
         elif args.command == "embed":
-            written = cmd_embed(args.checkpoint, args.corpus, args.out or "export")
+            written = cmd_embed(args.checkpoint, args.corpus, args.out)
             print(f"wrote {len(written)} export file(s)", file=sys.stderr)
     except TiergaeError as exc:
         print(f"tiergae {args.command}: {exc}", file=sys.stderr)

@@ -95,7 +95,7 @@ def binary_collapse(a) -> np.ndarray:
     return (arr != 0.0).any(axis=2).astype(np.float64)
 
 
-def gcn_norm(a, add_self_loops: bool = True) -> np.ndarray:
+def gcn_norm(a) -> np.ndarray:
     """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I.
 
     Isolated nodes end up with a pure self-loop row e_i, so the matrix is
@@ -108,7 +108,7 @@ def gcn_norm(a, add_self_loops: bool = True) -> np.ndarray:
         raise NegativeWeightError("adjacency has negative entries")
     if not np.array_equal(a, a.T):
         raise ValueError("adjacency must be symmetric")
-    a_tilde = a + np.eye(a.shape[0]) if add_self_loops else a.copy()
+    a_tilde = a + np.eye(a.shape[0])
     deg = a_tilde.sum(axis=1)
     with np.errstate(divide="ignore"):
         d_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)

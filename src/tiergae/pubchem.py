@@ -9,10 +9,9 @@ be overridden with the TIERGAE_PUBCHEM_URL environment variable.
 from __future__ import annotations
 
 import os
-import time
 import urllib.error
 import urllib.request
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Optional
 
 from .errors import NotFoundError, TransportError
 
@@ -64,15 +63,3 @@ def fetch_pubchem_sdf(cid: int, transport: Transport,
             raise NotFoundError(f"cid {cid} not found (HTTP 404 from {url})")
         last_failure = f"cid {cid}: HTTP {status} from {url}"
     raise TransportError(last_failure or f"cid {cid}: no attempts made")
-
-
-def fetch_many(cids: Iterable[int], transport: Transport,
-               base: Optional[str] = None, retries: int = 1,
-               delay: float = 0.0) -> Iterator[tuple[int, bytes]]:
-    """Sequential fetches with a politeness pause between requests."""
-    first = True
-    for cid in cids:
-        if not first and delay > 0:
-            time.sleep(delay)
-        first = False
-        yield int(cid), fetch_pubchem_sdf(cid, transport, base=base, retries=retries)

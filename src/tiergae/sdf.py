@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     InvalidBondError,
     MalformedCountsLineError,
+    SdfError,
     TruncatedBlockError,
     V3000UnsupportedError,
 )
@@ -98,8 +99,9 @@ def _parse_atom_line(line: str, idx: int) -> Atom:
     symbol = line[31:34].strip()
     if not symbol:
         raise TruncatedBlockError(f"atom line {idx + 1}: empty element symbol")
-    code_text = line[36:39].strip()
-    code = int(code_text) if code_text else 0
+    code = 0
+    if line[36:39].strip():
+        code = _int_field(line, 36, 39, f"atom line {idx + 1} charge code", SdfError)
     charge = CHARGE_CODES.get(code, 0)
     return Atom(symbol=symbol, charge=charge, coords=coords)
 
@@ -166,7 +168,10 @@ def _parse_record(lines: list[str]) -> Molecule:
         if line.startswith("M  CHG"):
             parts = line.split()
             for a_txt, v_txt in zip(parts[3::2], parts[4::2]):
-                chg_entries.append((int(a_txt), int(v_txt)))
+                try:
+                    chg_entries.append((int(a_txt), int(v_txt)))
+                except ValueError:
+                    raise SdfError(f"M CHG: cannot read integers from {line!r}") from None
     if chg_entries:
         for atom in atoms:
             atom.charge = 0

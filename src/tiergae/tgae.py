@@ -5,12 +5,21 @@ GCN encoder and a sigmoid inner-product decoder sig(Z Z^T); tiers are trained
 bottom-up, one at a time. Once a tier is trained its embeddings are frozen
 and pooled through the membership matrix to build the next tier's inputs,
 so no gradient crosses a tier boundary during training.
+
+Both flavors (`TierModel` here, `tvgae.VariationalTierModel`) share one
+pipeline through a two-method protocol:
+  embed(x, a_norm) -> the numpy embedding that gets pooled (tvgae: mu)
+  loss(tape, x, a_norm, target, config, noise) -> (loss node, node to pool)
+where x and a_norm are tape nodes, config is the flavor's train config and
+noise its rng or fixed noise array. `fit_tier`, `pool_samples`,
+`run_tiered_schedule`, `encode_tiers` and `pipeline_loss` are the shared
+epoch loop, tier handoff, schedule, inference pass and end-to-end loss.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +54,16 @@ class TierModel:
 
     def params(self) -> list[Param]:
         return self.encoder.params()
+
+    def embed(self, x: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
+        return encode_numpy(self.encoder, x, a_norm)
+
+    def loss(self, tape: Tape, x: int, a_norm: int, target: np.ndarray,
+             config, noise) -> tuple[int, int]:
+        """Reconstruction loss of sigmoid(Z Z^T), and Z for pooling; config
+        and noise are unused."""
+        z = encode(self.encoder, x, a_norm, tape)
+        return reconstruction_loss(tape, decode_adjacency(tape, z), target), z
 
 
 @dataclass
@@ -171,11 +190,10 @@ def tier_sample(x: np.ndarray, a) -> TierSample:
     )
 
 
-def train_tier(model: TierModel, samples: Sequence[TierSample],
-               config: TrainConfig) -> list[float]:
-    """Full-batch Adam on the mean per-graph reconstruction loss."""
+def fit_tier(model, samples: Sequence[TierSample], config, noise=None) -> list[float]:
+    """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch."""
     if not samples:
-        raise ValueError("train_tier needs at least one sample")
+        raise ValueError("training a tier needs at least one sample")
     opt = Adam(model.params(), lr=config.lr)
     history: list[float] = []
     for _ in range(config.epochs):
@@ -183,9 +201,8 @@ def train_tier(model: TierModel, samples: Sequence[TierSample],
         opt.zero_grads()
         total = None
         for s in samples:
-            z = encode(model.encoder, tape.const(s.x), tape.const(s.a_norm), tape)
-            a_hat = decode_adjacency(tape, z)
-            loss = reconstruction_loss(tape, a_hat, s.target)
+            loss, _ = model.loss(tape, tape.const(s.x), tape.const(s.a_norm),
+                                 s.target, config, noise)
             total = loss if total is None else tape.add(total, loss)
         total = tape.scalar_mul(1.0 / len(samples), total)
         tape.backward(total)
@@ -194,69 +211,89 @@ def train_tier(model: TierModel, samples: Sequence[TierSample],
     return history
 
 
-def _check_models(models: Sequence[TierModel]) -> None:
+def train_tier(model: TierModel, samples: Sequence[TierSample],
+               config: TrainConfig) -> list[float]:
+    """Full-batch Adam on the mean per-graph reconstruction loss."""
+    return fit_tier(model, samples, config)
+
+
+def _check_models(models: Sequence) -> None:
     if len(models) != 3 or [m.tier for m in models] != [1, 2, 3]:
         raise ValueError("expected models for tiers 1, 2, 3 in order")
 
 
-def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
-                      memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
-    """Frozen embeddings of the given tier, pooled into next-tier samples."""
+def pool_samples(model, samples: Sequence[TierSample],
+                 memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
+    """Frozen embeddings of a trained tier, pooled into next-tier samples."""
     out = []
     for s, m in zip(samples, memberships):
-        z = encode_numpy(model.encoder, s.x, s.a_norm)
-        pr = diff_group_pool(z, s.a, m)
+        pr = diff_group_pool(model.embed(s.x, s.a_norm), s.a, m)
         out.append(tier_sample(pr.x_next, pr.a_next))
     return out
+
+
+def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
+                      memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
+    """Frozen embeddings of a trained tier, pooled into next-tier samples."""
+    return pool_samples(model, samples, memberships)
+
+
+def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, MembershipMatrix]],
+                        train: Callable, pool: Callable) -> dict[int, list[float]]:
+    """Bottom-up schedule: train a tier with `train(tier, model, samples)`,
+    freeze it, build the next tier's samples with `pool`, move up."""
+    _check_models(models)
+    if not items:
+        raise ValueError("empty corpus")
+    samples = [tier_sample(g.x, coo_to_dense(g).a) for g, _ in items]
+    memberships = ([m for _, m in items],
+                   [graph_tier_membership(m.num_groups) for _, m in items], None)
+    hist = {}
+    for model, ms in zip(models, memberships):
+        hist[model.tier] = train(model.tier, model, samples)
+        if ms is not None:
+            samples = pool(model, samples, ms)
+    return hist
 
 
 def train_tiered(models: Sequence[TierModel],
                  items: Sequence[tuple[Graph, MembershipMatrix]],
                  config: TrainConfig) -> dict[int, list[float]]:
     """Bottom-up schedule: train a tier, freeze it, pool, move up."""
-    _check_models(models)
-    if not items:
-        raise ValueError("empty corpus")
-    t1 = [tier_sample(g.x, coo_to_dense(g).a) for g, _ in items]
-    hist = {1: train_tier(models[0], t1, config)}
-    t2 = next_tier_samples(models[0], t1, [m for _, m in items])
-    hist[2] = train_tier(models[1], t2, config)
-    t3 = next_tier_samples(
-        models[1], t2, [graph_tier_membership(s.x.shape[0]) for s in t2]
-    )
-    hist[3] = train_tier(models[2], t3, config)
-    return hist
+    return run_tiered_schedule(
+        models, items, lambda _tier, model, s: train_tier(model, s, config),
+        next_tier_samples)
 
 
-def encode_tiered(graph: Graph, m1: MembershipMatrix,
-                  models: Sequence[TierModel]) -> TieredRepresentation:
-    """Inference pass through all tiers; deterministic, tape-free."""
+def encode_tiers(graph: Graph, m1: MembershipMatrix,
+                 models: Sequence) -> TieredRepresentation:
+    """Inference pass through all tiers on `model.embed`; tape-free."""
     _check_models(models)
     if m1.num_nodes != graph.num_nodes:
         raise ShapeMismatchError(
             f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
         )
-    s1 = tier_sample(graph.x, coo_to_dense(graph).a)
-    z1 = encode_numpy(models[0].encoder, s1.x, s1.a_norm)
-    p1 = diff_group_pool(z1, s1.a, m1)
-
-    s2 = tier_sample(p1.x_next, p1.a_next)
-    z2 = encode_numpy(models[1].encoder, s2.x, s2.a_norm)
-    m2 = graph_tier_membership(m1.num_groups)
-    p2 = diff_group_pool(z2, s2.a, m2)
-
-    s3 = tier_sample(p2.x_next, p2.a_next)
-    z3 = encode_numpy(models[2].encoder, s3.x, s3.a_norm)
-
-    return TieredRepresentation(tiers=[
-        TierBundle(graph.x, graph.edge_index, graph.edge_attr, m1.m, z1),
-        TierBundle(p1.x_next, p1.edge_index_next, p1.edge_attr_next, m2.m, z2),
-        TierBundle(p2.x_next, p2.edge_index_next, p2.edge_attr_next, None, z3),
-    ])
+    s = tier_sample(graph.x, coo_to_dense(graph).a)
+    graph_arrays = (graph.x, graph.edge_index, graph.edge_attr)
+    rep = TieredRepresentation()
+    for model, m in zip(models, (m1, graph_tier_membership(m1.num_groups))):
+        z = model.embed(s.x, s.a_norm)
+        rep.tiers.append(TierBundle(*graph_arrays, m.m, z))
+        p = diff_group_pool(z, s.a, m)
+        s = tier_sample(p.x_next, p.a_next)
+        graph_arrays = (p.x_next, p.edge_index_next, p.edge_attr_next)
+    rep.tiers.append(TierBundle(*graph_arrays, None, models[2].embed(s.x, s.a_norm)))
+    return rep
 
 
-def full_pipeline_loss(models: Sequence[TierModel], x: np.ndarray, a,
-                       m1: MembershipMatrix, tape: Tape) -> int:
+def encode_tiered(graph: Graph, m1: MembershipMatrix,
+                  models: Sequence[TierModel]) -> TieredRepresentation:
+    """Inference pass through all tiers; deterministic, tape-free."""
+    return encode_tiers(graph, m1, models)
+
+
+def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
+                  tape: Tape, config=None, noises: Sequence = (None, None, None)) -> int:
     """Sum of all three tier losses with pooling on the tape.
 
     Training never needs cross-tier gradients (lower tiers are frozen), but
@@ -264,19 +301,22 @@ def full_pipeline_loss(models: Sequence[TierModel], x: np.ndarray, a,
     a finite-difference check can exercise every parameter at once.
     """
     _check_models(models)
-    arr = adjacency_array(a)
+    a_cur = adjacency_array(a)
     x_node = tape.const(np.asarray(x, dtype=np.float64))
-    a_cur = arr
+    memberships = (m1, graph_tier_membership(m1.num_groups), None)
     total = None
-    for idx, model in enumerate(models):
-        a_norm = gcn_norm(binary_collapse(a_cur))
-        z = encode(model.encoder, x_node, tape.const(a_norm), tape)
-        loss = reconstruction_loss(
-            tape, decode_adjacency(tape, z), reconstruction_target(a_cur)
-        )
+    for model, m, noise in zip(models, memberships, noises):
+        a_norm = tape.const(gcn_norm(binary_collapse(a_cur)))
+        loss, pooled = model.loss(tape, x_node, a_norm, reconstruction_target(a_cur),
+                                  config, noise)
         total = loss if total is None else tape.add(total, loss)
-        if idx < 2:
-            m = m1 if idx == 0 else graph_tier_membership(m1.num_groups)
-            x_node = tape.matmul(tape.const(m.m.T.copy()), z)
+        if m is not None:
+            x_node = tape.matmul(tape.const(m.m.T.copy()), pooled)
             a_cur = pool_adjacency(a_cur, m)
     return total
+
+
+def full_pipeline_loss(models: Sequence[TierModel], x: np.ndarray, a,
+                       m1: MembershipMatrix, tape: Tape) -> int:
+    """Sum of all three tier losses with pooling on the tape (`pipeline_loss`)."""
+    return pipeline_loss(models, x, a, m1, tape)

@@ -15,18 +15,10 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .autodiff import Adam, Param, Tape, seeded_rng
+from .autodiff import Param, Tape, seeded_rng
 from .errors import ShapeMismatchError
-from .gcn import (
-    GnnEncoder,
-    binary_collapse,
-    encode,
-    encode_numpy,
-    gcn_norm,
-    make_encoder,
-)
-from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense
-from .pooling import diff_group_pool, graph_tier_membership, pool_adjacency
+from .gcn import GnnEncoder, encode, encode_numpy, make_encoder
+from .graphs import Graph, MembershipMatrix
 from .tgae import (
     DEFAULT_DZ,
     DEFAULT_HIDDEN,
@@ -34,13 +26,15 @@ from .tgae import (
     ENCODER_ROLE,
     LOGSIGMA_ROLE,
     NOISE_ROLE,
-    TierBundle,
     TieredRepresentation,
     TierSample,
     decode_adjacency,
+    encode_tiers,
+    fit_tier,
+    pipeline_loss,
+    pool_samples,
     reconstruction_loss,
-    reconstruction_target,
-    tier_sample,
+    run_tiered_schedule,
 )
 
 LOGSIGMA_LIMIT = 20.0  # exp(2 * 20) is still finite in float64
@@ -62,6 +56,25 @@ class VariationalTierModel:
 
     def params(self) -> list[Param]:
         return self.encoder_mu.params() + self.encoder_logsigma.params()
+
+    def embed(self, x: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
+        return encode_numpy(self.encoder_mu, x, a_norm)
+
+    def loss(self, tape: Tape, x: int, a_norm: int, target: np.ndarray,
+             config: VariationalTrainConfig,
+             noise: Union[np.ndarray, np.random.Generator]) -> tuple[int, int]:
+        """Negative ELBO of one posterior sample, and mu for pooling."""
+        if config.fixed_logsigma is None:
+            mu, logsigma = encode_posterior(self, x, a_norm, tape)
+        else:
+            mu = encode(self.encoder_mu, x, a_norm, tape)
+            logsigma = tape.const(
+                np.full(tape.value(mu).shape, float(config.fixed_logsigma))
+            )
+        z = reparameterize(tape, mu, logsigma, noise)
+        loss = elbo_loss(tape, decode_adjacency(tape, z), target, mu, logsigma,
+                         config.kl_weight)
+        return loss, mu
 
 
 @dataclass
@@ -160,100 +173,31 @@ def train_tier_variational(model: VariationalTierModel,
                            rng: np.random.Generator) -> list[float]:
     """Full-batch Adam on the mean per-graph negative ELBO, one posterior
     sample per graph per epoch."""
-    if not samples:
-        raise ValueError("train_tier_variational needs at least one sample")
-    opt = Adam(model.params(), lr=config.lr)
-    history: list[float] = []
-    for _ in range(config.epochs):
-        tape = Tape()
-        opt.zero_grads()
-        total = None
-        for s in samples:
-            x = tape.const(s.x)
-            an = tape.const(s.a_norm)
-            mu = encode(model.encoder_mu, x, an, tape)
-            if config.fixed_logsigma is None:
-                logsigma = tape.clip(
-                    encode(model.encoder_logsigma, x, an, tape),
-                    -LOGSIGMA_LIMIT, LOGSIGMA_LIMIT,
-                )
-            else:
-                logsigma = tape.const(
-                    np.full(tape.value(mu).shape, float(config.fixed_logsigma))
-                )
-            z = reparameterize(tape, mu, logsigma, rng)
-            a_hat = decode_adjacency(tape, z)
-            loss = elbo_loss(tape, a_hat, s.target, mu, logsigma, config.kl_weight)
-            total = loss if total is None else tape.add(total, loss)
-        total = tape.scalar_mul(1.0 / len(samples), total)
-        tape.backward(total)
-        opt.step()
-        history.append(float(tape.value(total)))
-    return history
-
-
-def _check_models(models: Sequence[VariationalTierModel]) -> None:
-    if len(models) != 3 or [m.tier for m in models] != [1, 2, 3]:
-        raise ValueError("expected variational models for tiers 1, 2, 3 in order")
+    return fit_tier(model, samples, config, rng)
 
 
 def next_tier_samples_variational(model: VariationalTierModel,
                                   samples: Sequence[TierSample],
                                   memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
     """Pool the posterior means of a trained tier into next-tier samples."""
-    out = []
-    for s, m in zip(samples, memberships):
-        mu = encode_numpy(model.encoder_mu, s.x, s.a_norm)
-        pr = diff_group_pool(mu, s.a, m)
-        out.append(tier_sample(pr.x_next, pr.a_next))
-    return out
+    return pool_samples(model, samples, memberships)
 
 
 def train_tiered_variational(models: Sequence[VariationalTierModel],
                              items: Sequence[tuple[Graph, MembershipMatrix]],
                              config: VariationalTrainConfig) -> dict[int, list[float]]:
-    _check_models(models)
-    if not items:
-        raise ValueError("empty corpus")
-    t1 = [tier_sample(g.x, coo_to_dense(g).a) for g, _ in items]
-    hist = {1: train_tier_variational(
-        models[0], t1, config, seeded_rng(config.seed, 1, NOISE_ROLE))}
-    t2 = next_tier_samples_variational(models[0], t1, [m for _, m in items])
-    hist[2] = train_tier_variational(
-        models[1], t2, config, seeded_rng(config.seed, 2, NOISE_ROLE))
-    t3 = next_tier_samples_variational(
-        models[1], t2, [graph_tier_membership(s.x.shape[0]) for s in t2]
-    )
-    hist[3] = train_tier_variational(
-        models[2], t3, config, seeded_rng(config.seed, 3, NOISE_ROLE))
-    return hist
+    """Bottom-up schedule with one noise stream per tier."""
+    return run_tiered_schedule(
+        models, items,
+        lambda tier, model, s: train_tier_variational(
+            model, s, config, seeded_rng(config.seed, tier, NOISE_ROLE)),
+        next_tier_samples_variational)
 
 
 def encode_tiered_variational(graph: Graph, m1: MembershipMatrix,
                               models: Sequence[VariationalTierModel]) -> TieredRepresentation:
     """Mu-mode inference: z_t = mu_t everywhere, no sampling, no rng."""
-    _check_models(models)
-    if m1.num_nodes != graph.num_nodes:
-        raise ShapeMismatchError(
-            f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
-        )
-    s1 = tier_sample(graph.x, coo_to_dense(graph).a)
-    mu1 = encode_numpy(models[0].encoder_mu, s1.x, s1.a_norm)
-    p1 = diff_group_pool(mu1, s1.a, m1)
-
-    s2 = tier_sample(p1.x_next, p1.a_next)
-    mu2 = encode_numpy(models[1].encoder_mu, s2.x, s2.a_norm)
-    m2 = graph_tier_membership(m1.num_groups)
-    p2 = diff_group_pool(mu2, s2.a, m2)
-
-    s3 = tier_sample(p2.x_next, p2.a_next)
-    mu3 = encode_numpy(models[2].encoder_mu, s3.x, s3.a_norm)
-
-    return TieredRepresentation(tiers=[
-        TierBundle(graph.x, graph.edge_index, graph.edge_attr, m1.m, mu1),
-        TierBundle(p1.x_next, p1.edge_index_next, p1.edge_attr_next, m2.m, mu2),
-        TierBundle(p2.x_next, p2.edge_index_next, p2.edge_attr_next, None, mu3),
-    ])
+    return encode_tiers(graph, m1, models)
 
 
 def full_pipeline_loss_variational(models: Sequence[VariationalTierModel],
@@ -265,24 +209,7 @@ def full_pipeline_loss_variational(models: Sequence[VariationalTierModel],
     Exists for end-to-end gradient verification; training proper never
     differentiates across tier boundaries.
     """
-    _check_models(models)
     if len(noises) != 3:
         raise ValueError("need one noise array per tier")
-    arr = adjacency_array(a)
-    x_node = tape.const(np.asarray(x, dtype=np.float64))
-    a_cur = arr
-    total = None
-    for idx, model in enumerate(models):
-        a_norm = tape.const(gcn_norm(binary_collapse(a_cur)))
-        mu, logsigma = encode_posterior(model, x_node, a_norm, tape)
-        z = reparameterize(tape, mu, logsigma, noises[idx])
-        loss = elbo_loss(
-            tape, decode_adjacency(tape, z), reconstruction_target(a_cur),
-            mu, logsigma, kl_weight,
-        )
-        total = loss if total is None else tape.add(total, loss)
-        if idx < 2:
-            m = m1 if idx == 0 else graph_tier_membership(m1.num_groups)
-            x_node = tape.matmul(tape.const(m.m.T.copy()), mu)
-            a_cur = pool_adjacency(a_cur, m)
-    return total
+    return pipeline_loss(models, x, a, m1, tape,
+                         VariationalTrainConfig(kl_weight=kl_weight), noises)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import numpy as np
@@ -87,10 +88,11 @@ def test_config_file_parsing(tmp_path):
 
 def test_config_file_rejects_unknown_key(tmp_path):
     p = tmp_path / "run.cfg"
-    p.write_text("moddel = tgae\n")
-    with pytest.raises(ConfigError) as exc:
-        load_config_file(p)
-    assert "moddel" in str(exc.value)
+    for key in ("moddel = tgae", "corpus = x"):
+        p.write_text(key + "\n")
+        with pytest.raises(ConfigError) as exc:
+            load_config_file(p)
+        assert key.split()[0] in str(exc.value)
 
 
 def test_config_file_rejects_bad_syntax_and_values(tmp_path):
@@ -166,6 +168,24 @@ def test_ingest_skips_broken_file_but_reports(tmp_path, capsys):
     out = cmd_ingest([d], tmp_path / "corpus.json")
     assert len(load_corpus(out)) == 1
     assert "bad.sdf" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("good, bad", [
+    # atom-block charge code, columns 37-39 of the first atom line
+    ("0.0000 C   0  0", "0.0000 C   0  x"),
+    # value of an M  CHG pair
+    ("M  END", "M  CHG  1   1  y\nM  END"),
+])
+def test_ingest_skips_file_with_unreadable_charge(tmp_path, good, bad):
+    text = VANILLIN_SDF.read_text()
+    assert good in text
+    d = tmp_path / "sdf"
+    d.mkdir()
+    (d / "bad.sdf").write_text(text.replace(good, bad, 1))
+    (d / "good.sdf").write_text(text)
+    corpus = tmp_path / "corpus.json"
+    assert main(["ingest", str(d), "--out", str(corpus)]) == 0
+    assert len(load_corpus(corpus)) == 1
 
 
 def test_ingest_nothing_usable_fails(tmp_path):
@@ -319,6 +339,19 @@ def test_fetch_partial_failure_keeps_going(tmp_path, capsys):
     assert "cid 1" in capsys.readouterr().err
 
 
+def test_fetch_pauses_between_requests(tmp_path, monkeypatch):
+    events = []
+    monkeypatch.setattr(time, "sleep", lambda s: events.append(("sleep", s)))
+
+    def transport(url):
+        events.append(("get", url.split("/")[-3]))
+        return 200, b"data"
+
+    cmd_fetch([1, 2, 3], tmp_path / "sdf", transport=transport, delay=0.5)
+    assert events == [("get", "1"), ("sleep", 0.5), ("get", "2"),
+                      ("sleep", 0.5), ("get", "3")]
+
+
 def test_fetch_total_failure_raises(tmp_path):
     t = RecordingTransport([(404, b""), (404, b"")])
     with pytest.raises(CliError):
@@ -362,6 +395,14 @@ def test_main_malformed_corpus_is_a_clean_error(tmp_path, capsys):
     bad.write_text("{truncated")
     assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [{"format_version": 1}, {"format_version": 1, "molecules": []}])
+def test_main_corpus_without_molecules_is_a_clean_error(tmp_path, capsys, doc):
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert "no molecules" in capsys.readouterr().err
 
 
 def test_main_train_config_file(tmp_path):

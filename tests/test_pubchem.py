@@ -5,7 +5,6 @@ from tiergae.pubchem import (
     BASE_URL_ENV_VAR,
     DEFAULT_BASE_URL,
     base_url,
-    fetch_many,
     fetch_pubchem_sdf,
     sdf_url,
 )
@@ -105,17 +104,3 @@ def test_zero_retries_single_attempt():
     with pytest.raises(TransportError):
         fetch_pubchem_sdf(7, t, retries=0)
     assert len(t.urls) == 1
-
-
-def test_fetch_many_yields_in_order():
-    t = RecordingTransport([(200, b"a"), (200, b"b"), (200, b"c")])
-    got = list(fetch_many([3, 1, 2], t))
-    assert got == [(3, b"a"), (1, b"b"), (2, b"c")]
-
-
-def test_fetch_many_stops_on_error():
-    t = RecordingTransport([(200, b"a"), (404, b"")])
-    it = fetch_many([1, 2, 3], t)
-    assert next(it) == (1, b"a")
-    with pytest.raises(NotFoundError):
-        next(it)
