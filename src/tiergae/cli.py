@@ -29,7 +29,7 @@ from . import pubchem
 from .errors import CliError, ConfigError, TiergaeError
 from .fgroups import membership_from_partition, partition_molecule
 from .autodiff import params_state, set_params_state
-from .graphs import Graph, MembershipMatrix
+from .graphs import Graph, MembershipMatrix, validate
 from .sdf import featurize, formula_from_features, parse_sdf
 from .tgae import TrainConfig, encode_tiered, make_tier_models, train_tiered
 from .tvgae import (
@@ -220,8 +220,18 @@ def _molecule_entry(mol, graph: Graph, membership: MembershipMatrix,
     }
 
 
+def _require_object(doc, what: str, keys: Sequence[str] = ()) -> None:
+    """ConfigError unless `doc` is a JSON object holding every key in `keys`."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what}: expected a JSON object, got {type(doc).__name__}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ConfigError(f"{what}: missing key(s) {', '.join(map(repr, missing))}")
+
+
 def load_corpus(path) -> list[dict]:
     doc = read_json(Path(path))
+    _require_object(doc, f"corpus {path}")
     if doc.get("format_version") != CORPUS_FORMAT_VERSION:
         raise ConfigError(
             f"corpus {path}: format_version {doc.get('format_version')!r} "
@@ -234,16 +244,29 @@ def load_corpus(path) -> list[dict]:
 
 
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
+    """Graph and membership of each corpus entry; a malformed entry or a
+    graph that breaks an invariant of `graphs.validate` is a ConfigError."""
     items = []
-    for entry in entries:
-        graph = Graph(
-            x=json_to_array(entry["x"]),
-            edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
-            edge_attr=json_to_array(entry["edge_attr"]),
-            pos=None if entry.get("pos") is None else json_to_array(entry["pos"]),
-            id=entry.get("id"),
-        )
-        items.append((graph, MembershipMatrix(json_to_array(entry["membership"]))))
+    for index, entry in enumerate(entries):
+        what = f"corpus molecule #{index}"
+        _require_object(entry, what, ("x", "edge_index", "edge_attr", "membership"))
+        if entry.get("id") is not None:
+            what = f"corpus molecule {entry['id']!r}"
+        try:
+            graph = Graph(
+                x=json_to_array(entry["x"]),
+                edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
+                edge_attr=json_to_array(entry["edge_attr"]),
+                pos=None if entry.get("pos") is None else json_to_array(entry["pos"]),
+                id=entry.get("id"),
+            )
+            membership = MembershipMatrix(json_to_array(entry["membership"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{what}: {exc}") from None
+        violations = validate(graph)
+        if violations:
+            raise ConfigError(f"{what}: {violations[0]}")
+        items.append((graph, membership))
     return items
 
 
@@ -367,12 +390,15 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
 def load_checkpoint(path, d_in: Optional[int] = None):
     """Rebuild models from a checkpoint; returns (models, model_kind)."""
     doc = read_json(Path(path))
+    _require_object(doc, f"checkpoint {path}")
     if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
         raise ConfigError(
             f"checkpoint {path}: format_version {doc.get('format_version')!r} "
             f"!= supported {CHECKPOINT_FORMAT_VERSION}"
         )
+    _require_object(doc, f"checkpoint {path}", ("dims", "model", "params"))
     dims = doc["dims"]
+    _require_object(dims, f"checkpoint {path}: dims", ("d_in", "hidden", "d_z", "k"))
     if d_in is not None and dims["d_in"] != d_in:
         raise ConfigError(
             f"checkpoint {path}: trained with d_in {dims['d_in']}, corpus has {d_in}"
@@ -382,7 +408,10 @@ def load_checkpoint(path, d_in: Optional[int] = None):
         raise ConfigError(f"checkpoint {path}: unknown model {kind!r}")
     models = _flavor(kind)[0](dims["d_in"], dims["hidden"], dims["d_z"], dims["k"],
                               doc.get("seed", 0))
-    set_params_state([p for m in models for p in m.params()], doc["params"])
+    try:
+        set_params_state([p for m in models for p in m.params()], doc["params"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {path}: bad params: {exc}") from None
     return models, kind
 
 

@@ -134,8 +134,31 @@ def adjacency_array(a) -> np.ndarray:
     return arr
 
 
+def _edge_cells(edge_index: np.ndarray, n: int):
+    """Per-edge bookkeeping for a 2 x U edge index over n nodes.
+
+    Returns (in_range, repeated, cells, first): `in_range` marks edges with
+    both ends in [0, n); `repeated` marks in-range edges whose (i, j) an
+    earlier in-range edge already holds; `cells` are the sorted distinct
+    row-major cells i*n + j of the in-range edges and `first[k]` is the
+    first edge holding `cells[k]`.
+    """
+    i, j = edge_index
+    in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    kept = np.flatnonzero(in_range)
+    # a stable sort, so return_index gives each cell's first edge
+    cells, first = np.unique(i[kept] * n + j[kept], return_index=True)
+    first = kept[first]
+    repeated = in_range.copy()
+    repeated[first] = False
+    return in_range, repeated, cells, first
+
+
 def coo_to_dense(g: Graph) -> DenseAdj:
-    """Expand the COO tuple into the dense tensor; duplicates are an error."""
+    """Expand the COO tuple into the dense tensor; duplicates are an error.
+
+    Of several bad edges the one with the lowest index is reported.
+    """
     n = g.num_nodes
     u = g.num_edges
     if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
@@ -144,19 +167,18 @@ def coo_to_dense(g: Graph) -> DenseAdj:
         raise ShapeMismatchError(
             f"edge_attr has {g.edge_attr.shape[0]} rows, expected {u}"
         )
-    a = np.zeros((n, n, g.num_edge_channels), dtype=np.float64)
-    seen = set()
-    for e in range(u):
-        i = int(g.edge_index[0, e])
-        j = int(g.edge_index[1, e])
-        if not (0 <= i < n and 0 <= j < n):
+    in_range, repeated, _, _ = _edge_cells(g.edge_index, n)
+    bad = np.flatnonzero(~in_range | repeated)
+    if bad.size:
+        e = int(bad[0])
+        i, j = g.edge_index[:, e].tolist()
+        if not in_range[e]:
             raise IndexOutOfRangeError(
                 f"edge {e} references node ({i}, {j}) outside [0, {n})"
             )
-        if (i, j) in seen:
-            raise DuplicateEdgeError(f"duplicate COO entry ({i}, {j}) at edge {e}")
-        seen.add((i, j))
-        a[i, j, :] = g.edge_attr[e]
+        raise DuplicateEdgeError(f"duplicate COO entry ({i}, {j}) at edge {e}")
+    a = np.zeros((n, n, g.num_edge_channels), dtype=np.float64)
+    a[g.edge_index[0], g.edge_index[1]] = g.edge_attr
     return DenseAdj(a)
 
 
@@ -165,13 +187,8 @@ def dense_to_coo(a) -> tuple[np.ndarray, np.ndarray]:
     arr = adjacency_array(a)
     if not np.isfinite(arr).all():
         raise ValueError("dense adjacency contains non-finite entries")
-    n, _, s = arr.shape
-    pairs = [(i, j) for i in range(n) for j in range(n) if np.any(arr[i, j, :] != 0.0)]
-    if not pairs:
-        return np.zeros((2, 0), dtype=np.int64), np.zeros((0, s), dtype=np.float64)
-    edge_index = np.array(pairs, dtype=np.int64).T
-    edge_attr = np.array([arr[i, j, :] for i, j in pairs], dtype=np.float64)
-    return edge_index, edge_attr
+    i, j = np.nonzero(arr.any(axis=2))  # row-major; -0.0 counts as zero
+    return np.array([i, j], dtype=np.int64), arr[i, j]
 
 
 def validate(g: Graph) -> list[Violation]:
@@ -196,26 +213,29 @@ def validate(g: Graph) -> list[Violation]:
         )
         return out
 
-    entries: dict[tuple[int, int], int] = {}
-    for e in range(u):
-        i = int(g.edge_index[0, e])
-        j = int(g.edge_index[1, e])
-        if not (0 <= i < n and 0 <= j < n):
-            out.append(
-                Violation("IndexOutOfRange", f"edge {e} references ({i}, {j}), N={n}")
-            )
-            continue
-        if (i, j) in entries:
+    in_range, repeated, cells, first = _edge_cells(g.edge_index, n)
+    # edge-level violations, in edge order
+    for e in np.flatnonzero(~in_range | repeated).tolist():
+        i, j = g.edge_index[:, e].tolist()
+        if in_range[e]:
             out.append(Violation("DuplicateEdge", f"entry ({i}, {j}) repeated at edge {e}"))
-            continue
-        entries[(i, j)] = e
-    for (i, j), e in entries.items():
-        rev = entries.get((j, i))
-        if rev is None:
+        else:
+            out.append(Violation("IndexOutOfRange", f"edge {e} references ({i}, {j}), N={n}"))
+    if not cells.size:
+        return out
+    # pair-level violations, in order of each entry's first edge
+    src, dst = g.edge_index[:, first]
+    k = np.minimum(np.searchsorted(cells, dst * n + src), cells.size - 1)
+    missing = cells[k] != dst * n + src
+    differ = ~missing & (src < dst) & (g.edge_attr[first] != g.edge_attr[first[k]]).any(axis=1)
+    bad = np.flatnonzero(missing | differ)
+    for c in bad[np.argsort(first[bad])].tolist():
+        i, j = int(src[c]), int(dst[c])
+        if missing[c]:
             out.append(
                 Violation("MissingReverseEdge", f"({i}, {j}) present but ({j}, {i}) absent")
             )
-        elif i < j and not np.array_equal(g.edge_attr[e], g.edge_attr[rev]):
+        else:
             out.append(
                 Violation(
                     "AsymmetricEdgeAttr",

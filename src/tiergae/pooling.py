@@ -7,7 +7,14 @@ ever flows into it. Within-group edge mass lands on the diagonal of the
 coarse adjacency and is kept there.
 
 Sums are accumulated in ascending node order (i-major, then j) so results
-are reproducible bit for bit across runs and refactors.
+are reproducible bit for bit across runs and refactors. Both sums are one
+`np.add.at` scatter-add: it applies its adds one index at a time in index
+order, and the indices are listed node-major (group[i] for features, the
+row-major cell group[i]*G + group[j] for adjacency), so every output cell
+receives its terms in the same order as a loop over i, then j. Adjacency
+entries whose channels are all zero are left out of the scatter: a sum
+started at +0.0 is never -0.0, and adding a zero of either sign to any
+other float leaves it unchanged, so skipping them changes no bit.
 """
 
 from __future__ import annotations
@@ -40,10 +47,8 @@ def pool_features(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
         raise ShapeMismatchError(
             f"z has {z.shape[0]} rows, membership has {m.num_nodes}"
         )
-    group = _group_of(m.m)
     out = np.zeros((m.num_groups, z.shape[1]), dtype=np.float64)
-    for i in range(z.shape[0]):
-        out[group[i]] += z[i]
+    np.add.at(out, _group_of(m.m), z)
     return out
 
 
@@ -57,13 +62,11 @@ def pool_adjacency(a, m: MembershipMatrix) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("adjacency contains non-finite entries")
     group = _group_of(m.m)
-    n, _, s = arr.shape
-    out = np.zeros((m.num_groups, m.num_groups, s), dtype=np.float64)
-    for i in range(n):
-        gi = group[i]
-        for j in range(n):
-            out[gi, group[j]] += arr[i, j]
-    return out
+    g = m.num_groups
+    i, j = np.nonzero(arr.any(axis=2))  # row-major
+    out = np.zeros((g * g, arr.shape[2]), dtype=np.float64)
+    np.add.at(out, group[i] * g + group[j], arr[i, j])
+    return out.reshape(g, g, arr.shape[2])
 
 
 def diff_group_pool(z: np.ndarray, a, m: MembershipMatrix) -> PoolResult:

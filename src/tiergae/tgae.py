@@ -27,7 +27,7 @@ from .autodiff import Adam, Param, Tape, seeded_rng, stable_sigmoid
 from .errors import ShapeMismatchError
 from .gcn import GnnEncoder, binary_collapse, encode, encode_numpy, gcn_norm, make_encoder
 from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense
-from .pooling import diff_group_pool, graph_tier_membership, pool_adjacency
+from .pooling import diff_group_pool, graph_tier_membership, pool_adjacency, pool_features
 
 SIGMOID_CLAMP = 1e-12
 
@@ -227,8 +227,8 @@ def pool_samples(model, samples: Sequence[TierSample],
     """Frozen embeddings of a trained tier, pooled into next-tier samples."""
     out = []
     for s, m in zip(samples, memberships):
-        pr = diff_group_pool(model.embed(s.x, s.a_norm), s.a, m)
-        out.append(tier_sample(pr.x_next, pr.a_next))
+        z = model.embed(s.x, s.a_norm)
+        out.append(tier_sample(pool_features(z, m), pool_adjacency(s.a, m)))
     return out
 
 

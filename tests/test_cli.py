@@ -405,6 +405,81 @@ def test_main_corpus_without_molecules_is_a_clean_error(tmp_path, capsys, doc):
     assert "no molecules" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [[], "corpus", 3])
+def test_main_corpus_not_an_object_is_a_clean_error(tmp_path, capsys, doc):
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
+def test_main_corpus_with_asymmetric_edges_is_a_clean_error(tmp_path, capsys, corpus_path):
+    doc = json.loads(corpus_path.read_text())
+    mol = doc["molecules"][0]
+    edge_index = json_to_array(mol["edge_index"], dtype=np.int64)
+    # keep the last edge (i, j) but drop its (j, i) twin
+    i, j = edge_index[:, -1].tolist()
+    keep = [e for e, pair in enumerate(edge_index.T.tolist()) if pair != [j, i]]
+    mol["edge_index"] = array_to_json(edge_index[:, keep])
+    mol["edge_attr"] = array_to_json(json_to_array(mol["edge_attr"])[keep])
+    bad = tmp_path / "asymmetric.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"corpus molecule {mol['id']!r}" in err
+    assert f"MissingReverseEdge: ({i}, {j}) present but ({j}, {i}) absent" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_main_corpus_entry_missing_key_is_a_clean_error(tmp_path, capsys, corpus_path):
+    doc = json.loads(corpus_path.read_text())
+    del doc["molecules"][0]["membership"]
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert "corpus molecule #0: missing key(s) 'membership'" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def checkpoint_doc(tmp_path, corpus_path):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    return json.loads(ckpt.read_text())
+
+
+def _embed_with_checkpoint(tmp_path, corpus_path, doc) -> int:
+    ckpt = tmp_path / "edited.json"
+    ckpt.write_text(json.dumps(doc))
+    return main(["embed", str(corpus_path), "--checkpoint", str(ckpt),
+                 "--out", str(tmp_path / "export")])
+
+
+@pytest.mark.parametrize("key", ["dims", "model", "params"])
+def test_main_checkpoint_missing_key_is_a_clean_error(tmp_path, capsys, corpus_path,
+                                                      checkpoint_doc, key):
+    del checkpoint_doc[key]
+    assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
+    assert f"missing key(s) {key!r}" in capsys.readouterr().err
+
+
+def test_main_checkpoint_bad_dims_and_params_are_clean_errors(tmp_path, capsys, corpus_path,
+                                                              checkpoint_doc):
+    doc = dict(checkpoint_doc, dims={"d_in": 13})
+    assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
+    assert "dims: missing key(s) 'hidden', 'd_z', 'k'" in capsys.readouterr().err
+    params = dict(checkpoint_doc["params"])
+    name = sorted(params)[0]
+    del params[name]
+    doc = dict(checkpoint_doc, params=params)
+    assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
+    assert f"missing param {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [[], None])
+def test_main_checkpoint_not_an_object_is_a_clean_error(tmp_path, capsys, corpus_path, doc):
+    assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
+    assert "expected a JSON object" in capsys.readouterr().err
+
+
 def test_main_train_config_file(tmp_path):
     corpus = tmp_path / "corpus.json"
     main(["ingest", str(VANILLIN_SDF), "--out", str(corpus)])

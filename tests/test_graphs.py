@@ -21,6 +21,15 @@ from tiergae.graphs import (
 )
 from tiergae.sdf import featurize, parse_sdf
 
+from oracles import (
+    assert_same_bits,
+    coo_to_dense_loop,
+    dense_to_coo_loop,
+    messy_graph,
+    mixed_adjacency,
+    validate_loop,
+)
+
 
 def three_node_graph():
     # two undirected unit edges 0-1 and 1-2, stored as four directed entries
@@ -197,3 +206,96 @@ def test_vanillin_membership_is_valid_partition(vanillin_mol):
     assert m.m.shape[0] == 19
     assert (m.m.sum(axis=1) == 1.0).all()
     assert (m.m.sum(axis=0) >= 1.0).all()
+
+
+# ---------------------------------------- vectorized COO <-> dense vs the loops
+
+def _same_outcome(fn, oracle, arg):
+    """Both raise the same error type and message, or both return; the
+    results are returned for comparison."""
+    try:
+        want = oracle(arg)
+    except Exception as exc:  # noqa: BLE001 - the oracle's error is the expectation
+        with pytest.raises(type(exc)) as info:
+            fn(arg)
+        assert str(info.value) == str(exc)
+        return None, None
+    return fn(arg), want
+
+
+def _check_graph_against_loops(g):
+    assert validate(g) == validate_loop(g)
+    got, want = _same_outcome(coo_to_dense, coo_to_dense_loop, g)
+    if got is not None:
+        assert_same_bits(got.a, want.a)
+        _check_dense_against_loop(got.a)
+
+
+def _check_dense_against_loop(a):
+    got, want = _same_outcome(dense_to_coo, dense_to_coo_loop, a)
+    if got is None:
+        return
+    (ei, ea), (oi, oa) = got, want
+    assert ei.dtype == oi.dtype == np.int64
+    assert ei.shape == oi.shape and np.array_equal(ei, oi)
+    assert_same_bits(ea, oa)
+
+
+@pytest.mark.parametrize("n,s", [(220, 4), (220, 1), (99, 4), (1, 1), (2, 4)])
+def test_dense_to_coo_matches_loop_bitwise(n, s):
+    rng = np.random.default_rng(n * 10 + s)
+    _check_dense_against_loop(mixed_adjacency(rng, n, s))
+    _check_dense_against_loop(np.zeros((n, n, s)))
+    _check_dense_against_loop(np.full((n, n, s), -0.0))
+
+
+@pytest.mark.parametrize("n,s,defects", [(220, 4, False), (220, 1, True), (40, 4, True),
+                                         (1, 1, False), (3, 4, True)])
+def test_coo_layer_matches_loops(n, s, defects):
+    _check_graph_against_loops(messy_graph(np.random.default_rng(n + s), n, s, defects))
+
+
+def test_coo_layer_matches_loops_without_edges():
+    for n, s in ((1, 1), (5, 4)):
+        g = Graph(x=np.zeros((n, 2)), edge_index=np.zeros((2, 0)), edge_attr=np.zeros((0, s)))
+        _check_graph_against_loops(g)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), s=st.sampled_from([1, 4]),
+       defects=st.booleans())
+def test_coo_layer_matches_loops_property(seed, n, s, defects):
+    rng = np.random.default_rng(seed)
+    _check_graph_against_loops(messy_graph(rng, n, s, defects))
+    _check_dense_against_loop(mixed_adjacency(rng, n, s))
+
+
+def _edges(*pairs):
+    return Graph(x=np.zeros((4, 1)), edge_index=np.array(pairs).T,
+                 edge_attr=np.arange(len(pairs), dtype=np.float64))
+
+
+def test_first_bad_edge_is_reported():
+    dup_first = _edges((0, 1), (1, 0), (0, 1), (9, 0), (1, 0), (0, -1))
+    with pytest.raises(DuplicateEdgeError, match=r"^duplicate COO entry \(0, 1\) at edge 2$"):
+        coo_to_dense(dup_first)
+    range_first = _edges((0, 1), (1, 0), (2, 4), (0, 1), (-1, 0))
+    with pytest.raises(IndexOutOfRangeError,
+                       match=r"^edge 2 references node \(2, 4\) outside \[0, 4\)$"):
+        coo_to_dense(range_first)
+    assert [str(v) for v in validate(dup_first)] == [
+        "DuplicateEdge: entry (0, 1) repeated at edge 2",
+        "IndexOutOfRange: edge 3 references (9, 0), N=4",
+        "DuplicateEdge: entry (1, 0) repeated at edge 4",
+        "IndexOutOfRange: edge 5 references (0, -1), N=4",
+        "AsymmetricEdgeAttr: edge features of (0, 1) and (1, 0) differ",
+    ]
+
+
+def test_validate_pair_violations_follow_first_edge_order():
+    g = _edges((3, 2), (1, 0), (0, 1), (0, 2), (2, 3))
+    g.edge_attr[4] = g.edge_attr[0]
+    assert [str(v) for v in validate(g)] == [
+        "AsymmetricEdgeAttr: edge features of (0, 1) and (1, 0) differ",
+        "MissingReverseEdge: (0, 2) present but (2, 0) absent",
+    ]

@@ -12,6 +12,14 @@ from tiergae.pooling import (
     pool_features,
 )
 
+from oracles import (
+    assert_same_bits,
+    mixed_adjacency,
+    pool_adjacency_loop,
+    pool_features_loop,
+    random_membership,
+)
+
 
 def pool_oracle(z, a, m):
     """Independent dense oracle: scalar accumulation in row-major scan order.
@@ -36,15 +44,6 @@ def pool_oracle(z, a, m):
             for c in range(s):
                 a_next[gi, gj, c] += a[i, j, c]
     return x_next, a_next
-
-
-def random_membership(rng, n):
-    groups = rng.integers(1, n + 1)
-    assign = rng.integers(0, groups, size=n)
-    assign[rng.permutation(n)[:groups]] = np.arange(groups)  # no empty group
-    m = np.zeros((n, groups))
-    m[np.arange(n), assign] = 1.0
-    return MembershipMatrix(m)
 
 
 def random_symmetric_adjacency(rng, n, s):
@@ -177,3 +176,52 @@ def test_shape_mismatch_rejected():
         pool_features(z, m)
     with pytest.raises(ShapeMismatchError):
         pool_adjacency(a, m)
+
+
+# ------------------------------------------- vectorized pooling vs the loops
+
+def _check_against_loops(rng, n, s, m):
+    z = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-8, 8, size=(n, 5))
+    a = mixed_adjacency(rng, n, s)
+    assert_same_bits(pool_features(z, m), pool_features_loop(z, m))
+    assert_same_bits(pool_adjacency(a, m), pool_adjacency_loop(a, m))
+    return a
+
+
+@pytest.mark.parametrize("n,s,groups", [
+    (220, 4, 99), (220, 1, 0), (150, 4, 1), (60, 1, 60), (1, 4, 1), (2, 1, 1),
+])
+def test_pooling_matches_loops_bitwise(n, s, groups):
+    rng = np.random.default_rng(n * 10 + s)
+    _check_against_loops(rng, n, s, random_membership(rng, n, groups))
+
+
+def test_pooling_inputs_are_order_sensitive():
+    # the bitwise tests could not see a change of summation order if the
+    # data summed to the same bits in any order; reversing it must show
+    rng = np.random.default_rng(2200)
+    m = random_membership(rng, 220, 99)
+    a = _check_against_loops(rng, 220, 4, m)
+    group = m.m.argmax(axis=1)
+    reversed_sum = np.zeros((99 * 99, 4))
+    cells = (group[:, None] * 99 + group[None, :]).ravel()
+    np.add.at(reversed_sum, cells[::-1], a.reshape(-1, 4)[::-1])
+    assert not np.array_equal(reversed_sum.reshape(99, 99, 4).view(np.int64),
+                              pool_adjacency(a, m).view(np.int64))
+
+
+def test_pooling_zero_and_negative_zero_adjacency():
+    rng = np.random.default_rng(8)
+    m = random_membership(rng, 12)
+    for a in (np.zeros((12, 12, 4)), np.full((12, 12, 1), -0.0)):
+        assert_same_bits(pool_adjacency(a, m), pool_adjacency_loop(a, m))
+        assert_same_bits(pool_adjacency(a, m), np.zeros((m.num_groups,) * 2 + a.shape[2:]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), s=st.sampled_from([1, 4]),
+       groups=st.sampled_from(["random", "single", "identity"]))
+def test_pooling_matches_loops_property(seed, n, s, groups):
+    rng = np.random.default_rng(seed)
+    g = {"random": 0, "single": 1, "identity": n}[groups]
+    _check_against_loops(rng, n, s, random_membership(rng, n, g))
