@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff over dense float64 matrices.
+"""Reverse-mode autodiff over dense float64 matrices and stacks of them.
 
 A Tape records forward operations as an append-only list of nodes; node ids
 are topological by construction. backward() seeds the scalar loss with 1 and
@@ -6,6 +6,11 @@ sweeps the tape once in reverse, accumulating vector-Jacobian products into
 Param.grad. The op set is the minimum needed by GCN layers, inner-product
 decoders, and BCE/ELBO losses, and every rule is checkable against central
 finite differences.
+
+`matmul`, `transpose` and `add_bias` also take a stack of B matrices on a
+leading axis, (B, n, m): stack @ stack multiplies slice by slice, and stack @
+2-D matrix shares the matrix across the stack, so its gradient is summed over
+the batch. The elementwise ops and `sum` are shape-agnostic.
 
 Gradients accumulate: replaying a tape without zero_grads doubles them.
 """
@@ -84,22 +89,32 @@ class Tape:
     # forward ops ----------------------------------------------------------
 
     def matmul(self, a: int, b: int) -> int:
+        """2-D @ 2-D, stack @ stack of the same B, or stack @ shared 2-D."""
         va, vb = self.value(a), self.value(b)
-        if va.ndim != 2 or vb.ndim != 2 or va.shape[1] != vb.shape[0]:
+        batch_ok = (va.ndim, vb.ndim) in ((2, 2), (3, 2)) or (
+            va.ndim == vb.ndim == 3 and va.shape[0] == vb.shape[0])
+        if not batch_ok or va.shape[-1] != vb.shape[-2]:
             raise ShapeMismatchError(
                 f"matmul: incompatible shapes {va.shape} @ {vb.shape}"
             )
+        shared = va.ndim > vb.ndim
 
         def vjp(g):
-            return g @ vb.T, va.T @ g
+            ga = g @ np.swapaxes(vb, -1, -2)
+            if shared:
+                # one GEMM over all B*n rows sums the per-slice gradients
+                return ga, va.reshape(-1, va.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return ga, np.swapaxes(va, -1, -2) @ g
 
         return self._record(va @ vb, (a, b), vjp)
 
     def transpose(self, a: int) -> int:
+        """Swap the last two axes of a matrix or of each matrix in a stack."""
         va = self.value(a)
-        if va.ndim != 2:
-            raise ShapeMismatchError(f"transpose: need 2-D, got {va.shape}")
-        return self._record(va.T, (a,), lambda g: (g.T,))
+        if va.ndim not in (2, 3):
+            raise ShapeMismatchError(f"transpose: need 2-D or 3-D, got {va.shape}")
+        return self._record(np.swapaxes(va, -1, -2), (a,),
+                            lambda g: (np.swapaxes(g, -1, -2),))
 
     def add(self, a: int, b: int) -> int:
         va, vb = self.value(a), self.value(b)
@@ -108,15 +123,15 @@ class Tape:
         return self._record(va + vb, (a, b), lambda g: (g, g))
 
     def add_bias(self, a: int, bias: int) -> int:
-        """Row-broadcast add: (n, d) matrix plus (1, d) bias."""
+        """Row-broadcast add: (n, d) matrix or (B, n, d) stack plus (1, d) bias."""
         va, vb = self.value(a), self.value(bias)
-        if va.ndim != 2 or vb.shape != (1, va.shape[1]):
+        if va.ndim not in (2, 3) or vb.shape != (1, va.shape[-1]):
             raise ShapeMismatchError(
                 f"add_bias: matrix {va.shape} with bias {vb.shape}"
             )
 
         def vjp(g):
-            return g, g.sum(axis=0, keepdims=True)
+            return g, g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)
 
         return self._record(va + vb, (a, bias), vjp)
 
@@ -244,7 +259,7 @@ def params_state(params: Iterable[Param]) -> dict:
             raise ValueError(f"duplicate param name {p.name!r}")
         state[p.name] = {
             "shape": list(p.value.shape),
-            "data": [float(x) for x in p.value.ravel()],
+            "data": np.asarray(p.value, dtype=np.float64).ravel().tolist(),
         }
     return state
 

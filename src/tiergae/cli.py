@@ -53,7 +53,7 @@ def array_to_json(arr: np.ndarray) -> dict:
     arr = np.asarray(arr)
     return {
         "shape": [int(s) for s in arr.shape],
-        "data": [float(x) for x in arr.ravel()],
+        "data": np.asarray(arr, dtype=np.float64).ravel().tolist(),
     }
 
 
@@ -243,15 +243,20 @@ def load_corpus(path) -> list[dict]:
     return molecules
 
 
+def _molecule_name(entry: dict, index: int) -> str:
+    if entry.get("id") is not None:
+        return f"corpus molecule {entry['id']!r}"
+    return f"corpus molecule #{index}"
+
+
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
     """Graph and membership of each corpus entry; a malformed entry or a
     graph that breaks an invariant of `graphs.validate` is a ConfigError."""
     items = []
     for index, entry in enumerate(entries):
-        what = f"corpus molecule #{index}"
-        _require_object(entry, what, ("x", "edge_index", "edge_attr", "membership"))
-        if entry.get("id") is not None:
-            what = f"corpus molecule {entry['id']!r}"
+        _require_object(entry, f"corpus molecule #{index}",
+                        ("x", "edge_index", "edge_attr", "membership"))
+        what = _molecule_name(entry, index)
         try:
             graph = Graph(
                 x=json_to_array(entry["x"]),
@@ -268,6 +273,15 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
             raise ConfigError(f"{what}: {violations[0]}")
         items.append((graph, membership))
     return items
+
+
+def _check_feature_width(entries: Sequence[dict], items, d_in: int, source: str) -> None:
+    """ConfigError naming the first molecule whose node-feature width is not
+    `d_in`, the width of `source`."""
+    for index, (entry, (graph, _)) in enumerate(zip(entries, items)):
+        if graph.x.shape[1] != d_in:
+            raise ConfigError(f"{_molecule_name(entry, index)}: {graph.x.shape[1]} "
+                              f"node features, {source} has {d_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +373,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
     d_in = items[0][0].x.shape[1]
-    for graph, _ in items:
-        if graph.x.shape[1] != d_in:
-            raise CliError("train: corpus mixes node-feature widths")
+    _check_feature_width(entries, items, d_in, "the first molecule")
     make_models, train_tiered_fn, _, train_config = _flavor(cfg.model)
     models = make_models(d_in, cfg.hidden, cfg.d_z, cfg.k, cfg.seed)
     # the train config takes the run config's values of the fields it shares
@@ -447,7 +459,10 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     """Read-only inference over the corpus; one export JSON per molecule."""
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
-    models, kind = load_checkpoint(checkpoint_path, d_in=items[0][0].x.shape[1])
+    d_in = items[0][0].x.shape[1]
+    models, kind = load_checkpoint(checkpoint_path, d_in=d_in)
+    # every molecule is checked before the first export is written
+    _check_feature_width(entries, items, d_in, f"checkpoint {checkpoint_path}")
     encode = _flavor(kind)[2]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,10 @@ Each layer computes act(A_norm @ H @ W + b). A_norm is the symmetrically
 normalized adjacency with self-loops. Edge feature channels never enter the
 encoder: structure is collapsed to binary existence before normalization,
 and the full channels flow through pooling untouched.
+
+`encode` and `encode_numpy` take one graph, x (N, d) with a_norm (N, N), or a
+stack of B same-size graphs, x (B, N, d) with a_norm (B, N, N); the layer
+weights are shared across the stack.
 """
 
 from __future__ import annotations
@@ -115,14 +119,18 @@ def gcn_norm(a) -> np.ndarray:
     return a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
+def _check_inputs(enc: GnnEncoder, x_shape, a_shape) -> None:
+    if x_shape[-1] != enc.d_in:
+        raise ShapeMismatchError(
+            f"input width {x_shape[-1]} != encoder d_in {enc.d_in}"
+        )
+    if a_shape[:-1] != x_shape[:-1] or a_shape[-1] != a_shape[-2]:
+        raise ShapeMismatchError("a_norm dimension != node count of x")
+
+
 def encode(enc: GnnEncoder, x: int, a_norm: int, tape: Tape) -> int:
     """Tape-recorded forward pass; x and a_norm are tape node ids."""
-    if tape.value(x).shape[1] != enc.d_in:
-        raise ShapeMismatchError(
-            f"input width {tape.value(x).shape[1]} != encoder d_in {enc.d_in}"
-        )
-    if tape.value(a_norm).shape[0] != tape.value(x).shape[0]:
-        raise ShapeMismatchError("a_norm dimension != node count of x")
+    _check_inputs(enc, tape.value(x).shape, tape.value(a_norm).shape)
     h = x
     for layer in enc.layers:
         w = tape.param(layer.weight)
@@ -136,10 +144,7 @@ def encode(enc: GnnEncoder, x: int, a_norm: int, tape: Tape) -> int:
 def encode_numpy(enc: GnnEncoder, x: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
     """Inference forward pass; same op sequence as encode, no tape."""
     h = np.asarray(x, dtype=np.float64)
-    if h.shape[1] != enc.d_in:
-        raise ShapeMismatchError(
-            f"input width {h.shape[1]} != encoder d_in {enc.d_in}"
-        )
+    _check_inputs(enc, h.shape, np.shape(a_norm))
     for layer in enc.layers:
         h = a_norm @ h @ layer.weight.value + layer.bias.value
         if layer.activation == "relu":

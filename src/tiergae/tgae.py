@@ -9,11 +9,15 @@ so no gradient crosses a tier boundary during training.
 Both flavors (`TierModel` here, `tvgae.VariationalTierModel`) share one
 pipeline through a two-method protocol:
   embed(x, a_norm) -> the numpy embedding that gets pooled (tvgae: mu)
-  loss(tape, x, a_norm, target, config, noise) -> (loss node, node to pool)
-where x and a_norm are tape nodes, config is the flavor's train config and
-noise its rng or fixed noise array. `fit_tier`, `pool_samples`,
-`run_tiered_schedule`, `encode_tiers` and `pipeline_loss` are the shared
-epoch loop, tier handoff, schedule, inference pass and end-to-end loss.
+  loss(tape, x, a_norm, bce, config, noise) -> (loss node, node to pool)
+where x (B, N, d) and a_norm (B, N, N) are tape nodes holding a stack of B
+graphs with the same node count N, bce their `BceWeights`, config the
+flavor's train config and noise a (B, N, d_z) standard normal array (None
+for `tgae`). The loss of a stack is the sum of its graphs' losses. A model
+that takes noise also has a `d_z` attribute, the width of that array.
+`fit_tier`, `pool_samples`, `run_tiered_schedule`, `encode_tiers` and
+`pipeline_loss` are the shared epoch loop, tier handoff, schedule, inference
+pass and end-to-end loss.
 """
 
 from __future__ import annotations
@@ -58,12 +62,12 @@ class TierModel:
     def embed(self, x: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
         return encode_numpy(self.encoder, x, a_norm)
 
-    def loss(self, tape: Tape, x: int, a_norm: int, target: np.ndarray,
+    def loss(self, tape: Tape, x: int, a_norm: int, bce: BceWeights,
              config, noise) -> tuple[int, int]:
         """Reconstruction loss of sigmoid(Z Z^T), and Z for pooling; config
         and noise are unused."""
         z = encode(self.encoder, x, a_norm, tape)
-        return reconstruction_loss(tape, decode_adjacency(tape, z), target), z
+        return reconstruction_loss(tape, decode_adjacency(tape, z), bce), z
 
 
 @dataclass
@@ -75,12 +79,35 @@ class TrainConfig:
 @dataclass
 class TierSample:
     """One graph prepared for one tier: features, raw and normalized
-    adjacency, and the binary reconstruction target."""
+    adjacency, and the binary reconstruction target. Once the tier is
+    trained, x and a_norm are views into its `TierStack`."""
 
     x: np.ndarray
     a: np.ndarray        # N x N x s
     a_norm: np.ndarray   # N x N
     target: np.ndarray   # N x N binary
+
+
+@dataclass
+class BceWeights:
+    """Weighted-BCE coefficients of a graph or a stack of same-size graphs:
+    loss = -(sum(c1 * log p) + sum(c2 * log(1 - p))) / count, which is the
+    sum of the graphs' losses because each graph has the same count."""
+
+    c1: np.ndarray       # pos_weight * target * mask, per graph
+    c2: np.ndarray       # (1 - target) * mask
+    count: float         # masked entries per graph
+
+
+@dataclass
+class TierStack:
+    """The samples of one tier with node count N, stacked in sample order."""
+
+    index: list[int]     # positions of the B graphs in the sample list
+    rows: np.ndarray     # their node rows in the sample-order concatenation
+    x: np.ndarray        # B x N x d
+    a_norm: np.ndarray   # B x N x N
+    bce: BceWeights      # c1, c2: B x N x N
 
 
 @dataclass
@@ -109,7 +136,7 @@ def make_tier_models(d_in: int, hidden: int = DEFAULT_HIDDEN, d_z: int = DEFAULT
 
 
 def decode_adjacency(tape: Tape, z: int) -> int:
-    """A_hat = sigmoid(Z Z^T), recorded on the tape."""
+    """A_hat = sigmoid(Z Z^T) of a graph or of each graph in a stack."""
     return tape.sigmoid(tape.matmul(z, tape.transpose(z)))
 
 
@@ -132,52 +159,49 @@ def reconstruction_target(a) -> np.ndarray:
     return exist * (1.0 - np.eye(n))
 
 
-def _loss_constants(target: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Fold pos_weight and the diagonal mask into two coefficient matrices.
-
-    loss = -(sum(c1 * log p) + sum(c2 * log(1 - p))) / count
-    """
+def bce_weights(target) -> BceWeights:
+    """Fold pos_weight and the diagonal mask of a binary (N, N) target, or
+    of a (B, N, N) stack of them, into `BceWeights`."""
     target = np.asarray(target, dtype=np.float64)
-    n = target.shape[0]
-    if target.shape != (n, n):
+    n = target.shape[-1]
+    if target.ndim not in (2, 3) or target.shape[-2] != n:
         raise ShapeMismatchError(f"target must be square, got {target.shape}")
-    if not np.isin(target, (0.0, 1.0)).all():
+    if not ((target == 0.0) | (target == 1.0)).all():
         raise ValueError("reconstruction target must be binary")
     if n > 1:
-        if np.diag(target).any():
+        if np.diagonal(target, axis1=-2, axis2=-1).any():
             raise ValueError("reconstruction target must have a zero diagonal")
         mask = 1.0 - np.eye(n)
     else:
         mask = np.ones((1, 1))
-    n_pos = float((target * mask).sum())
-    n_neg = float(mask.sum() - n_pos)
+    count = float(mask.sum())
+    n_pos = (target * mask).sum(axis=(-2, -1), keepdims=True)
+    n_neg = count - n_pos
     # either class empty: pos_weight is undefined, fall back to unweighted BCE
-    pos_weight = n_neg / n_pos if n_pos > 0 and n_neg > 0 else 1.0
-    c1 = pos_weight * target * mask
-    c2 = (1.0 - target) * mask
-    return c1, c2, float(mask.sum())
+    pos_weight = np.divide(n_neg, n_pos, out=np.ones_like(n_pos),
+                           where=(n_pos > 0) & (n_neg > 0))
+    return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count)
 
 
-def reconstruction_loss(tape: Tape, a_hat: int, target: np.ndarray) -> int:
-    """Mean BCE over masked entries, positives scaled by pos_weight."""
+def reconstruction_loss(tape: Tape, a_hat: int, bce: BceWeights) -> int:
+    """BCE over masked entries, positives scaled by pos_weight, averaged per
+    graph and summed over a stack."""
     va = tape.value(a_hat)
-    if va.shape != np.asarray(target).shape:
-        raise ShapeMismatchError(
-            f"a_hat shape {va.shape} != target shape {np.asarray(target).shape}"
-        )
-    c1, c2, count = _loss_constants(target)
+    if va.shape != bce.c1.shape:
+        raise ShapeMismatchError(f"a_hat shape {va.shape} != target shape {bce.c1.shape}")
     p = tape.clip(a_hat, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
     log_p = tape.log(p)
     one_minus_p = tape.add(tape.const(np.ones_like(va)), tape.scalar_mul(-1.0, p))
     log_1mp = tape.log(one_minus_p)
-    pos = tape.sum(tape.elementwise_mul(tape.const(c1), log_p))
-    neg = tape.sum(tape.elementwise_mul(tape.const(c2), log_1mp))
-    return tape.scalar_mul(-1.0 / count, tape.add(pos, neg))
+    pos = tape.sum(tape.elementwise_mul(tape.const(bce.c1), log_p))
+    neg = tape.sum(tape.elementwise_mul(tape.const(bce.c2), log_1mp))
+    return tape.scalar_mul(-1.0 / bce.count, tape.add(pos, neg))
 
 
 def reconstruction_loss_value(a_hat: np.ndarray, target: np.ndarray) -> float:
     tape = Tape()
-    return float(tape.value(reconstruction_loss(tape, tape.const(a_hat), target)))
+    return float(tape.value(
+        reconstruction_loss(tape, tape.const(a_hat), bce_weights(target))))
 
 
 def tier_sample(x: np.ndarray, a) -> TierSample:
@@ -190,19 +214,58 @@ def tier_sample(x: np.ndarray, a) -> TierSample:
     )
 
 
-def fit_tier(model, samples: Sequence[TierSample], config, noise=None) -> list[float]:
-    """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch."""
+def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
+    """Group the samples by node count, smallest N first, into `TierStack`s.
+
+    Each sample's x and a_norm become views into its stack, so the stack
+    holds the only copy of them.
+    """
+    by_n: dict[int, list[int]] = {}
+    for i, s in enumerate(samples):
+        by_n.setdefault(s.x.shape[0], []).append(i)
+    starts = np.cumsum([0] + [s.x.shape[0] for s in samples])
+    stacks = []
+    for n in sorted(by_n):
+        index = by_n[n]
+        stack = TierStack(
+            index=index,
+            rows=(starts[index][:, None] + np.arange(n)).ravel(),
+            x=np.stack([samples[i].x for i in index]),
+            a_norm=np.stack([samples[i].a_norm for i in index]),
+            bce=bce_weights(np.stack([samples[i].target for i in index])),
+        )
+        for j, i in enumerate(index):
+            samples[i].x, samples[i].a_norm = stack.x[j], stack.a_norm[j]
+        stacks.append(stack)
+    return stacks
+
+
+def fit_tier(model, samples: Sequence[TierSample], config,
+             noise: Optional[np.random.Generator] = None) -> list[float]:
+    """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch.
+
+    The graphs are trained in stacks of equal node count, built once. A
+    stack's loss is the sum of its graphs' losses, so the epoch loss is the
+    per-graph mean up to summation order. With a noise generator, each
+    epoch draws the standard normal rows of all graphs in sample order in
+    one call (the numbers that one draw per graph would give) and gathers
+    each stack's rows from it.
+    """
     if not samples:
         raise ValueError("training a tier needs at least one sample")
+    stacks = stack_samples(samples)
+    node_rows = sum(s.x.shape[0] for s in samples)
     opt = Adam(model.params(), lr=config.lr)
     history: list[float] = []
     for _ in range(config.epochs):
         tape = Tape()
         opt.zero_grads()
+        eps = None if noise is None else noise.standard_normal((node_rows, model.d_z))
         total = None
-        for s in samples:
-            loss, _ = model.loss(tape, tape.const(s.x), tape.const(s.a_norm),
-                                 s.target, config, noise)
+        for st in stacks:
+            st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
+            loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+                                 config, st_eps)
             total = loss if total is None else tape.add(total, loss)
         total = tape.scalar_mul(1.0 / len(samples), total)
         tape.backward(total)
@@ -302,16 +365,20 @@ def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
     """
     _check_models(models)
     a_cur = adjacency_array(a)
-    x_node = tape.const(np.asarray(x, dtype=np.float64))
+    # the graph is a stack of one: every array gets a leading axis of 1
+    x_node = tape.const(np.asarray(x, dtype=np.float64)[None])
     memberships = (m1, graph_tier_membership(m1.num_groups), None)
     total = None
     for model, m, noise in zip(models, memberships, noises):
-        a_norm = tape.const(gcn_norm(binary_collapse(a_cur)))
-        loss, pooled = model.loss(tape, x_node, a_norm, reconstruction_target(a_cur),
+        a_norm = tape.const(gcn_norm(binary_collapse(a_cur))[None])
+        if noise is not None:
+            noise = np.asarray(noise, dtype=np.float64)[None]
+        loss, pooled = model.loss(tape, x_node, a_norm,
+                                  bce_weights(reconstruction_target(a_cur)[None]),
                                   config, noise)
         total = loss if total is None else tape.add(total, loss)
         if m is not None:
-            x_node = tape.matmul(tape.const(m.m.T.copy()), pooled)
+            x_node = tape.matmul(tape.const(m.m.T.copy()[None]), pooled)
             a_cur = pool_adjacency(a_cur, m)
     return total
 

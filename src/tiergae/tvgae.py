@@ -5,7 +5,8 @@ two independent GCNs (no weight sharing between the mu and log-sigma paths).
 Training samples z = mu + exp(logsigma) * eps and minimizes the negative
 ELBO: weighted BCE reconstruction plus KL against the standard normal prior.
 Pooling and inference always consume mu, never samples, so tier handoff and
-embedding export are deterministic.
+embedding export are deterministic. Training works on stacks of same-size
+graphs (see `tgae`); the noise stays per graph.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .tgae import (
     ENCODER_ROLE,
     LOGSIGMA_ROLE,
     NOISE_ROLE,
+    BceWeights,
     TieredRepresentation,
     TierSample,
     decode_adjacency,
@@ -54,16 +56,19 @@ class VariationalTierModel:
         if not (same_in and same_out):
             raise ShapeMismatchError("mu and logsigma encoders must agree on widths")
 
+    @property
+    def d_z(self) -> int:
+        return self.encoder_mu.d_out
+
     def params(self) -> list[Param]:
         return self.encoder_mu.params() + self.encoder_logsigma.params()
 
     def embed(self, x: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
         return encode_numpy(self.encoder_mu, x, a_norm)
 
-    def loss(self, tape: Tape, x: int, a_norm: int, target: np.ndarray,
-             config: VariationalTrainConfig,
-             noise: Union[np.ndarray, np.random.Generator]) -> tuple[int, int]:
-        """Negative ELBO of one posterior sample, and mu for pooling."""
+    def loss(self, tape: Tape, x: int, a_norm: int, bce: BceWeights,
+             config: VariationalTrainConfig, noise: np.ndarray) -> tuple[int, int]:
+        """Negative ELBO of one posterior sample per graph, and mu for pooling."""
         if config.fixed_logsigma is None:
             mu, logsigma = encode_posterior(self, x, a_norm, tape)
         else:
@@ -72,7 +77,7 @@ class VariationalTierModel:
                 np.full(tape.value(mu).shape, float(config.fixed_logsigma))
             )
         z = reparameterize(tape, mu, logsigma, noise)
-        loss = elbo_loss(tape, decode_adjacency(tape, z), target, mu, logsigma,
+        loss = elbo_loss(tape, decode_adjacency(tape, z), bce, mu, logsigma,
                          config.kl_weight)
         return loss, mu
 
@@ -136,11 +141,11 @@ def reparameterize(tape: Tape, mu: int, logsigma: int,
 
 def kl_divergence(tape: Tape, mu: int, logsigma: int) -> int:
     """KL(q || N(0, I)) = -1/2 sum(1 + 2 ls - mu^2 - exp(2 ls)), over nodes
-    and dims, divided by the node count."""
+    and dims, divided by the node count; summed over the graphs of a stack."""
     vm = tape.value(mu)
     if tape.value(logsigma).shape != vm.shape:
         raise ShapeMismatchError("mu and logsigma shapes differ")
-    n = vm.shape[0]
+    n = vm.shape[-2]
     ones = tape.const(np.ones_like(vm))
     two_ls = tape.scalar_mul(2.0, logsigma)
     mu_sq = tape.elementwise_mul(mu, mu)
@@ -157,11 +162,11 @@ def kl_divergence_value(mu: np.ndarray, logsigma: np.ndarray) -> float:
     ))
 
 
-def elbo_loss(tape: Tape, a_hat: int, target: np.ndarray, mu: int,
+def elbo_loss(tape: Tape, a_hat: int, bce: BceWeights, mu: int,
               logsigma: int, kl_weight: float = 1.0) -> int:
     """Negative ELBO. kl_weight = 0 collapses exactly to the reconstruction
     loss (the KL node is not even added) for clean ablations."""
-    recon = reconstruction_loss(tape, a_hat, target)
+    recon = reconstruction_loss(tape, a_hat, bce)
     if kl_weight == 0.0:
         return recon
     return tape.add(recon, tape.scalar_mul(kl_weight, kl_divergence(tape, mu, logsigma)))

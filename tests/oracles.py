@@ -4,12 +4,18 @@ The `*_loop` functions are the per-entry Python loops that `pooling` and
 `graphs` used before they were vectorized, with the same summation order,
 error types and messages, and violation order. Tests compare the library
 against them bit for bit.
+
+`fit_tier_per_graph` is the epoch loop as it was before training stacked
+same-size graphs: one graph at a time, with each graph's noise drawn on its
+own, in sample order.
 """
 
 import numpy as np
 
+from tiergae.autodiff import Adam, Tape
 from tiergae.errors import DuplicateEdgeError, IndexOutOfRangeError, ShapeMismatchError
 from tiergae.graphs import DenseAdj, Graph, MembershipMatrix, Violation, adjacency_array
+from tiergae.tgae import TierSample, bce_weights, tier_sample
 
 
 def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
@@ -174,3 +180,35 @@ def messy_graph(rng, n: int, s: int, defects: bool) -> Graph:
     edge_index = np.array(cols, dtype=np.int64).T if cols else np.zeros((2, 0))
     edge_attr = np.array(attrs) if attrs else np.zeros((0, s))
     return Graph(x=rng.standard_normal((n, 3)), edge_index=edge_index, edge_attr=edge_attr)
+
+
+def fit_tier_per_graph(model, samples, config, rng=None) -> list[float]:
+    """Full-batch Adam on the mean per-graph loss, one graph (a stack of
+    one) at a time."""
+    opt = Adam(model.params(), lr=config.lr)
+    history = []
+    for _ in range(config.epochs):
+        tape = Tape()
+        opt.zero_grads()
+        total = None
+        for s in samples:
+            eps = None if rng is None else rng.standard_normal((s.x.shape[0], model.d_z))
+            loss, _ = model.loss(tape, tape.const(s.x[None]), tape.const(s.a_norm[None]),
+                                 bce_weights(s.target[None]), config,
+                                 None if eps is None else eps[None])
+            total = loss if total is None else tape.add(total, loss)
+        total = tape.scalar_mul(1.0 / len(samples), total)
+        tape.backward(total)
+        opt.step()
+        history.append(float(tape.value(total)))
+    return history
+
+
+def mixed_size_samples(rng, sizes, d: int) -> list[TierSample]:
+    """One random undirected graph per entry of `sizes`, with d features."""
+    samples = []
+    for n in sizes:
+        upper = np.triu(rng.random((n, n)) < 0.4, k=1)
+        a = (upper | upper.T).astype(np.float64)[:, :, None]
+        samples.append(tier_sample(rng.standard_normal((n, d)), a))
+    return samples

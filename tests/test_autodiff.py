@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,12 @@ def test_gradcheck_every_op():
     relu_in = m + np.sign(m) * 0.2
     _check_unary("relu", relu_in)
     _check_unary("clip", m, lo=-0.9, hi=0.9)
+    # stacks of B matrices: stack @ stack, stack @ shared matrix
+    stack = rng.standard_normal((3, 4, 5))
+    _check_binary("matmul", stack, rng.standard_normal((3, 5, 2)))
+    _check_binary("matmul", stack, rng.standard_normal((5, 2)))
+    _check_binary("add_bias", stack, rng.standard_normal((1, 5)))
+    _check_unary("transpose", stack)
 
     # scalar_mul takes the constant first, outside the generic helper shape
     p = Param(m.copy(), name="p")
@@ -180,6 +188,17 @@ def test_shape_mismatches_rejected():
         t.add(a, t.const(np.ones((3, 2))))
     with pytest.raises(ShapeMismatchError):
         t.add_bias(a, t.const(np.ones((1, 2))))
+    stack = t.const(np.ones((2, 3, 4)))
+    with pytest.raises(ShapeMismatchError):
+        t.matmul(stack, t.const(np.ones((3, 4, 2))))  # batch 2 vs 3
+    with pytest.raises(ShapeMismatchError):
+        t.matmul(t.const(np.ones((3, 3))), stack)  # shared matrix on the left
+    with pytest.raises(ShapeMismatchError):
+        t.matmul(stack, t.const(np.ones((3, 2))))  # inner widths 4 vs 3
+    with pytest.raises(ShapeMismatchError):
+        t.add_bias(stack, t.const(np.ones((1, 3))))
+    with pytest.raises(ShapeMismatchError):
+        t.transpose(t.const(np.ones((2, 2, 2, 2))))
 
 
 def test_unreached_param_untouched():
@@ -288,3 +307,32 @@ def test_params_state_errors():
     bad = {"p": {"shape": [1, 2], "data": [0.0, 0.0]}}
     with pytest.raises(ShapeMismatchError):
         set_params_state([p], bad)
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def test_batched_ops_match_per_slice():
+    # each slice of a stacked result is the 2-D op on that slice; the shared
+    # weight's gradient is the sum of the per-slice gradients
+    rng = seeded_rng(13)
+    x = rng.standard_normal((3, 4, 5))
+    y = rng.standard_normal((3, 5, 4))
+    w = Param(rng.standard_normal((5, 2)), name="w")
+    t = Tape()
+    xy = t.value(t.matmul(t.const(x), t.const(y)))
+    xt = t.value(t.transpose(t.const(x)))
+    t.backward(t.sum(t.matmul(t.const(x), t.param(w))))
+    for b in range(3):
+        assert np.allclose(xy[b], x[b] @ y[b], rtol=1e-14, atol=0.0)
+        assert np.array_equal(xt[b], x[b].T)
+    assert np.allclose(w.grad, sum(x[b].T @ np.ones((4, 2)) for b in range(3)),
+                       rtol=1e-14, atol=0.0)
+
+
+def test_params_state_bytes_match_per_element_conversion():
+    values = [np.array([[-0.0, 2.5e17, 1e-320, np.pi]]), np.arange(6.0).reshape(2, 3)]
+    params = [Param(v, name=f"p{i}") for i, v in enumerate(values)]
+    old = {p.name: {"shape": list(p.value.shape),
+                    "data": [float(x) for x in p.value.ravel()]} for p in params}
+    assert json.dumps(params_state(params), sort_keys=True) == json.dumps(old, sort_keys=True)

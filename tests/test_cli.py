@@ -1,9 +1,13 @@
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiergae.cli import (
     EXPORT_SCHEMA,
@@ -51,6 +55,19 @@ def test_array_json_round_trip():
     assert np.array_equal(again, arr)
     ints = np.array([[1, 2], [3, 4]], dtype=np.int64)
     assert np.array_equal(json_to_array(array_to_json(ints), dtype=np.int64), ints)
+
+
+def test_array_json_bytes_match_per_element_conversion():
+    rng = np.random.default_rng(1)
+    arrays = [
+        rng.standard_normal((3, 4)) * 10.0 ** rng.integers(-300, 300, size=(3, 4)),
+        np.array([-0.0, 0.0, 2.5e17, 1e-320, -1.5, 1e16, 123456789.0]),
+        np.array([[0, 5, 2**53 + 1], [7, 0, -3]], dtype=np.int64),  # edge_index is int64
+        np.zeros((2, 0)),
+    ]
+    for arr in arrays:
+        old = {"shape": [int(s) for s in arr.shape], "data": [float(x) for x in arr.ravel()]}
+        assert json.dumps(array_to_json(arr), sort_keys=True) == json.dumps(old, sort_keys=True)
 
 
 def test_array_json_empty_and_1d():
@@ -478,6 +495,74 @@ def test_main_checkpoint_bad_dims_and_params_are_clean_errors(tmp_path, capsys, 
 def test_main_checkpoint_not_an_object_is_a_clean_error(tmp_path, capsys, corpus_path, doc):
     assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+def _corpus_with_wide_second_molecule(tmp_path, corpus_path) -> Path:
+    """The vanillin corpus plus a copy, named 'wide', with one more feature column."""
+    doc = json.loads(corpus_path.read_text())
+    wide = json.loads(json.dumps(doc["molecules"][0]))
+    x = json_to_array(wide["x"])
+    wide["id"] = "wide"
+    wide["x"] = array_to_json(np.hstack([x, np.zeros((x.shape[0], 1))]))
+    doc["molecules"].append(wide)
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_main_embed_checks_every_width_before_writing(tmp_path, capsys, corpus_path):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    mixed = _corpus_with_wide_second_molecule(tmp_path, corpus_path)
+    out = tmp_path / "export"
+    assert main(["embed", str(mixed), "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+    assert "corpus molecule 'wide': 14 node features" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_main_train_names_the_molecule_with_another_width(tmp_path, capsys, corpus_path):
+    mixed = _corpus_with_wide_second_molecule(tmp_path, corpus_path)
+    out = tmp_path / "m.json"
+    assert main(["train", str(mixed), "--epochs", "1", "--out", str(out)]) == 2
+    assert "corpus molecule 'wide': 14 node features, the first molecule has 13" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def _ingest_exit_code(data: bytes) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        sdf = Path(tmp) / "in.sdf"
+        sdf.write_bytes(data)
+        return main(["ingest", str(sdf), "--out", str(Path(tmp) / "corpus.json")])
+
+
+@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
+@settings(deadline=None, max_examples=60)
+@given(data=st.binary(max_size=3000))
+def test_ingest_arbitrary_bytes_exit_0_or_2(data):
+    assert _ingest_exit_code(data) in (0, 2)
+
+
+# bytes that SDF fields are made of, so mutations reach past the first check
+_SDF_BYTES = st.binary(max_size=6) | st.lists(
+    st.sampled_from(b"0123456789 +-.\nMEDCHGNOVA$"), min_size=1, max_size=6).map(bytes)
+_EDIT = st.tuples(st.integers(0, 10**6), st.sampled_from(("replace", "insert", "delete")),
+                  _SDF_BYTES)
+
+
+@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
+@settings(deadline=None, max_examples=120)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=5))
+def test_ingest_mutated_vanillin_exit_0_or_2(edits):
+    data = bytearray(VANILLIN_SDF.read_bytes())
+    for pos, kind, chunk in edits:
+        i = pos % (len(data) + 1)
+        if kind == "replace":
+            data[i:i + len(chunk)] = chunk
+        elif kind == "insert":
+            data[i:i] = chunk
+        else:
+            del data[i:i + max(len(chunk), 1)]
+    assert _ingest_exit_code(bytes(data)) in (0, 2)
 
 
 def test_main_train_config_file(tmp_path):

@@ -14,6 +14,7 @@ from tiergae.sdf import featurize
 from tiergae.tgae import (
     TierModel,
     TrainConfig,
+    bce_weights,
     decode_adjacency,
     decode_adjacency_numpy,
     encode_tiered,
@@ -172,7 +173,7 @@ def test_loss_gradient_against_finite_differences():
         from tiergae.gcn import encode
 
         z = encode(model.encoder, tape.const(s.x), tape.const(s.a_norm), tape)
-        loss = reconstruction_loss(tape, decode_adjacency(tape, z), s.target)
+        loss = reconstruction_loss(tape, decode_adjacency(tape, z), bce_weights(s.target))
         return tape, loss
 
     tape, loss = run()

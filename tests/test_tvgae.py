@@ -12,6 +12,7 @@ from tiergae.tgae import (
     NOISE_ROLE,
     TierModel,
     TrainConfig,
+    bce_weights,
     encode_tiered,
     make_tier_models,
     reconstruction_loss_value,
@@ -249,7 +250,7 @@ def test_elbo_is_recon_plus_weighted_kl():
     for w in (1.0, 0.25, 2.0):
         tape = Tape()
         node = elbo_loss(
-            tape, tape.const(a_hat), target, tape.const(mu), tape.const(ls), w
+            tape, tape.const(a_hat), bce_weights(target), tape.const(mu), tape.const(ls), w
         )
         expect = reconstruction_loss_value(a_hat, target) + w * kl_divergence_value(mu, ls)
         assert math.isclose(float(tape.value(node)), expect, rel_tol=1e-12)
@@ -264,7 +265,7 @@ def test_elbo_zero_weight_is_pure_reconstruction():
     a_hat = decode_adjacency_numpy(mu)
     tape = Tape()
     node = elbo_loss(
-        tape, tape.const(a_hat), target, tape.const(mu), tape.const(ls), 0.0
+        tape, tape.const(a_hat), bce_weights(target), tape.const(mu), tape.const(ls), 0.0
     )
     assert float(tape.value(node)) == reconstruction_loss_value(a_hat, target)
 
