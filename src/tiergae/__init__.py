@@ -15,15 +15,8 @@ from .fgroups import (
     partition_molecule,
 )
 from .gcn import GnnEncoder, encode, encode_numpy, gcn_norm, make_encoder
-from .graphs import (
-    DenseAdj,
-    Graph,
-    MembershipMatrix,
-    coo_to_dense,
-    dense_to_coo,
-    validate,
-)
-from .pooling import PoolResult, diff_group_pool, graph_tier_membership
+from .graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo, validate
+from .pooling import graph_tier_membership
 from .pubchem import fetch_pubchem_sdf
 from .sdf import Molecule, featurize, parse_sdf, write_sdf
 from .tgae import (
@@ -53,14 +46,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Adam",
-    "DenseAdj",
     "GnnEncoder",
     "Graph",
     "GroupPartition",
     "MembershipMatrix",
     "Molecule",
     "Param",
-    "PoolResult",
     "Tape",
     "TierModel",
     "TieredRepresentation",
@@ -72,7 +63,6 @@ __all__ = [
     "coo_to_dense",
     "decode_adjacency",
     "dense_to_coo",
-    "diff_group_pool",
     "elbo_loss",
     "encode",
     "encode_numpy",

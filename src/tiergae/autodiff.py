@@ -249,30 +249,3 @@ def seeded_rng(*key: int) -> np.random.Generator:
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
-
-
-def params_state(params: Iterable[Param]) -> dict:
-    """Flat name -> {shape, data} map; data is row-major."""
-    state: dict[str, dict] = {}
-    for p in params:
-        if p.name in state:
-            raise ValueError(f"duplicate param name {p.name!r}")
-        state[p.name] = {
-            "shape": list(p.value.shape),
-            "data": np.asarray(p.value, dtype=np.float64).ravel().tolist(),
-        }
-    return state
-
-
-def set_params_state(params: Iterable[Param], state: dict) -> None:
-    for p in params:
-        if p.name not in state:
-            raise KeyError(f"checkpoint is missing param {p.name!r}")
-        entry = state[p.name]
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        if arr.shape != p.value.shape:
-            raise ShapeMismatchError(
-                f"param {p.name!r}: checkpoint shape {arr.shape} "
-                f"!= model shape {p.value.shape}"
-            )
-        p.value[...] = arr

@@ -17,18 +17,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import pubchem
-from .errors import CliError, ConfigError, TiergaeError
+from .autodiff import Param
+from .errors import CliError, ConfigError, ShapeMismatchError, TiergaeError
 from .fgroups import membership_from_partition, partition_molecule
-from .autodiff import params_state, set_params_state
 from .graphs import Graph, MembershipMatrix, validate
 from .sdf import featurize, formula_from_features, parse_sdf
 from .tgae import TrainConfig, encode_tiered, make_tier_models, train_tiered
@@ -58,7 +59,41 @@ def array_to_json(arr: np.ndarray) -> dict:
 
 
 def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
-    return np.asarray(obj["data"], dtype=dtype).reshape(obj["shape"])
+    """Inverse of `array_to_json`; a value that is not finite is a ConfigError."""
+    try:
+        arr = np.asarray(obj["data"], dtype=dtype)
+    except OverflowError as exc:  # inf, or too large, for an integer dtype
+        raise ConfigError(f"array data: {exc}") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError("array data holds a non-finite value")
+    return arr.reshape(obj["shape"])
+
+
+def params_state(params: Iterable[Param]) -> dict:
+    """Checkpoint map of parameter name -> `array_to_json` of its value."""
+    state: dict[str, dict] = {}
+    for p in params:
+        if p.name in state:
+            raise ValueError(f"duplicate param name {p.name!r}")
+        state[p.name] = array_to_json(p.value)
+    return state
+
+
+def set_params_state(params: Iterable[Param], state: dict) -> None:
+    """Load each parameter's value from a `params_state` map."""
+    for p in params:
+        if p.name not in state:
+            raise KeyError(f"checkpoint is missing param {p.name!r}")
+        try:
+            arr = json_to_array(state[p.name])
+        except ConfigError as exc:
+            raise ConfigError(f"param {p.name!r}: {exc}") from None
+        if arr.shape != p.value.shape:
+            raise ShapeMismatchError(
+                f"param {p.name!r}: checkpoint shape {arr.shape} "
+                f"!= model shape {p.value.shape}"
+            )
+        p.value[...] = arr
 
 
 def write_json(path: Path, obj) -> None:
@@ -146,16 +181,13 @@ class RunConfig:
     k: int = 2
 
 
-_CONFIG_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
 
 def _coerce(field_name: str, raw: str):
-    if field_name == "model":
-        return raw
+    """Parse a config file value as the type of the field's default."""
     try:
-        if field_name in ("seed", "epochs", "hidden", "d_z", "k"):
-            return int(raw)
-        return float(raw)  # lr, kl_weight
+        return type(getattr(RunConfig(), field_name))(raw)
     except ValueError:
         raise ConfigError(f"config field {field_name!r}: cannot parse {raw!r}") from None
 
@@ -170,7 +202,7 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
+        if key not in _CONFIG_FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config field {key!r}")
         values[key] = _coerce(key, value)
     return values
@@ -182,7 +214,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if cfg.seed < 0:
         raise ConfigError("config field 'seed': must be nonnegative")
     for name in ("epochs", "lr", "hidden", "d_z", "kl_weight", "k"):
-        if getattr(cfg, name) <= 0:
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"config field {name!r}: must be finite, got {value}")
+        if value <= 0:
             raise ConfigError(f"config field {name!r}: must be strictly positive")
     if not (2 <= cfg.k <= 6):
         raise ConfigError(f"config field 'k': must be in [2, 6], got {cfg.k}")

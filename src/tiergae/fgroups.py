@@ -128,7 +128,7 @@ def membership_from_partition(p: GroupPartition, n: int) -> MembershipMatrix:
     for col, gi in enumerate(order):
         for a in p.groups[gi]:
             m[a, col] = 1.0
-    return MembershipMatrix(m, tier=1)
+    return MembershipMatrix(m)
 
 
 def group_report(mol: Molecule, p: GroupPartition) -> str:

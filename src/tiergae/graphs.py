@@ -3,7 +3,7 @@
 A graph holds a node feature matrix ``x`` (N x d), 0-based edge indices in
 COO layout (2 x U) and a per-edge feature matrix ``edge_attr`` (U x s).
 Undirected edges are stored as both directed entries. The equivalent dense
-form is an N x N x s tensor with one channel per edge feature.
+form is a plain N x N x s float64 array with one channel per edge feature.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class Graph:
     edge_index: np.ndarray
     edge_attr: np.ndarray
     pos: Optional[np.ndarray] = None
-    y: Optional[np.ndarray] = None
     id: Optional[str] = None
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class Graph:
             self.edge_attr = self.edge_attr.reshape(-1, 1)
         if self.pos is not None:
             self.pos = np.asarray(self.pos, dtype=np.float64)
-        if self.y is not None:
-            self.y = np.asarray(self.y, dtype=np.float64)
 
     @property
     def num_nodes(self) -> int:
@@ -55,35 +52,10 @@ class Graph:
 
 
 @dataclass
-class DenseAdj:
-    """Dense adjacency tensor, N x N x s; s = 1 behaves like a plain matrix."""
-
-    a: np.ndarray
-
-    def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=np.float64)
-        if self.a.ndim == 2:
-            self.a = self.a[:, :, np.newaxis]
-        if self.a.ndim != 3 or self.a.shape[0] != self.a.shape[1]:
-            raise ShapeMismatchError(
-                f"dense adjacency must be N x N x s, got shape {self.a.shape}"
-            )
-
-    @property
-    def num_nodes(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.a.shape[2]
-
-
-@dataclass
 class MembershipMatrix:
     """Binary N x G node-to-group assignment; rows are a hard partition."""
 
     m: np.ndarray
-    tier: int = 1
 
     def __post_init__(self):
         self.m = np.asarray(self.m, dtype=np.float64)
@@ -99,8 +71,6 @@ class MembershipMatrix:
         if (cols < 1.0).any():
             bad = int(np.flatnonzero(cols < 1.0)[0])
             raise EmptyGroupError(f"membership column {bad} assigns no nodes")
-        if self.tier not in (1, 2):
-            raise ValueError(f"membership tier must be 1 or 2, got {self.tier}")
 
     @property
     def num_nodes(self) -> int:
@@ -123,9 +93,7 @@ class Violation:
 
 
 def adjacency_array(a) -> np.ndarray:
-    """Coerce a DenseAdj or a raw 2-D/3-D array to the N x N x s layout."""
-    if isinstance(a, DenseAdj):
-        return a.a
+    """Coerce a 2-D (one channel) or 3-D array to the N x N x s layout."""
     arr = np.asarray(a, dtype=np.float64)
     if arr.ndim == 2:
         arr = arr[:, :, np.newaxis]
@@ -154,8 +122,8 @@ def _edge_cells(edge_index: np.ndarray, n: int):
     return in_range, repeated, cells, first
 
 
-def coo_to_dense(g: Graph) -> DenseAdj:
-    """Expand the COO tuple into the dense tensor; duplicates are an error.
+def coo_to_dense(g: Graph) -> np.ndarray:
+    """Expand the COO tuple into the N x N x s array; duplicates are an error.
 
     Of several bad edges the one with the lowest index is reported.
     """
@@ -179,7 +147,7 @@ def coo_to_dense(g: Graph) -> DenseAdj:
         raise DuplicateEdgeError(f"duplicate COO entry ({i}, {j}) at edge {e}")
     a = np.zeros((n, n, g.num_edge_channels), dtype=np.float64)
     a[g.edge_index[0], g.edge_index[1]] = g.edge_attr
-    return DenseAdj(a)
+    return a
 
 
 def dense_to_coo(a) -> tuple[np.ndarray, np.ndarray]:
@@ -260,6 +228,5 @@ def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
         edge_index=new_edge_index,
         edge_attr=g.edge_attr.copy(),
         pos=new_pos,
-        y=None if g.y is None else g.y.copy(),
         id=g.id,
     )

@@ -19,20 +19,10 @@ other float leaves it unchanged, so skipping them changes no bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .graphs import MembershipMatrix, adjacency_array, dense_to_coo
-
-
-@dataclass
-class PoolResult:
-    x_next: np.ndarray          # G x d
-    a_next: np.ndarray          # G x G x s
-    edge_index_next: np.ndarray
-    edge_attr_next: np.ndarray
+from .graphs import MembershipMatrix, adjacency_array
 
 
 def _group_of(m: np.ndarray) -> np.ndarray:
@@ -69,15 +59,8 @@ def pool_adjacency(a, m: MembershipMatrix) -> np.ndarray:
     return out.reshape(g, g, arr.shape[2])
 
 
-def diff_group_pool(z: np.ndarray, a, m: MembershipMatrix) -> PoolResult:
-    x_next = pool_features(z, m)
-    a_next = pool_adjacency(a, m)
-    edge_index, edge_attr = dense_to_coo(a_next)
-    return PoolResult(x_next, a_next, edge_index, edge_attr)
-
-
 def graph_tier_membership(g_count: int) -> MembershipMatrix:
     """All groups into one graph-level node: the G x 1 ones matrix."""
     if g_count < 1:
         raise ValueError(f"need at least one group, got {g_count}")
-    return MembershipMatrix(np.ones((g_count, 1)), tier=2)
+    return MembershipMatrix(np.ones((g_count, 1)))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,6 +39,7 @@ NODE_FEATURE_DIM = len(ELEMENT_VOCAB) + 1 + 2  # one-hot incl. other + charge + 
 EDGE_FEATURE_DIM = len(BOND_ORDERS)
 
 _DATA_HEADER = re.compile(r"^>.*<([^<>]+)>")
+_ELEMENT_SYMBOL = re.compile(r"[A-Z][a-z]{0,2}")
 
 
 @dataclass
@@ -99,6 +100,8 @@ def _parse_atom_line(line: str, idx: int) -> Atom:
     symbol = line[31:34].strip()
     if not symbol:
         raise TruncatedBlockError(f"atom line {idx + 1}: empty element symbol")
+    if not _ELEMENT_SYMBOL.fullmatch(symbol):
+        raise SdfError(f"atom line {idx + 1}: {symbol!r} is not an element symbol")
     code = 0
     if line[36:39].strip():
         code = _int_field(line, 36, 39, f"atom line {idx + 1} charge code", SdfError)
@@ -256,11 +259,6 @@ def write_sdf(molecules) -> str:
         lines.append("$$$$")
         chunks.append("\n".join(lines))
     return "\n".join(chunks) + ("\n" if chunks else "")
-
-
-def attach_identifiers(mol: Molecule, inchi: str) -> Molecule:
-    """Store the identifier verbatim; empty means absent. Never parsed."""
-    return replace(mol, inchi=inchi or None)
 
 
 def _element_index(symbol: str) -> int:

@@ -22,16 +22,17 @@ pass and end-to-end loss.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Adam, Param, Tape, seeded_rng, stable_sigmoid
-from .errors import ShapeMismatchError
+from .errors import DomainError, ShapeMismatchError
 from .gcn import GnnEncoder, binary_collapse, encode, encode_numpy, gcn_norm, make_encoder
-from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense
-from .pooling import diff_group_pool, graph_tier_membership, pool_adjacency, pool_features
+from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo
+from .pooling import graph_tier_membership, pool_adjacency, pool_features
 
 SIGMOID_CLAMP = 1e-12
 
@@ -198,12 +199,6 @@ def reconstruction_loss(tape: Tape, a_hat: int, bce: BceWeights) -> int:
     return tape.scalar_mul(-1.0 / bce.count, tape.add(pos, neg))
 
 
-def reconstruction_loss_value(a_hat: np.ndarray, target: np.ndarray) -> float:
-    tape = Tape()
-    return float(tape.value(
-        reconstruction_loss(tape, tape.const(a_hat), bce_weights(target))))
-
-
 def tier_sample(x: np.ndarray, a) -> TierSample:
     arr = adjacency_array(a)
     return TierSample(
@@ -249,7 +244,8 @@ def fit_tier(model, samples: Sequence[TierSample], config,
     per-graph mean up to summation order. With a noise generator, each
     epoch draws the standard normal rows of all graphs in sample order in
     one call (the numbers that one draw per graph would give) and gathers
-    each stack's rows from it.
+    each stack's rows from it. A loss that is not finite is a DomainError
+    naming the tier and epoch, raised before that epoch's update.
     """
     if not samples:
         raise ValueError("training a tier needs at least one sample")
@@ -257,7 +253,7 @@ def fit_tier(model, samples: Sequence[TierSample], config,
     node_rows = sum(s.x.shape[0] for s in samples)
     opt = Adam(model.params(), lr=config.lr)
     history: list[float] = []
-    for _ in range(config.epochs):
+    for epoch in range(config.epochs):
         tape = Tape()
         opt.zero_grads()
         eps = None if noise is None else noise.standard_normal((node_rows, model.d_z))
@@ -268,9 +264,12 @@ def fit_tier(model, samples: Sequence[TierSample], config,
                                  config, st_eps)
             total = loss if total is None else tape.add(total, loss)
         total = tape.scalar_mul(1.0 / len(samples), total)
+        loss = float(tape.value(total))
+        if not math.isfinite(loss):
+            raise DomainError(f"tier {model.tier}: epoch {epoch} loss is {loss}")
         tape.backward(total)
         opt.step()
-        history.append(float(tape.value(total)))
+        history.append(loss)
     return history
 
 
@@ -285,14 +284,16 @@ def _check_models(models: Sequence) -> None:
         raise ValueError("expected models for tiers 1, 2, 3 in order")
 
 
+def pool_sample(z: np.ndarray, s: TierSample, m: MembershipMatrix) -> TierSample:
+    """The next tier's sample: embeddings z of sample s pooled through m."""
+    return tier_sample(pool_features(z, m), pool_adjacency(s.a, m))
+
+
 def pool_samples(model, samples: Sequence[TierSample],
                  memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
     """Frozen embeddings of a trained tier, pooled into next-tier samples."""
-    out = []
-    for s, m in zip(samples, memberships):
-        z = model.embed(s.x, s.a_norm)
-        out.append(tier_sample(pool_features(z, m), pool_adjacency(s.a, m)))
-    return out
+    return [pool_sample(model.embed(s.x, s.a_norm), s, m)
+            for s, m in zip(samples, memberships)]
 
 
 def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
@@ -308,7 +309,7 @@ def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, Membershi
     _check_models(models)
     if not items:
         raise ValueError("empty corpus")
-    samples = [tier_sample(g.x, coo_to_dense(g).a) for g, _ in items]
+    samples = [tier_sample(g.x, coo_to_dense(g)) for g, _ in items]
     memberships = ([m for _, m in items],
                    [graph_tier_membership(m.num_groups) for _, m in items], None)
     hist = {}
@@ -330,22 +331,23 @@ def train_tiered(models: Sequence[TierModel],
 
 def encode_tiers(graph: Graph, m1: MembershipMatrix,
                  models: Sequence) -> TieredRepresentation:
-    """Inference pass through all tiers on `model.embed`; tape-free."""
+    """Inference pass through all tiers on `model.embed`; tape-free. Tier 1
+    keeps the graph's own COO; the pooled tiers take theirs from
+    `dense_to_coo`."""
     _check_models(models)
     if m1.num_nodes != graph.num_nodes:
         raise ShapeMismatchError(
             f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
         )
-    s = tier_sample(graph.x, coo_to_dense(graph).a)
-    graph_arrays = (graph.x, graph.edge_index, graph.edge_attr)
+    s = tier_sample(graph.x, coo_to_dense(graph))
+    coo = (graph.edge_index, graph.edge_attr)
     rep = TieredRepresentation()
     for model, m in zip(models, (m1, graph_tier_membership(m1.num_groups))):
         z = model.embed(s.x, s.a_norm)
-        rep.tiers.append(TierBundle(*graph_arrays, m.m, z))
-        p = diff_group_pool(z, s.a, m)
-        s = tier_sample(p.x_next, p.a_next)
-        graph_arrays = (p.x_next, p.edge_index_next, p.edge_attr_next)
-    rep.tiers.append(TierBundle(*graph_arrays, None, models[2].embed(s.x, s.a_norm)))
+        rep.tiers.append(TierBundle(s.x, *coo, m.m, z))
+        s = pool_sample(z, s, m)
+        coo = dense_to_coo(s.a)
+    rep.tiers.append(TierBundle(s.x, *coo, None, models[2].embed(s.x, s.a_norm)))
     return rep
 
 

@@ -12,7 +12,7 @@ graphs (see `tgae`); the noise stays per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -124,18 +124,15 @@ def encode_posterior(model: VariationalTierModel, x: int, a_norm: int,
     return mu, logsigma
 
 
-def reparameterize(tape: Tape, mu: int, logsigma: int,
-                   noise: Union[np.ndarray, np.random.Generator]) -> int:
-    """z = mu + exp(logsigma) * eps; gradient reaches mu and logsigma only."""
+def reparameterize(tape: Tape, mu: int, logsigma: int, noise: np.ndarray) -> int:
+    """z = mu + exp(logsigma) * eps with eps the noise array; gradient
+    reaches mu and logsigma only."""
     shape = tape.value(mu).shape
     if tape.value(logsigma).shape != shape:
         raise ShapeMismatchError("mu and logsigma shapes differ")
-    if isinstance(noise, np.random.Generator):
-        eps = noise.standard_normal(shape)
-    else:
-        eps = np.asarray(noise, dtype=np.float64)
-        if eps.shape != shape:
-            raise ShapeMismatchError(f"noise shape {eps.shape} != mu shape {shape}")
+    eps = np.asarray(noise, dtype=np.float64)
+    if eps.shape != shape:
+        raise ShapeMismatchError(f"noise shape {eps.shape} != mu shape {shape}")
     return tape.add(mu, tape.elementwise_mul(tape.exp(logsigma), tape.const(eps)))
 
 
@@ -153,13 +150,6 @@ def kl_divergence(tape: Tape, mu: int, logsigma: int) -> int:
     inner = tape.add(tape.add(ones, two_ls),
                      tape.scalar_mul(-1.0, tape.add(mu_sq, exp_two_ls)))
     return tape.scalar_mul(-0.5 / n, tape.sum(inner))
-
-
-def kl_divergence_value(mu: np.ndarray, logsigma: np.ndarray) -> float:
-    tape = Tape()
-    return float(tape.value(
-        kl_divergence(tape, tape.const(mu), tape.const(logsigma))
-    ))
 
 
 def elbo_loss(tape: Tape, a_hat: int, bce: BceWeights, mu: int,

@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tiergae.autodiff import Tape
 from tiergae.sdf import parse_sdf
+from tiergae.tgae import bce_weights, reconstruction_loss
+from tiergae.tvgae import kl_divergence
 
 DATA_DIR = Path(__file__).parent / "data"
 VANILLIN_SDF = DATA_DIR / "vanillin.sdf"
@@ -68,3 +71,16 @@ def path4_features() -> np.ndarray:
 @pytest.fixture()
 def path4():
     return path4_features(), path4_adjacency()
+
+
+def recon_value(a_hat, target) -> float:
+    """`reconstruction_loss` of a probability array against a binary target."""
+    tape = Tape()
+    return float(tape.value(
+        reconstruction_loss(tape, tape.const(a_hat), bce_weights(target))))
+
+
+def kl_value(mu, logsigma) -> float:
+    """`kl_divergence` of a posterior given as arrays."""
+    tape = Tape()
+    return float(tape.value(kl_divergence(tape, tape.const(mu), tape.const(logsigma))))

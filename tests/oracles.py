@@ -14,7 +14,7 @@ import numpy as np
 
 from tiergae.autodiff import Adam, Tape
 from tiergae.errors import DuplicateEdgeError, IndexOutOfRangeError, ShapeMismatchError
-from tiergae.graphs import DenseAdj, Graph, MembershipMatrix, Violation, adjacency_array
+from tiergae.graphs import Graph, MembershipMatrix, Violation, adjacency_array
 from tiergae.tgae import TierSample, bce_weights, tier_sample
 
 
@@ -39,7 +39,7 @@ def pool_adjacency_loop(a, m: MembershipMatrix) -> np.ndarray:
     return out
 
 
-def coo_to_dense_loop(g: Graph) -> DenseAdj:
+def coo_to_dense_loop(g: Graph) -> np.ndarray:
     n = g.num_nodes
     u = g.num_edges
     if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
@@ -61,7 +61,7 @@ def coo_to_dense_loop(g: Graph) -> DenseAdj:
             raise DuplicateEdgeError(f"duplicate COO entry ({i}, {j}) at edge {e}")
         seen.add((i, j))
         a[i, j, :] = g.edge_attr[e]
-    return DenseAdj(a)
+    return a
 
 
 def dense_to_coo_loop(a) -> tuple[np.ndarray, np.ndarray]:

@@ -19,15 +19,9 @@ from tiergae.autodiff import Param, Tape, seeded_rng, zero_grads
 from tiergae.cli import RunConfig, cmd_embed, cmd_ingest, cmd_train, validate_config
 from tiergae.fgroups import mark_atoms, membership_from_partition, partition_molecule
 from tiergae.graphs import Graph, MembershipMatrix, dense_to_coo, permute_graph
-from tiergae.pooling import diff_group_pool
+from tiergae.pooling import pool_adjacency, pool_features
 from tiergae.pubchem import fetch_pubchem_sdf
-from tiergae.sdf import (
-    attach_identifiers,
-    featurize,
-    formula_from_features,
-    parse_sdf,
-    write_sdf,
-)
+from tiergae.sdf import featurize, formula_from_features, parse_sdf, write_sdf
 from tiergae.tgae import (
     NOISE_ROLE,
     TrainConfig,
@@ -43,13 +37,12 @@ from tiergae.tvgae import (
     VariationalTrainConfig,
     encode_tiered_variational,
     full_pipeline_loss_variational,
-    kl_divergence_value,
     make_variational_tier_models,
     train_tier_variational,
 )
 
 from acceptance_report import record
-from conftest import VANILLIN_SDF, path4_adjacency, path4_features
+from conftest import VANILLIN_SDF, kl_value, path4_adjacency, path4_features
 from gradcheck import assert_grads_match, finite_difference_grads
 from test_pooling import pool_oracle, random_membership, random_symmetric_adjacency
 from test_pubchem import RecordingTransport
@@ -194,12 +187,12 @@ def test_criterion_2_pooling_oracle():
             z = rng.standard_normal((n, 3))
             adj = random_symmetric_adjacency(rng, n, s)
             m = random_membership(rng, n)
-            res = diff_group_pool(z, adj, m)
+            x_next, a_next = pool_features(z, m), pool_adjacency(adj, m)
             ox, oa = pool_oracle(z, adj, m.m)
-            assert np.array_equal(res.x_next, ox), f"case {case}: features differ"
-            assert np.array_equal(res.a_next, oa), f"case {case}: adjacency differs"
+            assert np.array_equal(x_next, ox), f"case {case}: features differ"
+            assert np.array_equal(a_next, oa), f"case {case}: adjacency differs"
             for c in range(s):
-                drift = abs(res.a_next[:, :, c].sum() - adj[:, :, c].sum())
+                drift = abs(a_next[:, :, c].sum() - adj[:, :, c].sum())
                 assert drift <= 1e-12, f"case {case} channel {c}: mass drift {drift}"
         assert four_channel_seen >= 10  # the multi-edge-feature case is exercised
 
@@ -207,9 +200,9 @@ def test_criterion_2_pooling_oracle():
         z = rng.standard_normal((6, 3))
         adj = random_symmetric_adjacency(rng, 6, 4)
         m = random_membership(rng, 6)
-        full = diff_group_pool(z, adj, m).a_next
+        full = pool_adjacency(adj, m)
         for c in range(4):
-            single = diff_group_pool(z, adj[:, :, c][:, :, None], m).a_next
+            single = pool_adjacency(adj[:, :, c][:, :, None], m)
             assert np.array_equal(full[:, :, c], single[:, :, 0])
 
 
@@ -236,7 +229,6 @@ def test_criterion_3_vanillin_golden():
         inchi = mol.inchi
         assert inchi and inchi.startswith("InChI=")
         assert parse_sdf(write_sdf([mol]))[0].inchi == inchi
-        assert attach_identifiers(mol, inchi).inchi == inchi
 
         marked = mark_atoms(mol)
         hetero_marked = {i for i in marked if symbols[i] not in ("C", "H")}
@@ -290,14 +282,14 @@ def test_criterion_5_tvgae_properties():
     with criterion(5, "KL is 0 at the prior and >= 0 on 100 random inputs; "
                       "the clamped ablation tracks the deterministic run to "
                       "1e-6 per epoch; mu-mode embeddings ignore seeds"):
-        assert kl_divergence_value(np.zeros((3, 2)), np.zeros((3, 2))) == 0.0
+        assert kl_value(np.zeros((3, 2)), np.zeros((3, 2))) == 0.0
 
         rng = np.random.default_rng(55)
         for _ in range(100):
             n, d = int(rng.integers(1, 8)), int(rng.integers(1, 6))
             mu = rng.standard_normal((n, d)) * 3
             ls = rng.standard_normal((n, d)) * 2
-            assert kl_divergence_value(mu, ls) >= 0.0
+            assert kl_value(mu, ls) >= 0.0
 
         sample = tier_sample(path4_features(), path4_adjacency())
         det = make_tier_models(d_in=4, seed=42)[0]

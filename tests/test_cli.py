@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tiergae import cli
 from tiergae.cli import (
     EXPORT_SCHEMA,
     RunConfig,
@@ -203,6 +204,21 @@ def test_ingest_skips_file_with_unreadable_charge(tmp_path, good, bad):
     corpus = tmp_path / "corpus.json"
     assert main(["ingest", str(d), "--out", str(corpus)]) == 0
     assert len(load_corpus(corpus)) == 1
+
+
+@pytest.mark.parametrize("field", ["9OA", "C$M", "A.0"])
+def test_ingest_skips_file_with_bad_element_field(tmp_path, capsys, field):
+    text = VANILLIN_SDF.read_text()
+    good = "0.0000 C   0  0"
+    assert good in text
+    d = tmp_path / "sdf"
+    d.mkdir()
+    (d / "bad.sdf").write_text(text.replace(good, f"0.0000 {field} 0  0", 1))
+    (d / "good.sdf").write_text(text)
+    corpus = tmp_path / "corpus.json"
+    assert main(["ingest", str(d), "--out", str(corpus)]) == 0
+    assert len(load_corpus(corpus)) == 1
+    assert f"bad.sdf: atom line 1: {field!r} is not an element symbol" in capsys.readouterr().err
 
 
 def test_ingest_nothing_usable_fails(tmp_path):
@@ -495,6 +511,54 @@ def test_main_checkpoint_bad_dims_and_params_are_clean_errors(tmp_path, capsys, 
 def test_main_checkpoint_not_an_object_is_a_clean_error(tmp_path, capsys, corpus_path, doc):
     assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
     assert "expected a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--lr", "nan"], ["--lr", "inf"], ["--kl-weight", "nan"],
+    ["--model", "tvgae", "--kl-weight", "inf"],
+])
+def test_main_non_finite_rate_or_weight_exits_2(tmp_path, capsys, corpus_path, flags):
+    out = tmp_path / "m.json"
+    assert main(["train", str(corpus_path), "--epochs", "2", "--out", str(out), *flags]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("x", float("nan")), ("x", float("-inf")), ("edge_attr", float("inf")),
+    ("edge_index", float("inf")),  # read as int64
+])
+def test_main_corpus_with_non_finite_value_exits_2(tmp_path, capsys, corpus_path,
+                                                    key, value):
+    doc = json.loads(corpus_path.read_text())
+    doc["molecules"][0][key]["data"][1] = value
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(doc))  # writes the JSON tokens NaN, Infinity, -Infinity
+    out = tmp_path / "m.json"
+    assert main(["train", str(bad), "--epochs", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"corpus molecule {doc['molecules'][0]['id']!r}: array data" in err
+    assert not out.exists()
+
+
+def test_main_checkpoint_with_non_finite_param_exits_2(tmp_path, capsys, corpus_path,
+                                                      checkpoint_doc):
+    name = sorted(checkpoint_doc["params"])[0]
+    checkpoint_doc["params"][name]["data"][0] = float("nan")
+    assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
+    assert f"param {name!r}: array data holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "export").exists()
+
+
+def test_main_train_writes_no_file_after_a_non_finite_loss(tmp_path, capsys, corpus_path,
+                                                          monkeypatch):
+    # with the config check bypassed, a NaN learning rate reaches training
+    monkeypatch.setattr(cli, "validate_config", lambda cfg: cfg)
+    out = tmp_path / "m.json"
+    assert main(["train", str(corpus_path), "--epochs", "3", "--lr", "nan",
+                 "--out", str(out)]) == 2
+    assert "tier 1: epoch 1 loss is nan" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [corpus_path]
 
 
 def _corpus_with_wide_second_molecule(tmp_path, corpus_path) -> Path:

@@ -4,6 +4,7 @@ import pytest
 from tiergae.errors import (
     InvalidBondError,
     MalformedCountsLineError,
+    SdfError,
     TruncatedBlockError,
     V3000UnsupportedError,
 )
@@ -14,7 +15,6 @@ from tiergae.sdf import (
     ELEMENT_VOCAB,
     NODE_FEATURE_DIM,
     OTHER_BUCKET,
-    attach_identifiers,
     featurize,
     formula_from_features,
     formula_from_molecule,
@@ -204,12 +204,15 @@ def test_write_empty_list():
     assert write_sdf([]) == ""
 
 
-def test_attach_identifiers():
-    mol = parse_sdf(molfile([("C", 0)], []))[0]
-    tagged = attach_identifiers(mol, "InChI=1S/CH4/h1H4")
-    assert tagged.inchi == "InChI=1S/CH4/h1H4"
-    assert mol.inchi is None  # original untouched
-    assert attach_identifiers(mol, "").inchi is None
+@pytest.mark.parametrize("field", ["9OA", "C$M", "A.0", "cl", "CL", "C M", "*"])
+def test_element_field_must_be_a_symbol(field):
+    with pytest.raises(SdfError, match="atom line 1: .* is not an element symbol"):
+        parse_sdf(molfile([(field, 0)], []))
+
+
+@pytest.mark.parametrize("symbol", ["C", "Cl", "He", "Se", "Uuo"])
+def test_element_symbols_parse(symbol):
+    assert parse_sdf(molfile([(symbol, 0)], []))[0].atoms[0].symbol == symbol
 
 
 # ---------------------------------------------------------------- features

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Tape, params_state, set_params_state, zero_grads
-from tiergae.errors import ShapeMismatchError
+from tiergae.autodiff import Tape, zero_grads
+from tiergae.cli import params_state
+from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
-from tiergae.graphs import Graph, MembershipMatrix, dense_to_coo
+from tiergae.graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo
+from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
 from tiergae.tgae import (
     TierModel,
@@ -22,14 +24,13 @@ from tiergae.tgae import (
     make_tier_models,
     next_tier_samples,
     reconstruction_loss,
-    reconstruction_loss_value,
     reconstruction_target,
     tier_sample,
     train_tier,
     train_tiered,
 )
 
-from conftest import path4_adjacency, path4_features
+from conftest import path4_adjacency, path4_features, recon_value
 from gradcheck import assert_grads_match, finite_difference_grads
 
 
@@ -100,7 +101,7 @@ def test_loss_at_half_has_closed_form():
     a_hat = np.full((3, 3), 0.5)
     n_neg, count = 4.0, 6.0
     expect = 2.0 * n_neg * math.log(2.0) / count
-    assert math.isclose(reconstruction_loss_value(a_hat, target), expect, rel_tol=1e-12)
+    assert math.isclose(recon_value(a_hat, target), expect, rel_tol=1e-12)
 
 
 def test_loss_all_positive_targets_falls_back_to_unweighted():
@@ -108,7 +109,7 @@ def test_loss_all_positive_targets_falls_back_to_unweighted():
     a_hat = np.full((3, 3), 0.25)
     # no negatives: pos_weight collapses to 1, loss = -log(0.25)
     assert math.isclose(
-        reconstruction_loss_value(a_hat, target), -math.log(0.25), rel_tol=1e-12
+        recon_value(a_hat, target), -math.log(0.25), rel_tol=1e-12
     )
 
 
@@ -116,24 +117,24 @@ def test_loss_all_negative_targets_falls_back_to_unweighted():
     target = np.zeros((3, 3))
     a_hat = np.full((3, 3), 0.25)
     assert math.isclose(
-        reconstruction_loss_value(a_hat, target), -math.log(0.75), rel_tol=1e-12
+        recon_value(a_hat, target), -math.log(0.75), rel_tol=1e-12
     )
 
 
 def test_loss_perfect_prediction_is_tiny():
     target = np.array([[0, 1], [1, 0]], dtype=float)
-    assert reconstruction_loss_value(target, target) < 1e-10
+    assert recon_value(target, target) < 1e-10
 
 
 def test_loss_clamps_instead_of_overflowing():
     target = np.array([[0, 1], [1, 0]], dtype=float)
     worst = 1.0 - target  # exactly wrong, probabilities of 0 and 1
-    v = reconstruction_loss_value(worst, target)
+    v = recon_value(worst, target)
     assert np.isfinite(v) and v > 10.0
 
 
 def test_loss_single_node_uses_diagonal():
-    v = reconstruction_loss_value(np.array([[0.5]]), np.array([[1.0]]))
+    v = recon_value(np.array([[0.5]]), np.array([[1.0]]))
     assert math.isclose(v, math.log(2.0), rel_tol=1e-12)
 
 
@@ -143,10 +144,10 @@ def test_loss_permutation_invariant():
     target = np.zeros((6, 6))
     for i, j in ((0, 1), (2, 3), (4, 5), (1, 4)):
         target[i, j] = target[j, i] = 1.0
-    base = reconstruction_loss_value(decode_adjacency_numpy(z), target)
+    base = recon_value(decode_adjacency_numpy(z), target)
     perm = rng.permutation(6)
     p = np.eye(6)[perm]
-    permuted = reconstruction_loss_value(
+    permuted = recon_value(
         decode_adjacency_numpy(p @ z), p @ target @ p.T
     )
     assert math.isclose(base, permuted, rel_tol=1e-12)
@@ -155,11 +156,11 @@ def test_loss_permutation_invariant():
 def test_loss_rejects_bad_targets():
     a_hat = np.full((2, 2), 0.5)
     with pytest.raises(ValueError):
-        reconstruction_loss_value(a_hat, np.array([[0.0, 0.5], [0.5, 0.0]]))
+        recon_value(a_hat, np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError):
-        reconstruction_loss_value(a_hat, np.array([[1.0, 1.0], [1.0, 0.0]]))
+        recon_value(a_hat, np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
-        reconstruction_loss_value(a_hat, np.zeros((3, 3)))
+        recon_value(a_hat, np.zeros((3, 3)))
 
 
 def test_loss_gradient_against_finite_differences():
@@ -257,6 +258,16 @@ def test_train_tier_requires_samples():
         train_tier(models[0], [], TrainConfig(epochs=1))
 
 
+@pytest.mark.parametrize("tier", [1, 2])
+def test_train_tier_rejects_non_finite_loss(tier):
+    model = make_tier_models(d_in=4, hidden=4, d_z=2, seed=1)[tier - 1]
+    x = path4_features() if tier == 1 else np.ones((4, 2))
+    s = tier_sample(x, path4_adjacency())
+    # epoch 0 is finite; its NaN update makes epoch 1's loss NaN
+    with pytest.raises(DomainError, match=rf"^tier {tier}: epoch 1 loss is nan$"):
+        train_tier(model, [s], TrainConfig(epochs=3, lr=float("nan")))
+
+
 def test_tiered_training_keeps_lower_tiers_frozen():
     # tier-1 history of the tiered run must equal a standalone tier-1 run:
     # nothing that happens above tier 1 may touch it
@@ -316,6 +327,21 @@ def test_encode_tiered_shapes_on_vanillin(vanillin_mol):
     assert rep.tiers[2].membership is None
     for t in rep.tiers:
         assert np.isfinite(t.z).all()
+
+
+def test_encode_tiered_coo_per_tier(vanillin_mol):
+    # tier 1 keeps the graph's own COO; the pooled tiers take dense_to_coo
+    # of the pooled adjacency
+    g = featurize(vanillin_mol)
+    m1 = membership_from_partition(partition_molecule(vanillin_mol), g.num_nodes)
+    rep = encode_tiered(g, m1, make_tier_models(d_in=g.x.shape[1], hidden=8, d_z=4))
+    assert rep.tiers[0].edge_index is g.edge_index and rep.tiers[0].edge_attr is g.edge_attr
+    a = coo_to_dense(g)
+    for bundle, m in zip(rep.tiers[1:], (m1, graph_tier_membership(m1.num_groups))):
+        a = pool_adjacency(a, m)
+        edge_index, edge_attr = dense_to_coo(a)
+        assert np.array_equal(bundle.edge_index, edge_index)
+        assert np.array_equal(bundle.edge_attr, edge_attr)
 
 
 def test_encode_tiered_membership_shape_checked():
@@ -383,4 +409,4 @@ def test_loss_value_nonnegative(seed):
     i, j = int(rng.integers(0, n)), int(rng.integers(0, n))
     if i != j:
         t[i, j] = t[j, i] = 1.0
-    assert reconstruction_loss_value(decode_adjacency_numpy(z), t) >= 0.0
+    assert recon_value(decode_adjacency_numpy(z), t) >= 0.0
