@@ -3,14 +3,14 @@
 A Tape records forward operations as an append-only list of nodes; node ids
 are topological by construction. backward() seeds the scalar loss with 1 and
 sweeps the tape once in reverse, accumulating vector-Jacobian products into
-Param.grad. The op set is the minimum needed by GCN layers, inner-product
-decoders, and BCE/ELBO losses, and every rule is checkable against central
-finite differences.
+Param.grad. The op set is what training records: fused GCN layers, the
+inner-product decoder, a BCE-on-logits loss and the KL terms. Every rule is
+checkable against central finite differences.
 
-`matmul`, `transpose` and `add_bias` also take a stack of B matrices on a
-leading axis, (B, n, m): stack @ stack multiplies slice by slice, and stack @
-2-D matrix shares the matrix across the stack, so its gradient is summed over
-the batch. The elementwise ops and `sum` are shape-agnostic.
+A stack of B matrices sits on a leading axis, (B, n, m). `matmul` multiplies
+2-D @ 2-D, or a stack slice by slice with a stack of the same B; `gcn_layer`
+shares its weight and bias across a stack, so their gradients are summed
+over the batch. The elementwise ops, `sum` and `bce_logits` are shape-agnostic.
 
 Gradients accumulate: replaying a tape without zero_grads doubles them.
 """
@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NonScalarLossError, ShapeMismatchError
+from .errors import NonScalarLossError, ShapeMismatchError
 
 
 def _as_f64(value) -> np.ndarray:
@@ -34,6 +34,12 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     x = _as_f64(x)
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); exp never overflows
+    and a NaN passes through without a warning."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 @dataclass
@@ -89,24 +95,15 @@ class Tape:
     # forward ops ----------------------------------------------------------
 
     def matmul(self, a: int, b: int) -> int:
-        """2-D @ 2-D, stack @ stack of the same B, or stack @ shared 2-D."""
+        """2-D @ 2-D, or stack @ stack of the same B."""
         va, vb = self.value(a), self.value(b)
-        batch_ok = (va.ndim, vb.ndim) in ((2, 2), (3, 2)) or (
-            va.ndim == vb.ndim == 3 and va.shape[0] == vb.shape[0])
-        if not batch_ok or va.shape[-1] != vb.shape[-2]:
+        if (va.ndim not in (2, 3) or vb.ndim != va.ndim
+                or va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]):
             raise ShapeMismatchError(
                 f"matmul: incompatible shapes {va.shape} @ {vb.shape}"
             )
-        shared = va.ndim > vb.ndim
-
-        def vjp(g):
-            ga = g @ np.swapaxes(vb, -1, -2)
-            if shared:
-                # one GEMM over all B*n rows sums the per-slice gradients
-                return ga, va.reshape(-1, va.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            return ga, np.swapaxes(va, -1, -2) @ g
-
-        return self._record(va @ vb, (a, b), vjp)
+        return self._record(va @ vb, (a, b), lambda g: (
+            g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g))
 
     def transpose(self, a: int) -> int:
         """Swap the last two axes of a matrix or of each matrix in a stack."""
@@ -122,19 +119,6 @@ class Tape:
             raise ShapeMismatchError(f"add: shapes {va.shape} != {vb.shape}")
         return self._record(va + vb, (a, b), lambda g: (g, g))
 
-    def add_bias(self, a: int, bias: int) -> int:
-        """Row-broadcast add: (n, d) matrix or (B, n, d) stack plus (1, d) bias."""
-        va, vb = self.value(a), self.value(bias)
-        if va.ndim not in (2, 3) or vb.shape != (1, va.shape[-1]):
-            raise ShapeMismatchError(
-                f"add_bias: matrix {va.shape} with bias {vb.shape}"
-            )
-
-        def vjp(g):
-            return g, g.reshape(-1, g.shape[-1]).sum(axis=0, keepdims=True)
-
-        return self._record(va + vb, (a, bias), vjp)
-
     def elementwise_mul(self, a: int, b: int) -> int:
         va, vb = self.value(a), self.value(b)
         if va.shape != vb.shape:
@@ -147,38 +131,65 @@ class Tape:
         c = float(c)
         return self._record(c * self.value(a), (a,), lambda g: (c * g,))
 
-    def sigmoid(self, a: int) -> int:
-        out = stable_sigmoid(self.value(a))
-        return self._record(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-    def relu(self, a: int) -> int:
-        va = self.value(a)
-        return self._record(np.maximum(va, 0.0), (a,), lambda g: (g * (va > 0),))
-
     def exp(self, a: int) -> int:
         out = np.exp(self.value(a))
         return self._record(out, (a,), lambda g: (g * out,))
-
-    def log(self, a: int) -> int:
-        va = self.value(a)
-        if (va <= 0).any():
-            raise DomainError("log requires strictly positive entries")
-        return self._record(np.log(va), (a,), lambda g: (g / va,))
 
     def sum(self, a: int) -> int:
         va = self.value(a)
         return self._record(va.sum(), (a,), lambda g: (np.full(va.shape, float(g)),))
 
-    def mean(self, a: int) -> int:
-        va = self.value(a)
-        return self._record(
-            va.mean(), (a,), lambda g: (np.full(va.shape, float(g) / va.size),)
-        )
-
     def clip(self, a: int, lo: float, hi: float) -> int:
         va = self.value(a)
         mask = (va >= lo) & (va <= hi)
         return self._record(np.clip(va, lo, hi), (a,), lambda g: (g * mask,))
+
+    def gcn_layer(self, a_norm: int, h: int, w: int, b: int, relu: bool) -> int:
+        """One GCN layer, act((A @ H) @ W + b) with act relu or identity, on
+        a graph, H (n, d_in) with A (n, n), or a stack, H (B, n, d_in) with
+        A (B, n, n). W (d_in, d_out) and b (1, d_out) are shared across the
+        stack. A must be a constant: no gradient is formed for it."""
+        va, vh, vw, vb = (self.value(i) for i in (a_norm, h, w, b))
+        if (vh.ndim not in (2, 3) or va.shape != vh.shape[:-1] + vh.shape[-2:-1]
+                or vw.ndim != 2 or vh.shape[-1] != vw.shape[0]
+                or vb.shape != (1, vw.shape[1])):
+            raise ShapeMismatchError(
+                f"gcn_layer: A {va.shape}, H {vh.shape}, W {vw.shape}, b {vb.shape}"
+            )
+        if self.nodes[a_norm].vjp is not None or self.nodes[a_norm].param is not None:
+            raise ValueError("gcn_layer: A must be a constant node")
+        ah = va @ vh
+        pre = ah @ vw + vb
+
+        def vjp(g):
+            if relu:
+                g = g * (pre > 0)
+            # one GEMM over all B*n rows sums the per-slice gradients
+            g2 = g.reshape(-1, g.shape[-1])
+            return (np.swapaxes(va, -1, -2) @ (g @ vw.T),
+                    ah.reshape(-1, ah.shape[-1]).T @ g2,
+                    g2.sum(axis=0, keepdims=True))
+
+        return self._record(np.maximum(pre, 0.0) if relu else pre, (h, w, b), vjp)
+
+    def bce_logits(self, logits: int, c1, c2, count: float) -> int:
+        """Weighted BCE on logits l: (sum(c1 softplus(-l)) + sum(c2 softplus(l)))
+        / count, with c1, c2 constant arrays shaped like l. Its gradient is
+        (c2 sigmoid(l) - c1 sigmoid(-l)) / count. A NaN or infinite logit
+        gives a loss that is not finite, without a warning."""
+        vl = self.value(logits)
+        c1, c2 = _as_f64(c1), _as_f64(c2)
+        if c1.shape != vl.shape or c2.shape != vl.shape:
+            raise ShapeMismatchError(
+                f"bce_logits: logits {vl.shape}, weights {c1.shape} and {c2.shape}"
+            )
+        with np.errstate(invalid="ignore"):  # 0 * inf on an infinite logit
+            loss = ((c1 * softplus(-vl)).sum() + (c2 * softplus(vl)).sum()) / count
+
+        def vjp(g):
+            return ((c2 * stable_sigmoid(vl) - c1 * stable_sigmoid(-vl)) * (float(g) / count),)
+
+        return self._record(loss, (logits,), vjp)
 
     # backward ---------------------------------------------------------------
 

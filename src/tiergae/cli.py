@@ -209,6 +209,14 @@ def load_config_file(path) -> dict:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
+    """The one rule set of run settings, from flags, config files and
+    checkpoints alike: each value has the type of its default (so 2.5 and
+    true are not ints), and then the per-field bounds."""
+    for f in fields(RunConfig):
+        value = getattr(cfg, f.name)
+        if type(value) is not type(f.default):
+            raise ConfigError(f"config field {f.name!r}: expected "
+                              f"{type(f.default).__name__}, got {value!r}")
     if cfg.model not in MODELS:
         raise ConfigError(f"config field 'model': must be one of {MODELS}, got {cfg.model!r}")
     if cfg.seed < 0:
@@ -446,20 +454,25 @@ def load_checkpoint(path, d_in: Optional[int] = None):
     _require_object(doc, f"checkpoint {path}", ("dims", "model", "params"))
     dims = doc["dims"]
     _require_object(dims, f"checkpoint {path}: dims", ("d_in", "hidden", "d_z", "k"))
+    try:
+        cfg = validate_config(RunConfig(model=doc["model"], hidden=dims["hidden"],
+                                        d_z=dims["d_z"], k=dims["k"]))
+    except ConfigError as exc:
+        raise ConfigError(f"checkpoint {path}: {exc}") from None
+    if type(dims["d_in"]) is not int or dims["d_in"] <= 0:
+        raise ConfigError(f"checkpoint {path}: d_in must be a positive int, "
+                          f"got {dims['d_in']!r}")
     if d_in is not None and dims["d_in"] != d_in:
         raise ConfigError(
             f"checkpoint {path}: trained with d_in {dims['d_in']}, corpus has {d_in}"
         )
-    kind = doc["model"]
-    if kind not in MODELS:
-        raise ConfigError(f"checkpoint {path}: unknown model {kind!r}")
-    models = _flavor(kind)[0](dims["d_in"], dims["hidden"], dims["d_z"], dims["k"],
-                              doc.get("seed", 0))
+    # the weights drawn here are all overwritten, so the seed is not read
+    models = _flavor(cfg.model)[0](dims["d_in"], cfg.hidden, cfg.d_z, cfg.k)
     try:
         set_params_state([p for m in models for p in m.params()], doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint {path}: bad params: {exc}") from None
-    return models, kind
+    return models, cfg.model
 
 
 def _export_doc(entry: dict, rep, kind: str) -> dict:

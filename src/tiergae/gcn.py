@@ -1,9 +1,10 @@
 """GCN encoder: K stacked layers of normalized-adjacency propagation.
 
-Each layer computes act(A_norm @ H @ W + b). A_norm is the symmetrically
-normalized adjacency with self-loops. Edge feature channels never enter the
-encoder: structure is collapsed to binary existence before normalization,
-and the full channels flow through pooling untouched.
+Each layer computes act((A_norm @ H) @ W + b), one `Tape.gcn_layer` node on
+a tape. A_norm is the symmetrically normalized adjacency with self-loops.
+Edge feature channels never enter the encoder: structure is collapsed to
+binary existence before normalization, and the full channels flow through
+pooling untouched.
 
 `encode` and `encode_numpy` take one graph, x (N, d) with a_norm (N, N), or a
 stack of B same-size graphs, x (B, N, d) with a_norm (B, N, N); the layer
@@ -129,20 +130,18 @@ def _check_inputs(enc: GnnEncoder, x_shape, a_shape) -> None:
 
 
 def encode(enc: GnnEncoder, x: int, a_norm: int, tape: Tape) -> int:
-    """Tape-recorded forward pass; x and a_norm are tape node ids."""
+    """Tape-recorded forward pass; x and a_norm are tape node ids, and
+    a_norm is a constant."""
     _check_inputs(enc, tape.value(x).shape, tape.value(a_norm).shape)
     h = x
     for layer in enc.layers:
-        w = tape.param(layer.weight)
-        b = tape.param(layer.bias)
-        h = tape.add_bias(tape.matmul(tape.matmul(a_norm, h), w), b)
-        if layer.activation == "relu":
-            h = tape.relu(h)
+        h = tape.gcn_layer(a_norm, h, tape.param(layer.weight), tape.param(layer.bias),
+                           layer.activation == "relu")
     return h
 
 
 def encode_numpy(enc: GnnEncoder, x: np.ndarray, a_norm: np.ndarray) -> np.ndarray:
-    """Inference forward pass; same op sequence as encode, no tape."""
+    """Inference forward pass; the same arithmetic as encode, no tape."""
     h = np.asarray(x, dtype=np.float64)
     _check_inputs(enc, h.shape, np.shape(a_norm))
     for layer in enc.layers:

@@ -1,10 +1,11 @@
 """Deterministic tiered graph autoencoder.
 
 Three tiers: atoms, functional groups, whole molecule. Each tier has its own
-GCN encoder and a sigmoid inner-product decoder sig(Z Z^T); tiers are trained
-bottom-up, one at a time. Once a tier is trained its embeddings are frozen
-and pooled through the membership matrix to build the next tier's inputs,
-so no gradient crosses a tier boundary during training.
+GCN encoder and an inner-product decoder with edge logits Z Z^T (edge
+probabilities sigmoid(Z Z^T)), trained on the weighted BCE of those logits.
+Tiers are trained bottom-up, one at a time. Once a tier is trained its
+embeddings are frozen and pooled through the membership matrix to build the
+next tier's inputs, so no gradient crosses a tier boundary during training.
 
 Both flavors (`TierModel` here, `tvgae.VariationalTierModel`) share one
 pipeline through a two-method protocol:
@@ -28,13 +29,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Adam, Param, Tape, seeded_rng, stable_sigmoid
+from .autodiff import Adam, Param, Tape, seeded_rng
 from .errors import DomainError, ShapeMismatchError
 from .gcn import GnnEncoder, binary_collapse, encode, encode_numpy, gcn_norm, make_encoder
 from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo
 from .pooling import graph_tier_membership, pool_adjacency, pool_features
-
-SIGMOID_CLAMP = 1e-12
 
 # rng stream roles within one (seed, tier) pair; the deterministic model and
 # the mu encoder of the variational one share role 0 so their initial weights
@@ -65,7 +64,7 @@ class TierModel:
 
     def loss(self, tape: Tape, x: int, a_norm: int, bce: BceWeights,
              config, noise) -> tuple[int, int]:
-        """Reconstruction loss of sigmoid(Z Z^T), and Z for pooling; config
+        """Reconstruction loss of the logits Z Z^T, and Z for pooling; config
         and noise are unused."""
         z = encode(self.encoder, x, a_norm, tape)
         return reconstruction_loss(tape, decode_adjacency(tape, z), bce), z
@@ -91,9 +90,10 @@ class TierSample:
 
 @dataclass
 class BceWeights:
-    """Weighted-BCE coefficients of a graph or a stack of same-size graphs:
-    loss = -(sum(c1 * log p) + sum(c2 * log(1 - p))) / count, which is the
-    sum of the graphs' losses because each graph has the same count."""
+    """Weighted-BCE coefficients of a graph or a stack of same-size graphs.
+    On logits l, with p = sigmoid(l), loss = -(sum(c1 log p) + sum(c2 log(1 - p)))
+    / count = (sum(c1 softplus(-l)) + sum(c2 softplus(l))) / count, which is
+    the sum of the graphs' losses because each graph has the same count."""
 
     c1: np.ndarray       # pos_weight * target * mask, per graph
     c2: np.ndarray       # (1 - target) * mask
@@ -137,13 +137,15 @@ def make_tier_models(d_in: int, hidden: int = DEFAULT_HIDDEN, d_z: int = DEFAULT
 
 
 def decode_adjacency(tape: Tape, z: int) -> int:
-    """A_hat = sigmoid(Z Z^T) of a graph or of each graph in a stack."""
-    return tape.sigmoid(tape.matmul(z, tape.transpose(z)))
+    """Edge logits Z Z^T of a graph or of each graph in a stack; the edge
+    probabilities are their sigmoid."""
+    return tape.matmul(z, tape.transpose(z))
 
 
 def decode_adjacency_numpy(z: np.ndarray) -> np.ndarray:
+    """Edge logits Z Z^T of one graph."""
     z = np.asarray(z, dtype=np.float64)
-    return stable_sigmoid(z @ z.T)
+    return z @ z.T
 
 
 def reconstruction_target(a) -> np.ndarray:
@@ -184,19 +186,10 @@ def bce_weights(target) -> BceWeights:
     return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count)
 
 
-def reconstruction_loss(tape: Tape, a_hat: int, bce: BceWeights) -> int:
-    """BCE over masked entries, positives scaled by pos_weight, averaged per
-    graph and summed over a stack."""
-    va = tape.value(a_hat)
-    if va.shape != bce.c1.shape:
-        raise ShapeMismatchError(f"a_hat shape {va.shape} != target shape {bce.c1.shape}")
-    p = tape.clip(a_hat, SIGMOID_CLAMP, 1.0 - SIGMOID_CLAMP)
-    log_p = tape.log(p)
-    one_minus_p = tape.add(tape.const(np.ones_like(va)), tape.scalar_mul(-1.0, p))
-    log_1mp = tape.log(one_minus_p)
-    pos = tape.sum(tape.elementwise_mul(tape.const(bce.c1), log_p))
-    neg = tape.sum(tape.elementwise_mul(tape.const(bce.c2), log_1mp))
-    return tape.scalar_mul(-1.0 / bce.count, tape.add(pos, neg))
+def reconstruction_loss(tape: Tape, logits: int, bce: BceWeights) -> int:
+    """BCE of the edge logits over masked entries, positives scaled by
+    pos_weight, averaged per graph and summed over a stack."""
+    return tape.bce_logits(logits, bce.c1, bce.c2, bce.count)
 
 
 def tier_sample(x: np.ndarray, a) -> TierSample:
@@ -359,13 +352,16 @@ def encode_tiered(graph: Graph, m1: MembershipMatrix,
 
 def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
                   tape: Tape, config=None, noises: Sequence = (None, None, None)) -> int:
-    """Sum of all three tier losses with pooling on the tape.
+    """Sum of all three tier losses with pooling on the tape; `noises` holds
+    one noise array per tier (each None for `tgae`).
 
     Training never needs cross-tier gradients (lower tiers are frozen), but
     the chain is differentiable end to end; this builds it in one tape so
     a finite-difference check can exercise every parameter at once.
     """
     _check_models(models)
+    if len(noises) != 3:
+        raise ValueError(f"need one noise array per tier, got {len(noises)}")
     a_cur = adjacency_array(a)
     # the graph is a stack of one: every array gets a leading axis of 1
     x_node = tape.const(np.asarray(x, dtype=np.float64)[None])
@@ -384,8 +380,3 @@ def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
             a_cur = pool_adjacency(a_cur, m)
     return total
 
-
-def full_pipeline_loss(models: Sequence[TierModel], x: np.ndarray, a,
-                       m1: MembershipMatrix, tape: Tape) -> int:
-    """Sum of all three tier losses with pooling on the tape (`pipeline_loss`)."""
-    return pipeline_loss(models, x, a, m1, tape)

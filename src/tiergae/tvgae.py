@@ -33,7 +33,6 @@ from .tgae import (
     decode_adjacency,
     encode_tiers,
     fit_tier,
-    pipeline_loss,
     pool_samples,
     reconstruction_loss,
     run_tiered_schedule,
@@ -152,11 +151,11 @@ def kl_divergence(tape: Tape, mu: int, logsigma: int) -> int:
     return tape.scalar_mul(-0.5 / n, tape.sum(inner))
 
 
-def elbo_loss(tape: Tape, a_hat: int, bce: BceWeights, mu: int,
+def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
               logsigma: int, kl_weight: float = 1.0) -> int:
-    """Negative ELBO. kl_weight = 0 collapses exactly to the reconstruction
-    loss (the KL node is not even added) for clean ablations."""
-    recon = reconstruction_loss(tape, a_hat, bce)
+    """Negative ELBO on the edge logits. kl_weight = 0 collapses exactly to
+    the reconstruction loss (no KL node is added) for clean ablations."""
+    recon = reconstruction_loss(tape, logits, bce)
     if kl_weight == 0.0:
         return recon
     return tape.add(recon, tape.scalar_mul(kl_weight, kl_divergence(tape, mu, logsigma)))
@@ -193,18 +192,3 @@ def encode_tiered_variational(graph: Graph, m1: MembershipMatrix,
                               models: Sequence[VariationalTierModel]) -> TieredRepresentation:
     """Mu-mode inference: z_t = mu_t everywhere, no sampling, no rng."""
     return encode_tiers(graph, m1, models)
-
-
-def full_pipeline_loss_variational(models: Sequence[VariationalTierModel],
-                                   x: np.ndarray, a, m1: MembershipMatrix,
-                                   tape: Tape, noises: Sequence[np.ndarray],
-                                   kl_weight: float = 1.0) -> int:
-    """Three-tier negative ELBO with fixed per-tier noise, pooling on tape.
-
-    Exists for end-to-end gradient verification; training proper never
-    differentiates across tier boundaries.
-    """
-    if len(noises) != 3:
-        raise ValueError("need one noise array per tier")
-    return pipeline_loss(models, x, a, m1, tape,
-                         VariationalTrainConfig(kl_weight=kl_weight), noises)

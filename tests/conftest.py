@@ -73,11 +73,11 @@ def path4():
     return path4_features(), path4_adjacency()
 
 
-def recon_value(a_hat, target) -> float:
-    """`reconstruction_loss` of a probability array against a binary target."""
+def recon_value(logits, target) -> float:
+    """`reconstruction_loss` of an array of edge logits against a binary target."""
     tape = Tape()
     return float(tape.value(
-        reconstruction_loss(tape, tape.const(a_hat), bce_weights(target))))
+        reconstruction_loss(tape, tape.const(logits), bce_weights(target))))
 
 
 def kl_value(mu, logsigma) -> float:

@@ -138,6 +138,9 @@ def test_flags_beat_file_beats_defaults(tmp_path):
 def test_validation_names_the_offending_field():
     cases = [
         (dict(model="gae"), "model"),
+        (dict(epochs=2.5), "epochs"),
+        (dict(k=True), "k"),
+        (dict(lr="0.1"), "lr"),
         (dict(seed=-1), "seed"),
         (dict(epochs=0), "epochs"),
         (dict(lr=0.0), "lr"),
@@ -479,10 +482,14 @@ def checkpoint_doc(tmp_path, corpus_path):
     return json.loads(ckpt.read_text())
 
 
-def _embed_with_checkpoint(tmp_path, corpus_path, doc) -> int:
+def _write_checkpoint(tmp_path, doc) -> Path:
     ckpt = tmp_path / "edited.json"
     ckpt.write_text(json.dumps(doc))
-    return main(["embed", str(corpus_path), "--checkpoint", str(ckpt),
+    return ckpt
+
+
+def _embed_with_checkpoint(tmp_path, corpus_path, doc) -> int:
+    return main(["embed", str(corpus_path), "--checkpoint", str(_write_checkpoint(tmp_path, doc)),
                  "--out", str(tmp_path / "export")])
 
 
@@ -505,6 +512,37 @@ def test_main_checkpoint_bad_dims_and_params_are_clean_errors(tmp_path, capsys, 
     doc = dict(checkpoint_doc, params=params)
     assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
     assert f"missing param {name!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("hidden", "x", "config field 'hidden': expected int, got 'x'"),
+    ("d_z", 2.5, "config field 'd_z': expected int, got 2.5"),
+    ("hidden", -1, "config field 'hidden': must be strictly positive"),
+    ("k", 1000, "config field 'k': must be in [2, 6], got 1000"),
+    ("hidden", True, "config field 'hidden': expected int, got True"),
+    ("d_in", 13.0, "d_in must be a positive int, got 13.0"),
+    ("seed", -1, None),
+], ids=["hidden-str", "d_z-float", "hidden-negative", "k-large", "hidden-bool",
+        "d_in-float", "seed-negative"])
+def test_main_checkpoint_dims_follow_the_config_rules(tmp_path, capsys, corpus_path,
+                                                      checkpoint_doc, key, value, message):
+    # dims pass the rules of the train flags; the seed is not read, because
+    # every weight it would draw is overwritten by the checkpoint's params
+    expected = cmd_embed(_write_checkpoint(tmp_path, checkpoint_doc), corpus_path,
+                         tmp_path / "expected")
+    if key == "seed":
+        checkpoint_doc[key] = value
+    else:
+        checkpoint_doc["dims"][key] = value
+    code = _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc)
+    if message is None:
+        assert code == 0
+        written = sorted((tmp_path / "export").iterdir())
+        assert [p.read_bytes() for p in written] == [p.read_bytes() for p in expected]
+    else:
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "export").exists()
 
 
 @pytest.mark.parametrize("doc", [[], None])

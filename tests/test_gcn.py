@@ -137,11 +137,11 @@ def test_encode_gradients_match_finite_differences():
     def run():
         t = Tape()
         z = encode(enc, t.const(x), t.const(a_norm), t)
-        return t.value(t.mean(t.elementwise_mul(z, z)))
+        return t.value(t.sum(t.elementwise_mul(z, z)))
 
     t = Tape()
     z = encode(enc, t.const(x), t.const(a_norm), t)
-    t.backward(t.mean(t.elementwise_mul(z, z)))
+    t.backward(t.sum(t.elementwise_mul(z, z)))
     params = enc.params()
     assert_grads_match([p.grad for p in params],
                        finite_difference_grads(run, params))

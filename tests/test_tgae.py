@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Tape, zero_grads
+from tiergae.autodiff import Param, Tape, stable_sigmoid, zero_grads
 from tiergae.cli import params_state
 from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
@@ -20,9 +20,9 @@ from tiergae.tgae import (
     decode_adjacency,
     decode_adjacency_numpy,
     encode_tiered,
-    full_pipeline_loss,
     make_tier_models,
     next_tier_samples,
+    pipeline_loss,
     reconstruction_loss,
     reconstruction_target,
     tier_sample,
@@ -48,15 +48,14 @@ def path4_items():
 
 
 def test_decode_zero_embedding_gives_half_everywhere():
+    # zero logits, so every edge probability is one half
     z = np.zeros((3, 4))
-    assert np.array_equal(decode_adjacency_numpy(z), np.full((3, 3), 0.5))
+    assert np.array_equal(stable_sigmoid(decode_adjacency_numpy(z)), np.full((3, 3), 0.5))
 
 
 def test_decode_hand_computed():
     z = np.array([[1.0, 0.0], [0.0, 2.0]])
-    got = decode_adjacency_numpy(z)
-    expect = 1.0 / (1.0 + np.exp(-np.array([[1.0, 0.0], [0.0, 4.0]])))
-    assert np.allclose(got, expect, atol=1e-15)
+    assert np.array_equal(decode_adjacency_numpy(z), [[1.0, 0.0], [0.0, 4.0]])
 
 
 def test_decode_tape_matches_numpy_bitwise():
@@ -70,8 +69,9 @@ def test_decode_tape_matches_numpy_bitwise():
 def test_decoded_matrix_symmetric():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((6, 4))
-    p = decode_adjacency_numpy(z)
-    assert np.allclose(p, p.T, atol=1e-15)
+    logits = decode_adjacency_numpy(z)
+    assert np.allclose(logits, logits.T, atol=1e-15)
+    p = stable_sigmoid(logits)
     assert ((p > 0) & (p < 1)).all()
 
 
@@ -94,47 +94,61 @@ def test_target_single_node_keeps_self_loop_bit():
 # ---------------------------------------------------------------- loss
 
 
+# logit of p = 0.25: log(p / (1 - p)) = log(1/3)
+QUARTER = math.log(1.0 / 3.0)
+
+
 def test_loss_at_half_has_closed_form():
-    # p = 0.5 everywhere: loss = (pw * n_pos + n_neg) * ln2 / count
+    # logit 0 (p = 0.5) everywhere: loss = (pw * n_pos + n_neg) * ln2 / count
     #                          = 2 * n_neg * ln2 / count  when both classes exist
     target = np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
-    a_hat = np.full((3, 3), 0.5)
+    logits = np.zeros((3, 3))
     n_neg, count = 4.0, 6.0
     expect = 2.0 * n_neg * math.log(2.0) / count
-    assert math.isclose(recon_value(a_hat, target), expect, rel_tol=1e-12)
+    assert math.isclose(recon_value(logits, target), expect, rel_tol=1e-12)
 
 
 def test_loss_all_positive_targets_falls_back_to_unweighted():
     target = np.ones((3, 3)) - np.eye(3)
-    a_hat = np.full((3, 3), 0.25)
+    logits = np.full((3, 3), QUARTER)
     # no negatives: pos_weight collapses to 1, loss = -log(0.25)
     assert math.isclose(
-        recon_value(a_hat, target), -math.log(0.25), rel_tol=1e-12
+        recon_value(logits, target), -math.log(0.25), rel_tol=1e-12
     )
 
 
 def test_loss_all_negative_targets_falls_back_to_unweighted():
     target = np.zeros((3, 3))
-    a_hat = np.full((3, 3), 0.25)
+    logits = np.full((3, 3), QUARTER)
     assert math.isclose(
-        recon_value(a_hat, target), -math.log(0.75), rel_tol=1e-12
+        recon_value(logits, target), -math.log(0.75), rel_tol=1e-12
     )
 
 
 def test_loss_perfect_prediction_is_tiny():
     target = np.array([[0, 1], [1, 0]], dtype=float)
-    assert recon_value(target, target) < 1e-10
+    logits = 40.0 * (2.0 * target - 1.0)  # p within 5e-18 of the target
+    assert recon_value(logits, target) < 1e-10
 
 
-def test_loss_clamps_instead_of_overflowing():
+def test_loss_finite_at_saturated_logits():
+    # exactly wrong at logits of -+1e3: sigmoid rounds to 0 and 1 there, but
+    # the loss on logits stays finite and so does its gradient
     target = np.array([[0, 1], [1, 0]], dtype=float)
-    worst = 1.0 - target  # exactly wrong, probabilities of 0 and 1
-    v = recon_value(worst, target)
-    assert np.isfinite(v) and v > 10.0
+    logits = Param(1e3 * (1.0 - 2.0 * target), name="logits")
+    tape = Tape()
+    loss = reconstruction_loss(tape, tape.param(logits), bce_weights(target))
+    tape.backward(loss)
+    # the two scored (off-diagonal) entries are edges, each softplus(1e3) = 1e3,
+    # over a count of 2
+    assert math.isclose(float(tape.value(loss)), 1e3, rel_tol=1e-12)
+    assert np.isfinite(logits.grad).all()
+    # -sigmoid(1e3) / count on each positive, 0 on the masked diagonal
+    assert np.array_equal(logits.grad, -target / 2.0)
 
 
 def test_loss_single_node_uses_diagonal():
-    v = recon_value(np.array([[0.5]]), np.array([[1.0]]))
+    v = recon_value(np.array([[0.0]]), np.array([[1.0]]))
     assert math.isclose(v, math.log(2.0), rel_tol=1e-12)
 
 
@@ -154,13 +168,13 @@ def test_loss_permutation_invariant():
 
 
 def test_loss_rejects_bad_targets():
-    a_hat = np.full((2, 2), 0.5)
+    logits = np.zeros((2, 2))
     with pytest.raises(ValueError):
-        recon_value(a_hat, np.array([[0.0, 0.5], [0.5, 0.0]]))
+        recon_value(logits, np.array([[0.0, 0.5], [0.5, 0.0]]))
     with pytest.raises(ValueError):
-        recon_value(a_hat, np.array([[1.0, 1.0], [1.0, 0.0]]))
+        recon_value(logits, np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
-        recon_value(a_hat, np.zeros((3, 3)))
+        recon_value(logits, np.zeros((3, 3)))
 
 
 def test_loss_gradient_against_finite_differences():
@@ -388,7 +402,7 @@ def test_full_pipeline_loss_reaches_every_parameter():
     models = make_tier_models(d_in=4, hidden=5, d_z=3, seed=21)
     m1 = path4_items()[0][1]
     tape = Tape()
-    loss = full_pipeline_loss(models, path4_features(), path4_adjacency(), m1, tape)
+    loss = pipeline_loss(models, path4_features(), path4_adjacency(), m1, tape)
     assert np.isfinite(tape.value(loss))
     all_params = [p for m in models for p in m.params()]
     zero_grads(all_params)
@@ -397,6 +411,16 @@ def test_full_pipeline_loss_reaches_every_parameter():
         assert p.grad.shape == p.value.shape
         if p.name.endswith(".weight"):
             assert np.abs(p.grad).max() > 0.0, p.name
+
+
+def test_pipeline_loss_requires_one_noise_per_tier():
+    # a short noise list must not silently drop the upper tiers' losses
+    models = make_tier_models(d_in=4, hidden=4, d_z=2, seed=0)
+    m1 = path4_items()[0][1]
+    for noises in ((None, None), (None, None, None, None)):
+        with pytest.raises(ValueError, match=f"one noise array per tier, got {len(noises)}"):
+            pipeline_loss(models, path4_features(), path4_adjacency(), m1, Tape(),
+                          noises=noises)
 
 
 @settings(deadline=None, max_examples=10)

@@ -17,6 +17,7 @@ from tiergae.tgae import (
     encode_tiered,
     make_tier_models,
     decode_adjacency_numpy,
+    pipeline_loss,
     tier_sample,
     train_tier,
 )
@@ -27,7 +28,6 @@ from tiergae.tvgae import (
     elbo_loss,
     encode_posterior,
     encode_tiered_variational,
-    full_pipeline_loss_variational,
     kl_divergence,
     make_variational_tier_models,
     reparameterize,
@@ -232,13 +232,13 @@ def test_elbo_is_recon_plus_weighted_kl():
     ls = rng.standard_normal((4, 3)) * 0.3
     target = np.zeros((4, 4))
     target[0, 1] = target[1, 0] = 1.0
-    a_hat = decode_adjacency_numpy(mu)
+    logits = decode_adjacency_numpy(mu)
     for w in (1.0, 0.25, 2.0):
         tape = Tape()
         node = elbo_loss(
-            tape, tape.const(a_hat), bce_weights(target), tape.const(mu), tape.const(ls), w
+            tape, tape.const(logits), bce_weights(target), tape.const(mu), tape.const(ls), w
         )
-        expect = recon_value(a_hat, target) + w * kl_value(mu, ls)
+        expect = recon_value(logits, target) + w * kl_value(mu, ls)
         assert math.isclose(float(tape.value(node)), expect, rel_tol=1e-12)
 
 
@@ -248,12 +248,12 @@ def test_elbo_zero_weight_is_pure_reconstruction():
     ls = rng.standard_normal((3, 2))
     target = np.zeros((3, 3))
     target[0, 2] = target[2, 0] = 1.0
-    a_hat = decode_adjacency_numpy(mu)
+    logits = decode_adjacency_numpy(mu)
     tape = Tape()
     node = elbo_loss(
-        tape, tape.const(a_hat), bce_weights(target), tape.const(mu), tape.const(ls), 0.0
+        tape, tape.const(logits), bce_weights(target), tape.const(mu), tape.const(ls), 0.0
     )
-    assert float(tape.value(node)) == recon_value(a_hat, target)
+    assert float(tape.value(node)) == recon_value(logits, target)
 
 
 # ---------------------------------------------------------------- training
@@ -383,9 +383,8 @@ def test_variational_pipeline_reaches_every_parameter():
     rng = np.random.default_rng(0)
     noises = [rng.standard_normal((n, 2)) for n in (4, 2, 1)]
     tape = Tape()
-    loss = full_pipeline_loss_variational(
-        var, path4_features(), path4_adjacency(), m1, tape, noises
-    )
+    loss = pipeline_loss(var, path4_features(), path4_adjacency(), m1, tape,
+                         VariationalTrainConfig(), noises)
     assert np.isfinite(tape.value(loss))
     all_params = [p for v in var for p in v.params()]
     zero_grads(all_params)
@@ -404,9 +403,8 @@ def test_variational_pipeline_gradcheck():
 
     def build():
         tape = Tape()
-        node = full_pipeline_loss_variational(
-            var, path4_features(), path4_adjacency(), m1, tape, noises
-        )
+        node = pipeline_loss(var, path4_features(), path4_adjacency(), m1, tape,
+                             VariationalTrainConfig(), noises)
         return tape, node
 
     tape, node = build()
@@ -424,11 +422,9 @@ def test_variational_pipeline_gradcheck():
 
 def test_variational_pipeline_requires_three_noises():
     var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=0)
-    with pytest.raises(ValueError):
-        full_pipeline_loss_variational(
-            var, path4_features(), path4_adjacency(), path4_items()[0][1],
-            Tape(), [np.zeros((4, 2))],
-        )
+    with pytest.raises(ValueError, match="one noise array per tier"):
+        pipeline_loss(var, path4_features(), path4_adjacency(), path4_items()[0][1],
+                      Tape(), VariationalTrainConfig(), [np.zeros((4, 2))])
 
 
 @settings(deadline=None, max_examples=25)
