@@ -2,7 +2,7 @@
 
 File formats owned here:
   corpus      one JSON document holding every featurized molecule plus its
-              group partition and membership matrix
+              group partition, from which each membership matrix is rebuilt
   checkpoint  JSON map of named parameter collections plus the dimensions
               needed to rebuild the models
   export      one JSON document per molecule with the full tiered bundle
@@ -29,7 +29,7 @@ import numpy as np
 from . import pubchem
 from .autodiff import Param
 from .errors import CliError, ConfigError, ShapeMismatchError, TiergaeError
-from .fgroups import membership_from_partition, partition_molecule
+from .fgroups import GroupPartition, membership_from_partition, partition_molecule
 from .graphs import Graph, MembershipMatrix, validate
 from .sdf import featurize, formula_from_features, parse_sdf
 from .tgae import TrainConfig, encode_tiered, make_tier_models, train_tiered
@@ -40,7 +40,7 @@ from .tvgae import (
     train_tiered_variational,
 )
 
-CORPUS_FORMAT_VERSION = 1
+CORPUS_FORMAT_VERSION = 2
 CHECKPOINT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 1
 
@@ -108,7 +108,7 @@ def read_json(path: Path) -> dict:
             return json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
         raise CliError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -124,22 +124,9 @@ _ARRAY_SCHEMA = {
 
 
 def _tier_schema(with_membership: bool) -> dict:
-    props = {
-        "x": _ARRAY_SCHEMA,
-        "edge_index": _ARRAY_SCHEMA,
-        "edge_attr": _ARRAY_SCHEMA,
-        "z": _ARRAY_SCHEMA,
-    }
-    required = ["x", "edge_index", "edge_attr", "z"]
-    if with_membership:
-        props["membership"] = _ARRAY_SCHEMA
-        required.append("membership")
-    return {
-        "type": "object",
-        "properties": props,
-        "required": required,
-        "additionalProperties": False,
-    }
+    keys = ["x", "edge_index", "edge_attr", "z"] + ["membership"] * with_membership
+    return {"type": "object", "properties": {key: _ARRAY_SCHEMA for key in keys},
+            "required": keys, "additionalProperties": False}
 
 
 EXPORT_SCHEMA = {
@@ -194,8 +181,12 @@ def _coerce(field_name: str, raw: str):
 
 def load_config_file(path) -> dict:
     """Flat `key = value` lines; # starts a comment; unknown keys rejected."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -245,8 +236,7 @@ def resolve_config(config_path=None, **flag_overrides) -> RunConfig:
 # ---------------------------------------------------------------------------
 # corpus
 
-def _molecule_entry(mol, graph: Graph, membership: MembershipMatrix,
-                    partition) -> dict:
+def _molecule_entry(mol, graph: Graph, partition: GroupPartition) -> dict:
     return {
         "id": graph.id,
         "cid": mol.cid,
@@ -257,7 +247,6 @@ def _molecule_entry(mol, graph: Graph, membership: MembershipMatrix,
         "edge_index": array_to_json(graph.edge_index),
         "edge_attr": array_to_json(graph.edge_attr),
         "pos": None if graph.pos is None else array_to_json(graph.pos),
-        "membership": array_to_json(membership.m),
         "groups": [list(g) for g in partition.groups],
         "group_kinds": list(partition.kinds),
     }
@@ -272,14 +261,18 @@ def _require_object(doc, what: str, keys: Sequence[str] = ()) -> None:
         raise ConfigError(f"{what}: missing key(s) {', '.join(map(repr, missing))}")
 
 
-def load_corpus(path) -> list[dict]:
+def _read_document(path, what: str, version: int) -> dict:
+    """The JSON object in `path`; a ConfigError unless its format_version is `version`."""
     doc = read_json(Path(path))
-    _require_object(doc, f"corpus {path}")
-    if doc.get("format_version") != CORPUS_FORMAT_VERSION:
-        raise ConfigError(
-            f"corpus {path}: format_version {doc.get('format_version')!r} "
-            f"!= supported {CORPUS_FORMAT_VERSION}"
-        )
+    _require_object(doc, f"{what} {path}")
+    if doc.get("format_version") != version:
+        raise ConfigError(f"{what} {path}: format_version "
+                          f"{doc.get('format_version')!r} != supported {version}")
+    return doc
+
+
+def load_corpus(path) -> list[dict]:
+    doc = _read_document(path, "corpus", CORPUS_FORMAT_VERSION)
     molecules = doc.get("molecules")
     if not isinstance(molecules, list) or not molecules:
         raise ConfigError(f"corpus {path}: no molecules")
@@ -293,12 +286,13 @@ def _molecule_name(entry: dict, index: int) -> str:
 
 
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
-    """Graph and membership of each corpus entry; a malformed entry or a
-    graph that breaks an invariant of `graphs.validate` is a ConfigError."""
+    """Graph and membership of each corpus entry, the membership rebuilt from
+    the entry's `groups`; a malformed entry or a graph that breaks an
+    invariant of `graphs.validate` is a ConfigError."""
     items = []
     for index, entry in enumerate(entries):
         _require_object(entry, f"corpus molecule #{index}",
-                        ("x", "edge_index", "edge_attr", "membership"))
+                        ("x", "edge_index", "edge_attr", "groups"))
         what = _molecule_name(entry, index)
         try:
             graph = Graph(
@@ -308,7 +302,8 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
                 pos=None if entry.get("pos") is None else json_to_array(entry["pos"]),
                 id=entry.get("id"),
             )
-            membership = MembershipMatrix(json_to_array(entry["membership"]))
+            membership = membership_from_partition(GroupPartition(entry["groups"]),
+                                                   graph.x.shape[0])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{what}: {exc}") from None
         violations = validate(graph)
@@ -387,11 +382,10 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
                 continue
             graph = featurize(mol)
             partition = partition_molecule(mol)
-            membership = membership_from_partition(partition, mol.atom_count)
-            entries.append(_molecule_entry(mol, graph, membership, partition))
+            entries.append(_molecule_entry(mol, graph, partition))
             print(
                 f"ingest: {entries[-1]['id'] or path}: {mol.atom_count} atoms, "
-                f"{membership.num_groups} groups",
+                f"{partition.group_count} groups",
                 file=sys.stderr,
             )
     if not entries:
@@ -444,13 +438,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
 
 def load_checkpoint(path, d_in: Optional[int] = None):
     """Rebuild models from a checkpoint; returns (models, model_kind)."""
-    doc = read_json(Path(path))
-    _require_object(doc, f"checkpoint {path}")
-    if doc.get("format_version") != CHECKPOINT_FORMAT_VERSION:
-        raise ConfigError(
-            f"checkpoint {path}: format_version {doc.get('format_version')!r} "
-            f"!= supported {CHECKPOINT_FORMAT_VERSION}"
-        )
+    doc = _read_document(path, "checkpoint", CHECKPOINT_FORMAT_VERSION)
     _require_object(doc, f"checkpoint {path}", ("dims", "model", "params"))
     dims = doc["dims"]
     _require_object(dims, f"checkpoint {path}: dims", ("d_in", "hidden", "d_z", "k"))
@@ -511,13 +499,19 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     models, kind = load_checkpoint(checkpoint_path, d_in=d_in)
     # every molecule is checked before the first export is written
     _check_feature_width(entries, items, d_in, f"checkpoint {checkpoint_path}")
+    first: dict[str, int] = {}  # export filename -> index of its molecule
+    for index, entry in enumerate(entries):
+        name = _export_filename(entry, index)
+        if first.setdefault(name, index) != index:
+            raise ConfigError(f"{_molecule_name(entries[first[name]], first[name])} and "
+                              f"{_molecule_name(entry, index)} both export to {name}")
     encode = _flavor(kind)[2]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for index, (entry, (graph, membership)) in enumerate(zip(entries, items)):
+    for filename, entry, (graph, membership) in zip(first, entries, items):
         rep = encode(graph, membership, models)
-        path = out / _export_filename(entry, index)
+        path = out / filename
         write_json(path, _export_doc(entry, rep, kind))
         written.append(path)
     return written

@@ -13,7 +13,7 @@ All indices here are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,7 +28,8 @@ SKELETON = "skeleton"
 @dataclass
 class GroupPartition:
     groups: list[tuple[int, ...]]   # sorted member indices per group
-    kinds: list[str]                # FUNCTIONAL or SKELETON, parallel to groups
+    # FUNCTIONAL or SKELETON, parallel to groups; empty when not known
+    kinds: list[str] = field(default_factory=list)
 
     @property
     def group_count(self) -> int:
@@ -117,17 +118,21 @@ def partition_molecule(mol: Molecule) -> GroupPartition:
 
 
 def membership_from_partition(p: GroupPartition, n: int) -> MembershipMatrix:
-    """Binary N x G matrix; columns ordered by smallest member index."""
-    order = sorted(range(p.group_count), key=lambda gi: min(p.groups[gi]))
+    """Binary N x G matrix; columns ordered by smallest member index. The
+    groups are non-empty lists of ints (no bools) that cover [0, n) once."""
+    if not isinstance(p.groups, (list, tuple)) or not all(
+            isinstance(g, (list, tuple)) and g and all(type(a) is int for a in g)
+            for g in p.groups):
+        raise IncompleteCoverError("groups must be a list of non-empty lists of int indices")
     covered = sorted(a for g in p.groups for a in g)
     if covered != list(range(n)):
         raise IncompleteCoverError(
-            f"partition covers {len(covered)} entries, expected exactly [0, {n})"
+            f"groups hold {len(covered)} atom indices, not each of [0, {n}) once"
         )
+    order = sorted(range(p.group_count), key=lambda gi: min(p.groups[gi]))
     m = np.zeros((n, p.group_count), dtype=np.float64)
     for col, gi in enumerate(order):
-        for a in p.groups[gi]:
-            m[a, col] = 1.0
+        m[list(p.groups[gi]), col] = 1.0
     return MembershipMatrix(m)
 
 

@@ -29,6 +29,7 @@ from tiergae.cli import (
     write_json,
 )
 from tiergae.errors import CliError, ConfigError
+from tiergae.fgroups import membership_from_partition, partition_molecule
 from tiergae.graphs import validate
 
 from conftest import VANILLIN_SDF
@@ -160,6 +161,7 @@ def test_validation_names_the_offending_field():
 
 
 def test_ingest_vanillin(corpus_path):
+    assert json.loads(corpus_path.read_text())["format_version"] == 2
     entries = load_corpus(corpus_path)
     assert len(entries) == 1
     e = entries[0]
@@ -167,7 +169,8 @@ def test_ingest_vanillin(corpus_path):
     assert e["cid"] == 1183
     assert e["formula"] == "C8H8O3"
     assert e["x"]["shape"] == [19, 13]
-    assert e["membership"]["shape"] == [19, 10]
+    assert "membership" not in e  # the partition is stored once, as groups
+    assert sorted(a for g in e["groups"] for a in g) == list(range(19))
     assert len(e["groups"]) == 10
     assert e["group_kinds"].count("functional") == 3
 
@@ -245,6 +248,27 @@ def test_corpus_version_gate(tmp_path, corpus_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ConfigError):
         load_corpus(bad)
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_corpus_membership_is_rebuilt_from_groups(corpus_path, vanillin_mol, reverse):
+    doc = json.loads(corpus_path.read_text())
+    if reverse:  # the group order and each group's member order carry no meaning
+        doc["molecules"][0]["groups"] = [g[::-1] for g in doc["molecules"][0]["groups"][::-1]]
+    _, membership = corpus_items(doc["molecules"])[0]
+    expected = membership_from_partition(partition_molecule(vanillin_mol), 19).m
+    assert membership.m.dtype == expected.dtype
+    assert membership.m.tobytes() == expected.tobytes()
+
+
+def test_main_rejects_a_version_1_corpus(tmp_path, capsys, corpus_path):
+    doc = json.loads(corpus_path.read_text())
+    doc["format_version"] = 1
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc))
+    assert main(["train", str(old), "--out", str(tmp_path / "m.json")]) == 2
+    assert "format_version 1 != supported 2" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------- train
@@ -433,7 +457,8 @@ def test_main_malformed_corpus_is_a_clean_error(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc", [{"format_version": 1}, {"format_version": 1, "molecules": []}])
+@pytest.mark.parametrize("doc", [{"format_version": cli.CORPUS_FORMAT_VERSION},
+                                 {"format_version": cli.CORPUS_FORMAT_VERSION, "molecules": []}])
 def test_main_corpus_without_molecules_is_a_clean_error(tmp_path, capsys, doc):
     bad = tmp_path / "corpus.json"
     bad.write_text(json.dumps(doc))
@@ -469,11 +494,84 @@ def test_main_corpus_with_asymmetric_edges_is_a_clean_error(tmp_path, capsys, co
 
 def test_main_corpus_entry_missing_key_is_a_clean_error(tmp_path, capsys, corpus_path):
     doc = json.loads(corpus_path.read_text())
-    del doc["molecules"][0]["membership"]
+    del doc["molecules"][0]["groups"]
     bad = tmp_path / "corpus.json"
     bad.write_text(json.dumps(doc))
     assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
-    assert "corpus molecule #0: missing key(s) 'membership'" in capsys.readouterr().err
+    assert "corpus molecule #0: missing key(s) 'groups'" in capsys.readouterr().err
+
+
+def _replace_atom(groups: list, atom: int, value) -> list:
+    return [[value if a == atom else a for a in g] for g in groups]
+
+
+# vanillin's `groups` (10 groups over 19 atoms), broken in one way each
+GROUPS_EDITS = {
+    "not-a-list": lambda groups: {"0": groups},
+    "group-not-a-list": lambda groups: groups + [19],
+    "empty-group": lambda groups: groups + [[]],
+    "repeated-atom": lambda groups: groups + [[0]],
+    "missing-atom": lambda groups: [[a for a in g if a != 18] for g in groups if g != [18]],
+    "out-of-range": lambda groups: _replace_atom(groups, 18, 99),
+    "float": lambda groups: _replace_atom(groups, 1, 1.0),
+    "bool": lambda groups: _replace_atom(groups, 1, True),
+    "more-atoms-than-N": lambda groups: groups + [[19]],  # a partition of 20 atoms
+}
+
+
+@pytest.mark.parametrize("case", GROUPS_EDITS)
+def test_main_malformed_groups_exit_2_and_write_nothing(tmp_path, capsys, corpus_path, case):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    doc = json.loads(corpus_path.read_text())
+    mol = doc["molecules"][0]
+    mol["groups"] = GROUPS_EDITS[case](mol["groups"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out, export = tmp_path / "m.json", tmp_path / "export"
+    assert main(["train", str(bad), "--epochs", "1", "--out", str(out)]) == 2
+    assert f"corpus molecule {mol['id']!r}: groups" in capsys.readouterr().err
+    assert main(["embed", str(bad), "--checkpoint", str(ckpt), "--out", str(export)]) == 2
+    assert f"corpus molecule {mol['id']!r}: groups" in capsys.readouterr().err
+    assert not out.exists() and not export.exists()
+
+
+def test_main_embed_refuses_ids_that_share_an_export_file(tmp_path, capsys, corpus_path):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    doc = json.loads(corpus_path.read_text())
+    twin = json.loads(json.dumps(doc["molecules"][0]))
+    doc["molecules"][0]["id"], twin["id"] = "a/b", "a_b"
+    doc["molecules"].append(twin)
+    corpus = tmp_path / "twins.json"
+    corpus.write_text(json.dumps(doc))
+    export = tmp_path / "export"
+    assert main(["embed", str(corpus), "--checkpoint", str(ckpt), "--out", str(export)]) == 2
+    assert ("corpus molecule 'a/b' and corpus molecule 'a_b' both export to a_b.json"
+            in capsys.readouterr().err)
+    assert not export.exists()
+
+
+def test_main_corpus_or_checkpoint_that_is_not_utf8_exits_2(tmp_path, capsys, corpus_path):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"id": "\xff"}')  # 0xff starts no UTF-8 sequence
+    assert main(["train", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+    assert f"{bad} is not valid JSON" in capsys.readouterr().err
+    export = tmp_path / "export"
+    assert main(["embed", str(corpus_path), "--checkpoint", str(bad), "--out", str(export)]) == 2
+    assert f"{bad} is not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists() and not export.exists()
+
+
+@pytest.mark.parametrize("content", [None, b"epochs = 2\xff\n"],
+                         ids=["missing", "not-utf8"])
+def test_main_unreadable_config_file_exits_2(tmp_path, capsys, corpus_path, content):
+    cfg = tmp_path / "run.cfg"
+    if content is not None:
+        cfg.write_bytes(content)
+    out = tmp_path / "m.json"
+    assert main(["train", str(corpus_path), "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"cannot read config file {cfg}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture()
