@@ -18,9 +18,8 @@ from pathlib import Path
 
 from tiergae.fgroups import group_report, membership_from_partition, partition_molecule
 from tiergae.sdf import featurize, parse_sdf
-from tiergae.tgae import TrainConfig, encode_tiered, make_tier_models, train_tiered
+from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
 from tiergae.tvgae import (
-    VariationalTrainConfig,
     encode_tiered_variational,
     make_variational_tier_models,
     train_tiered_variational,
@@ -56,20 +55,18 @@ def main() -> int:
     print(group_report(mol, part))
     print()
 
-    items = [(graph, m1)]
-    t0 = time.perf_counter()
+    cfg = RunConfig(model="tvgae" if args.variational else "tgae", seed=args.seed,
+                    epochs=args.epochs, lr=args.lr, hidden=args.hidden, d_z=args.d_z,
+                    kl_weight=args.kl_weight)
     if args.variational:
-        models = make_variational_tier_models(
-            graph.x.shape[1], hidden=args.hidden, d_z=args.d_z, seed=args.seed)
-        cfg = VariationalTrainConfig(epochs=args.epochs, lr=args.lr,
-                                     kl_weight=args.kl_weight, seed=args.seed)
-        hist = train_tiered_variational(models, items, cfg)
-        rep = encode_tiered_variational(graph, m1, models)
+        make, train, encode = (make_variational_tier_models, train_tiered_variational,
+                               encode_tiered_variational)
     else:
-        models = make_tier_models(
-            graph.x.shape[1], hidden=args.hidden, d_z=args.d_z, seed=args.seed)
-        hist = train_tiered(models, items, TrainConfig(epochs=args.epochs, lr=args.lr))
-        rep = encode_tiered(graph, m1, models)
+        make, train, encode = make_tier_models, train_tiered, encode_tiered
+    t0 = time.perf_counter()
+    models = make(graph.x.shape[1], cfg)
+    hist = train(models, [(graph, m1)], cfg)
+    rep = encode(graph, m1, models)
     elapsed = time.perf_counter() - t0
 
     kind = "variational" if args.variational else "deterministic"

@@ -20,9 +20,9 @@ from .pooling import graph_tier_membership
 from .pubchem import fetch_pubchem_sdf
 from .sdf import Molecule, featurize, parse_sdf, write_sdf
 from .tgae import (
+    RunConfig,
     TierModel,
     TieredRepresentation,
-    TrainConfig,
     decode_adjacency,
     encode_tiered,
     make_tier_models,
@@ -32,7 +32,6 @@ from .tgae import (
 )
 from .tvgae import (
     VariationalTierModel,
-    VariationalTrainConfig,
     elbo_loss,
     encode_tiered_variational,
     kl_divergence,
@@ -52,13 +51,12 @@ __all__ = [
     "MembershipMatrix",
     "Molecule",
     "Param",
+    "RunConfig",
     "Tape",
     "TierModel",
     "TieredRepresentation",
     "TiergaeError",
-    "TrainConfig",
     "VariationalTierModel",
-    "VariationalTrainConfig",
     "build_partition",
     "coo_to_dense",
     "decode_adjacency",

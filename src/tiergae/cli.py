@@ -15,12 +15,13 @@ JSON is written with sorted keys so identical runs produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -32,9 +33,8 @@ from .errors import CliError, ConfigError, ShapeMismatchError, TiergaeError
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
 from .graphs import Graph, MembershipMatrix, validate
 from .sdf import featurize, formula_from_features, parse_sdf
-from .tgae import TrainConfig, encode_tiered, make_tier_models, train_tiered
+from .tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
 from .tvgae import (
-    VariationalTrainConfig,
     encode_tiered_variational,
     make_variational_tier_models,
     train_tiered_variational,
@@ -59,13 +59,21 @@ def array_to_json(arr: np.ndarray) -> dict:
 
 
 def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
-    """Inverse of `array_to_json`; a value that is not finite is a ConfigError."""
+    """Inverse of `array_to_json`. A value that is not finite, or for an
+    integer dtype not a whole number in its range, is a ConfigError."""
     try:
-        arr = np.asarray(obj["data"], dtype=dtype)
-    except OverflowError as exc:  # inf, or too large, for an integer dtype
+        arr = np.asarray(obj["data"], dtype=np.float64)
+    except OverflowError as exc:  # an int too large for a float
         raise ConfigError(f"array data: {exc}") from None
     if not np.isfinite(arr).all():
         raise ConfigError("array data holds a non-finite value")
+    if np.dtype(dtype).kind == "i":
+        bound = 2.0 ** (np.iinfo(dtype).bits - 1)
+        bad = (arr != np.trunc(arr)) | (arr < -bound) | (arr >= bound)
+        if bad.any():
+            raise ConfigError(f"array data holds {float(arr[bad][0])}, "
+                              f"not an {np.dtype(dtype).name}")
+        arr = arr.astype(dtype)
     return arr.reshape(obj["shape"])
 
 
@@ -96,10 +104,20 @@ def set_params_state(params: Iterable[Param], state: dict) -> None:
         p.value[...] = arr
 
 
+@contextlib.contextmanager
+def _writing(path):
+    """Turn an OSError raised while writing `path` into a CliError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    path.write_text(text + "\n", encoding="utf-8")
+    with _writing(path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text + "\n", encoding="utf-8")
 
 
 def read_json(path: Path) -> dict:
@@ -155,18 +173,6 @@ EXPORT_SCHEMA = {
 
 # ---------------------------------------------------------------------------
 # configuration
-
-@dataclass
-class RunConfig:
-    model: str = "tgae"
-    seed: int = 0
-    epochs: int = 200
-    lr: float = 0.01
-    hidden: int = 32
-    d_z: int = 16
-    kl_weight: float = 1.0
-    k: int = 2
-
 
 _CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
 
@@ -331,7 +337,8 @@ def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
     if transport is None:
         transport = pubchem.urllib_transport()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     failures = 0
     for i, cid in enumerate(cids):
@@ -344,7 +351,8 @@ def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
             print(f"fetch: cid {cid}: {exc}", file=sys.stderr)
             continue
         path = out / f"{int(cid)}.sdf"
-        path.write_bytes(body)
+        with _writing(path):
+            path.write_bytes(body)
         written.append(path)
     if cids and not written:
         raise CliError(f"fetch: all {failures} requests failed")
@@ -396,13 +404,12 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
 
 
 def _flavor(kind: str):
-    """(make_models, train_tiered, encode_tiered, train config class) of a
-    model kind. The functions are read from the module on each call, so
-    wrappers installed on them (the perfbench tracer's) are the ones run."""
+    """(make_models, train_tiered, encode_tiered) of a model kind. The
+    functions are read from the module on each call, so wrappers installed
+    on them (the perfbench tracer's) are the ones run."""
     if kind == "tgae":
-        return make_tier_models, train_tiered, encode_tiered, TrainConfig
-    return (make_variational_tier_models, train_tiered_variational,
-            encode_tiered_variational, VariationalTrainConfig)
+        return make_tier_models, train_tiered, encode_tiered
+    return make_variational_tier_models, train_tiered_variational, encode_tiered_variational
 
 
 def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
@@ -411,12 +418,9 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     items = corpus_items(entries)
     d_in = items[0][0].x.shape[1]
     _check_feature_width(entries, items, d_in, "the first molecule")
-    make_models, train_tiered_fn, _, train_config = _flavor(cfg.model)
-    models = make_models(d_in, cfg.hidden, cfg.d_z, cfg.k, cfg.seed)
-    # the train config takes the run config's values of the fields it shares
-    config = train_config(**{f.name: getattr(cfg, f.name)
-                             for f in fields(train_config) if hasattr(cfg, f.name)})
-    histories = train_tiered_fn(models, items, config)
+    make_models, train_tiered_fn, _ = _flavor(cfg.model)
+    models = make_models(d_in, cfg)
+    histories = train_tiered_fn(models, items, cfg)
     checkpoint = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": cfg.model,
@@ -427,7 +431,8 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     out = Path(out_path)
     write_json(out, checkpoint)
     history_path = out.parent / (out.stem + "_history.csv")
-    with open(history_path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(history_path), open(history_path, "w", newline="",
+                                      encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["epoch", "tier", "loss"])
         for tier in sorted(histories):
@@ -455,7 +460,7 @@ def load_checkpoint(path, d_in: Optional[int] = None):
             f"checkpoint {path}: trained with d_in {dims['d_in']}, corpus has {d_in}"
         )
     # the weights drawn here are all overwritten, so the seed is not read
-    models = _flavor(cfg.model)[0](dims["d_in"], cfg.hidden, cfg.d_z, cfg.k)
+    models = _flavor(cfg.model)[0](dims["d_in"], cfg)
     try:
         set_params_state([p for m in models for p in m.params()], doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -507,7 +512,8 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
                               f"{_molecule_name(entry, index)} both export to {name}")
     encode = _flavor(kind)[2]
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     written = []
     for filename, entry, (graph, membership) in zip(first, entries, items):
         rep = encode(graph, membership, models)

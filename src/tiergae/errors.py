@@ -18,7 +18,7 @@ class DuplicateEdgeError(TiergaeError, ValueError):
 
 
 class DomainError(TiergaeError, ValueError):
-    """Math-domain violation, e.g. log of a non-positive entry."""
+    """Math-domain violation, e.g. a training epoch whose loss is not finite."""
 
 
 class NonScalarLossError(TiergaeError, ValueError):

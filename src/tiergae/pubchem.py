@@ -9,8 +9,6 @@ be overridden with the TIERGAE_PUBCHEM_URL environment variable.
 from __future__ import annotations
 
 import os
-import urllib.error
-import urllib.request
 from typing import Callable, Optional
 
 from .errors import NotFoundError, TransportError
@@ -30,7 +28,10 @@ def sdf_url(cid: int, base: Optional[str] = None) -> str:
 
 
 def urllib_transport(timeout: float = 30.0) -> Transport:
-    """Real HTTP GET; never used by the test suite."""
+    """Real HTTP GET; never used by the test suite. urllib is imported
+    here, so importing the package does not load it."""
+    import urllib.error
+    import urllib.request
 
     def get(url: str) -> tuple[int, bytes]:
         try:

@@ -13,7 +13,7 @@ pipeline through a two-method protocol:
   loss(tape, x, a_norm, bce, config, noise) -> (loss node, node to pool)
 where x (B, N, d) and a_norm (B, N, N) are tape nodes holding a stack of B
 graphs with the same node count N, bce their `BceWeights`, config the
-flavor's train config and noise a (B, N, d_z) standard normal array (None
+run's `RunConfig` and noise a (B, N, d_z) standard normal array (None
 for `tgae`). The loss of a stack is the sum of its graphs' losses. A model
 that takes noise also has a `d_z` attribute, the width of that array.
 `fit_tier`, `pool_samples`, `run_tiered_schedule`, `encode_tiers` and
@@ -42,9 +42,21 @@ ENCODER_ROLE = 0
 LOGSIGMA_ROLE = 1
 NOISE_ROLE = 2
 
-DEFAULT_HIDDEN = 32
-DEFAULT_DZ = 16
-DEFAULT_K = 2
+
+@dataclass(frozen=True)
+class RunConfig:
+    """The settings of one run, from the command line down to the epoch
+    loop. `model` picks the flavor; each flavor's builder and trainer read
+    the fields they need (`tgae` skips kl_weight)."""
+
+    model: str = "tgae"
+    seed: int = 0
+    epochs: int = 200
+    lr: float = 0.01
+    hidden: int = 32
+    d_z: int = 16
+    kl_weight: float = 1.0
+    k: int = 2
 
 
 @dataclass
@@ -63,17 +75,11 @@ class TierModel:
         return encode_numpy(self.encoder, x, a_norm)
 
     def loss(self, tape: Tape, x: int, a_norm: int, bce: BceWeights,
-             config, noise) -> tuple[int, int]:
+             config: RunConfig, noise) -> tuple[int, int]:
         """Reconstruction loss of the logits Z Z^T, and Z for pooling; config
         and noise are unused."""
         z = encode(self.encoder, x, a_norm, tape)
         return reconstruction_loss(tape, decode_adjacency(tape, z), bce), z
-
-
-@dataclass
-class TrainConfig:
-    epochs: int = 200
-    lr: float = 0.01
 
 
 @dataclass
@@ -125,13 +131,13 @@ class TieredRepresentation:
     tiers: list[TierBundle] = field(default_factory=list)
 
 
-def make_tier_models(d_in: int, hidden: int = DEFAULT_HIDDEN, d_z: int = DEFAULT_DZ,
-                     k: int = DEFAULT_K, seed: int = 0) -> list[TierModel]:
+def make_tier_models(d_in: int, cfg: RunConfig = RunConfig()) -> list[TierModel]:
     """Three encoders chained by width: d_in -> d_z -> d_z."""
     models = []
-    for tier, width in zip((1, 2, 3), (d_in, d_z, d_z)):
-        rng = seeded_rng(seed, tier, ENCODER_ROLE)
-        enc = make_encoder(width, hidden, d_z, k, rng, name_prefix=f"tier{tier}.")
+    for tier, width in zip((1, 2, 3), (d_in, cfg.d_z, cfg.d_z)):
+        rng = seeded_rng(cfg.seed, tier, ENCODER_ROLE)
+        enc = make_encoder(width, cfg.hidden, cfg.d_z, cfg.k, rng,
+                           name_prefix=f"tier{tier}.")
         models.append(TierModel(encoder=enc, tier=tier))
     return models
 
@@ -228,7 +234,7 @@ def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
     return stacks
 
 
-def fit_tier(model, samples: Sequence[TierSample], config,
+def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
              noise: Optional[np.random.Generator] = None) -> list[float]:
     """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch.
 
@@ -267,7 +273,7 @@ def fit_tier(model, samples: Sequence[TierSample], config,
 
 
 def train_tier(model: TierModel, samples: Sequence[TierSample],
-               config: TrainConfig) -> list[float]:
+               config: RunConfig) -> list[float]:
     """Full-batch Adam on the mean per-graph reconstruction loss."""
     return fit_tier(model, samples, config)
 
@@ -315,7 +321,7 @@ def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, Membershi
 
 def train_tiered(models: Sequence[TierModel],
                  items: Sequence[tuple[Graph, MembershipMatrix]],
-                 config: TrainConfig) -> dict[int, list[float]]:
+                 config: RunConfig) -> dict[int, list[float]]:
     """Bottom-up schedule: train a tier, freeze it, pool, move up."""
     return run_tiered_schedule(
         models, items, lambda _tier, model, s: train_tier(model, s, config),
@@ -351,7 +357,8 @@ def encode_tiered(graph: Graph, m1: MembershipMatrix,
 
 
 def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
-                  tape: Tape, config=None, noises: Sequence = (None, None, None)) -> int:
+                  tape: Tape, config: RunConfig = RunConfig(),
+                  noises: Sequence = (None, None, None)) -> int:
     """Sum of all three tier losses with pooling on the tape; `noises` holds
     one noise array per tier (each None for `tgae`).
 

@@ -12,7 +12,7 @@ graphs (see `tgae`); the noise stays per graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,13 +21,11 @@ from .errors import ShapeMismatchError
 from .gcn import GnnEncoder, encode, encode_numpy, make_encoder
 from .graphs import Graph, MembershipMatrix
 from .tgae import (
-    DEFAULT_DZ,
-    DEFAULT_HIDDEN,
-    DEFAULT_K,
     ENCODER_ROLE,
     LOGSIGMA_ROLE,
     NOISE_ROLE,
     BceWeights,
+    RunConfig,
     TieredRepresentation,
     TierSample,
     decode_adjacency,
@@ -66,47 +64,28 @@ class VariationalTierModel:
         return encode_numpy(self.encoder_mu, x, a_norm)
 
     def loss(self, tape: Tape, x: int, a_norm: int, bce: BceWeights,
-             config: VariationalTrainConfig, noise: np.ndarray) -> tuple[int, int]:
+             config: RunConfig, noise: np.ndarray) -> tuple[int, int]:
         """Negative ELBO of one posterior sample per graph, and mu for pooling."""
-        if config.fixed_logsigma is None:
-            mu, logsigma = encode_posterior(self, x, a_norm, tape)
-        else:
-            mu = encode(self.encoder_mu, x, a_norm, tape)
-            logsigma = tape.const(
-                np.full(tape.value(mu).shape, float(config.fixed_logsigma))
-            )
+        mu, logsigma = encode_posterior(self, x, a_norm, tape)
         z = reparameterize(tape, mu, logsigma, noise)
         loss = elbo_loss(tape, decode_adjacency(tape, z), bce, mu, logsigma,
                          config.kl_weight)
         return loss, mu
 
 
-@dataclass
-class VariationalTrainConfig:
-    epochs: int = 200
-    lr: float = 0.01
-    kl_weight: float = 1.0
-    seed: int = 0
-    # ablation hook: replace the logsigma path by this constant (tape const,
-    # no gradient); kl_weight = 0 plus fixed_logsigma = -20 reduces training
-    # to the deterministic model up to exp(-20)-scale sampling noise
-    fixed_logsigma: Optional[float] = None
-
-
-def make_variational_tier_models(d_in: int, hidden: int = DEFAULT_HIDDEN,
-                                 d_z: int = DEFAULT_DZ, k: int = DEFAULT_K,
-                                 seed: int = 0) -> list[VariationalTierModel]:
+def make_variational_tier_models(d_in: int,
+                                 cfg: RunConfig = RunConfig()) -> list[VariationalTierModel]:
     """Per tier: mu encoder drawn from the same stream as the deterministic
     model's encoder (shared role), logsigma encoder from its own stream."""
     models = []
-    for tier, width in zip((1, 2, 3), (d_in, d_z, d_z)):
+    for tier, width in zip((1, 2, 3), (d_in, cfg.d_z, cfg.d_z)):
         enc_mu = make_encoder(
-            width, hidden, d_z, k,
-            seeded_rng(seed, tier, ENCODER_ROLE), name_prefix=f"tier{tier}.mu.",
+            width, cfg.hidden, cfg.d_z, cfg.k,
+            seeded_rng(cfg.seed, tier, ENCODER_ROLE), name_prefix=f"tier{tier}.mu.",
         )
         enc_ls = make_encoder(
-            width, hidden, d_z, k,
-            seeded_rng(seed, tier, LOGSIGMA_ROLE), name_prefix=f"tier{tier}.logsigma.",
+            width, cfg.hidden, cfg.d_z, cfg.k,
+            seeded_rng(cfg.seed, tier, LOGSIGMA_ROLE), name_prefix=f"tier{tier}.logsigma.",
         )
         models.append(VariationalTierModel(enc_mu, enc_ls, tier))
     return models
@@ -163,7 +142,7 @@ def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
 
 def train_tier_variational(model: VariationalTierModel,
                            samples: Sequence[TierSample],
-                           config: VariationalTrainConfig,
+                           config: RunConfig,
                            rng: np.random.Generator) -> list[float]:
     """Full-batch Adam on the mean per-graph negative ELBO, one posterior
     sample per graph per epoch."""
@@ -179,7 +158,7 @@ def next_tier_samples_variational(model: VariationalTierModel,
 
 def train_tiered_variational(models: Sequence[VariationalTierModel],
                              items: Sequence[tuple[Graph, MembershipMatrix]],
-                             config: VariationalTrainConfig) -> dict[int, list[float]]:
+                             config: RunConfig) -> dict[int, list[float]]:
     """Bottom-up schedule with one noise stream per tier."""
     return run_tiered_schedule(
         models, items,

@@ -3,15 +3,17 @@ replaces socket connections with a hard failure so any accidental network
 use fails loudly instead of silently reaching out."""
 
 import socket
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tiergae.autodiff import Tape
+from tiergae.gcn import GnnEncoder, encode, encode_numpy
 from tiergae.sdf import parse_sdf
-from tiergae.tgae import bce_weights, reconstruction_loss
-from tiergae.tvgae import kl_divergence
+from tiergae.tgae import bce_weights, decode_adjacency, reconstruction_loss
+from tiergae.tvgae import elbo_loss, kl_divergence, reparameterize
 
 DATA_DIR = Path(__file__).parent / "data"
 VANILLIN_SDF = DATA_DIR / "vanillin.sdf"
@@ -84,3 +86,36 @@ def kl_value(mu, logsigma) -> float:
     """`kl_divergence` of a posterior given as arrays."""
     tape = Tape()
     return float(tape.value(kl_divergence(tape, tape.const(mu), tape.const(logsigma))))
+
+
+@dataclass
+class FixedLogsigmaModel:
+    """The variational flavor with its log-sigma path pinned to a constant.
+
+    mu comes from the production `encode`, logsigma is -20 with no
+    gradient, and the loss is the production `reparameterize` and
+    `elbo_loss` with kl_weight 0. Sampling noise is then exp(-20)-scale, so
+    training follows the deterministic model with the same mu encoder.
+    """
+
+    encoder_mu: GnnEncoder
+    tier: int
+
+    LOGSIGMA = -20.0
+
+    @property
+    def d_z(self) -> int:
+        return self.encoder_mu.d_out
+
+    def params(self):
+        return self.encoder_mu.params()
+
+    def embed(self, x, a_norm):
+        return encode_numpy(self.encoder_mu, x, a_norm)
+
+    def loss(self, tape, x, a_norm, bce, config, noise):
+        mu = encode(self.encoder_mu, x, a_norm, tape)
+        logsigma = tape.const(np.full(tape.value(mu).shape, self.LOGSIGMA))
+        z = reparameterize(tape, mu, logsigma, noise)
+        return elbo_loss(tape, decode_adjacency(tape, z), bce, mu, logsigma,
+                         kl_weight=0.0), mu

@@ -24,7 +24,6 @@ from tiergae.pubchem import fetch_pubchem_sdf
 from tiergae.sdf import featurize, formula_from_features, parse_sdf, write_sdf
 from tiergae.tgae import (
     NOISE_ROLE,
-    TrainConfig,
     decode_adjacency_numpy,
     encode_tiered,
     make_tier_models,
@@ -34,14 +33,19 @@ from tiergae.tgae import (
     train_tier,
 )
 from tiergae.tvgae import (
-    VariationalTrainConfig,
     encode_tiered_variational,
     make_variational_tier_models,
     train_tier_variational,
 )
 
 from acceptance_report import record
-from conftest import VANILLIN_SDF, kl_value, path4_adjacency, path4_features
+from conftest import (
+    VANILLIN_SDF,
+    FixedLogsigmaModel,
+    kl_value,
+    path4_adjacency,
+    path4_features,
+)
 from gradcheck import assert_grads_match, finite_difference_grads
 from test_pooling import pool_oracle, random_membership, random_symmetric_adjacency
 from test_pubchem import RecordingTransport
@@ -157,7 +161,7 @@ def test_criterion_1_gradients():
 
         x, adj, m1 = path4_features(), path4_adjacency(), path4_membership()
 
-        det = make_tier_models(d_in=4, hidden=3, d_z=2, seed=77)
+        det = make_tier_models(4, RunConfig(hidden=3, d_z=2, seed=77))
         det_params = [p for m in det for p in m.params()]
 
         def build_det():
@@ -166,7 +170,7 @@ def test_criterion_1_gradients():
 
         _gradcheck(build_det, det_params)
 
-        var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=78)
+        var = make_variational_tier_models(4, RunConfig(hidden=3, d_z=2, seed=78))
         var_params = [p for m in var for p in m.params()]
         rng = np.random.default_rng(105)
         noises = [rng.standard_normal((n, 2)) for n in (4, 2, 1)]
@@ -174,7 +178,7 @@ def test_criterion_1_gradients():
         def build_var():
             tape = Tape()
             return tape, pipeline_loss(var, x, adj, m1, tape,
-                                       VariationalTrainConfig(), noises)
+                                       RunConfig(), noises)
 
         _gradcheck(build_var, var_params)
 
@@ -261,9 +265,9 @@ def test_criterion_4_tgae_smoke():
                       "descends, ranks edges with AUC >= 0.9, and lands on "
                       "the pinned golden losses within 1e-9 (< 30 s)"):
         start = time.time()
-        models = make_tier_models(d_in=4, seed=42)
+        models = make_tier_models(4, RunConfig(seed=42))
         sample = tier_sample(path4_features(), path4_adjacency())
-        history = train_tier(models[0], [sample], TrainConfig(epochs=200, lr=0.01))
+        history = train_tier(models[0], [sample], RunConfig(epochs=200, lr=0.01))
 
         assert history[-1] < history[0]
         assert abs(history[0] - GOLDEN_INITIAL_LOSS) <= GOLDEN_TOL
@@ -303,14 +307,12 @@ def test_criterion_5_tvgae_properties():
             assert kl_value(mu, ls) >= 0.0
 
         sample = tier_sample(path4_features(), path4_adjacency())
-        det = make_tier_models(d_in=4, seed=42)[0]
-        det_hist = train_tier(det, [sample], TrainConfig(epochs=200, lr=0.01))
-        var = make_variational_tier_models(d_in=4, seed=42)[0]
+        det = make_tier_models(4, RunConfig(seed=42))[0]
+        det_hist = train_tier(det, [sample], RunConfig(epochs=200, lr=0.01))
+        var = make_variational_tier_models(4, RunConfig(seed=42))[0]
         var_hist = train_tier_variational(
-            var, [sample],
-            VariationalTrainConfig(epochs=200, lr=0.01, kl_weight=0.0,
-                                   fixed_logsigma=-20.0),
-            seeded_rng(42, 1, NOISE_ROLE),
+            FixedLogsigmaModel(var.encoder_mu, var.tier), [sample],
+            RunConfig(epochs=200, lr=0.01), seeded_rng(42, 1, NOISE_ROLE),
         )
         assert len(det_hist) == len(var_hist) == 200
         worst = max(abs(a - b) for a, b in zip(det_hist, var_hist))
@@ -319,7 +321,7 @@ def test_criterion_5_tvgae_properties():
         # mu-mode inference must not consult any rng state
         ei, ea = dense_to_coo(path4_adjacency())
         g = Graph(x=path4_features(), edge_index=ei, edge_attr=ea)
-        vmodels = make_variational_tier_models(d_in=4, hidden=6, d_z=3, seed=3)
+        vmodels = make_variational_tier_models(4, RunConfig(hidden=6, d_z=3, seed=3))
         np.random.seed(1)
         r1 = encode_tiered_variational(g, path4_membership(), vmodels)
         np.random.seed(999)
@@ -338,7 +340,7 @@ def test_criterion_6_tier_invariances():
         mol = parse_sdf(VANILLIN_SDF.read_bytes())[0]
         graph = featurize(mol)
         m1 = membership_from_partition(partition_molecule(mol), 19)
-        models = make_tier_models(d_in=13, seed=7)
+        models = make_tier_models(13, RunConfig(seed=7))
         rep = encode_tiered(graph, m1, models)
 
         rng = np.random.default_rng(0)
@@ -354,16 +356,16 @@ def test_criterion_6_tier_invariances():
         # train exactly one tier; the other two must not move a bit
         sample = tier_sample(path4_features(), path4_adjacency())
         t2 = next_tier_samples(
-            make_tier_models(d_in=4, hidden=6, d_z=3, seed=1)[0],
+            make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=1))[0],
             [sample], [path4_membership()],
         )
         for trained_idx, train_samples in ((0, [sample]), (1, t2)):
-            fresh = make_tier_models(d_in=4, hidden=6, d_z=3, seed=5)
+            fresh = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=5))
             snapshot = {
                 p.name: p.value.copy() for m in fresh for p in m.params()
             }
             train_tier(fresh[trained_idx], train_samples,
-                       TrainConfig(epochs=8, lr=0.01))
+                       RunConfig(epochs=8, lr=0.01))
             for idx, model in enumerate(fresh):
                 if idx == trained_idx:
                     continue

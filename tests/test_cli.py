@@ -1,6 +1,8 @@
 import json
+import re
 import tempfile
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -24,6 +26,7 @@ from tiergae.cli import (
     load_config_file,
     load_corpus,
     main,
+    params_state,
     resolve_config,
     validate_config,
     write_json,
@@ -31,6 +34,8 @@ from tiergae.cli import (
 from tiergae.errors import CliError, ConfigError
 from tiergae.fgroups import membership_from_partition, partition_molecule
 from tiergae.graphs import validate
+from tiergae.tgae import make_tier_models, train_tiered
+from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
 
 from conftest import VANILLIN_SDF
 from test_pubchem import RecordingTransport
@@ -55,8 +60,9 @@ def test_array_json_round_trip():
     arr = rng.standard_normal((3, 4))
     again = json_to_array(array_to_json(arr))
     assert np.array_equal(again, arr)
-    ints = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    assert np.array_equal(json_to_array(array_to_json(ints), dtype=np.int64), ints)
+    ints = np.array([[0, 2], [11, 4]], dtype=np.int64)
+    again = json_to_array(array_to_json(ints), dtype=np.int64)
+    assert again.dtype == np.int64 and np.array_equal(again, ints)
 
 
 def test_array_json_bytes_match_per_element_conversion():
@@ -77,6 +83,12 @@ def test_array_json_empty_and_1d():
     assert json_to_array(array_to_json(empty)).shape == (2, 0)
     vec = np.array([1.5, -2.5])
     assert np.array_equal(json_to_array(array_to_json(vec)), vec)
+
+
+@pytest.mark.parametrize("data", [[0.7, 1.9], [0.0, -0.5], [0.0, 2.0**63]])
+def test_json_to_array_rejects_values_that_are_not_ints(data):
+    with pytest.raises(ConfigError, match="not an int64"):
+        json_to_array({"shape": [2, 1], "data": data}, dtype=np.int64)
 
 
 def test_write_json_is_byte_stable(tmp_path):
@@ -412,6 +424,18 @@ def test_fetch_pauses_between_requests(tmp_path, monkeypatch):
                       ("sleep", 0.5), ("get", "3")]
 
 
+def test_fetch_unwritable_output_is_a_cli_error(tmp_path, vanillin_sdf_bytes):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    t = RecordingTransport([(200, vanillin_sdf_bytes)])
+    with pytest.raises(CliError, match=f"cannot write {re.escape(str(blocker))}"):
+        cmd_fetch([1183], blocker, transport=t)
+    target = tmp_path / "sdf" / "1183.sdf"
+    target.mkdir(parents=True)
+    with pytest.raises(CliError, match=f"cannot write {re.escape(str(target))}"):
+        cmd_fetch([1183], tmp_path / "sdf", transport=t)
+
+
 def test_fetch_total_failure_raises(tmp_path):
     t = RecordingTransport([(404, b""), (404, b"")])
     with pytest.raises(CliError):
@@ -663,18 +687,53 @@ def test_main_non_finite_rate_or_weight_exits_2(tmp_path, capsys, corpus_path, f
 @pytest.mark.parametrize("key, value", [
     ("x", float("nan")), ("x", float("-inf")), ("edge_attr", float("inf")),
     ("edge_index", float("inf")),  # read as int64
+    ("edge_index", 0.9), ("edge_index", -0.5),  # not whole numbers, so not int64
 ])
 def test_main_corpus_with_non_finite_value_exits_2(tmp_path, capsys, corpus_path,
                                                     key, value):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
     doc = json.loads(corpus_path.read_text())
-    doc["molecules"][0][key]["data"][1] = value
+    # the first edge_index value is 0.0, which 0.9 and -0.5 truncate to
+    doc["molecules"][0][key]["data"][0] = value
     bad = tmp_path / "corpus.json"
     bad.write_text(json.dumps(doc))  # writes the JSON tokens NaN, Infinity, -Infinity
-    out = tmp_path / "m.json"
+    out, export = tmp_path / "m.json", tmp_path / "export"
+    message = f"corpus molecule {doc['molecules'][0]['id']!r}: array data"
     assert main(["train", str(bad), "--epochs", "2", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert main(["embed", str(bad), "--checkpoint", str(ckpt), "--out", str(export)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not export.exists()
+
+
+@pytest.mark.parametrize("command, out", [
+    ("ingest", "dir"), ("train", "dir"), ("train", "file/ck.json"),
+    ("embed", "file"), ("embed", "file/sub"),
+])
+def test_main_unwritable_output_exits_2_and_names_it(tmp_path, capsys, corpus_path,
+                                                      command, out):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    out = str(tmp_path / out)
+    if command == "ingest":
+        argv = ["ingest", str(VANILLIN_SDF)]
+    elif command == "train":
+        argv = ["train", str(corpus_path), "--epochs", "1"]
+    else:
+        ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+        argv = ["embed", str(corpus_path), "--checkpoint", str(ckpt)]
+    assert main([*argv, "--out", out]) == 2
     err = capsys.readouterr().err
-    assert f"corpus molecule {doc['molecules'][0]['id']!r}: array data" in err
-    assert not out.exists()
+    assert f"tiergae {command}: cannot write {out}: " in err
+    assert "Traceback" not in err
+
+
+def test_main_unwritable_history_exits_2_and_names_it(tmp_path, capsys, corpus_path):
+    history = tmp_path / "model_history.csv"
+    history.mkdir()
+    out = tmp_path / "model.json"
+    assert main(["train", str(corpus_path), "--epochs", "1", "--out", str(out)]) == 2
+    assert f"tiergae train: cannot write {history}: " in capsys.readouterr().err
 
 
 def test_main_checkpoint_with_non_finite_param_exits_2(tmp_path, capsys, corpus_path,
@@ -781,3 +840,23 @@ def test_main_rejects_bad_config(tmp_path, capsys):
     assert main(["train", str(corpus), "--epochs", "0",
                  "--out", str(tmp_path / "m.json")]) == 2
     assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["tgae", "tvgae"])
+def test_cli_and_library_train_the_same_weights(tmp_path, corpus_path, model):
+    # every setting off its default, so one the command line drops changes the weights
+    cfg = RunConfig(model=model, seed=7, epochs=3, lr=0.02, hidden=5, d_z=3,
+                    kl_weight=0.5, k=3)
+    assert all(getattr(cfg, f.name) != f.default for f in fields(RunConfig)
+               if f.name != "model")
+    ckpt = tmp_path / "model.json"
+    assert main(["train", str(corpus_path), "--model", model, "--seed", "7",
+                 "--epochs", "3", "--lr", "0.02", "--hidden", "5", "--d-z", "3",
+                 "--kl-weight", "0.5", "--k", "3", "--out", str(ckpt)]) == 0
+    make, train = {"tgae": (make_tier_models, train_tiered),
+                   "tvgae": (make_variational_tier_models, train_tiered_variational)}[model]
+    items = corpus_items(load_corpus(corpus_path))
+    models = make(items[0][0].x.shape[1], cfg)
+    train(models, items, cfg)
+    expected = params_state([p for m in models for p in m.params()])
+    assert json.loads(ckpt.read_text())["params"] == expected

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from tiergae.errors import NotFoundError, TransportError
@@ -104,3 +109,16 @@ def test_zero_retries_single_attempt():
     with pytest.raises(TransportError):
         fetch_pubchem_sdf(7, t, retries=0)
     assert len(t.urls) == 1
+
+
+def test_importing_the_cli_leaves_urllib_unloaded():
+    # only the real transport needs urllib; building it loads urllib, importing does not
+    code = ("import sys, tiergae.cli\n"
+            "print('urllib.request' in sys.modules)\n"
+            "tiergae.pubchem.urllib_transport()\n"
+            "print('urllib.request' in sys.modules)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True"]

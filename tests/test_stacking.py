@@ -9,12 +9,12 @@ from tiergae import tvgae
 from tiergae.autodiff import seeded_rng
 from tiergae.tgae import (
     NOISE_ROLE,
-    TrainConfig,
+    RunConfig,
     fit_tier,
     make_tier_models,
     stack_samples,
 )
-from tiergae.tvgae import VariationalTrainConfig, make_variational_tier_models
+from tiergae.tvgae import make_variational_tier_models
 
 from oracles import fit_tier_per_graph, mixed_size_samples
 
@@ -55,11 +55,11 @@ def test_stacks_hold_the_only_copy_of_x_and_a_norm():
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
 def test_stacked_training_matches_one_graph_at_a_time(flavor):
     if flavor == "tgae":
-        model = make_tier_models(D_IN, hidden=6, d_z=D_Z, seed=3)[0]
-        config, rng = TrainConfig(epochs=12, lr=0.01), lambda: None
+        model = make_tier_models(D_IN, RunConfig(hidden=6, d_z=D_Z, seed=3))[0]
+        config, rng = RunConfig(epochs=12, lr=0.01), lambda: None
     else:
-        model = make_variational_tier_models(D_IN, hidden=6, d_z=D_Z, seed=3)[0]
-        config = VariationalTrainConfig(epochs=12, lr=0.01, kl_weight=0.5)
+        model = make_variational_tier_models(D_IN, RunConfig(hidden=6, d_z=D_Z, seed=3))[0]
+        config = RunConfig(epochs=12, lr=0.01, kl_weight=0.5)
         rng = lambda: seeded_rng(3, 1, NOISE_ROLE)
     reference = copy.deepcopy(model)
     stacked = fit_tier(model, corpus(), config, rng())
@@ -79,9 +79,9 @@ def test_each_graph_gets_its_per_graph_noise(monkeypatch):
 
     reparameterize = tvgae.reparameterize
     monkeypatch.setattr(tvgae, "reparameterize", spy)
-    model = make_variational_tier_models(D_IN, hidden=5, d_z=D_Z, seed=4)[0]
+    model = make_variational_tier_models(D_IN, RunConfig(hidden=5, d_z=D_Z, seed=4))[0]
     epochs = 3
-    fit_tier(model, corpus(), VariationalTrainConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
+    fit_tier(model, corpus(), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
 
     stacks = stack_samples(corpus())
     assert len(seen) == epochs * len(stacks)

@@ -14,8 +14,8 @@ from tiergae.graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
 from tiergae.tgae import (
+    RunConfig,
     TierModel,
-    TrainConfig,
     bce_weights,
     decode_adjacency,
     decode_adjacency_numpy,
@@ -179,7 +179,7 @@ def test_loss_rejects_bad_targets():
 
 def test_loss_gradient_against_finite_differences():
     rng = np.random.default_rng(3)
-    models = make_tier_models(d_in=4, hidden=5, d_z=3, k=2, seed=11)
+    models = make_tier_models(4, RunConfig(hidden=5, d_z=3, k=2, seed=11))
     model = models[0]
     s = tier_sample(path4_features(), path4_adjacency())
 
@@ -208,7 +208,7 @@ def test_loss_gradient_against_finite_differences():
 
 
 def test_make_tier_models_widths_and_names():
-    models = make_tier_models(d_in=13, hidden=8, d_z=4, k=3, seed=0)
+    models = make_tier_models(13, RunConfig(hidden=8, d_z=4, k=3, seed=0))
     assert [m.tier for m in models] == [1, 2, 3]
     assert models[0].encoder.layers[0].weight.value.shape == (13, 8)
     for m in models[1:]:
@@ -219,8 +219,8 @@ def test_make_tier_models_widths_and_names():
 
 
 def test_make_tier_models_deterministic_and_tier_distinct():
-    a = make_tier_models(d_in=6, hidden=4, d_z=2, seed=5)
-    b = make_tier_models(d_in=6, hidden=4, d_z=2, seed=5)
+    a = make_tier_models(6, RunConfig(hidden=4, d_z=2, seed=5))
+    b = make_tier_models(6, RunConfig(hidden=4, d_z=2, seed=5))
     for ma, mb in zip(a, b):
         for pa, pb in zip(ma.params(), mb.params()):
             assert np.array_equal(pa.value, pb.value)
@@ -229,7 +229,7 @@ def test_make_tier_models_deterministic_and_tier_distinct():
 
 
 def test_tier_model_rejects_bad_tier():
-    enc = make_tier_models(d_in=3, hidden=2, d_z=2)[0].encoder
+    enc = make_tier_models(3, RunConfig(hidden=2, d_z=2))[0].encoder
     with pytest.raises(ValueError):
         TierModel(encoder=enc, tier=4)
 
@@ -238,10 +238,10 @@ def test_tier_model_rejects_bad_tier():
 
 
 def test_zero_epochs_changes_nothing():
-    models = make_tier_models(d_in=4, hidden=4, d_z=2, seed=1)
+    models = make_tier_models(4, RunConfig(hidden=4, d_z=2, seed=1))
     before = params_state(models[0].params())
     s = tier_sample(path4_features(), path4_adjacency())
-    hist = train_tier(models[0], [s], TrainConfig(epochs=0))
+    hist = train_tier(models[0], [s], RunConfig(epochs=0))
     assert hist == []
     after = params_state(models[0].params())
     for k in before:
@@ -249,9 +249,9 @@ def test_zero_epochs_changes_nothing():
 
 
 def test_training_descends_on_path4():
-    models = make_tier_models(d_in=4, hidden=8, d_z=4, seed=42)
+    models = make_tier_models(4, RunConfig(hidden=8, d_z=4, seed=42))
     s = tier_sample(path4_features(), path4_adjacency())
-    hist = train_tier(models[0], [s], TrainConfig(epochs=40, lr=0.01))
+    hist = train_tier(models[0], [s], RunConfig(epochs=40, lr=0.01))
     assert len(hist) == 40
     assert hist[-1] < hist[0]
     assert all(np.isfinite(v) for v in hist)
@@ -259,36 +259,36 @@ def test_training_descends_on_path4():
 
 def test_training_is_deterministic():
     def run():
-        models = make_tier_models(d_in=4, hidden=6, d_z=3, seed=7)
+        models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=7))
         s = tier_sample(path4_features(), path4_adjacency())
-        return train_tier(models[0], [s], TrainConfig(epochs=15, lr=0.01))
+        return train_tier(models[0], [s], RunConfig(epochs=15, lr=0.01))
 
     assert run() == run()
 
 
 def test_train_tier_requires_samples():
-    models = make_tier_models(d_in=4, hidden=4, d_z=2)
+    models = make_tier_models(4, RunConfig(hidden=4, d_z=2))
     with pytest.raises(ValueError):
-        train_tier(models[0], [], TrainConfig(epochs=1))
+        train_tier(models[0], [], RunConfig(epochs=1))
 
 
 @pytest.mark.parametrize("tier", [1, 2])
 def test_train_tier_rejects_non_finite_loss(tier):
-    model = make_tier_models(d_in=4, hidden=4, d_z=2, seed=1)[tier - 1]
+    model = make_tier_models(4, RunConfig(hidden=4, d_z=2, seed=1))[tier - 1]
     x = path4_features() if tier == 1 else np.ones((4, 2))
     s = tier_sample(x, path4_adjacency())
     # epoch 0 is finite; its NaN update makes epoch 1's loss NaN
     with pytest.raises(DomainError, match=rf"^tier {tier}: epoch 1 loss is nan$"):
-        train_tier(model, [s], TrainConfig(epochs=3, lr=float("nan")))
+        train_tier(model, [s], RunConfig(epochs=3, lr=float("nan")))
 
 
 def test_tiered_training_keeps_lower_tiers_frozen():
     # tier-1 history of the tiered run must equal a standalone tier-1 run:
     # nothing that happens above tier 1 may touch it
     items = path4_items()
-    models = make_tier_models(d_in=4, hidden=6, d_z=3, seed=9)
+    models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=9))
     solo = copy.deepcopy(models[0])
-    cfg = TrainConfig(epochs=10, lr=0.01)
+    cfg = RunConfig(epochs=10, lr=0.01)
     hist = train_tiered(models, items, cfg)
     s = tier_sample(path4_features(), path4_adjacency())
     solo_hist = train_tier(solo, [s], cfg)
@@ -298,21 +298,21 @@ def test_tiered_training_keeps_lower_tiers_frozen():
 
 
 def test_tiered_training_returns_three_histories():
-    models = make_tier_models(d_in=4, hidden=6, d_z=3, seed=2)
-    hist = train_tiered(models, path4_items(), TrainConfig(epochs=5, lr=0.01))
+    models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=2))
+    hist = train_tiered(models, path4_items(), RunConfig(epochs=5, lr=0.01))
     assert sorted(hist) == [1, 2, 3]
     for h in hist.values():
         assert len(h) == 5 and all(np.isfinite(v) for v in h)
 
 
 def test_tiered_training_rejects_empty_corpus():
-    models = make_tier_models(d_in=4, hidden=4, d_z=2)
+    models = make_tier_models(4, RunConfig(hidden=4, d_z=2))
     with pytest.raises(ValueError):
-        train_tiered(models, [], TrainConfig(epochs=1))
+        train_tiered(models, [], RunConfig(epochs=1))
 
 
 def test_next_tier_samples_shapes():
-    models = make_tier_models(d_in=4, hidden=6, d_z=3, seed=4)
+    models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=4))
     s = tier_sample(path4_features(), path4_adjacency())
     m = path4_items()[0][1]
     nxt = next_tier_samples(models[0], [s], [m])
@@ -329,7 +329,7 @@ def test_encode_tiered_shapes_on_vanillin(vanillin_mol):
     g = featurize(vanillin_mol)
     part = partition_molecule(vanillin_mol)
     m1 = membership_from_partition(part, g.num_nodes)
-    models = make_tier_models(d_in=g.x.shape[1], hidden=8, d_z=4, seed=0)
+    models = make_tier_models(g.x.shape[1], RunConfig(hidden=8, d_z=4, seed=0))
     rep = encode_tiered(g, m1, models)
     assert len(rep.tiers) == 3
     n_groups = m1.num_groups
@@ -348,7 +348,7 @@ def test_encode_tiered_coo_per_tier(vanillin_mol):
     # of the pooled adjacency
     g = featurize(vanillin_mol)
     m1 = membership_from_partition(partition_molecule(vanillin_mol), g.num_nodes)
-    rep = encode_tiered(g, m1, make_tier_models(d_in=g.x.shape[1], hidden=8, d_z=4))
+    rep = encode_tiered(g, m1, make_tier_models(g.x.shape[1], RunConfig(hidden=8, d_z=4)))
     assert rep.tiers[0].edge_index is g.edge_index and rep.tiers[0].edge_attr is g.edge_attr
     a = coo_to_dense(g)
     for bundle, m in zip(rep.tiers[1:], (m1, graph_tier_membership(m1.num_groups))):
@@ -359,7 +359,7 @@ def test_encode_tiered_coo_per_tier(vanillin_mol):
 
 
 def test_encode_tiered_membership_shape_checked():
-    models = make_tier_models(d_in=4, hidden=4, d_z=2)
+    models = make_tier_models(4, RunConfig(hidden=4, d_z=2))
     g = path4_graph()
     with pytest.raises(ShapeMismatchError):
         encode_tiered(g, MembershipMatrix(np.eye(3)), models)
@@ -372,7 +372,7 @@ def test_encode_tiered_relabel_invariant():
 
     g = path4_graph()
     m1 = path4_items()[0][1]
-    models = make_tier_models(d_in=4, hidden=6, d_z=3, seed=13)
+    models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=13))
     rep = encode_tiered(g, m1, models)
 
     perm = np.array([2, 0, 3, 1])
@@ -388,7 +388,7 @@ def test_encode_tiered_relabel_invariant():
 def test_encode_tiered_deterministic(vanillin_mol):
     g = featurize(vanillin_mol)
     m1 = membership_from_partition(partition_molecule(vanillin_mol), g.num_nodes)
-    models = make_tier_models(d_in=g.x.shape[1], hidden=8, d_z=4, seed=3)
+    models = make_tier_models(g.x.shape[1], RunConfig(hidden=8, d_z=4, seed=3))
     r1 = encode_tiered(g, m1, models)
     r2 = encode_tiered(g, m1, models)
     for t1, t2 in zip(r1.tiers, r2.tiers):
@@ -399,7 +399,7 @@ def test_encode_tiered_deterministic(vanillin_mol):
 
 
 def test_full_pipeline_loss_reaches_every_parameter():
-    models = make_tier_models(d_in=4, hidden=5, d_z=3, seed=21)
+    models = make_tier_models(4, RunConfig(hidden=5, d_z=3, seed=21))
     m1 = path4_items()[0][1]
     tape = Tape()
     loss = pipeline_loss(models, path4_features(), path4_adjacency(), m1, tape)
@@ -415,7 +415,7 @@ def test_full_pipeline_loss_reaches_every_parameter():
 
 def test_pipeline_loss_requires_one_noise_per_tier():
     # a short noise list must not silently drop the upper tiers' losses
-    models = make_tier_models(d_in=4, hidden=4, d_z=2, seed=0)
+    models = make_tier_models(4, RunConfig(hidden=4, d_z=2, seed=0))
     m1 = path4_items()[0][1]
     for noises in ((None, None), (None, None, None, None)):
         with pytest.raises(ValueError, match=f"one noise array per tier, got {len(noises)}"):

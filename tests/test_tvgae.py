@@ -11,8 +11,8 @@ from tiergae.errors import ShapeMismatchError
 from tiergae.graphs import MembershipMatrix
 from tiergae.tgae import (
     NOISE_ROLE,
+    RunConfig,
     TierModel,
-    TrainConfig,
     bce_weights,
     encode_tiered,
     make_tier_models,
@@ -24,7 +24,6 @@ from tiergae.tgae import (
 from tiergae.tvgae import (
     LOGSIGMA_LIMIT,
     VariationalTierModel,
-    VariationalTrainConfig,
     elbo_loss,
     encode_posterior,
     encode_tiered_variational,
@@ -35,7 +34,13 @@ from tiergae.tvgae import (
     train_tiered_variational,
 )
 
-from conftest import kl_value, path4_adjacency, path4_features, recon_value
+from conftest import (
+    FixedLogsigmaModel,
+    kl_value,
+    path4_adjacency,
+    path4_features,
+    recon_value,
+)
 from gradcheck import assert_grads_match, finite_difference_grads
 from test_tgae import path4_graph, path4_items
 
@@ -44,15 +49,15 @@ from test_tgae import path4_graph, path4_items
 
 
 def test_mu_encoder_initialized_like_deterministic_encoder():
-    det = make_tier_models(d_in=5, hidden=4, d_z=3, seed=17)
-    var = make_variational_tier_models(d_in=5, hidden=4, d_z=3, seed=17)
+    det = make_tier_models(5, RunConfig(hidden=4, d_z=3, seed=17))
+    var = make_variational_tier_models(5, RunConfig(hidden=4, d_z=3, seed=17))
     for d, v in zip(det, var):
         for pd, pv in zip(d.encoder.params(), v.encoder_mu.params()):
             assert np.array_equal(pd.value, pv.value)
 
 
 def test_logsigma_encoder_differs_from_mu():
-    var = make_variational_tier_models(d_in=5, hidden=4, d_z=3, seed=17)
+    var = make_variational_tier_models(5, RunConfig(hidden=4, d_z=3, seed=17))
     for v in var:
         w_mu = v.encoder_mu.layers[0].weight.value
         w_ls = v.encoder_logsigma.layers[0].weight.value
@@ -60,7 +65,7 @@ def test_logsigma_encoder_differs_from_mu():
 
 
 def test_param_names_carry_path_prefixes():
-    var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=0)
+    var = make_variational_tier_models(4, RunConfig(hidden=3, d_z=2, seed=0))
     for v in var:
         assert all(p.name.startswith(f"tier{v.tier}.mu.") for p in v.encoder_mu.params())
         assert all(
@@ -70,14 +75,14 @@ def test_param_names_carry_path_prefixes():
 
 
 def test_mismatched_encoder_widths_rejected():
-    var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=0)
-    other = make_variational_tier_models(d_in=4, hidden=3, d_z=3, seed=0)
+    var = make_variational_tier_models(4, RunConfig(hidden=3, d_z=2, seed=0))
+    other = make_variational_tier_models(4, RunConfig(hidden=3, d_z=3, seed=0))
     with pytest.raises(ShapeMismatchError):
         VariationalTierModel(var[0].encoder_mu, other[0].encoder_logsigma, tier=1)
 
 
 def test_bad_tier_rejected():
-    var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=0)
+    var = make_variational_tier_models(4, RunConfig(hidden=3, d_z=2, seed=0))
     with pytest.raises(ValueError):
         VariationalTierModel(var[0].encoder_mu, var[0].encoder_logsigma, tier=0)
 
@@ -86,7 +91,7 @@ def test_bad_tier_rejected():
 
 
 def test_posterior_shapes_and_clamp():
-    var = make_variational_tier_models(d_in=4, hidden=6, d_z=3, seed=1)[0]
+    var = make_variational_tier_models(4, RunConfig(hidden=6, d_z=3, seed=1))[0]
     # blow up the logsigma path so its raw outputs exceed the clamp range
     for p in var.encoder_logsigma.params():
         p.value *= 1e6
@@ -260,11 +265,11 @@ def test_elbo_zero_weight_is_pure_reconstruction():
 
 
 def test_variational_zero_epochs_changes_nothing():
-    var = make_variational_tier_models(d_in=4, hidden=4, d_z=2, seed=1)[0]
+    var = make_variational_tier_models(4, RunConfig(hidden=4, d_z=2, seed=1))[0]
     before = params_state(var.params())
     s = tier_sample(path4_features(), path4_adjacency())
     hist = train_tier_variational(
-        var, [s], VariationalTrainConfig(epochs=0), np.random.default_rng(0)
+        var, [s], RunConfig(epochs=0), np.random.default_rng(0)
     )
     assert hist == []
     after = params_state(var.params())
@@ -273,10 +278,10 @@ def test_variational_zero_epochs_changes_nothing():
 
 
 def test_variational_training_descends():
-    var = make_variational_tier_models(d_in=4, hidden=8, d_z=4, seed=42)[0]
+    var = make_variational_tier_models(4, RunConfig(hidden=8, d_z=4, seed=42))[0]
     s = tier_sample(path4_features(), path4_adjacency())
     hist = train_tier_variational(
-        var, [s], VariationalTrainConfig(epochs=60, lr=0.01),
+        var, [s], RunConfig(epochs=60, lr=0.01),
         seeded_rng(42, 1, NOISE_ROLE),
     )
     assert len(hist) == 60
@@ -287,10 +292,10 @@ def test_variational_training_descends():
 
 def test_variational_training_deterministic():
     def run():
-        var = make_variational_tier_models(d_in=4, hidden=5, d_z=3, seed=6)[0]
+        var = make_variational_tier_models(4, RunConfig(hidden=5, d_z=3, seed=6))[0]
         s = tier_sample(path4_features(), path4_adjacency())
         return train_tier_variational(
-            var, [s], VariationalTrainConfig(epochs=12, lr=0.01),
+            var, [s], RunConfig(epochs=12, lr=0.01),
             seeded_rng(6, 1, NOISE_ROLE),
         )
 
@@ -298,10 +303,10 @@ def test_variational_training_deterministic():
 
 
 def test_variational_training_requires_samples():
-    var = make_variational_tier_models(d_in=4, hidden=4, d_z=2)[0]
+    var = make_variational_tier_models(4, RunConfig(hidden=4, d_z=2))[0]
     with pytest.raises(ValueError):
         train_tier_variational(
-            var, [], VariationalTrainConfig(epochs=1), np.random.default_rng(0)
+            var, [], RunConfig(epochs=1), np.random.default_rng(0)
         )
 
 
@@ -310,14 +315,12 @@ def test_fixed_logsigma_ablation_tracks_deterministic_model():
     # so every epoch loss must match the deterministic model to 1e-6
     seed = 31
     s = tier_sample(path4_features(), path4_adjacency())
-    det = make_tier_models(d_in=4, hidden=6, d_z=3, seed=seed)[0]
-    det_hist = train_tier(det, [s], TrainConfig(epochs=30, lr=0.01))
-    var = make_variational_tier_models(d_in=4, hidden=6, d_z=3, seed=seed)[0]
+    det = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=seed))[0]
+    det_hist = train_tier(det, [s], RunConfig(epochs=30, lr=0.01))
+    var = make_variational_tier_models(4, RunConfig(hidden=6, d_z=3, seed=seed))[0]
     var_hist = train_tier_variational(
-        var, [s],
-        VariationalTrainConfig(epochs=30, lr=0.01, kl_weight=0.0,
-                               fixed_logsigma=-20.0),
-        seeded_rng(seed, 1, NOISE_ROLE),
+        FixedLogsigmaModel(var.encoder_mu, var.tier), [s],
+        RunConfig(epochs=30, lr=0.01), seeded_rng(seed, 1, NOISE_ROLE),
     )
     assert len(det_hist) == len(var_hist)
     for a, b in zip(det_hist, var_hist):
@@ -325,9 +328,9 @@ def test_fixed_logsigma_ablation_tracks_deterministic_model():
 
 
 def test_tiered_variational_returns_three_histories():
-    var = make_variational_tier_models(d_in=4, hidden=5, d_z=3, seed=8)
+    var = make_variational_tier_models(4, RunConfig(hidden=5, d_z=3, seed=8))
     hist = train_tiered_variational(
-        var, path4_items(), VariationalTrainConfig(epochs=4, lr=0.01, seed=8)
+        var, path4_items(), RunConfig(epochs=4, lr=0.01, seed=8)
     )
     assert sorted(hist) == [1, 2, 3]
     for h in hist.values():
@@ -335,16 +338,16 @@ def test_tiered_variational_returns_three_histories():
 
 
 def test_tiered_variational_rejects_empty_corpus():
-    var = make_variational_tier_models(d_in=4, hidden=4, d_z=2)
+    var = make_variational_tier_models(4, RunConfig(hidden=4, d_z=2))
     with pytest.raises(ValueError):
-        train_tiered_variational(var, [], VariationalTrainConfig(epochs=1))
+        train_tiered_variational(var, [], RunConfig(epochs=1))
 
 
 # ---------------------------------------------------------------- inference
 
 
 def test_mu_mode_inference_deterministic():
-    var = make_variational_tier_models(d_in=4, hidden=5, d_z=3, seed=9)
+    var = make_variational_tier_models(4, RunConfig(hidden=5, d_z=3, seed=9))
     g = path4_graph()
     m1 = path4_items()[0][1]
     r1 = encode_tiered_variational(g, m1, var)
@@ -356,7 +359,7 @@ def test_mu_mode_inference_deterministic():
 def test_mu_mode_inference_equals_deterministic_path():
     # wrapping the mu encoders in the deterministic model must reproduce
     # mu-mode inference bit for bit: same code path, no sampling anywhere
-    var = make_variational_tier_models(d_in=4, hidden=5, d_z=3, seed=10)
+    var = make_variational_tier_models(4, RunConfig(hidden=5, d_z=3, seed=10))
     det = [TierModel(encoder=v.encoder_mu, tier=v.tier) for v in var]
     g = path4_graph()
     m1 = path4_items()[0][1]
@@ -367,7 +370,7 @@ def test_mu_mode_inference_equals_deterministic_path():
 
 
 def test_mu_mode_inference_shapes():
-    var = make_variational_tier_models(d_in=4, hidden=5, d_z=3, seed=11)
+    var = make_variational_tier_models(4, RunConfig(hidden=5, d_z=3, seed=11))
     rep = encode_tiered_variational(path4_graph(), path4_items()[0][1], var)
     assert rep.tiers[0].z.shape == (4, 3)
     assert rep.tiers[1].z.shape == (2, 3)
@@ -378,13 +381,13 @@ def test_mu_mode_inference_shapes():
 
 
 def test_variational_pipeline_reaches_every_parameter():
-    var = make_variational_tier_models(d_in=4, hidden=4, d_z=2, seed=12)
+    var = make_variational_tier_models(4, RunConfig(hidden=4, d_z=2, seed=12))
     m1 = path4_items()[0][1]
     rng = np.random.default_rng(0)
     noises = [rng.standard_normal((n, 2)) for n in (4, 2, 1)]
     tape = Tape()
     loss = pipeline_loss(var, path4_features(), path4_adjacency(), m1, tape,
-                         VariationalTrainConfig(), noises)
+                         RunConfig(), noises)
     assert np.isfinite(tape.value(loss))
     all_params = [p for v in var for p in v.params()]
     zero_grads(all_params)
@@ -395,7 +398,7 @@ def test_variational_pipeline_reaches_every_parameter():
 
 
 def test_variational_pipeline_gradcheck():
-    var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=13)
+    var = make_variational_tier_models(4, RunConfig(hidden=3, d_z=2, seed=13))
     m1 = path4_items()[0][1]
     rng = np.random.default_rng(1)
     noises = [rng.standard_normal((n, 2)) for n in (4, 2, 1)]
@@ -404,7 +407,7 @@ def test_variational_pipeline_gradcheck():
     def build():
         tape = Tape()
         node = pipeline_loss(var, path4_features(), path4_adjacency(), m1, tape,
-                             VariationalTrainConfig(), noises)
+                             RunConfig(), noises)
         return tape, node
 
     tape, node = build()
@@ -421,10 +424,10 @@ def test_variational_pipeline_gradcheck():
 
 
 def test_variational_pipeline_requires_three_noises():
-    var = make_variational_tier_models(d_in=4, hidden=3, d_z=2, seed=0)
+    var = make_variational_tier_models(4, RunConfig(hidden=3, d_z=2, seed=0))
     with pytest.raises(ValueError, match="one noise array per tier"):
         pipeline_loss(var, path4_features(), path4_adjacency(), path4_items()[0][1],
-                      Tape(), VariationalTrainConfig(), [np.zeros((4, 2))])
+                      Tape(), RunConfig(), [np.zeros((4, 2))])
 
 
 @settings(deadline=None, max_examples=25)
