@@ -12,7 +12,9 @@ A stack of B matrices sits on a leading axis, (B, n, m). `matmul` multiplies
 shares its weight and bias across a stack, so their gradients are summed
 over the batch. The elementwise ops, `sum` and `bce_logits` are shape-agnostic.
 
-Gradients accumulate: replaying a tape without zero_grads doubles them.
+Gradients accumulate: replaying a tape without zero_grads doubles them,
+and the backward passes of several tapes sum into the same Param.grad.
+Training relies on this to give each stack of graphs a tape of its own.
 """
 
 from __future__ import annotations

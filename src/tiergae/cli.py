@@ -413,11 +413,13 @@ def _flavor(kind: str):
 
 
 def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
-    """Train bottom-up on the corpus; write checkpoint and history CSV."""
+    """Train bottom-up on the corpus; write checkpoint and history CSV, or
+    neither of them."""
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
     d_in = items[0][0].x.shape[1]
     _check_feature_width(entries, items, d_in, "the first molecule")
+    del entries  # the graphs hold all that training reads
     make_models, train_tiered_fn, _ = _flavor(cfg.model)
     models = make_models(d_in, cfg)
     histories = train_tiered_fn(models, items, cfg)
@@ -431,13 +433,17 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     out = Path(out_path)
     write_json(out, checkpoint)
     history_path = out.parent / (out.stem + "_history.csv")
-    with _writing(history_path), open(history_path, "w", newline="",
-                                      encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "tier", "loss"])
-        for tier in sorted(histories):
-            for epoch, loss in enumerate(histories[tier]):
-                writer.writerow([epoch, tier, repr(loss)])
+    try:
+        with _writing(history_path), open(history_path, "w", newline="",
+                                          encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["epoch", "tier", "loss"])
+            for tier in sorted(histories):
+                for epoch, loss in enumerate(histories[tier]):
+                    writer.writerow([epoch, tier, repr(loss)])
+    except CliError:
+        out.unlink()  # no checkpoint without its history
+        raise
     return out, history_path
 
 
@@ -500,6 +506,8 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     """Read-only inference over the corpus; one export JSON per molecule."""
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
+    # the exports read only these keys of the parsed documents
+    entries = [{key: entry.get(key) for key in ("id", "cid", "inchi")} for entry in entries]
     d_in = items[0][0].x.shape[1]
     models, kind = load_checkpoint(checkpoint_path, d_in=d_in)
     # every molecule is checked before the first export is written

@@ -84,14 +84,17 @@ class TierModel:
 
 @dataclass
 class TierSample:
-    """One graph prepared for one tier: features, raw and normalized
-    adjacency, and the binary reconstruction target. Once the tier is
-    trained, x and a_norm are views into its `TierStack`."""
+    """One graph prepared for one tier: features, normalized adjacency, the
+    binary reconstruction target, and the membership m that pools the tier
+    into the next with the adjacency already pooled through it (both None
+    at the top tier). The tier's own N x N x s adjacency is not kept. Once
+    the tier is trained, x and a_norm are views into its `TierStack`."""
 
     x: np.ndarray
-    a: np.ndarray        # N x N x s
-    a_norm: np.ndarray   # N x N
-    target: np.ndarray   # N x N binary
+    a_norm: np.ndarray                 # N x N
+    target: np.ndarray                 # N x N binary
+    m: Optional[MembershipMatrix]      # N x G
+    pooled_a: Optional[np.ndarray]     # G x G x s
 
 
 @dataclass
@@ -198,13 +201,16 @@ def reconstruction_loss(tape: Tape, logits: int, bce: BceWeights) -> int:
     return tape.bce_logits(logits, bce.c1, bce.c2, bce.count)
 
 
-def tier_sample(x: np.ndarray, a) -> TierSample:
+def tier_sample(x: np.ndarray, a, m: Optional[MembershipMatrix] = None) -> TierSample:
+    """The sample of features x and adjacency a, pooled through m for the
+    next tier unless m is None."""
     arr = adjacency_array(a)
     return TierSample(
         x=np.asarray(x, dtype=np.float64),
-        a=arr,
         a_norm=gcn_norm(binary_collapse(arr)),
         target=reconstruction_target(arr),
+        m=m,
+        pooled_a=None if m is None else pool_adjacency(arr, m),
     )
 
 
@@ -240,33 +246,43 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
 
     The graphs are trained in stacks of equal node count, built once. A
     stack's loss is the sum of its graphs' losses, so the epoch loss is the
-    per-graph mean up to summation order. With a noise generator, each
-    epoch draws the standard normal rows of all graphs in sample order in
-    one call (the numbers that one draw per graph would give) and gathers
-    each stack's rows from it. A loss that is not finite is a DomainError
-    naming the tier and epoch, raised before that epoch's update.
+    per-graph mean up to summation order. Each stack runs forward and
+    backward on a tape of its own, dropped before the next stack starts, so
+    training memory follows the largest stack, not the corpus. The stacks
+    are walked in reverse, each loss scaled by 1 / len(samples) on its
+    tape, so every Param.grad receives the same adds in the same order as
+    one reverse sweep over a tape holding the whole epoch. The epoch loss
+    is the forward-order sum of the stack losses times 1 / len(samples).
+    With a noise generator, each epoch draws the standard normal rows of
+    all graphs in sample order in one call (the numbers that one draw per
+    graph would give) and gathers each stack's rows from it. A loss that is
+    not finite is a DomainError naming the tier and epoch, raised before
+    that epoch's update.
     """
     if not samples:
         raise ValueError("training a tier needs at least one sample")
     stacks = stack_samples(samples)
     node_rows = sum(s.x.shape[0] for s in samples)
+    scale = 1.0 / len(samples)
     opt = Adam(model.params(), lr=config.lr)
     history: list[float] = []
     for epoch in range(config.epochs):
-        tape = Tape()
         opt.zero_grads()
         eps = None if noise is None else noise.standard_normal((node_rows, model.d_z))
-        total = None
-        for st in stacks:
+        losses = [0.0] * len(stacks)
+        for k in reversed(range(len(stacks))):
+            st, tape = stacks[k], Tape()
             st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
             loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
                                  config, st_eps)
-            total = loss if total is None else tape.add(total, loss)
-        total = tape.scalar_mul(1.0 / len(samples), total)
-        loss = float(tape.value(total))
+            losses[k] = float(tape.value(loss))
+            tape.backward(tape.scalar_mul(scale, loss))
+        total = losses[0]
+        for value in losses[1:]:
+            total += value
+        loss = scale * total
         if not math.isfinite(loss):
             raise DomainError(f"tier {model.tier}: epoch {epoch} loss is {loss}")
-        tape.backward(total)
         opt.step()
         history.append(loss)
     return history
@@ -283,20 +299,22 @@ def _check_models(models: Sequence) -> None:
         raise ValueError("expected models for tiers 1, 2, 3 in order")
 
 
-def pool_sample(z: np.ndarray, s: TierSample, m: MembershipMatrix) -> TierSample:
-    """The next tier's sample: embeddings z of sample s pooled through m."""
-    return tier_sample(pool_features(z, m), pool_adjacency(s.a, m))
+def pool_sample(z: np.ndarray, s: TierSample, m: Optional[MembershipMatrix]) -> TierSample:
+    """The next tier's sample: embeddings z of sample s pooled through s.m,
+    itself pooled through m unless m is None."""
+    return tier_sample(pool_features(z, s.m), s.pooled_a, m)
 
 
 def pool_samples(model, samples: Sequence[TierSample],
-                 memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
-    """Frozen embeddings of a trained tier, pooled into next-tier samples."""
+                 memberships: Sequence[Optional[MembershipMatrix]]) -> list[TierSample]:
+    """Frozen embeddings of a trained tier, pooled into next-tier samples;
+    `memberships` pool those samples in turn (None at the top tier)."""
     return [pool_sample(model.embed(s.x, s.a_norm), s, m)
             for s, m in zip(samples, memberships)]
 
 
 def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
-                      memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
+                      memberships: Sequence[Optional[MembershipMatrix]]) -> list[TierSample]:
     """Frozen embeddings of a trained tier, pooled into next-tier samples."""
     return pool_samples(model, samples, memberships)
 
@@ -304,15 +322,17 @@ def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
 def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, MembershipMatrix]],
                         train: Callable, pool: Callable) -> dict[int, list[float]]:
     """Bottom-up schedule: train a tier with `train(tier, model, samples)`,
-    freeze it, build the next tier's samples with `pool`, move up."""
+    freeze it, build the next tier's samples with `pool`, move up. Each
+    graph's dense adjacency is pooled as its sample is built, so one
+    graph's N x N x s array at a time is alive, not the corpus's."""
     _check_models(models)
     if not items:
         raise ValueError("empty corpus")
-    samples = [tier_sample(g.x, coo_to_dense(g)) for g, _ in items]
-    memberships = ([m for _, m in items],
-                   [graph_tier_membership(m.num_groups) for _, m in items], None)
+    samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in items]
+    next_memberships = ([graph_tier_membership(m.num_groups) for _, m in items],
+                        [None] * len(items), None)
     hist = {}
-    for model, ms in zip(models, memberships):
+    for model, ms in zip(models, next_memberships):
         hist[model.tier] = train(model.tier, model, samples)
         if ms is not None:
             samples = pool(model, samples, ms)
@@ -338,14 +358,14 @@ def encode_tiers(graph: Graph, m1: MembershipMatrix,
         raise ShapeMismatchError(
             f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
         )
-    s = tier_sample(graph.x, coo_to_dense(graph))
+    s = tier_sample(graph.x, coo_to_dense(graph), m1)
     coo = (graph.edge_index, graph.edge_attr)
     rep = TieredRepresentation()
-    for model, m in zip(models, (m1, graph_tier_membership(m1.num_groups))):
+    for model, m_next in zip(models, (graph_tier_membership(m1.num_groups), None)):
         z = model.embed(s.x, s.a_norm)
-        rep.tiers.append(TierBundle(s.x, *coo, m.m, z))
-        s = pool_sample(z, s, m)
-        coo = dense_to_coo(s.a)
+        rep.tiers.append(TierBundle(s.x, *coo, s.m.m, z))
+        coo = dense_to_coo(s.pooled_a)
+        s = pool_sample(z, s, m_next)
     rep.tiers.append(TierBundle(s.x, *coo, None, models[2].embed(s.x, s.a_norm)))
     return rep
 

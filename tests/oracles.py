@@ -7,15 +7,24 @@ against them bit for bit.
 
 `fit_tier_per_graph` is the epoch loop as it was before training stacked
 same-size graphs: one graph at a time, with each graph's noise drawn on its
-own, in sample order.
+own, in sample order. `fit_tier_one_tape` is the stacked epoch loop as it
+was before each stack got a tape of its own: every stack of an epoch on
+one tape, and one backward sweep over it.
 """
+
+import math
 
 import numpy as np
 
 from tiergae.autodiff import Adam, Tape
-from tiergae.errors import DuplicateEdgeError, IndexOutOfRangeError, ShapeMismatchError
+from tiergae.errors import (
+    DomainError,
+    DuplicateEdgeError,
+    IndexOutOfRangeError,
+    ShapeMismatchError,
+)
 from tiergae.graphs import Graph, MembershipMatrix, Violation, adjacency_array
-from tiergae.tgae import TierSample, bce_weights, tier_sample
+from tiergae.tgae import TierSample, bce_weights, stack_samples, tier_sample
 
 
 def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
@@ -201,6 +210,35 @@ def fit_tier_per_graph(model, samples, config, rng=None) -> list[float]:
         tape.backward(total)
         opt.step()
         history.append(float(tape.value(total)))
+    return history
+
+
+def fit_tier_one_tape(model, samples, config, noise=None) -> list[float]:
+    """Full-batch Adam on the mean per-graph loss, every stack of an epoch
+    on one tape."""
+    if not samples:
+        raise ValueError("training a tier needs at least one sample")
+    stacks = stack_samples(samples)
+    node_rows = sum(s.x.shape[0] for s in samples)
+    opt = Adam(model.params(), lr=config.lr)
+    history: list[float] = []
+    for epoch in range(config.epochs):
+        tape = Tape()
+        opt.zero_grads()
+        eps = None if noise is None else noise.standard_normal((node_rows, model.d_z))
+        total = None
+        for st in stacks:
+            st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
+            loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+                                 config, st_eps)
+            total = loss if total is None else tape.add(total, loss)
+        total = tape.scalar_mul(1.0 / len(samples), total)
+        loss = float(tape.value(total))
+        if not math.isfinite(loss):
+            raise DomainError(f"tier {model.tier}: epoch {epoch} loss is {loss}")
+        tape.backward(total)
+        opt.step()
+        history.append(loss)
     return history
 
 

@@ -354,10 +354,10 @@ def test_criterion_6_tier_invariances():
             assert delta <= 1e-9, f"relabeling moved z3 by {delta}"
 
         # train exactly one tier; the other two must not move a bit
-        sample = tier_sample(path4_features(), path4_adjacency())
+        sample = tier_sample(path4_features(), path4_adjacency(), path4_membership())
         t2 = next_tier_samples(
             make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=1))[0],
-            [sample], [path4_membership()],
+            [sample], [None],
         )
         for trained_idx, train_samples in ((0, [sample]), (1, t2)):
             fresh = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=5))

@@ -734,6 +734,15 @@ def test_main_unwritable_history_exits_2_and_names_it(tmp_path, capsys, corpus_p
     out = tmp_path / "model.json"
     assert main(["train", str(corpus_path), "--epochs", "1", "--out", str(out)]) == 2
     assert f"tiergae train: cannot write {history}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_unwritable_checkpoint_leaves_no_history(tmp_path, capsys, corpus_path):
+    out = tmp_path / "model.json"
+    out.mkdir()
+    assert main(["train", str(corpus_path), "--epochs", "1", "--out", str(out)]) == 2
+    assert f"tiergae train: cannot write {out}: " in capsys.readouterr().err
+    assert out.is_dir() and not (tmp_path / "model_history.csv").exists()
 
 
 def test_main_checkpoint_with_non_finite_param_exits_2(tmp_path, capsys, corpus_path,

@@ -1,4 +1,5 @@
-"""Training on stacks of same-size graphs against one graph at a time."""
+"""Training on stacks of same-size graphs against one graph at a time, and
+one tape per stack against one tape per epoch."""
 
 import copy
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from tiergae import tvgae
-from tiergae.autodiff import seeded_rng
+from tiergae.autodiff import Tape, seeded_rng
+from tiergae.errors import DomainError
 from tiergae.tgae import (
     NOISE_ROLE,
     RunConfig,
@@ -16,7 +18,7 @@ from tiergae.tgae import (
 )
 from tiergae.tvgae import make_variational_tier_models
 
-from oracles import fit_tier_per_graph, mixed_size_samples
+from oracles import assert_same_bits, fit_tier_one_tape, fit_tier_per_graph, mixed_size_samples
 
 # repeated sizes (3, 5), a singleton size (4) and a one-node graph
 SIZES = (3, 5, 1, 3, 4, 5, 3)
@@ -52,15 +54,19 @@ def test_stacks_hold_the_only_copy_of_x_and_a_norm():
             assert np.array_equal(samples[i].a_norm, before[i][1])
 
 
-@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
-def test_stacked_training_matches_one_graph_at_a_time(flavor):
+def flavor_setup(flavor):
+    """A tier-1 model, a run config and a factory of its noise generator."""
     if flavor == "tgae":
         model = make_tier_models(D_IN, RunConfig(hidden=6, d_z=D_Z, seed=3))[0]
-        config, rng = RunConfig(epochs=12, lr=0.01), lambda: None
-    else:
-        model = make_variational_tier_models(D_IN, RunConfig(hidden=6, d_z=D_Z, seed=3))[0]
-        config = RunConfig(epochs=12, lr=0.01, kl_weight=0.5)
-        rng = lambda: seeded_rng(3, 1, NOISE_ROLE)
+        return model, RunConfig(epochs=12, lr=0.01), lambda: None
+    model = make_variational_tier_models(D_IN, RunConfig(hidden=6, d_z=D_Z, seed=3))[0]
+    return (model, RunConfig(epochs=12, lr=0.01, kl_weight=0.5),
+            lambda: seeded_rng(3, 1, NOISE_ROLE))
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_stacked_training_matches_one_graph_at_a_time(flavor):
+    model, config, rng = flavor_setup(flavor)
     reference = copy.deepcopy(model)
     stacked = fit_tier(model, corpus(), config, rng())
     one_by_one = fit_tier_per_graph(reference, corpus(), config, rng())
@@ -83,7 +89,8 @@ def test_each_graph_gets_its_per_graph_noise(monkeypatch):
     epochs = 3
     fit_tier(model, corpus(), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
 
-    stacks = stack_samples(corpus())
+    # each epoch processes the stacks in reverse order
+    stacks = stack_samples(corpus())[::-1]
     assert len(seen) == epochs * len(stacks)
     per_graph = seeded_rng(4, 1, NOISE_ROLE)
     for epoch in range(epochs):
@@ -91,3 +98,56 @@ def test_each_graph_gets_its_per_graph_noise(monkeypatch):
         for st, noise in zip(stacks, seen[epoch * len(stacks):]):
             for j, i in enumerate(st.index):
                 assert np.array_equal(noise[j], draws[i])
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor):
+    model, config, rng = flavor_setup(flavor)
+    reference = copy.deepcopy(model)
+    streamed = fit_tier(model, corpus(), config, rng())
+    one_tape = fit_tier_one_tape(reference, corpus(), config, rng())
+    assert_same_bits(np.array(streamed), np.array(one_tape))
+    for p, q in zip(model.params(), reference.params()):
+        assert_same_bits(p.value, q.value)
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_each_tape_holds_one_stack(flavor, monkeypatch):
+    tapes = []
+
+    def spy(tape, loss_node):
+        tapes.append((tape.nodes[0].value.copy(), len(tape.nodes)))
+        return backward(tape, loss_node)
+
+    backward = Tape.backward
+    monkeypatch.setattr(Tape, "backward", spy)
+    model, config, rng = flavor_setup(flavor)
+    fit_tier(model, corpus(), config, rng())
+
+    def one_stack_nodes(st):
+        """Nodes on a tape that records the scaled loss of stack st alone."""
+        tape = Tape()
+        noise = np.zeros(st.x.shape[:2] + (D_Z,)) if flavor == "tvgae" else None
+        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+                             config, noise)
+        tape.scalar_mul(1.0, loss)
+        return len(tape.nodes)
+
+    stacks = stack_samples(corpus())
+    assert len(tapes) == config.epochs * len(stacks)
+    for k, (x, nodes) in enumerate(tapes):
+        st = stacks[-1 - k % len(stacks)]  # reverse order, every epoch
+        assert np.array_equal(x, st.x)
+        assert nodes == one_stack_nodes(st)
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_nan_in_one_stack_raises_at_epoch_0_before_any_update(flavor):
+    model, config, rng = flavor_setup(flavor)
+    samples = corpus()
+    samples[4].x[1, 2] = np.nan  # the only graph of size 4, so one stack of the four
+    initial = [p.value.copy() for p in model.params()]
+    with pytest.raises(DomainError, match=r"^tier 1: epoch 0 loss is nan$"):
+        fit_tier(model, samples, config, rng())
+    for p, before in zip(model.params(), initial):
+        assert_same_bits(p.value, before)

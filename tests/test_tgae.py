@@ -313,13 +313,16 @@ def test_tiered_training_rejects_empty_corpus():
 
 def test_next_tier_samples_shapes():
     models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=4))
-    s = tier_sample(path4_features(), path4_adjacency())
     m = path4_items()[0][1]
-    nxt = next_tier_samples(models[0], [s], [m])
+    s = tier_sample(path4_features(), path4_adjacency(), m)
+    # the tier-2 adjacency is pooled as the tier-1 sample is built
+    assert s.pooled_a.shape == (2, 2, 1)
+    nxt = next_tier_samples(models[0], [s], [graph_tier_membership(2)])
     assert len(nxt) == 1
     assert nxt[0].x.shape == (2, 3)
-    assert nxt[0].a.shape == (2, 2, 1)
+    assert nxt[0].a_norm.shape == (2, 2)
     assert nxt[0].target.shape == (2, 2)
+    assert nxt[0].pooled_a.shape == (1, 1, 1)
 
 
 # ---------------------------------------------------------------- inference
