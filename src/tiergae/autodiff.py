@@ -3,9 +3,18 @@
 A Tape records forward operations as an append-only list of nodes; node ids
 are topological by construction. backward() seeds the scalar loss with 1 and
 sweeps the tape once in reverse, accumulating vector-Jacobian products into
-Param.grad. The op set is what training records: fused GCN layers, the
-inner-product decoder, a BCE-on-logits loss and the KL terms. Every rule is
-checkable against central finite differences.
+Param.grad. The op set is what training records: fused GCN layers
+(`gcn_layer`), the inner-product decoder (`gram`, Z Z^T), a BCE-on-logits
+loss (`bce_logits`), the KL and reparameterization terms (`add`,
+`elementwise_mul`, `scalar_mul`, `exp`, `sum`, `clip`) and the pooling
+product of the end-to-end loss (`matmul`). Every rule is checkable against
+central finite differences.
+
+Constants get no gradient. A leaf made by `const` holds no Param and no
+vector-Jacobian product (VJP), so nothing reads a gradient formed for it; an
+op whose input is such a leaf may skip that gradient, and its VJP then
+returns None in that input's place, which backward skips. `gcn_layer` does
+so for the first layer's features, and requires a constant A.
 
 A stack of B matrices sits on a leading axis, (B, n, m). `matmul` multiplies
 2-D @ 2-D, or a stack slice by slice with a stack of the same B; `gcn_layer`
@@ -29,19 +38,6 @@ from .errors import NonScalarLossError, ShapeMismatchError
 
 def _as_f64(value) -> np.ndarray:
     return np.asarray(value, dtype=np.float64)
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Two-branch logistic; exp sees only non-positive arguments."""
-    x = _as_f64(x)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def softplus(x: np.ndarray) -> np.ndarray:
-    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); exp never overflows
-    and a NaN passes through without a warning."""
-    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
 @dataclass
@@ -69,7 +65,7 @@ class Param:
 class _Node:
     value: np.ndarray
     parents: tuple[int, ...]
-    vjp: Optional[Callable[[np.ndarray], tuple[np.ndarray, ...]]]
+    vjp: Optional[Callable[[np.ndarray], tuple[Optional[np.ndarray], ...]]]
     param: Optional[Param] = None
 
 
@@ -85,6 +81,9 @@ class Tape:
 
     def value(self, node: int) -> np.ndarray:
         return self.nodes[node].value
+
+    def _is_const(self, node: int) -> bool:
+        return self.nodes[node].vjp is None and self.nodes[node].param is None
 
     def const(self, value) -> int:
         """Leaf with no gradient path (inputs, masks, fixed noise)."""
@@ -107,13 +106,14 @@ class Tape:
         return self._record(va @ vb, (a, b), lambda g: (
             g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g))
 
-    def transpose(self, a: int) -> int:
-        """Swap the last two axes of a matrix or of each matrix in a stack."""
-        va = self.value(a)
-        if va.ndim not in (2, 3):
-            raise ShapeMismatchError(f"transpose: need 2-D or 3-D, got {va.shape}")
-        return self._record(np.swapaxes(va, -1, -2), (a,),
-                            lambda g: (np.swapaxes(g, -1, -2),))
+    def gram(self, z: int) -> int:
+        """Z Z^T of a matrix, or of each matrix in a stack."""
+        vz = self.value(z)
+        if vz.ndim not in (2, 3):
+            raise ShapeMismatchError(f"gram: need 2-D or 3-D, got {vz.shape}")
+        vt = np.swapaxes(vz, -1, -2)
+        return self._record(vz @ vt, (z,), lambda g: (
+            g @ vz + np.swapaxes(vt @ g, -1, -2),))
 
     def add(self, a: int, b: int) -> int:
         va, vb = self.value(a), self.value(b)
@@ -150,7 +150,8 @@ class Tape:
         """One GCN layer, act((A @ H) @ W + b) with act relu or identity, on
         a graph, H (n, d_in) with A (n, n), or a stack, H (B, n, d_in) with
         A (B, n, n). W (d_in, d_out) and b (1, d_out) are shared across the
-        stack. A must be a constant: no gradient is formed for it."""
+        stack. A must be a constant: no gradient is formed for it, nor for
+        an H that is a constant."""
         va, vh, vw, vb = (self.value(i) for i in (a_norm, h, w, b))
         if (vh.ndim not in (2, 3) or va.shape != vh.shape[:-1] + vh.shape[-2:-1]
                 or vw.ndim != 2 or vh.shape[-1] != vw.shape[0]
@@ -158,8 +159,9 @@ class Tape:
             raise ShapeMismatchError(
                 f"gcn_layer: A {va.shape}, H {vh.shape}, W {vw.shape}, b {vb.shape}"
             )
-        if self.nodes[a_norm].vjp is not None or self.nodes[a_norm].param is not None:
+        if not self._is_const(a_norm):
             raise ValueError("gcn_layer: A must be a constant node")
+        h_const = self._is_const(h)
         ah = va @ vh
         pre = ah @ vw + vb
 
@@ -168,7 +170,7 @@ class Tape:
                 g = g * (pre > 0)
             # one GEMM over all B*n rows sums the per-slice gradients
             g2 = g.reshape(-1, g.shape[-1])
-            return (np.swapaxes(va, -1, -2) @ (g @ vw.T),
+            return (None if h_const else np.swapaxes(va, -1, -2) @ (g @ vw.T),
                     ah.reshape(-1, ah.shape[-1]).T @ g2,
                     g2.sum(axis=0, keepdims=True))
 
@@ -178,18 +180,44 @@ class Tape:
         """Weighted BCE on logits l: (sum(c1 softplus(-l)) + sum(c2 softplus(l)))
         / count, with c1, c2 constant arrays shaped like l. Its gradient is
         (c2 sigmoid(l) - c1 sigmoid(-l)) / count. A NaN or infinite logit
-        gives a loss that is not finite, without a warning."""
+        gives a loss that is not finite, without a warning.
+
+        softplus(+-l) = max(+-l, 0) + log1p(e) and sigmoid(+-l) is 1 / (1 + e)
+        or e / (1 + e), picked by the sign of +-l, all from one e = exp(-|l|),
+        so exp never overflows and the backward pass calls no exp."""
         vl = self.value(logits)
         c1, c2 = _as_f64(c1), _as_f64(c2)
         if c1.shape != vl.shape or c2.shape != vl.shape:
             raise ShapeMismatchError(
                 f"bce_logits: logits {vl.shape}, weights {c1.shape} and {c2.shape}"
             )
+        # in place where it can be: a fresh N x N temporary costs more in
+        # allocation and page faults than the arithmetic on it
+        e = np.abs(vl)
+        np.exp(np.negative(e, out=e), out=e)
+        log1p_e = np.log1p(e)
+        term = np.negative(vl)
+        np.maximum(term, 0.0, out=term)
         with np.errstate(invalid="ignore"):  # 0 * inf on an infinite logit
-            loss = ((c1 * softplus(-vl)).sum() + (c2 * softplus(vl)).sum()) / count
+            term += log1p_e
+            term *= c1
+            loss = term.sum()
+            np.maximum(vl, 0.0, out=term)
+            term += log1p_e
+            term *= c2
+            loss = (loss + term.sum()) / count
 
         def vjp(g):
-            return ((c2 * stable_sigmoid(vl) - c1 * stable_sigmoid(-vl)) * (float(g) / count),)
+            big = 1.0 + e
+            small = np.divide(e, big)
+            np.divide(1.0, big, out=big)
+            grad = np.where(vl >= 0, big, small)  # sigmoid(l)
+            grad *= c2
+            np.copyto(small, big, where=vl <= 0)  # sigmoid(-l)
+            small *= c1
+            grad -= small
+            grad *= float(g) / count
+            return (grad,)
 
         return self._record(loss, (logits,), vjp)
 
@@ -212,6 +240,8 @@ class Tape:
             if node.vjp is None:
                 continue
             for pid, pg in zip(node.parents, node.vjp(g)):
+                if pg is None:
+                    continue
                 if pid in grads:
                     grads[pid] = grads[pid] + pg
                 else:

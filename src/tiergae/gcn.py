@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Param, Tape, glorot_uniform
 from .errors import NegativeWeightError, ShapeMismatchError
-from .graphs import adjacency_array
+from .graphs import adjacency_array, edge_mask
 
 MIN_LAYERS = 2
 MAX_LAYERS = 6
@@ -96,8 +96,7 @@ def make_encoder(d_in: int, hidden: int, d_z: int, k: int,
 
 def binary_collapse(a) -> np.ndarray:
     """N x N x s adjacency -> binary N x N existence matrix."""
-    arr = adjacency_array(a)
-    return (arr != 0.0).any(axis=2).astype(np.float64)
+    return edge_mask(adjacency_array(a)).astype(np.float64)
 
 
 def gcn_norm(a) -> np.ndarray:

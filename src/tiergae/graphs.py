@@ -102,6 +102,17 @@ def adjacency_array(a) -> np.ndarray:
     return arr
 
 
+def edge_mask(arr: np.ndarray) -> np.ndarray:
+    """N x N bool mask of the cells of an N x N x s array with any nonzero
+    channel: a NaN counts as nonzero, -0.0 as zero. Equal to
+    `(arr != 0).any(axis=2)`, but built as an OR over the s channels,
+    since numpy's reduction over a short last axis is the slower path."""
+    mask = np.zeros(arr.shape[:2], dtype=bool)
+    for c in range(arr.shape[2]):
+        mask |= arr[:, :, c] != 0.0
+    return mask
+
+
 def _edge_cells(edge_index: np.ndarray, n: int):
     """Per-edge bookkeeping for a 2 x U edge index over n nodes.
 
@@ -155,7 +166,7 @@ def dense_to_coo(a) -> tuple[np.ndarray, np.ndarray]:
     arr = adjacency_array(a)
     if not np.isfinite(arr).all():
         raise ValueError("dense adjacency contains non-finite entries")
-    i, j = np.nonzero(arr.any(axis=2))  # row-major; -0.0 counts as zero
+    i, j = np.nonzero(edge_mask(arr))  # row-major
     return np.array([i, j], dtype=np.int64), arr[i, j]
 
 

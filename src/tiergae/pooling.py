@@ -19,10 +19,12 @@ other float leaves it unchanged, so skipping them changes no bit.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .graphs import MembershipMatrix, adjacency_array
+from .graphs import MembershipMatrix, adjacency_array, edge_mask
 
 
 def _group_of(m: np.ndarray) -> np.ndarray:
@@ -42,8 +44,11 @@ def pool_features(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
     return out
 
 
-def pool_adjacency(a, m: MembershipMatrix) -> np.ndarray:
-    """Per-channel M^T A M via ordered accumulation over entries (i, j)."""
+def pool_adjacency(a, m: MembershipMatrix, mask: Optional[np.ndarray] = None) -> np.ndarray:
+    """Per-channel M^T A M via ordered accumulation over entries (i, j).
+    A caller that has a's edge mask already passes it as `mask`: an N x N
+    array that is nonzero exactly where a has a nonzero channel (its
+    `edge_mask`, or `gcn.binary_collapse`)."""
     arr = adjacency_array(a)
     if arr.shape[0] != m.num_nodes:
         raise ShapeMismatchError(
@@ -53,7 +58,7 @@ def pool_adjacency(a, m: MembershipMatrix) -> np.ndarray:
         raise ValueError("adjacency contains non-finite entries")
     group = _group_of(m.m)
     g = m.num_groups
-    i, j = np.nonzero(arr.any(axis=2))  # row-major
+    i, j = np.nonzero(edge_mask(arr) if mask is None else mask)  # row-major
     out = np.zeros((g * g, arr.shape[2]), dtype=np.float64)
     np.add.at(out, group[i] * g + group[j], arr[i, j])
     return out.reshape(g, g, arr.shape[2])

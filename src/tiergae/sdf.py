@@ -332,9 +332,7 @@ def formula_from_features(x: np.ndarray) -> str:
     """Recompute the Hill formula from one-hot node features alone; atoms in
     the catch-all bucket surface as X."""
     x = np.asarray(x)
-    counts: dict[str, int] = {}
-    for row in x:
-        idx = int(np.argmax(row[: OTHER_BUCKET + 1]))
-        symbol = ELEMENT_VOCAB[idx] if idx < OTHER_BUCKET else "X"
-        counts[symbol] = counts.get(symbol, 0) + 1
-    return _hill_formula(counts)
+    idx = np.argmax(x[:, : OTHER_BUCKET + 1], axis=1)
+    counts = np.bincount(idx, minlength=OTHER_BUCKET + 1)
+    symbols = ELEMENT_VOCAB + ("X",)
+    return _hill_formula({symbols[i]: int(k) for i, k in enumerate(counts) if k})

@@ -88,11 +88,13 @@ class TierSample:
     binary reconstruction target, and the membership m that pools the tier
     into the next with the adjacency already pooled through it (both None
     at the top tier). The tier's own N x N x s adjacency is not kept. Once
-    the tier is trained, x and a_norm are views into its `TierStack`."""
+    the tier's samples are stacked for training, x and a_norm are views
+    into its `TierStack` and target is None: the stack's `BceWeights`
+    replace it."""
 
     x: np.ndarray
     a_norm: np.ndarray                 # N x N
-    target: np.ndarray                 # N x N binary
+    target: Optional[np.ndarray]       # N x N binary
     m: Optional[MembershipMatrix]      # N x G
     pooled_a: Optional[np.ndarray]     # G x G x s
 
@@ -148,7 +150,7 @@ def make_tier_models(d_in: int, cfg: RunConfig = RunConfig()) -> list[TierModel]
 def decode_adjacency(tape: Tape, z: int) -> int:
     """Edge logits Z Z^T of a graph or of each graph in a stack; the edge
     probabilities are their sigmoid."""
-    return tape.matmul(z, tape.transpose(z))
+    return tape.gram(z)
 
 
 def decode_adjacency_numpy(z: np.ndarray) -> np.ndarray:
@@ -157,14 +159,14 @@ def decode_adjacency_numpy(z: np.ndarray) -> np.ndarray:
     return z @ z.T
 
 
-def reconstruction_target(a) -> np.ndarray:
-    """Binary existence target: off-diagonal entries for N > 1.
+def reconstruction_target(exist: np.ndarray) -> np.ndarray:
+    """Binary target from the N x N existence matrix of an adjacency (its
+    `binary_collapse`): off-diagonal entries for N > 1.
 
     A 1-node graph has no off-diagonal entries, so its target degenerates to
     the single self-loop-existence bit; without this the top-tier loss would
     be a constant.
     """
-    exist = binary_collapse(a)
     n = exist.shape[0]
     if n == 1:
         return exist
@@ -203,14 +205,16 @@ def reconstruction_loss(tape: Tape, logits: int, bce: BceWeights) -> int:
 
 def tier_sample(x: np.ndarray, a, m: Optional[MembershipMatrix] = None) -> TierSample:
     """The sample of features x and adjacency a, pooled through m for the
-    next tier unless m is None."""
+    next tier unless m is None. The edge mask of a is computed once and
+    feeds the normalized adjacency, the target and the pooling."""
     arr = adjacency_array(a)
+    exist = binary_collapse(arr)
     return TierSample(
         x=np.asarray(x, dtype=np.float64),
-        a_norm=gcn_norm(binary_collapse(arr)),
-        target=reconstruction_target(arr),
+        a_norm=gcn_norm(exist),
+        target=reconstruction_target(exist),
         m=m,
-        pooled_a=None if m is None else pool_adjacency(arr, m),
+        pooled_a=None if m is None else pool_adjacency(arr, m, exist),
     )
 
 
@@ -218,10 +222,14 @@ def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
     """Group the samples by node count, smallest N first, into `TierStack`s.
 
     Each sample's x and a_norm become views into its stack, so the stack
-    holds the only copy of them.
+    holds the only copy of them, and its target is dropped, since only the
+    stack's `BceWeights` are read from then on. So a sample is stacked, and
+    trained, once: stacking it again is a ValueError.
     """
     by_n: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
+        if s.target is None:
+            raise ValueError(f"sample {i} was stacked for training already")
         by_n.setdefault(s.x.shape[0], []).append(i)
     starts = np.cumsum([0] + [s.x.shape[0] for s in samples])
     stacks = []
@@ -236,6 +244,7 @@ def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
         )
         for j, i in enumerate(index):
             samples[i].x, samples[i].a_norm = stack.x[j], stack.a_norm[j]
+            samples[i].target = None
         stacks.append(stack)
     return stacks
 
@@ -389,21 +398,20 @@ def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
     _check_models(models)
     if len(noises) != 3:
         raise ValueError(f"need one noise array per tier, got {len(noises)}")
-    a_cur = adjacency_array(a)
+    a_cur = a
     # the graph is a stack of one: every array gets a leading axis of 1
     x_node = tape.const(np.asarray(x, dtype=np.float64)[None])
     memberships = (m1, graph_tier_membership(m1.num_groups), None)
     total = None
     for model, m, noise in zip(models, memberships, noises):
-        a_norm = tape.const(gcn_norm(binary_collapse(a_cur))[None])
+        s = tier_sample(tape.value(x_node)[0], a_cur, m)
         if noise is not None:
             noise = np.asarray(noise, dtype=np.float64)[None]
-        loss, pooled = model.loss(tape, x_node, a_norm,
-                                  bce_weights(reconstruction_target(a_cur)[None]),
-                                  config, noise)
+        loss, pooled = model.loss(tape, x_node, tape.const(s.a_norm[None]),
+                                  bce_weights(s.target[None]), config, noise)
         total = loss if total is None else tape.add(total, loss)
         if m is not None:
             x_node = tape.matmul(tape.const(m.m.T.copy()[None]), pooled)
-            a_cur = pool_adjacency(a_cur, m)
+            a_cur = s.pooled_a
     return total
 

@@ -10,6 +10,14 @@ same-size graphs: one graph at a time, with each graph's noise drawn on its
 own, in sample order. `fit_tier_one_tape` is the stacked epoch loop as it
 was before each stack got a tape of its own: every stack of an epoch on
 one tape, and one backward sweep over it.
+
+`formula_from_features_loop` is `sdf.formula_from_features` with one
+`argmax` per atom.
+
+`bce_logits_two_softplus` and `decode_adjacency_matmul` are the loss and
+decoder as they were before `Tape.bce_logits` was fused and `Tape.gram`
+replaced a matmul with a transpose node: two `softplus` passes forward, two
+`stable_sigmoid` calls backward, and Z Z^T as two tape nodes.
 """
 
 import math
@@ -24,7 +32,52 @@ from tiergae.errors import (
     ShapeMismatchError,
 )
 from tiergae.graphs import Graph, MembershipMatrix, Violation, adjacency_array
+from tiergae.sdf import ELEMENT_VOCAB, OTHER_BUCKET, _hill_formula
 from tiergae.tgae import TierSample, bce_weights, stack_samples, tier_sample
+
+
+def formula_from_features_loop(x: np.ndarray) -> str:
+    x = np.asarray(x)
+    counts: dict[str, int] = {}
+    for row in x:
+        idx = int(np.argmax(row[: OTHER_BUCKET + 1]))
+        symbol = ELEMENT_VOCAB[idx] if idx < OTHER_BUCKET else "X"
+        counts[symbol] = counts.get(symbol, 0) + 1
+    return _hill_formula(counts)
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Two-branch logistic; exp sees only non-positive arguments."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def softplus(x: np.ndarray) -> np.ndarray:
+    """log(1 + exp(x)) as max(x, 0) + log1p(exp(-|x|)); exp never overflows
+    and a NaN passes through without a warning."""
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
+def bce_logits_two_softplus(tape: Tape, logits: int, c1, c2, count: float) -> int:
+    """`Tape.bce_logits` with a softplus per term and a sigmoid per term of
+    its gradient; takes the tape first, so it can stand in for the method."""
+    vl = tape.value(logits)
+    c1, c2 = np.asarray(c1, dtype=np.float64), np.asarray(c2, dtype=np.float64)
+    with np.errstate(invalid="ignore"):  # 0 * inf on an infinite logit
+        loss = ((c1 * softplus(-vl)).sum() + (c2 * softplus(vl)).sum()) / count
+
+    def vjp(g):
+        return ((c2 * stable_sigmoid(vl) - c1 * stable_sigmoid(-vl)) * (float(g) / count),)
+
+    return tape._record(loss, (logits,), vjp)
+
+
+def decode_adjacency_matmul(tape: Tape, z: int) -> int:
+    """Z Z^T as a transpose node and a matmul node."""
+    zt = tape._record(np.swapaxes(tape.value(z), -1, -2), (z,),
+                      lambda g: (np.swapaxes(g, -1, -2),))
+    return tape.matmul(z, zt)
 
 
 def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:

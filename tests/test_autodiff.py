@@ -8,13 +8,18 @@ from tiergae.autodiff import (
     Tape,
     glorot_uniform,
     seeded_rng,
-    softplus,
-    stable_sigmoid,
     zero_grads,
 )
 from tiergae.cli import params_state, set_params_state
 from tiergae.errors import ConfigError, NonScalarLossError, ShapeMismatchError
 
+from oracles import (
+    assert_same_bits,
+    bce_logits_two_softplus,
+    decode_adjacency_matmul,
+    softplus,
+    stable_sigmoid,
+)
 from test_acceptance import _op_cases
 
 # Tape methods that record leaves, read values or run the sweep; every other
@@ -30,7 +35,8 @@ def test_op_inventory_matches_gradchecks():
 
 
 def test_sigmoid_at_zero():
-    # the logistic behind bce_logits' gradient, with softplus its integral
+    # the reference logistic and softplus that the fused bce_logits is checked
+    # against bit for bit
     assert np.array_equal(stable_sigmoid(np.zeros((2, 3))), np.full((2, 3), 0.5))
     assert np.allclose(softplus(np.zeros(2)), np.log(2.0), rtol=1e-15, atol=0.0)
     big = np.array([-1e3, 1e3])
@@ -95,7 +101,7 @@ def test_gradcheck_every_op():
     _check_binary("matmul", rng.standard_normal((3, 4)), rng.standard_normal((4, 2)))
     _check_binary("add", m, rng.standard_normal((3, 4)))
     _check_binary("elementwise_mul", m, rng.standard_normal((3, 4)))
-    _check_unary("transpose", m)
+    _check_unary("gram", m)
     _check_unary("exp", m)
     # kink safety: keep clip inputs away from the bounds, otherwise finite
     # differences straddle the corner
@@ -103,7 +109,7 @@ def test_gradcheck_every_op():
     # stacks of B matrices
     stack = rng.standard_normal((3, 4, 5))
     _check_binary("matmul", stack, rng.standard_normal((3, 5, 2)))
-    _check_unary("transpose", stack)
+    _check_unary("gram", stack)
 
     # scalar_mul takes the constant first, outside the generic helper shape
     p = Param(m.copy(), name="p")
@@ -131,7 +137,7 @@ def test_gradcheck_composition():
         a_node = t.const(a)
         h = t.gcn_layer(a_node, t.const(x), t.param(w1), t.param(b1), relu=True)
         z = t.gcn_layer(a_node, h, t.param(w2), t.param(b2), relu=False)
-        return t, t.bce_logits(t.matmul(z, t.transpose(z)), c1, c2, 12.0)
+        return t, t.bce_logits(t.gram(z), c1, c2, 12.0)
 
     t, loss = forward()
     t.backward(loss)
@@ -192,7 +198,7 @@ def test_shape_mismatches_rejected():
     with pytest.raises(ShapeMismatchError):
         t.matmul(stack, t.const(np.ones((2, 3, 2))))  # inner widths 4 vs 3
     with pytest.raises(ShapeMismatchError):
-        t.transpose(t.const(np.ones((2, 2, 2, 2))))
+        t.gram(t.const(np.ones((2, 2, 2, 2))))
     a3, w, b = t.const(np.ones((2, 3, 3))), t.const(np.ones((4, 2))), t.const(np.ones((1, 2)))
     with pytest.raises(ShapeMismatchError):
         t.gcn_layer(a3, stack, w, t.const(np.ones((1, 3))), relu=True)  # bias width
@@ -221,6 +227,74 @@ def test_bce_logits_non_finite_logit_gives_non_finite_loss():
         logits = t.const(np.array([[bad, 0.0], [1.0, -2.0]]))
         loss = t.bce_logits(logits, np.eye(2), 1.0 - np.eye(2), 4.0)
         assert not np.isfinite(t.value(loss))
+
+
+def _bce_loss_and_grad(bce, logits, c1, c2, count):
+    p = Param(logits.copy(), name="logits")
+    t = Tape()
+    loss = bce(t, t.param(p), c1, c2, count)
+    t.backward(loss)
+    return t.value(loss), p.grad
+
+
+def test_bce_logits_matches_two_softplus_bit_for_bit():
+    # zero of either sign (where both sigmoid branches meet), saturated and
+    # infinite logits of either sign, NaN, and ordinary values, each under
+    # weights that are zero, positive or both; NaN and inf rows give a loss
+    # that is not finite, whose bits must match too
+    special = np.array([0.0, -0.0, 700.0, -700.0, 36.0, -36.0, 1e-300, -2.5])
+    for extra in (None, np.inf, -np.inf, np.nan):
+        row = special if extra is None else np.append(special, extra)
+        logits = np.stack([row, row[::-1], -row])
+        rng = np.random.default_rng(int(len(row)))
+        c1 = rng.uniform(0.0, 3.0, logits.shape) * (rng.random(logits.shape) < 0.7)
+        c2 = rng.uniform(0.0, 3.0, logits.shape) * (rng.random(logits.shape) < 0.7)
+        for count in (1.0, 7.0):
+            got = _bce_loss_and_grad(Tape.bce_logits, logits, c1, c2, count)
+            want = _bce_loss_and_grad(bce_logits_two_softplus, logits, c1, c2, count)
+            assert_same_bits(got[0], want[0])
+            assert_same_bits(got[1], want[1])
+
+
+@pytest.mark.parametrize("shape", [(5, 3), (4, 6, 2), (1, 1), (2, 1, 1)])
+def test_gram_matches_matmul_of_transpose_bit_for_bit(shape):
+    rng = seeded_rng(17)
+    z = rng.standard_normal(shape) * 10.0 ** rng.integers(-6, 6, size=shape)
+    weight = rng.standard_normal(shape[:-1] + shape[-2:-1])
+    grads = []
+    for decode in (lambda t, node: t.gram(node), decode_adjacency_matmul):
+        p = Param(z.copy(), name="z")
+        t = Tape()
+        out = decode(t, t.param(p))
+        t.backward(t.sum(t.elementwise_mul(t.const(weight), out)))
+        grads.append((t.value(out), p.grad))
+    assert_same_bits(grads[0][0], grads[1][0])
+    assert_same_bits(grads[0][1], grads[1][1])
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_constant_input_gcn_layer_forms_no_input_gradient(relu):
+    # the features of a first layer are a constant: its vjp returns None for
+    # them, and the weight and bias gradients keep their bits from a run in
+    # which the same features carry a gradient path
+    rng = seeded_rng(23)
+    a = rng.uniform(0.0, 1.0, (3, 5, 5))
+    x = rng.standard_normal((3, 5, 4))
+    w0, b0 = rng.standard_normal((4, 2)), rng.standard_normal((1, 2))
+    weight = rng.standard_normal((3, 5, 2))
+    grads, vjps = [], []
+    for constant in (True, False):
+        w, b = Param(w0.copy(), name="w"), Param(b0.copy(), name="b")
+        t = Tape()
+        h = t.const(x) if constant else t.param(Param(x.copy(), name="x"))
+        layer = t.gcn_layer(t.const(a), h, t.param(w), t.param(b), relu)
+        t.backward(t.sum(t.elementwise_mul(t.const(weight), layer)))
+        grads.append((w.grad, b.grad))
+        vjps.append(t.nodes[layer].vjp(weight))
+    assert vjps[0][0] is None
+    assert vjps[1][0].shape == x.shape
+    for got, want in zip(grads[0] + vjps[0][1:], grads[1] + vjps[1][1:]):
+        assert_same_bits(got, want)
 
 
 def test_unreached_param_untouched():
@@ -340,12 +414,12 @@ def test_batched_ops_match_per_slice():
     bias = Param(rng.standard_normal((1, 2)), name="bias")
     t = Tape()
     xy = t.value(t.matmul(t.const(x), t.const(y)))
-    xt = t.value(t.transpose(t.const(x)))
+    xx = t.value(t.gram(t.const(x)))
     layer = t.gcn_layer(t.const(a), t.const(x), t.param(w), t.param(bias), relu=False)
     t.backward(t.sum(layer))
     for b in range(3):
         assert np.allclose(xy[b], x[b] @ y[b], rtol=1e-14, atol=0.0)
-        assert np.array_equal(xt[b], x[b].T)
+        assert np.allclose(xx[b], x[b] @ x[b].T, rtol=1e-14, atol=0.0)
         assert np.allclose(t.value(layer)[b], a[b] @ x[b] @ w.value + bias.value,
                            rtol=1e-14, atol=0.0)
     assert np.allclose(w.grad, sum((a[b] @ x[b]).T @ np.ones((4, 2)) for b in range(3)),

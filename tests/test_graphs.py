@@ -16,6 +16,7 @@ from tiergae.graphs import (
     adjacency_array,
     coo_to_dense,
     dense_to_coo,
+    edge_mask,
     permute_graph,
     validate,
 )
@@ -112,6 +113,22 @@ def test_round_trip_property(seed, n, s):
     edge_index, edge_attr = dense_to_coo(dense)
     rebuilt = Graph(x=g.x, edge_index=edge_index, edge_attr=edge_attr)
     assert np.array_equal(coo_to_dense(rebuilt), dense)
+
+
+@settings(deadline=None, max_examples=100)
+@given(n=st.integers(1, 6), s=st.integers(1, 4), data=st.data())
+def test_edge_mask_matches_any_nonzero_channel(n, s, data):
+    # -0.0 is zero, NaN and the smallest subnormal are not
+    values = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -1.5, 2.0])
+    arr = np.array(data.draw(st.lists(values, min_size=n * n * s, max_size=n * n * s)),
+                   dtype=np.float64).reshape(n, n, s)
+    mask = edge_mask(arr)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, (arr != 0).any(axis=2))
+
+
+def test_edge_mask_without_channels_is_empty():
+    assert np.array_equal(edge_mask(np.zeros((3, 3, 0))), np.zeros((3, 3), dtype=bool))
 
 
 @settings(deadline=None, max_examples=30)

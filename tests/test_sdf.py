@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiergae.errors import (
     InvalidBondError,
@@ -21,6 +23,8 @@ from tiergae.sdf import (
     parse_sdf,
     write_sdf,
 )
+
+from oracles import formula_from_features_loop
 
 
 def atom_line(sym="C", code=0, x=0.0, y=0.0, z=0.0):
@@ -258,6 +262,21 @@ def test_featurize_vanillin_node_features(vanillin_mol):
 def test_formula_both_routes(vanillin_mol):
     assert formula_from_molecule(vanillin_mol) == "C8H8O3"
     assert formula_from_features(featurize(vanillin_mol).x) == "C8H8O3"
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40))
+def test_formula_from_features_matches_per_atom_argmax(seed, n):
+    # one-hot rows over every bucket, rows with ties and all-zero rows (the
+    # first maximum wins), and values in the charge and degree columns that
+    # exceed the one-hot entries and must be ignored
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, NODE_FEATURE_DIM))
+    x[np.arange(n), rng.integers(0, OTHER_BUCKET + 1, size=n)] = 1.0
+    x[rng.random(n) < 0.2, rng.integers(0, OTHER_BUCKET + 1)] = 1.0
+    x[rng.random(n) < 0.1, : OTHER_BUCKET + 1] = 0.0
+    x[:, OTHER_BUCKET + 1:] = rng.integers(-3, 6, size=(n, 2))
+    assert formula_from_features(x) == formula_from_features_loop(x)
 
 
 def test_formula_hill_ordering():

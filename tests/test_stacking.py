@@ -1,12 +1,13 @@
-"""Training on stacks of same-size graphs against one graph at a time, and
-one tape per stack against one tape per epoch."""
+"""Training on stacks of same-size graphs against one graph at a time, one
+tape per stack against one tape per epoch, and the fused tape ops against
+the unfused ones they replaced."""
 
 import copy
 
 import numpy as np
 import pytest
 
-from tiergae import tvgae
+from tiergae import tgae, tvgae
 from tiergae.autodiff import Tape, seeded_rng
 from tiergae.errors import DomainError
 from tiergae.tgae import (
@@ -15,10 +16,18 @@ from tiergae.tgae import (
     fit_tier,
     make_tier_models,
     stack_samples,
+    tier_sample,
 )
 from tiergae.tvgae import make_variational_tier_models
 
-from oracles import assert_same_bits, fit_tier_one_tape, fit_tier_per_graph, mixed_size_samples
+from oracles import (
+    assert_same_bits,
+    bce_logits_two_softplus,
+    decode_adjacency_matmul,
+    fit_tier_one_tape,
+    fit_tier_per_graph,
+    mixed_size_samples,
+)
 
 # repeated sizes (3, 5), a singleton size (4) and a one-node graph
 SIZES = (3, 5, 1, 3, 4, 5, 3)
@@ -40,6 +49,15 @@ def test_stacks_group_by_size_in_sample_order():
         assert st.x.shape == (len(st.index), n, D_IN)
         assert st.a_norm.shape == st.bce.c1.shape == st.bce.c2.shape == (len(st.index), n, n)
         assert st.rows.tolist() == [starts[i] + k for i in st.index for k in range(n)]
+
+
+def test_stacking_drops_the_targets_and_refuses_a_stacked_sample():
+    samples = corpus()
+    stacks = stack_samples(samples)
+    assert all(s.target is None for s in samples)
+    assert all(st.bce.c1.shape == st.a_norm.shape for st in stacks)
+    with pytest.raises(ValueError, match="^sample 0 was stacked for training already$"):
+        stack_samples(samples)
 
 
 def test_stacks_hold_the_only_copy_of_x_and_a_norm():
@@ -151,3 +169,27 @@ def test_nan_in_one_stack_raises_at_epoch_0_before_any_update(flavor):
         fit_tier(model, samples, config, rng())
     for p, before in zip(model.params(), initial):
         assert_same_bits(p.value, before)
+
+
+def large_corpus(seed=0):
+    """The mixed-size corpus plus a graph of 200 nodes and a one-node graph
+    with a self-loop, whose target is [[1]] like a tier-3 sample's."""
+    rng = np.random.default_rng(seed)
+    samples = mixed_size_samples(rng, SIZES + (200,), D_IN)
+    samples.append(tier_sample(rng.standard_normal((1, D_IN)), np.ones((1, 1, 2))))
+    return samples
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_training_matches_the_unfused_ops_bit_for_bit(flavor, monkeypatch):
+    model, config, rng = flavor_setup(flavor)
+    reference = copy.deepcopy(model)
+    fused = fit_tier(model, large_corpus(), config, rng())
+    monkeypatch.setattr(Tape, "bce_logits", bce_logits_two_softplus)
+    monkeypatch.setattr(tgae, "decode_adjacency", decode_adjacency_matmul)
+    monkeypatch.setattr(tvgae, "decode_adjacency", decode_adjacency_matmul)
+    unfused = fit_tier(reference, large_corpus(), config, rng())
+    assert len(fused) == config.epochs
+    assert_same_bits(np.array(fused), np.array(unfused))
+    for p, q in zip(model.params(), reference.params()):
+        assert_same_bits(p.value, q.value)

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Param, Tape, stable_sigmoid, zero_grads
+from tiergae.autodiff import Param, Tape, zero_grads
 from tiergae.cli import params_state
 from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
+from tiergae.gcn import binary_collapse
 from tiergae.graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
@@ -32,6 +33,7 @@ from tiergae.tgae import (
 
 from conftest import path4_adjacency, path4_features, recon_value
 from gradcheck import assert_grads_match, finite_difference_grads
+from oracles import assert_same_bits, stable_sigmoid
 
 
 def path4_graph() -> Graph:
@@ -82,13 +84,13 @@ def test_target_drops_diagonal_and_collapses_channels():
     a = np.zeros((3, 3, 2))
     a[0, 0, 0] = 5.0          # within-group mass parked on the diagonal
     a[0, 1, 1] = a[1, 0, 1] = 2.0
-    t = reconstruction_target(a)
+    t = reconstruction_target(binary_collapse(a))
     assert np.array_equal(t, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
 
 
 def test_target_single_node_keeps_self_loop_bit():
-    assert np.array_equal(reconstruction_target(np.array([[[3.0]]])), [[1.0]])
-    assert np.array_equal(reconstruction_target(np.array([[[0.0]]])), [[0.0]])
+    assert np.array_equal(reconstruction_target(binary_collapse(np.array([[[3.0]]]))), [[1.0]])
+    assert np.array_equal(reconstruction_target(binary_collapse(np.array([[[0.0]]]))), [[0.0]])
 
 
 # ---------------------------------------------------------------- loss
@@ -309,6 +311,25 @@ def test_tiered_training_rejects_empty_corpus():
     models = make_tier_models(4, RunConfig(hidden=4, d_z=2))
     with pytest.raises(ValueError):
         train_tiered(models, [], RunConfig(epochs=1))
+
+
+def test_tier_sample_computes_one_edge_mask(monkeypatch):
+    # the mask feeds the normalized adjacency, the target and the pooling
+    from tiergae import gcn, graphs, pooling
+
+    calls = []
+
+    def spy(arr):
+        calls.append(arr.shape)
+        return edge_mask(arr)
+
+    edge_mask = graphs.edge_mask
+    monkeypatch.setattr(gcn, "edge_mask", spy)
+    monkeypatch.setattr(pooling, "edge_mask", spy)
+    m = path4_items()[0][1]
+    s = tier_sample(path4_features(), path4_adjacency(), m)
+    assert calls == [(4, 4, 1)]
+    assert_same_bits(s.pooled_a, pool_adjacency(path4_adjacency(), m))
 
 
 def test_next_tier_samples_shapes():

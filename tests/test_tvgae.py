@@ -318,8 +318,10 @@ def test_fixed_logsigma_ablation_tracks_deterministic_model():
     det = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=seed))[0]
     det_hist = train_tier(det, [s], RunConfig(epochs=30, lr=0.01))
     var = make_variational_tier_models(4, RunConfig(hidden=6, d_z=3, seed=seed))[0]
+    # training drops the sample's target, so each run gets a sample of its own
     var_hist = train_tier_variational(
-        FixedLogsigmaModel(var.encoder_mu, var.tier), [s],
+        FixedLogsigmaModel(var.encoder_mu, var.tier),
+        [tier_sample(path4_features(), path4_adjacency())],
         RunConfig(epochs=30, lr=0.01), seeded_rng(seed, 1, NOISE_ROLE),
     )
     assert len(det_hist) == len(var_hist)
