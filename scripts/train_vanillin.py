@@ -16,8 +16,8 @@ import argparse
 import time
 from pathlib import Path
 
-from tiergae.fgroups import group_report, membership_from_partition, partition_molecule
-from tiergae.sdf import featurize, parse_sdf
+from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
+from tiergae.sdf import Molecule, featurize, parse_sdf
 from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
 from tiergae.tvgae import (
     encode_tiered_variational,
@@ -26,6 +26,15 @@ from tiergae.tvgae import (
 )
 
 DEFAULT_SDF = Path(__file__).resolve().parents[1] / "tests" / "data" / "vanillin.sdf"
+
+
+def group_report(mol: Molecule, p: GroupPartition) -> str:
+    """Human-readable group dump: one line per group, atoms with elements."""
+    lines = []
+    for g, kind in zip(p.groups, p.kinds):
+        atoms = " ".join(f"{mol.atoms[a].symbol}{a + 1}" for a in g)
+        lines.append(f"{kind:10s} [{atoms}]")
+    return "\n".join(lines)
 
 
 def parse_args() -> argparse.Namespace:

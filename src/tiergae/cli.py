@@ -5,11 +5,13 @@ File formats owned here:
               group partition, from which each membership matrix is rebuilt
   checkpoint  JSON map of named parameter collections plus the dimensions
               needed to rebuild the models
-  export      one JSON document per molecule with the full tiered bundle
+  export      one JSON document per molecule with the full tiered bundle;
+              a tier's membership is the group index of each of its nodes
   history     CSV (epoch, tier, loss) per training run
 
-Arrays are shape-tagged: {"shape": [...], "data": [row-major floats]}. All
-JSON is written with sorted keys so identical runs produce identical bytes.
+Arrays are shape-tagged: {"shape": [...], "data": [row-major floats]}, or
+ints for a membership. All JSON is written with sorted keys so identical
+runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .tvgae import (
 
 CORPUS_FORMAT_VERSION = 2
 CHECKPOINT_FORMAT_VERSION = 1
-EXPORT_FORMAT_VERSION = 1
+EXPORT_FORMAT_VERSION = 2
 
 MODELS = ("tgae", "tvgae")
 
@@ -50,11 +52,11 @@ MODELS = ("tgae", "tvgae")
 # ---------------------------------------------------------------------------
 # array and file serialization
 
-def array_to_json(arr: np.ndarray) -> dict:
+def array_to_json(arr: np.ndarray, dtype=np.float64) -> dict:
     arr = np.asarray(arr)
     return {
         "shape": [int(s) for s in arr.shape],
-        "data": np.asarray(arr, dtype=np.float64).ravel().tolist(),
+        "data": np.asarray(arr, dtype=dtype).ravel().tolist(),
     }
 
 
@@ -141,9 +143,22 @@ _ARRAY_SCHEMA = {
 }
 
 
+_MEMBERSHIP_SCHEMA = {
+    **_ARRAY_SCHEMA,
+    "properties": {
+        "shape": {**_ARRAY_SCHEMA["properties"]["shape"], "minItems": 1, "maxItems": 1},
+        "data": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+    },
+}
+
+
 def _tier_schema(with_membership: bool) -> dict:
-    keys = ["x", "edge_index", "edge_attr", "z"] + ["membership"] * with_membership
-    return {"type": "object", "properties": {key: _ARRAY_SCHEMA for key in keys},
+    keys = ["x", "edge_index", "edge_attr", "z"]
+    properties = {key: _ARRAY_SCHEMA for key in keys}
+    if with_membership:
+        keys.append("membership")
+        properties["membership"] = _MEMBERSHIP_SCHEMA
+    return {"type": "object", "properties": properties,
             "required": keys, "additionalProperties": False}
 
 
@@ -484,7 +499,7 @@ def _export_doc(entry: dict, rep, kind: str) -> dict:
             "z": array_to_json(bundle.z),
         }
         if bundle.membership is not None:
-            tier["membership"] = array_to_json(bundle.membership)
+            tier["membership"] = array_to_json(bundle.membership, dtype=np.int64)
         tiers[tier_no] = tier
     return {
         "format_version": EXPORT_FORMAT_VERSION,

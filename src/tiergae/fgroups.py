@@ -35,9 +35,6 @@ class GroupPartition:
     def group_count(self) -> int:
         return len(self.groups)
 
-    def functional_groups(self) -> list[tuple[int, ...]]:
-        return [g for g, k in zip(self.groups, self.kinds) if k == FUNCTIONAL]
-
 
 def _is_hydrogen(mol: Molecule, i: int) -> bool:
     return mol.atoms[i].symbol == "H"
@@ -118,8 +115,9 @@ def partition_molecule(mol: Molecule) -> GroupPartition:
 
 
 def membership_from_partition(p: GroupPartition, n: int) -> MembershipMatrix:
-    """Binary N x G matrix; columns ordered by smallest member index. The
-    groups are non-empty lists of ints (no bools) that cover [0, n) once."""
+    """Membership of n nodes in the partition's groups, the groups numbered
+    by smallest member index. The groups are non-empty lists of ints (no
+    bools) that cover [0, n) once."""
     if not isinstance(p.groups, (list, tuple)) or not all(
             isinstance(g, (list, tuple)) and g and all(type(a) is int for a in g)
             for g in p.groups):
@@ -130,16 +128,8 @@ def membership_from_partition(p: GroupPartition, n: int) -> MembershipMatrix:
             f"groups hold {len(covered)} atom indices, not each of [0, {n}) once"
         )
     order = sorted(range(p.group_count), key=lambda gi: min(p.groups[gi]))
-    m = np.zeros((n, p.group_count), dtype=np.float64)
+    group = np.empty(n, dtype=np.int64)
     for col, gi in enumerate(order):
-        m[list(p.groups[gi]), col] = 1.0
-    return MembershipMatrix(m)
+        group[list(p.groups[gi])] = col
+    return MembershipMatrix(group, p.group_count)
 
-
-def group_report(mol: Molecule, p: GroupPartition) -> str:
-    """Human-readable group dump: one line per group, atoms with elements."""
-    lines = []
-    for g, kind in zip(p.groups, p.kinds):
-        atoms = " ".join(f"{mol.atoms[a].symbol}{a + 1}" for a in g)
-        lines.append(f"{kind:10s} [{atoms}]")
-    return "\n".join(lines)

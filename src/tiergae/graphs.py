@@ -8,6 +8,7 @@ form is a plain N x N x s float64 array with one channel per edge feature.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,32 +54,33 @@ class Graph:
 
 @dataclass
 class MembershipMatrix:
-    """Binary N x G node-to-group assignment; rows are a hard partition."""
+    """Hard node-to-group assignment: node i is in group `group[i]`, in
+    [0, num_groups), and every group has a node. It stands for the binary
+    N x G matrix M with M[i, group[i]] = 1 and zeros elsewhere."""
 
-    m: np.ndarray
+    group: np.ndarray
+    num_groups: int
 
     def __post_init__(self):
-        self.m = np.asarray(self.m, dtype=np.float64)
-        if self.m.ndim != 2:
-            raise ShapeMismatchError(f"membership must be 2-D, got {self.m.shape}")
-        if not np.isin(self.m, (0.0, 1.0)).all():
-            raise ValueError("membership entries must be 0 or 1")
-        rows = self.m.sum(axis=1)
-        if not (rows == 1.0).all():
-            bad = int(np.flatnonzero(rows != 1.0)[0])
-            raise ValueError(f"membership row {bad} must sum to exactly 1")
-        cols = self.m.sum(axis=0)
-        if (cols < 1.0).any():
-            bad = int(np.flatnonzero(cols < 1.0)[0])
-            raise EmptyGroupError(f"membership column {bad} assigns no nodes")
+        group = np.asarray(self.group)
+        if group.ndim != 1:
+            raise ShapeMismatchError(f"membership must be 1-D, got {group.shape}")
+        if group.dtype.kind not in "iu":
+            raise ValueError(f"membership entries must be integer group indices, "
+                             f"got {group.dtype}")
+        self.num_groups = g = operator.index(self.num_groups)
+        bad = np.flatnonzero((group < 0) | (group >= g))
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"membership node {i} is in group {group[i]}, not in [0, {g})")
+        self.group = group.astype(np.int64)
+        empty = np.flatnonzero(np.bincount(self.group, minlength=g) == 0)
+        if empty.size:
+            raise EmptyGroupError(f"membership column {int(empty[0])} assigns no nodes")
 
     @property
     def num_nodes(self) -> int:
-        return self.m.shape[0]
-
-    @property
-    def num_groups(self) -> int:
-        return self.m.shape[1]
+        return self.group.shape[0]
 
 
 @dataclass(frozen=True)
@@ -222,22 +224,3 @@ def validate(g: Graph) -> list[Violation]:
                 )
             )
     return out
-
-
-def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
-    """Relabel nodes: node i becomes perm[i]. Edge order is preserved."""
-    perm = np.asarray(perm, dtype=np.int64)
-    if sorted(perm.tolist()) != list(range(g.num_nodes)):
-        raise ValueError("perm must be a permutation of [0, N)")
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(g.num_nodes)
-    new_x = g.x[inv]
-    new_pos = g.pos[inv] if g.pos is not None else None
-    new_edge_index = perm[g.edge_index]
-    return Graph(
-        x=new_x,
-        edge_index=new_edge_index,
-        edge_attr=g.edge_attr.copy(),
-        pos=new_pos,
-        id=g.id,
-    )

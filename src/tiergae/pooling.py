@@ -1,8 +1,8 @@
 """Membership-driven graph coarsening between tiers.
 
-Pooling contracts a tier's graph through a fixed binary membership matrix M:
-features become M^T Z (group sums), adjacency becomes M^T A M applied per
-edge-feature channel. M comes from chemistry, not from learning; no gradient
+Pooling contracts a tier's graph through a fixed binary membership matrix M,
+held as the group index of each node: features become M^T Z (group sums),
+adjacency becomes M^T A M applied per edge-feature channel. M comes from chemistry, not from learning; no gradient
 ever flows into it. Within-group edge mass lands on the diagonal of the
 coarse adjacency and is kept there.
 
@@ -27,11 +27,6 @@ from .errors import ShapeMismatchError
 from .graphs import MembershipMatrix, adjacency_array, edge_mask
 
 
-def _group_of(m: np.ndarray) -> np.ndarray:
-    # row i has exactly one 1; argmax finds it
-    return m.argmax(axis=1)
-
-
 def pool_features(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
     """M^T Z via ordered accumulation: x_next[g] = sum of z rows in group g."""
     z = np.asarray(z, dtype=np.float64)
@@ -40,7 +35,7 @@ def pool_features(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
             f"z has {z.shape[0]} rows, membership has {m.num_nodes}"
         )
     out = np.zeros((m.num_groups, z.shape[1]), dtype=np.float64)
-    np.add.at(out, _group_of(m.m), z)
+    np.add.at(out, m.group, z)
     return out
 
 
@@ -56,7 +51,7 @@ def pool_adjacency(a, m: MembershipMatrix, mask: Optional[np.ndarray] = None) ->
         )
     if not np.isfinite(arr).all():
         raise ValueError("adjacency contains non-finite entries")
-    group = _group_of(m.m)
+    group = m.group
     g = m.num_groups
     i, j = np.nonzero(edge_mask(arr) if mask is None else mask)  # row-major
     out = np.zeros((g * g, arr.shape[2]), dtype=np.float64)
@@ -68,4 +63,4 @@ def graph_tier_membership(g_count: int) -> MembershipMatrix:
     """All groups into one graph-level node: the G x 1 ones matrix."""
     if g_count < 1:
         raise ValueError(f"need at least one group, got {g_count}")
-    return MembershipMatrix(np.ones((g_count, 1)))
+    return MembershipMatrix(np.zeros(g_count, dtype=np.int64), 1)

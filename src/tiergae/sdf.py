@@ -321,13 +321,6 @@ def _hill_formula(counts: dict[str, int]) -> str:
     return "".join(parts)
 
 
-def formula_from_molecule(mol: Molecule) -> str:
-    counts: dict[str, int] = {}
-    for atom in mol.atoms:
-        counts[atom.symbol] = counts.get(atom.symbol, 0) + 1
-    return _hill_formula(counts)
-
-
 def formula_from_features(x: np.ndarray) -> str:
     """Recompute the Hill formula from one-hot node features alone; atoms in
     the catch-all bucket surface as X."""

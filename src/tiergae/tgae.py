@@ -127,7 +127,7 @@ class TierBundle:
     x: np.ndarray
     edge_index: np.ndarray
     edge_attr: np.ndarray
-    membership: Optional[np.ndarray]
+    membership: Optional[np.ndarray]   # group index of each node
     z: np.ndarray
 
 
@@ -151,12 +151,6 @@ def decode_adjacency(tape: Tape, z: int) -> int:
     """Edge logits Z Z^T of a graph or of each graph in a stack; the edge
     probabilities are their sigmoid."""
     return tape.gram(z)
-
-
-def decode_adjacency_numpy(z: np.ndarray) -> np.ndarray:
-    """Edge logits Z Z^T of one graph."""
-    z = np.asarray(z, dtype=np.float64)
-    return z @ z.T
 
 
 def reconstruction_target(exist: np.ndarray) -> np.ndarray:
@@ -372,7 +366,7 @@ def encode_tiers(graph: Graph, m1: MembershipMatrix,
     rep = TieredRepresentation()
     for model, m_next in zip(models, (graph_tier_membership(m1.num_groups), None)):
         z = model.embed(s.x, s.a_norm)
-        rep.tiers.append(TierBundle(s.x, *coo, s.m.m, z))
+        rep.tiers.append(TierBundle(s.x, *coo, s.m.group, z))
         coo = dense_to_coo(s.pooled_a)
         s = pool_sample(z, s, m_next)
     rep.tiers.append(TierBundle(s.x, *coo, None, models[2].embed(s.x, s.a_norm)))
@@ -411,7 +405,9 @@ def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
                                   bce_weights(s.target[None]), config, noise)
         total = loss if total is None else tape.add(total, loss)
         if m is not None:
-            x_node = tape.matmul(tape.const(m.m.T.copy()[None]), pooled)
+            # M^T, the G x N binary matrix of the membership
+            mt = (np.arange(m.num_groups)[:, None] == m.group).astype(np.float64)
+            x_node = tape.matmul(tape.const(mt[None]), pooled)
             a_cur = s.pooled_a
     return total
 

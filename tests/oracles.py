@@ -18,6 +18,14 @@ one tape, and one backward sweep over it.
 decoder as they were before `Tape.bce_logits` was fused and `Tape.gram`
 replaced a matmul with a transpose node: two `softplus` passes forward, two
 `stable_sigmoid` calls backward, and Z Z^T as two tape nodes.
+
+`membership_from_partition_dense` is `fgroups.membership_from_partition` as
+it was while a membership held its dense N x G matrix, and returns that
+matrix. `membership_from_dense` and `dense_membership` convert between the
+dense matrix and the group-index vector that `MembershipMatrix` holds.
+
+`permute_graph`, `decode_adjacency_numpy`, `formula_from_molecule` and
+`functional_groups` are reference helpers that the pipeline does not call.
 """
 
 import math
@@ -28,12 +36,86 @@ from tiergae.autodiff import Adam, Tape
 from tiergae.errors import (
     DomainError,
     DuplicateEdgeError,
+    IncompleteCoverError,
     IndexOutOfRangeError,
     ShapeMismatchError,
 )
+from tiergae.fgroups import FUNCTIONAL, GroupPartition
 from tiergae.graphs import Graph, MembershipMatrix, Violation, adjacency_array
-from tiergae.sdf import ELEMENT_VOCAB, OTHER_BUCKET, _hill_formula
+from tiergae.sdf import ELEMENT_VOCAB, OTHER_BUCKET, Molecule, _hill_formula
 from tiergae.tgae import TierSample, bce_weights, stack_samples, tier_sample
+
+
+def formula_from_molecule(mol: Molecule) -> str:
+    counts: dict[str, int] = {}
+    for atom in mol.atoms:
+        counts[atom.symbol] = counts.get(atom.symbol, 0) + 1
+    return _hill_formula(counts)
+
+
+def functional_groups(p: GroupPartition) -> list[tuple[int, ...]]:
+    return [g for g, k in zip(p.groups, p.kinds) if k == FUNCTIONAL]
+
+
+def membership_from_partition_dense(p: GroupPartition, n: int) -> np.ndarray:
+    """Binary N x G matrix; columns ordered by smallest member index. The
+    groups are non-empty lists of ints (no bools) that cover [0, n) once."""
+    if not isinstance(p.groups, (list, tuple)) or not all(
+            isinstance(g, (list, tuple)) and g and all(type(a) is int for a in g)
+            for g in p.groups):
+        raise IncompleteCoverError("groups must be a list of non-empty lists of int indices")
+    covered = sorted(a for g in p.groups for a in g)
+    if covered != list(range(n)):
+        raise IncompleteCoverError(
+            f"groups hold {len(covered)} atom indices, not each of [0, {n}) once"
+        )
+    order = sorted(range(p.group_count), key=lambda gi: min(p.groups[gi]))
+    m = np.zeros((n, p.group_count), dtype=np.float64)
+    for col, gi in enumerate(order):
+        m[list(p.groups[gi]), col] = 1.0
+    return m
+
+
+def membership_from_dense(m) -> MembershipMatrix:
+    """The membership of a binary N x G matrix; a row that is not one-hot
+    (a single 1, zeros elsewhere) is a ValueError."""
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeMismatchError(f"membership must be 2-D, got {m.shape}")
+    one_hot = ((m == 0.0) | (m == 1.0)).all(axis=1) & (m.sum(axis=1) == 1.0)
+    if not one_hot.all():
+        raise ValueError(f"membership row {int(np.flatnonzero(~one_hot)[0])} is not one-hot")
+    return MembershipMatrix(m.argmax(axis=1), m.shape[1])
+
+
+def dense_membership(m: MembershipMatrix) -> np.ndarray:
+    """The binary N x G matrix of a membership."""
+    return np.eye(m.num_groups)[m.group]
+
+
+def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
+    """Relabel nodes: node i becomes perm[i]. Edge order is preserved."""
+    perm = np.asarray(perm, dtype=np.int64)
+    if sorted(perm.tolist()) != list(range(g.num_nodes)):
+        raise ValueError("perm must be a permutation of [0, N)")
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(g.num_nodes)
+    new_x = g.x[inv]
+    new_pos = g.pos[inv] if g.pos is not None else None
+    new_edge_index = perm[g.edge_index]
+    return Graph(
+        x=new_x,
+        edge_index=new_edge_index,
+        edge_attr=g.edge_attr.copy(),
+        pos=new_pos,
+        id=g.id,
+    )
+
+
+def decode_adjacency_numpy(z: np.ndarray) -> np.ndarray:
+    """Edge logits Z Z^T of one graph."""
+    z = np.asarray(z, dtype=np.float64)
+    return z @ z.T
 
 
 def formula_from_features_loop(x: np.ndarray) -> str:
@@ -82,7 +164,7 @@ def decode_adjacency_matmul(tape: Tape, z: int) -> int:
 
 def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
-    group = m.m.argmax(axis=1)
+    group = dense_membership(m).argmax(axis=1)
     out = np.zeros((m.num_groups, z.shape[1]), dtype=np.float64)
     for i in range(z.shape[0]):
         out[group[i]] += z[i]
@@ -91,7 +173,7 @@ def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
 
 def pool_adjacency_loop(a, m: MembershipMatrix) -> np.ndarray:
     arr = adjacency_array(a)
-    group = m.m.argmax(axis=1)
+    group = dense_membership(m).argmax(axis=1)
     n, _, s = arr.shape
     out = np.zeros((m.num_groups, m.num_groups, s), dtype=np.float64)
     for i in range(n):
@@ -198,9 +280,7 @@ def random_membership(rng, n: int, groups: int = 0) -> MembershipMatrix:
     groups = groups or int(rng.integers(1, n + 1))
     assign = rng.integers(0, groups, size=n)
     assign[rng.permutation(n)[:groups]] = np.arange(groups)
-    m = np.zeros((n, groups))
-    m[np.arange(n), assign] = 1.0
-    return MembershipMatrix(m)
+    return MembershipMatrix(assign, groups)
 
 
 def messy_graph(rng, n: int, s: int, defects: bool) -> Graph:

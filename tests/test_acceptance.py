@@ -18,13 +18,12 @@ import pytest
 from tiergae.autodiff import Param, Tape, seeded_rng, zero_grads
 from tiergae.cli import RunConfig, cmd_embed, cmd_ingest, cmd_train, validate_config
 from tiergae.fgroups import mark_atoms, membership_from_partition, partition_molecule
-from tiergae.graphs import Graph, MembershipMatrix, dense_to_coo, permute_graph
+from tiergae.graphs import Graph, MembershipMatrix, dense_to_coo
 from tiergae.pooling import pool_adjacency, pool_features
 from tiergae.pubchem import fetch_pubchem_sdf
 from tiergae.sdf import featurize, formula_from_features, parse_sdf, write_sdf
 from tiergae.tgae import (
     NOISE_ROLE,
-    decode_adjacency_numpy,
     encode_tiered,
     make_tier_models,
     next_tier_samples,
@@ -47,6 +46,13 @@ from conftest import (
     path4_features,
 )
 from gradcheck import assert_grads_match, finite_difference_grads
+from oracles import (
+    decode_adjacency_numpy,
+    dense_membership,
+    functional_groups,
+    membership_from_dense,
+    permute_graph,
+)
 from test_pooling import pool_oracle, random_membership, random_symmetric_adjacency
 from test_pubchem import RecordingTransport
 
@@ -67,7 +73,7 @@ def criterion(n: int, description: str):
 
 
 def path4_membership() -> MembershipMatrix:
-    return MembershipMatrix(
+    return membership_from_dense(
         np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     )
 
@@ -206,7 +212,7 @@ def test_criterion_2_pooling_oracle():
             adj = random_symmetric_adjacency(rng, n, s)
             m = random_membership(rng, n)
             x_next, a_next = pool_features(z, m), pool_adjacency(adj, m)
-            ox, oa = pool_oracle(z, adj, m.m)
+            ox, oa = pool_oracle(z, adj, dense_membership(m))
             assert np.array_equal(x_next, ox), f"case {case}: features differ"
             assert np.array_equal(a_next, oa), f"case {case}: adjacency differs"
             for c in range(s):
@@ -255,7 +261,7 @@ def test_criterion_3_vanillin_golden():
         part = partition_molecule(mol)
         flat = sorted(a for g in part.groups for a in g)
         assert flat == list(range(19))  # disjoint and complete
-        assert len(part.functional_groups()) >= 3
+        assert len(functional_groups(part)) >= 3
         membership_from_partition(part, 19)  # must build without complaint
 
 
@@ -354,7 +360,7 @@ def test_criterion_6_tier_invariances():
             perm = rng.permutation(19)
             p = np.eye(19)[perm].T  # node i moves to row perm[i]
             rep_p = encode_tiered(
-                permute_graph(graph, perm), MembershipMatrix(p @ m1.m), models
+                permute_graph(graph, perm), membership_from_dense(p @ dense_membership(m1)), models
             )
             delta = np.abs(rep_p.tiers[2].z - rep.tiers[2].z).max()
             assert delta <= 1e-9, f"relabeling moved z3 by {delta}"

@@ -34,10 +34,12 @@ from tiergae.cli import (
 from tiergae.errors import CliError, ConfigError
 from tiergae.fgroups import membership_from_partition, partition_molecule
 from tiergae.graphs import validate
+from tiergae.pooling import graph_tier_membership
 from tiergae.tgae import make_tier_models, train_tiered
 from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
 
 from conftest import VANILLIN_SDF
+from oracles import dense_membership, membership_from_partition_dense
 from test_pubchem import RecordingTransport
 
 
@@ -76,6 +78,15 @@ def test_array_json_bytes_match_per_element_conversion():
     for arr in arrays:
         old = {"shape": [int(s) for s in arr.shape], "data": [float(x) for x in arr.ravel()]}
         assert json.dumps(array_to_json(arr), sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+def test_array_json_writes_an_int_dtype_as_ints():
+    group = np.array([0, 3, 1, 2**40 + 1], dtype=np.int64)
+    doc = array_to_json(group, dtype=np.int64)
+    assert doc == {"shape": [4], "data": [0, 3, 1, 2**40 + 1]}
+    assert all(type(v) is int for v in doc["data"])
+    again = json_to_array(doc, dtype=np.int64)
+    assert again.dtype == np.int64 and np.array_equal(again, group)
 
 
 def test_array_json_empty_and_1d():
@@ -250,7 +261,7 @@ def test_corpus_items_rebuild_valid_graphs(corpus_path):
     graph, membership = items[0]
     assert validate(graph) == []
     assert graph.edge_index.dtype == np.int64
-    assert membership.m.shape == (19, 10)
+    assert membership.group.shape == (19,) and membership.num_groups == 10
 
 
 def test_corpus_version_gate(tmp_path, corpus_path):
@@ -268,9 +279,11 @@ def test_corpus_membership_is_rebuilt_from_groups(corpus_path, vanillin_mol, rev
     if reverse:  # the group order and each group's member order carry no meaning
         doc["molecules"][0]["groups"] = [g[::-1] for g in doc["molecules"][0]["groups"][::-1]]
     _, membership = corpus_items(doc["molecules"])[0]
-    expected = membership_from_partition(partition_molecule(vanillin_mol), 19).m
-    assert membership.m.dtype == expected.dtype
-    assert membership.m.tobytes() == expected.tobytes()
+    part = partition_molecule(vanillin_mol)
+    assert np.array_equal(membership.group, membership_from_partition(part, 19).group)
+    got, expected = dense_membership(membership), membership_from_partition_dense(part, 19)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_main_rejects_a_version_1_corpus(tmp_path, capsys, corpus_path):
@@ -370,8 +383,43 @@ def test_embed_exports_validate_against_schema(tmp_path, corpus_path):
     assert doc["tiers"]["1"]["z"]["shape"] == [19, 3]
     assert doc["tiers"]["2"]["z"]["shape"] == [10, 3]
     assert doc["tiers"]["3"]["z"]["shape"] == [1, 3]
-    assert doc["tiers"]["1"]["membership"]["shape"] == [19, 10]
+    assert doc["format_version"] == 2
+    assert doc["tiers"]["1"]["membership"]["shape"] == [19]
+    assert doc["tiers"]["2"]["membership"] == {"shape": [10], "data": [0] * 10}
     assert "membership" not in doc["tiers"]["3"]
+
+
+@pytest.mark.parametrize("model", ["tgae", "tvgae"])
+def test_export_membership_decodes_to_the_partition_matrix(tmp_path, corpus_path,
+                                                          vanillin_mol, model):
+    ckpt, _ = cmd_train(small_cfg(model=model), corpus_path, tmp_path / "model.json")
+    doc = json.loads(cmd_embed(ckpt, corpus_path, tmp_path / "export")[0].read_text())
+    tiers = doc["tiers"]
+    m1 = membership_from_partition_dense(partition_molecule(vanillin_mol), 19)
+    m2 = dense_membership(graph_tier_membership(m1.shape[1]))
+    for tier, want in (("1", m1), ("2", m2)):
+        group = json_to_array(tiers[tier]["membership"], dtype=np.int64)
+        g = tiers[str(int(tier) + 1)]["x"]["shape"][0]  # the next tier's node count
+        assert np.eye(g)[group].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("change", ["dense", "float", "negative", "version"])
+def test_export_schema_holds_one_group_index_per_node(tmp_path, corpus_path, change):
+    ckpt, _ = cmd_train(small_cfg(), corpus_path, tmp_path / "model.json")
+    doc = json.loads(cmd_embed(ckpt, corpus_path, tmp_path / "export")[0].read_text())
+    jsonschema.validate(doc, EXPORT_SCHEMA)
+    membership = doc["tiers"]["1"]["membership"]
+    if change == "dense":  # the N x G matrix of export format 1
+        group = np.asarray(membership["data"])
+        membership.update(array_to_json(np.eye(10)[group]))
+    elif change == "float":
+        membership["data"][3] = 0.5
+    elif change == "negative":
+        membership["data"][3] = -1
+    else:
+        doc["format_version"] = 1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, EXPORT_SCHEMA)
 
 
 def test_embed_variational_uses_mu(tmp_path, corpus_path):

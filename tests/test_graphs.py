@@ -9,7 +9,7 @@ from tiergae.errors import (
     IndexOutOfRangeError,
     ShapeMismatchError,
 )
-from tiergae.fgroups import membership_from_partition, partition_molecule
+from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
 from tiergae.graphs import (
     Graph,
     MembershipMatrix,
@@ -17,7 +17,6 @@ from tiergae.graphs import (
     coo_to_dense,
     dense_to_coo,
     edge_mask,
-    permute_graph,
     validate,
 )
 from tiergae.sdf import featurize, parse_sdf
@@ -25,9 +24,13 @@ from tiergae.sdf import featurize, parse_sdf
 from oracles import (
     assert_same_bits,
     coo_to_dense_loop,
+    dense_membership,
     dense_to_coo_loop,
+    membership_from_dense,
+    membership_from_partition_dense,
     messy_graph,
     mixed_adjacency,
+    permute_graph,
     validate_loop,
 )
 
@@ -208,21 +211,70 @@ def test_dense_adj_channel_coercion():
 
 
 def test_membership_validation():
-    MembershipMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    membership_from_dense(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        MembershipMatrix(np.array([[0.5, 0.5], [1.0, 0.0]]))
+        membership_from_dense(np.array([[0.5, 0.5], [1.0, 0.0]]))
     with pytest.raises(ValueError):
-        MembershipMatrix(np.array([[1.0, 1.0], [1.0, 0.0]]))
+        membership_from_dense(np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(EmptyGroupError):
-        MembershipMatrix(np.array([[1.0, 0.0], [1.0, 0.0]]))
+        membership_from_dense(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+def test_membership_holds_int64_group_indices():
+    m = MembershipMatrix([1, 0, 1], 2)
+    assert m.group.dtype == np.int64 and m.group.tolist() == [1, 0, 1]
+    assert (m.num_nodes, m.num_groups) == (3, 2)
+    assert MembershipMatrix(np.array([1, 0], dtype=np.uint8), 2).group.dtype == np.int64
+    empty = MembershipMatrix(np.zeros(0, dtype=np.int64), 0)
+    assert (empty.num_nodes, empty.num_groups) == (0, 0)
+
+
+@pytest.mark.parametrize("group,num_groups,error,message", [
+    ([0, 2, 1], 2, ValueError, "membership node 1 is in group 2, not in [0, 2)"),
+    ([0, -1, 1], 2, ValueError, "membership node 1 is in group -1, not in [0, 2)"),
+    ([0.0, 0.5, 1.0], 2, ValueError, "integer group indices, got float64"),
+    ([0.0, 1.0, 1.0], 2, ValueError, "integer group indices, got float64"),
+    ([0.0, np.nan, 1.0], 2, ValueError, "integer group indices, got float64"),
+    ([True, False], 2, ValueError, "integer group indices, got bool"),
+    (["0", "1"], 2, ValueError, "integer group indices, got <U1"),
+    ([[1, 0], [0, 1]], 2, ShapeMismatchError, "membership must be 1-D, got (2, 2)"),
+    ([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 2, ShapeMismatchError, "must be 1-D"),
+    ([0, 2, 2], 4, EmptyGroupError, "membership column 1 assigns no nodes"),
+    ([0, 0], 3, EmptyGroupError, "membership column 1 assigns no nodes"),
+], ids=["above-range", "negative", "fraction", "float", "nan", "bool", "str", "2-D",
+        "dense-rows", "empty-inner-group", "empty-last-groups"])
+def test_malformed_membership_vector_rejected(group, num_groups, error, message):
+    with pytest.raises(error) as info:
+        MembershipMatrix(np.asarray(group), num_groups)
+    assert message in str(info.value)
+
+
+@settings(deadline=None, max_examples=80)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_membership_vector_decodes_to_the_dense_oracle(data, n):
+    # a random partition of [0, n): a random labelling, groups listed in a
+    # random order, each group's members in a random order
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    members: dict[int, list[int]] = {}
+    for atom, label in enumerate(labels):
+        members.setdefault(label, []).append(atom)
+    groups = data.draw(st.permutations([data.draw(st.permutations(g))
+                                        for g in members.values()]))
+    p = GroupPartition(groups=[list(g) for g in groups])
+    m = membership_from_partition(p, n)
+    want = membership_from_partition_dense(p, n)
+    assert m.group.dtype == np.int64 and m.group.shape == (n,)
+    assert m.num_groups == want.shape[1]
+    assert_same_bits(dense_membership(m), want)
+    assert membership_from_dense(want).group.tolist() == m.group.tolist()
 
 
 def test_vanillin_membership_is_valid_partition(vanillin_mol):
     p = partition_molecule(vanillin_mol)
-    m = membership_from_partition(p, vanillin_mol.atom_count)
-    assert m.m.shape[0] == 19
-    assert (m.m.sum(axis=1) == 1.0).all()
-    assert (m.m.sum(axis=0) >= 1.0).all()
+    m = dense_membership(membership_from_partition(p, vanillin_mol.atom_count))
+    assert m.shape[0] == 19
+    assert (m.sum(axis=1) == 1.0).all()
+    assert (m.sum(axis=0) >= 1.0).all()
 
 
 # ---------------------------------------- vectorized COO <-> dense vs the loops

@@ -4,11 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiergae.errors import ShapeMismatchError
-from tiergae.graphs import MembershipMatrix, dense_to_coo
+from tiergae.graphs import dense_to_coo
 from tiergae.pooling import graph_tier_membership, pool_adjacency, pool_features
 
 from oracles import (
     assert_same_bits,
+    dense_membership,
+    membership_from_dense,
     mixed_adjacency,
     pool_adjacency_loop,
     pool_features_loop,
@@ -51,7 +53,7 @@ def test_identity_membership_is_identity_pooling():
     rng = np.random.default_rng(0)
     z = rng.standard_normal((4, 3))
     a = random_symmetric_adjacency(rng, 4, 2)
-    m = MembershipMatrix(np.eye(4))
+    m = membership_from_dense(np.eye(4))
     assert np.array_equal(pool_features(z, m), z)
     assert np.array_equal(pool_adjacency(a, m), a)
 
@@ -61,7 +63,7 @@ def test_three_node_path_hand_computed():
     a = np.zeros((3, 3, 1))
     a[0, 1, 0] = a[1, 0, 0] = 1.0
     a[1, 2, 0] = a[2, 1, 0] = 1.0
-    m = MembershipMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    m = membership_from_dense(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert np.array_equal(pool_features(z, m), np.array([[1.0, 1.0], [2.0, 2.0]]))
     assert np.array_equal(pool_adjacency(a, m)[:, :, 0], np.array([[2.0, 1.0], [1.0, 0.0]]))
 
@@ -70,15 +72,18 @@ def test_single_group_collapses_to_sums():
     rng = np.random.default_rng(1)
     z = rng.standard_normal((5, 3))
     a = random_symmetric_adjacency(rng, 5, 2)
-    m = MembershipMatrix(np.ones((5, 1)))
+    m = membership_from_dense(np.ones((5, 1)))
     assert np.allclose(pool_features(z, m), z.sum(axis=0, keepdims=True))
     for c in range(2):
         assert np.isclose(pool_adjacency(a, m)[0, 0, c], a[:, :, c].sum())
 
 
 def test_graph_tier_membership():
-    assert np.array_equal(graph_tier_membership(1).m, [[1.0]])
-    assert np.array_equal(graph_tier_membership(4).m, np.ones((4, 1)))
+    assert np.array_equal(dense_membership(graph_tier_membership(1)), [[1.0]])
+    assert np.array_equal(dense_membership(graph_tier_membership(4)), np.ones((4, 1)))
+    m = graph_tier_membership(4)
+    assert m.group.dtype == np.int64 and m.group.tolist() == [0, 0, 0, 0]
+    assert m.num_groups == 1
     with pytest.raises(ValueError):
         graph_tier_membership(0)
 
@@ -91,7 +96,7 @@ def test_pool_matches_oracle_bitwise():
         z = rng.standard_normal((n, 3))
         a = random_symmetric_adjacency(rng, n, s)
         m = random_membership(rng, n)
-        ox, oa = pool_oracle(z, a, m.m)
+        ox, oa = pool_oracle(z, a, dense_membership(m))
         assert np.array_equal(pool_features(z, m), ox)
         assert np.array_equal(pool_adjacency(a, m), oa)
 
@@ -126,7 +131,7 @@ def test_permutation_consistency():
     m = random_membership(rng, n)
     perm = rng.permutation(n)
     p = np.eye(n)[perm]
-    m_p = MembershipMatrix(p @ m.m)
+    m_p = membership_from_dense(p @ dense_membership(m))
     assert np.allclose(pool_features(p @ z, m_p), pool_features(z, m), atol=1e-12)
     assert np.allclose(pool_adjacency(np.einsum("ij,jkc,lk->ilc", p, a, p), m_p),
                        pool_adjacency(a, m), atol=1e-12)
@@ -160,7 +165,7 @@ def test_coo_output_matches_dense():
 def test_shape_mismatch_rejected():
     z = np.zeros((4, 2))
     a = np.zeros((4, 4, 1))
-    m = MembershipMatrix(np.eye(3))
+    m = membership_from_dense(np.eye(3))
     with pytest.raises(ShapeMismatchError):
         pool_features(z, m)
     with pytest.raises(ShapeMismatchError):
@@ -191,7 +196,7 @@ def test_pooling_inputs_are_order_sensitive():
     rng = np.random.default_rng(2200)
     m = random_membership(rng, 220, 99)
     a = _check_against_loops(rng, 220, 4, m)
-    group = m.m.argmax(axis=1)
+    group = dense_membership(m).argmax(axis=1)
     reversed_sum = np.zeros((99 * 99, 4))
     cells = (group[:, None] * 99 + group[None, :]).ravel()
     np.add.at(reversed_sum, cells[::-1], a.reshape(-1, 4)[::-1])

@@ -1,5 +1,6 @@
 """Smoke run of the example script, which calls the training APIs."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -16,6 +17,14 @@ def run_script(name: str, *args: str) -> str:
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done.stdout
+
+
+def load_script(name: str):
+    """The script `scripts/<name>` as a module, without running its main."""
+    spec = importlib.util.spec_from_file_location(Path(name).stem, ROOT / "scripts" / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.mark.parametrize("flags", [(), ("--variational",)])

@@ -19,12 +19,11 @@ from tiergae.sdf import (
     OTHER_BUCKET,
     featurize,
     formula_from_features,
-    formula_from_molecule,
     parse_sdf,
     write_sdf,
 )
 
-from oracles import formula_from_features_loop
+from oracles import formula_from_features_loop, formula_from_molecule
 
 
 def atom_line(sym="C", code=0, x=0.0, y=0.0, z=0.0):

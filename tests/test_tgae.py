@@ -11,7 +11,7 @@ from tiergae.cli import params_state
 from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
 from tiergae.gcn import binary_collapse
-from tiergae.graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo
+from tiergae.graphs import Graph, coo_to_dense, dense_to_coo
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
 from tiergae.tgae import (
@@ -19,7 +19,6 @@ from tiergae.tgae import (
     TierModel,
     bce_weights,
     decode_adjacency,
-    decode_adjacency_numpy,
     encode_tiered,
     make_tier_models,
     next_tier_samples,
@@ -33,7 +32,14 @@ from tiergae.tgae import (
 
 from conftest import path4_adjacency, path4_features, recon_value
 from gradcheck import assert_grads_match, finite_difference_grads
-from oracles import assert_same_bits, stable_sigmoid
+from oracles import (
+    assert_same_bits,
+    decode_adjacency_numpy,
+    dense_membership,
+    membership_from_dense,
+    permute_graph,
+    stable_sigmoid,
+)
 
 
 def path4_graph() -> Graph:
@@ -42,7 +48,7 @@ def path4_graph() -> Graph:
 
 
 def path4_items():
-    m = MembershipMatrix(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
+    m = membership_from_dense(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]))
     return [(path4_graph(), m)]
 
 
@@ -360,8 +366,10 @@ def test_encode_tiered_shapes_on_vanillin(vanillin_mol):
     assert rep.tiers[0].z.shape == (19, 4)
     assert rep.tiers[1].z.shape == (n_groups, 4)
     assert rep.tiers[2].z.shape == (1, 4)
-    assert rep.tiers[0].membership.shape == (19, n_groups)
-    assert rep.tiers[1].membership.shape == (n_groups, 1)
+    assert rep.tiers[0].membership.shape == (19,)
+    assert np.array_equal(rep.tiers[0].membership, m1.group)
+    assert rep.tiers[1].membership.shape == (n_groups,)
+    assert not rep.tiers[1].membership.any()
     assert rep.tiers[2].membership is None
     for t in rep.tiers:
         assert np.isfinite(t.z).all()
@@ -386,14 +394,12 @@ def test_encode_tiered_membership_shape_checked():
     models = make_tier_models(4, RunConfig(hidden=4, d_z=2))
     g = path4_graph()
     with pytest.raises(ShapeMismatchError):
-        encode_tiered(g, MembershipMatrix(np.eye(3)), models)
+        encode_tiered(g, membership_from_dense(np.eye(3)), models)
 
 
 def test_encode_tiered_relabel_invariant():
     # renumbering atoms permutes tier-1 embeddings and leaves the upper
     # tiers unchanged up to float roundoff
-    from tiergae.graphs import permute_graph
-
     g = path4_graph()
     m1 = path4_items()[0][1]
     models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=13))
@@ -402,7 +408,7 @@ def test_encode_tiered_relabel_invariant():
     perm = np.array([2, 0, 3, 1])
     p = np.eye(4)[perm].T  # node i moves to row perm[i]
     rep_p = encode_tiered(
-        permute_graph(g, perm), MembershipMatrix(p @ m1.m), models
+        permute_graph(g, perm), membership_from_dense(p @ dense_membership(m1)), models
     )
     assert np.allclose(rep_p.tiers[0].z, p @ rep.tiers[0].z, atol=1e-12)
     assert np.allclose(rep_p.tiers[1].z, rep.tiers[1].z, atol=1e-12)
@@ -435,6 +441,21 @@ def test_full_pipeline_loss_reaches_every_parameter():
         assert p.grad.shape == p.value.shape
         if p.name.endswith(".weight"):
             assert np.abs(p.grad).max() > 0.0, p.name
+
+
+def test_pipeline_loss_is_the_sum_of_the_tier_losses(vanillin_mol):
+    # the tape pools through the dense M^T, the inference pass through the
+    # group vector; both feed each tier the same inputs up to rounding
+    g = featurize(vanillin_mol)
+    m1 = membership_from_partition(partition_molecule(vanillin_mol), g.num_nodes)
+    models = make_tier_models(g.x.shape[1], RunConfig(hidden=8, d_z=4, seed=2))
+    tape = Tape()
+    total = float(tape.value(pipeline_loss(models, g.x, coo_to_dense(g), m1, tape)))
+    want = 0.0
+    for bundle in encode_tiered(g, m1, models).tiers:
+        a = coo_to_dense(Graph(bundle.x, bundle.edge_index, bundle.edge_attr))
+        want += recon_value(decode_adjacency_numpy(bundle.z), tier_sample(bundle.x, a).target)
+    assert math.isclose(total, want, rel_tol=1e-12)
 
 
 def test_pipeline_loss_requires_one_noise_per_tier():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tiergae.autodiff import Param, Tape, seeded_rng, zero_grads
 from tiergae.cli import params_state
 from tiergae.errors import ShapeMismatchError
-from tiergae.graphs import MembershipMatrix
 from tiergae.tgae import (
     NOISE_ROLE,
     RunConfig,
@@ -16,7 +15,6 @@ from tiergae.tgae import (
     bce_weights,
     encode_tiered,
     make_tier_models,
-    decode_adjacency_numpy,
     pipeline_loss,
     tier_sample,
     train_tier,
@@ -42,6 +40,7 @@ from conftest import (
     recon_value,
 )
 from gradcheck import assert_grads_match, finite_difference_grads
+from oracles import decode_adjacency_numpy
 from test_tgae import path4_graph, path4_items
 
 
