@@ -46,19 +46,11 @@ class Param:
 
     value: np.ndarray
     name: str = ""
-    grad: np.ndarray = field(default=None)  # type: ignore[assignment]
+    grad: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.value = _as_f64(self.value)
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        else:
-            self.grad = _as_f64(self.grad)
-            if self.grad.shape != self.value.shape:
-                raise ShapeMismatchError(
-                    f"param {self.name!r}: grad shape {self.grad.shape} "
-                    f"!= value shape {self.value.shape}"
-                )
+        self.grad = np.zeros_like(self.value)
 
 
 @dataclass

@@ -1,17 +1,19 @@
 """Command-line pipeline: fetch, ingest, train, embed.
 
 File formats owned here:
-  corpus      one JSON document holding every featurized molecule plus its
-              group partition, from which each membership matrix is rebuilt
+  corpus      one JSON document holding every featurized molecule (features
+              and bonds, no atom coordinates) plus its group partition, from
+              which each membership is rebuilt
   checkpoint  JSON map of named parameter collections plus the dimensions
               needed to rebuild the models
   export      one JSON document per molecule with the full tiered bundle;
               a tier's membership is the group index of each of its nodes
   history     CSV (epoch, tier, loss) per training run
 
-Arrays are shape-tagged: {"shape": [...], "data": [row-major floats]}, or
-ints for a membership. All JSON is written with sorted keys so identical
-runs produce identical bytes.
+Arrays are shape-tagged: {"shape": [...], "data": [row-major values]}. An
+integer array (edge_index, membership) holds JSON ints and is read back
+exactly, any other array holds floats. All JSON is written with sorted keys
+so identical runs produce identical bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from . import pubchem
 from .autodiff import Param
 from .errors import CliError, ConfigError, ShapeMismatchError, TiergaeError
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
+from .gcn import MAX_LAYERS, MIN_LAYERS
 from .graphs import Graph, MembershipMatrix, validate
 from .sdf import featurize, formula_from_features, parse_sdf
 from .tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
@@ -42,9 +45,9 @@ from .tvgae import (
     train_tiered_variational,
 )
 
-CORPUS_FORMAT_VERSION = 2
+CORPUS_FORMAT_VERSION = 3
 CHECKPOINT_FORMAT_VERSION = 1
-EXPORT_FORMAT_VERSION = 2
+EXPORT_FORMAT_VERSION = 3
 
 MODELS = ("tgae", "tvgae")
 
@@ -52,30 +55,33 @@ MODELS = ("tgae", "tvgae")
 # ---------------------------------------------------------------------------
 # array and file serialization
 
-def array_to_json(arr: np.ndarray, dtype=np.float64) -> dict:
+def array_to_json(arr: np.ndarray) -> dict:
+    """Shape-tagged JSON form of `arr`: an integer array's values as JSON
+    ints, any other array's as floats."""
     arr = np.asarray(arr)
-    return {
-        "shape": [int(s) for s in arr.shape],
-        "data": np.asarray(arr, dtype=dtype).ravel().tolist(),
-    }
+    if arr.dtype.kind != "i":
+        arr = arr.astype(np.float64, copy=False)
+    return {"shape": [int(s) for s in arr.shape], "data": arr.ravel().tolist()}
 
 
 def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
-    """Inverse of `array_to_json`. A value that is not finite, or for an
-    integer dtype not a whole number in its range, is a ConfigError."""
+    """Inverse of `array_to_json`. An integer array is read exactly: a value
+    that is not a JSON int in the dtype's range (1.0, true, 2**63) is a
+    ConfigError, as is a value of a float array that is not finite."""
+    data = obj["data"]
+    if np.dtype(dtype).kind == "i":
+        info = np.iinfo(dtype)
+        if not (set(map(type, data)) <= {int} and info.min <= min(data, default=0)
+                and max(data, default=0) <= info.max):
+            bad = next(v for v in data if type(v) is not int or not info.min <= v <= info.max)
+            raise ConfigError(f"array data holds {bad!r}, not an {info.dtype}")
+        return np.array(data, dtype=dtype).reshape(obj["shape"])
     try:
-        arr = np.asarray(obj["data"], dtype=np.float64)
+        arr = np.asarray(data, dtype=np.float64)
     except OverflowError as exc:  # an int too large for a float
         raise ConfigError(f"array data: {exc}") from None
     if not np.isfinite(arr).all():
         raise ConfigError("array data holds a non-finite value")
-    if np.dtype(dtype).kind == "i":
-        bound = 2.0 ** (np.iinfo(dtype).bits - 1)
-        bad = (arr != np.trunc(arr)) | (arr < -bound) | (arr >= bound)
-        if bad.any():
-            raise ConfigError(f"array data holds {float(arr[bad][0])}, "
-                              f"not an {np.dtype(dtype).name}")
-        arr = arr.astype(dtype)
     return arr.reshape(obj["shape"])
 
 
@@ -143,11 +149,15 @@ _ARRAY_SCHEMA = {
 }
 
 
+_INDEX_DATA = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+_EDGE_INDEX_SCHEMA = {**_ARRAY_SCHEMA,
+                      "properties": {**_ARRAY_SCHEMA["properties"], "data": _INDEX_DATA}}
+
 _MEMBERSHIP_SCHEMA = {
     **_ARRAY_SCHEMA,
     "properties": {
         "shape": {**_ARRAY_SCHEMA["properties"]["shape"], "minItems": 1, "maxItems": 1},
-        "data": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+        "data": _INDEX_DATA,
     },
 }
 
@@ -155,6 +165,7 @@ _MEMBERSHIP_SCHEMA = {
 def _tier_schema(with_membership: bool) -> dict:
     keys = ["x", "edge_index", "edge_attr", "z"]
     properties = {key: _ARRAY_SCHEMA for key in keys}
+    properties["edge_index"] = _EDGE_INDEX_SCHEMA
     if with_membership:
         keys.append("membership")
         properties["membership"] = _MEMBERSHIP_SCHEMA
@@ -239,8 +250,9 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"config field {name!r}: must be finite, got {value}")
         if value <= 0:
             raise ConfigError(f"config field {name!r}: must be strictly positive")
-    if not (2 <= cfg.k <= 6):
-        raise ConfigError(f"config field 'k': must be in [2, 6], got {cfg.k}")
+    if not (MIN_LAYERS <= cfg.k <= MAX_LAYERS):
+        raise ConfigError(f"config field 'k': must be in [{MIN_LAYERS}, {MAX_LAYERS}], "
+                          f"got {cfg.k}")
     return cfg
 
 
@@ -267,7 +279,6 @@ def _molecule_entry(mol, graph: Graph, partition: GroupPartition) -> dict:
         "x": array_to_json(graph.x),
         "edge_index": array_to_json(graph.edge_index),
         "edge_attr": array_to_json(graph.edge_attr),
-        "pos": None if graph.pos is None else array_to_json(graph.pos),
         "groups": [list(g) for g in partition.groups],
         "group_kinds": list(partition.kinds),
     }
@@ -320,7 +331,6 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
                 x=json_to_array(entry["x"]),
                 edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
                 edge_attr=json_to_array(entry["edge_attr"]),
-                pos=None if entry.get("pos") is None else json_to_array(entry["pos"]),
                 id=entry.get("id"),
             )
             membership = membership_from_partition(GroupPartition(entry["groups"]),
@@ -499,7 +509,7 @@ def _export_doc(entry: dict, rep, kind: str) -> dict:
             "z": array_to_json(bundle.z),
         }
         if bundle.membership is not None:
-            tier["membership"] = array_to_json(bundle.membership, dtype=np.int64)
+            tier["membership"] = array_to_json(bundle.membership)
         tiers[tier_no] = tier
     return {
         "format_version": EXPORT_FORMAT_VERSION,

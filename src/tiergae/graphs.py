@@ -27,7 +27,6 @@ class Graph:
     x: np.ndarray
     edge_index: np.ndarray
     edge_attr: np.ndarray
-    pos: Optional[np.ndarray] = None
     id: Optional[str] = None
 
     def __post_init__(self):
@@ -36,8 +35,6 @@ class Graph:
         self.edge_attr = np.asarray(self.edge_attr, dtype=np.float64)
         if self.edge_attr.ndim == 1:
             self.edge_attr = self.edge_attr.reshape(-1, 1)
-        if self.pos is not None:
-            self.pos = np.asarray(self.pos, dtype=np.float64)
 
     @property
     def num_nodes(self) -> int:

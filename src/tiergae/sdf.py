@@ -299,9 +299,8 @@ def featurize(mol: Molecule) -> Graph:
         edge_attr[2 * e, channel] = 1.0
         edge_attr[2 * e + 1, channel] = 1.0
 
-    pos = np.array([a.coords for a in mol.atoms], dtype=np.float64) if n else None
     mol_id = str(mol.cid) if mol.cid is not None else mol.name
-    return Graph(x=x, edge_index=edge_index, edge_attr=edge_attr, pos=pos, id=mol_id)
+    return Graph(x=x, edge_index=edge_index, edge_attr=edge_attr, id=mol_id)
 
 
 def _hill_formula(counts: dict[str, int]) -> str:

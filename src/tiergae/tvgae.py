@@ -132,11 +132,9 @@ def kl_divergence(tape: Tape, mu: int, logsigma: int) -> int:
 
 def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
               logsigma: int, kl_weight: float = 1.0) -> int:
-    """Negative ELBO on the edge logits. kl_weight = 0 collapses exactly to
-    the reconstruction loss (no KL node is added) for clean ablations."""
+    """Negative ELBO on the edge logits: the reconstruction loss plus
+    `kl_weight` times the KL term."""
     recon = reconstruction_loss(tape, logits, bce)
-    if kl_weight == 0.0:
-        return recon
     return tape.add(recon, tape.scalar_mul(kl_weight, kl_divergence(tape, mu, logsigma)))
 
 

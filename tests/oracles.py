@@ -100,16 +100,8 @@ def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
         raise ValueError("perm must be a permutation of [0, N)")
     inv = np.empty_like(perm)
     inv[perm] = np.arange(g.num_nodes)
-    new_x = g.x[inv]
-    new_pos = g.pos[inv] if g.pos is not None else None
-    new_edge_index = perm[g.edge_index]
-    return Graph(
-        x=new_x,
-        edge_index=new_edge_index,
-        edge_attr=g.edge_attr.copy(),
-        pos=new_pos,
-        id=g.id,
-    )
+    return Graph(x=g.x[inv], edge_index=perm[g.edge_index],
+                 edge_attr=g.edge_attr.copy(), id=g.id)
 
 
 def decode_adjacency_numpy(z: np.ndarray) -> np.ndarray:

@@ -74,19 +74,25 @@ def test_array_json_bytes_match_per_element_conversion():
         np.array([-0.0, 0.0, 2.5e17, 1e-320, -1.5, 1e16, 123456789.0]),
         np.array([[0, 5, 2**53 + 1], [7, 0, -3]], dtype=np.int64),  # edge_index is int64
         np.zeros((2, 0)),
+        np.zeros((2, 0), dtype=np.int64),
     ]
     for arr in arrays:
-        old = {"shape": [int(s) for s in arr.shape], "data": [float(x) for x in arr.ravel()]}
+        convert = int if arr.dtype.kind == "i" else float
+        old = {"shape": [int(s) for s in arr.shape], "data": [convert(x) for x in arr.ravel()]}
         assert json.dumps(array_to_json(arr), sort_keys=True) == json.dumps(old, sort_keys=True)
 
 
 def test_array_json_writes_an_int_dtype_as_ints():
     group = np.array([0, 3, 1, 2**40 + 1], dtype=np.int64)
-    doc = array_to_json(group, dtype=np.int64)
+    doc = array_to_json(group)
     assert doc == {"shape": [4], "data": [0, 3, 1, 2**40 + 1]}
     assert all(type(v) is int for v in doc["data"])
     again = json_to_array(doc, dtype=np.int64)
     assert again.dtype == np.int64 and np.array_equal(again, group)
+    assert all(type(v) is float for v in array_to_json(group.astype(np.float64))["data"])
+    for value in (2**53 + 1, 2**63 - 1, -2**63):  # not all exact in a float64
+        again = json_to_array({"shape": [1], "data": [value]}, dtype=np.int64)
+        assert again.dtype == np.int64 and again.tolist() == [value]
 
 
 def test_array_json_empty_and_1d():
@@ -96,7 +102,8 @@ def test_array_json_empty_and_1d():
     assert np.array_equal(json_to_array(array_to_json(vec)), vec)
 
 
-@pytest.mark.parametrize("data", [[0.7, 1.9], [0.0, -0.5], [0.0, 2.0**63]])
+@pytest.mark.parametrize("data", [[0.7, 1.9], [0.0, -0.5], [0.0, 2.0**63],
+                                  [0, 2**63], [0, 1.0], [0, True], [0, -2**63 - 1]])
 def test_json_to_array_rejects_values_that_are_not_ints(data):
     with pytest.raises(ConfigError, match="not an int64"):
         json_to_array({"shape": [2, 1], "data": data}, dtype=np.int64)
@@ -184,7 +191,7 @@ def test_validation_names_the_offending_field():
 
 
 def test_ingest_vanillin(corpus_path):
-    assert json.loads(corpus_path.read_text())["format_version"] == 2
+    assert json.loads(corpus_path.read_text())["format_version"] == 3
     entries = load_corpus(corpus_path)
     assert len(entries) == 1
     e = entries[0]
@@ -193,6 +200,9 @@ def test_ingest_vanillin(corpus_path):
     assert e["formula"] == "C8H8O3"
     assert e["x"]["shape"] == [19, 13]
     assert "membership" not in e  # the partition is stored once, as groups
+    assert "pos" not in e  # nothing reads atom coordinates
+    assert e["edge_index"]["shape"] == [2, 38]
+    assert all(type(v) is int for v in e["edge_index"]["data"])
     assert sorted(a for g in e["groups"] for a in g) == list(range(19))
     assert len(e["groups"]) == 10
     assert e["group_kinds"].count("functional") == 3
@@ -288,12 +298,17 @@ def test_corpus_membership_is_rebuilt_from_groups(corpus_path, vanillin_mol, rev
 
 def test_main_rejects_a_version_1_corpus(tmp_path, capsys, corpus_path):
     doc = json.loads(corpus_path.read_text())
-    doc["format_version"] = 1
-    old = tmp_path / "v1.json"
-    old.write_text(json.dumps(doc))
-    assert main(["train", str(old), "--out", str(tmp_path / "m.json")]) == 2
-    assert "format_version 1 != supported 2" in capsys.readouterr().err
-    assert not (tmp_path / "m.json").exists()
+    mol = doc["molecules"][0]
+    # version 2 also wrote edge_index as floats and the atom coordinates
+    mol["edge_index"]["data"] = [float(v) for v in mol["edge_index"]["data"]]
+    mol["pos"] = {"shape": [19, 3], "data": [0.0] * 57}
+    for version in (1, 2):
+        doc["format_version"] = version
+        old = tmp_path / f"v{version}.json"
+        old.write_text(json.dumps(doc))
+        assert main(["train", str(old), "--out", str(tmp_path / "m.json")]) == 2
+        assert f"format_version {version} != supported 3" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 # ---------------------------------------------------------------- train
@@ -383,8 +398,10 @@ def test_embed_exports_validate_against_schema(tmp_path, corpus_path):
     assert doc["tiers"]["1"]["z"]["shape"] == [19, 3]
     assert doc["tiers"]["2"]["z"]["shape"] == [10, 3]
     assert doc["tiers"]["3"]["z"]["shape"] == [1, 3]
-    assert doc["format_version"] == 2
+    assert doc["format_version"] == 3
     assert doc["tiers"]["1"]["membership"]["shape"] == [19]
+    for tier in ("1", "2", "3"):
+        assert all(type(v) is int for v in doc["tiers"][tier]["edge_index"]["data"])
     assert doc["tiers"]["2"]["membership"] == {"shape": [10], "data": [0] * 10}
     assert "membership" not in doc["tiers"]["3"]
 
@@ -418,6 +435,16 @@ def test_export_schema_holds_one_group_index_per_node(tmp_path, corpus_path, cha
         membership["data"][3] = -1
     else:
         doc["format_version"] = 1
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, EXPORT_SCHEMA)
+
+
+@pytest.mark.parametrize("value", [0.5, -1])
+def test_export_schema_holds_int_edge_indices(tmp_path, corpus_path, value):
+    ckpt, _ = cmd_train(small_cfg(), corpus_path, tmp_path / "model.json")
+    doc = json.loads(cmd_embed(ckpt, corpus_path, tmp_path / "export")[0].read_text())
+    jsonschema.validate(doc, EXPORT_SCHEMA)
+    doc["tiers"]["2"]["edge_index"]["data"][0] = value
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, EXPORT_SCHEMA)
 
@@ -734,14 +761,13 @@ def test_main_non_finite_rate_or_weight_exits_2(tmp_path, capsys, corpus_path, f
 
 @pytest.mark.parametrize("key, value", [
     ("x", float("nan")), ("x", float("-inf")), ("edge_attr", float("inf")),
-    ("edge_index", float("inf")),  # read as int64
-    ("edge_index", 0.9), ("edge_index", -0.5),  # not whole numbers, so not int64
+    ("edge_index", float("inf")), ("edge_index", 0.9), ("edge_index", -0.5),
+    ("edge_index", 1.0), ("edge_index", True), ("edge_index", 2**63),  # not int64
 ])
 def test_main_corpus_with_non_finite_value_exits_2(tmp_path, capsys, corpus_path,
                                                     key, value):
     ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
     doc = json.loads(corpus_path.read_text())
-    # the first edge_index value is 0.0, which 0.9 and -0.5 truncate to
     doc["molecules"][0][key]["data"][0] = value
     bad = tmp_path / "corpus.json"
     bad.write_text(json.dumps(doc))  # writes the JSON tokens NaN, Infinity, -Infinity
