@@ -67,7 +67,8 @@ def array_to_json(arr: np.ndarray) -> dict:
 def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
     """Inverse of `array_to_json`. An integer array is read exactly: a value
     that is not a JSON int in the dtype's range (1.0, true, 2**63) is a
-    ConfigError, as is a value of a float array that is not finite."""
+    ConfigError, as is a value of a float array that is not a finite JSON
+    number (true, "1.5", NaN)."""
     data = obj["data"]
     if np.dtype(dtype).kind == "i":
         info = np.iinfo(dtype)
@@ -76,6 +77,9 @@ def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
             bad = next(v for v in data if type(v) is not int or not info.min <= v <= info.max)
             raise ConfigError(f"array data holds {bad!r}, not an {info.dtype}")
         return np.array(data, dtype=dtype).reshape(obj["shape"])
+    if not set(map(type, data)) <= {int, float}:  # true, "1.5" or a list
+        bad = next(v for v in data if type(v) not in (int, float))
+        raise ConfigError(f"array data holds {bad!r}, not a number")
     try:
         arr = np.asarray(data, dtype=np.float64)
     except OverflowError as exc:  # an int too large for a float

@@ -13,6 +13,7 @@ All indices here are 0-based.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,35 +37,27 @@ class GroupPartition:
         return len(self.groups)
 
 
-def _is_hydrogen(mol: Molecule, i: int) -> bool:
-    return mol.atoms[i].symbol == "H"
-
-
-def _is_heteroatom(mol: Molecule, i: int) -> bool:
-    return mol.atoms[i].symbol not in ("C", "H")
-
-
 def mark_atoms(mol: Molecule) -> set[int]:
     """Atoms that seed functional groups; see module docstring for rules."""
-    marked: set[int] = set()
+    symbols = [atom.symbol for atom in mol.atoms]
+    marked = {i for i, s in enumerate(symbols) if s != "C" and s != "H"}
     hetero_single_neighbors: dict[int, int] = {}
-    for i in range(mol.atom_count):
-        if _is_heteroatom(mol, i):
-            marked.add(i)
     for bond in mol.bonds:
         i, j = bond.a1 - 1, bond.a2 - 1
-        for a, b in ((i, j), (j, i)):
-            if mol.atoms[a].symbol != "C":
-                continue
-            if bond.order in (2, 3) and _is_heteroatom(mol, b):
-                marked.add(a)
-            if bond.order in (2, 3) and mol.atoms[b].symbol == "C":
-                marked.add(a)  # non-aromatic multiple C-C bond; type 4 excluded
-            if bond.order == 1 and _is_heteroatom(mol, b):
-                hetero_single_neighbors[a] = hetero_single_neighbors.get(a, 0) + 1
-    for a, count in hetero_single_neighbors.items():
-        if count >= 2:
-            marked.add(a)
+        si, sj = symbols[i], symbols[j]
+        if bond.order == 1:
+            if si == "C" and sj != "C" and sj != "H":
+                hetero_single_neighbors[i] = hetero_single_neighbors.get(i, 0) + 1
+            if sj == "C" and si != "C" and si != "H":
+                hetero_single_neighbors[j] = hetero_single_neighbors.get(j, 0) + 1
+        elif bond.order in (2, 3):
+            # a carbon multiple-bonded to a heteroatom or to a carbon; the
+            # aromatic type 4 is excluded
+            if si == "C" and sj != "H":
+                marked.add(i)
+            if sj == "C" and si != "H":
+                marked.add(j)
+    marked.update(a for a, count in hetero_single_neighbors.items() if count >= 2)
     return marked
 
 
@@ -72,6 +65,7 @@ def build_partition(mol: Molecule, marked: set[int]) -> GroupPartition:
     """Connected components of the marked subgraph become functional groups;
     hydrogens join their heavy neighbor; the rest are skeleton singletons."""
     n = mol.atom_count
+    is_hydrogen = [atom.symbol == "H" for atom in mol.atoms]
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -80,33 +74,24 @@ def build_partition(mol: Molecule, marked: set[int]) -> GroupPartition:
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
-
+    # a bond joins two marked atoms, or a hydrogen to its (unique) heavy
+    # neighbor; an H with no heavy neighbor keeps its own component
     for bond in mol.bonds:
         i, j = bond.a1 - 1, bond.a2 - 1
-        if i in marked and j in marked:
-            union(i, j)
+        if (i in marked and j in marked) or is_hydrogen[i] != is_hydrogen[j]:
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[max(ri, rj)] = min(ri, rj)
 
-    # hydrogens follow their (unique) heavy neighbor; an H with no heavy
-    # neighbor keeps its own component
-    for bond in mol.bonds:
-        i, j = bond.a1 - 1, bond.a2 - 1
-        for h, other in ((i, j), (j, i)):
-            if _is_hydrogen(mol, h) and not _is_hydrogen(mol, other):
-                union(h, other)
-
+    # a union points the larger root at the smaller, so parent[i] <= i and
+    # one ascending pass leaves each atom pointing at its component's
+    # smallest member; the groups come out sorted and in that order
     members: dict[int, list[int]] = {}
     for i in range(n):
-        members.setdefault(find(i), []).append(i)
-    roots = sorted(members, key=lambda r: min(members[r]))
-    groups = [tuple(sorted(members[r])) for r in roots]
-    kinds = [
-        FUNCTIONAL if any(a in marked for a in g) else SKELETON
-        for g in groups
-    ]
+        parent[i] = parent[parent[i]]
+        members.setdefault(parent[i], []).append(i)
+    groups = [tuple(m) for m in members.values()]
+    kinds = [SKELETON if marked.isdisjoint(g) else FUNCTIONAL for g in groups]
     return GroupPartition(groups=groups, kinds=kinds)
 
 
@@ -118,18 +103,22 @@ def membership_from_partition(p: GroupPartition, n: int) -> MembershipMatrix:
     """Membership of n nodes in the partition's groups, the groups numbered
     by smallest member index. The groups are non-empty lists of ints (no
     bools) that cover [0, n) once."""
-    if not isinstance(p.groups, (list, tuple)) or not all(
-            isinstance(g, (list, tuple)) and g and all(type(a) is int for a in g)
-            for g in p.groups):
+    groups = p.groups
+    if not (isinstance(groups, (list, tuple))
+            and all(isinstance(g, (list, tuple)) and g for g in groups)
+            and set(map(type, itertools.chain.from_iterable(groups))) <= {int}):
         raise IncompleteCoverError("groups must be a list of non-empty lists of int indices")
-    covered = sorted(a for g in p.groups for a in g)
-    if covered != list(range(n)):
-        raise IncompleteCoverError(
-            f"groups hold {len(covered)} atom indices, not each of [0, {n}) once"
-        )
-    order = sorted(range(p.group_count), key=lambda gi: min(p.groups[gi]))
+    atoms = list(itertools.chain.from_iterable(groups))
+    not_a_cover = f"groups hold {len(atoms)} atom indices, not each of [0, {n}) once"
+    if len(atoms) != n or (n and not 0 <= min(atoms) <= max(atoms) < n):
+        raise IncompleteCoverError(not_a_cover)
+    atoms = np.array(atoms, dtype=np.int64)
+    if np.bincount(atoms, minlength=n).max(initial=0) > 1:  # n in-range, so one repeats
+        raise IncompleteCoverError(not_a_cover)
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    starts = np.cumsum(sizes) - sizes
+    column = np.empty(len(groups), dtype=np.int64)
+    column[np.argsort(np.minimum.reduceat(atoms, starts))] = np.arange(len(groups))
     group = np.empty(n, dtype=np.int64)
-    for col, gi in enumerate(order):
-        group[list(p.groups[gi])] = col
+    group[atoms] = column.repeat(sizes)
     return MembershipMatrix(group, p.group_count)
-

@@ -4,7 +4,8 @@ Fixed-column parsing, no tokenization guesswork: the counts line carries the
 atom count in columns 1-3 and the bond count in columns 4-6; atom lines put
 coordinates in three 10-wide fields, the element symbol in columns 32-34 and
 the charge code in columns 37-39; bond lines are three 3-wide integers.
-Records end with "$$$$" and may carry associated data items afterward.
+Integer fields take ASCII digits and a sign only. Records end with "$$$$" and
+may carry associated data items afterward.
 
 Atom order in the file is atom identity. It is never changed: upstream
 numbering (e.g. ALATIS) is what makes embeddings comparable across runs.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -40,16 +41,21 @@ EDGE_FEATURE_DIM = len(BOND_ORDERS)
 
 _DATA_HEADER = re.compile(r"^>.*<([^<>]+)>")
 _ELEMENT_SYMBOL = re.compile(r"[A-Z][a-z]{0,2}")
+_ELEMENT_INDEX = {symbol: k for k, symbol in enumerate(ELEMENT_VOCAB)}
+_BOND_CHANNEL = {order: k for k, order in enumerate(BOND_ORDERS)}
+# charge of each stripped charge-code field a writer emits; any other field
+# is read through `_int_field`
+_FIELD_CHARGE = {"": 0, **{str(code): q for code, q in CHARGE_CODES.items()}}
 
 
-@dataclass
+@dataclass(slots=True)
 class Atom:
     symbol: str
     charge: int
     coords: tuple[float, float, float]
 
 
-@dataclass
+@dataclass(slots=True)
 class Bond:
     a1: int  # 1-based, as stored in the file
     a2: int
@@ -80,53 +86,25 @@ def _decode(data) -> str:
     return data
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), but only of ASCII digits: int() alone also reads `1_0` as
+    10 and accepts non-ASCII digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _int_field(line: str, start: int, stop: int, what: str, err) -> int:
     text = line[start:stop].strip()
     try:
-        return int(text)
+        return _ascii_int(text)
     except ValueError:
         raise err(f"{what}: cannot read integer from {text!r}") from None
 
 
-def _parse_atom_line(line: str, idx: int) -> Atom:
-    if len(line) < 34:
-        raise TruncatedBlockError(f"atom line {idx + 1} too short: {line!r}")
-    try:
-        coords = (float(line[0:10]), float(line[10:20]), float(line[20:30]))
-    except ValueError:
-        raise TruncatedBlockError(
-            f"atom line {idx + 1}: unreadable coordinates in {line!r}"
-        ) from None
-    symbol = line[31:34].strip()
-    if not symbol:
-        raise TruncatedBlockError(f"atom line {idx + 1}: empty element symbol")
-    if not _ELEMENT_SYMBOL.fullmatch(symbol):
-        raise SdfError(f"atom line {idx + 1}: {symbol!r} is not an element symbol")
-    code = 0
-    if line[36:39].strip():
-        code = _int_field(line, 36, 39, f"atom line {idx + 1} charge code", SdfError)
-    charge = CHARGE_CODES.get(code, 0)
-    return Atom(symbol=symbol, charge=charge, coords=coords)
-
-
-def _parse_bond_line(line: str, idx: int, n_atoms: int) -> Bond:
-    if len(line) < 9:
-        raise TruncatedBlockError(f"bond line {idx + 1} too short: {line!r}")
-    a1 = _int_field(line, 0, 3, f"bond line {idx + 1}", InvalidBondError)
-    a2 = _int_field(line, 3, 6, f"bond line {idx + 1}", InvalidBondError)
-    order = _int_field(line, 6, 9, f"bond line {idx + 1}", InvalidBondError)
-    if not (1 <= a1 <= n_atoms and 1 <= a2 <= n_atoms):
-        raise InvalidBondError(
-            f"bond line {idx + 1}: endpoints ({a1}, {a2}) outside [1, {n_atoms}]"
-        )
-    if a1 == a2:
-        raise InvalidBondError(f"bond line {idx + 1}: self-bond on atom {a1}")
-    if order not in BOND_ORDERS:
-        raise InvalidBondError(f"bond line {idx + 1}: unsupported bond type {order}")
-    return Bond(a1=a1, a2=a2, order=order)
-
-
-def _parse_record(lines: list[str]) -> Molecule:
+def _read_header(lines: list[str]) -> tuple[Optional[str], int, int]:
+    """Name, atom count and bond count of a record, checked against the
+    number of lines the record holds."""
     if len(lines) < 4:
         raise TruncatedBlockError("record ends before the counts line")
     name = lines[0].strip() or None
@@ -137,32 +115,82 @@ def _parse_record(lines: list[str]) -> Molecule:
     n_bonds = _int_field(counts, 3, 6, "counts line", MalformedCountsLineError)
     if n_atoms < 0 or n_bonds < 0:
         raise MalformedCountsLineError(f"negative counts in {counts!r}")
-
-    atom_start = 4
-    bond_start = atom_start + n_atoms
-    block_end = bond_start + n_bonds
-    if len(lines) < block_end:
+    if len(lines) < 4 + n_atoms + n_bonds:
         raise TruncatedBlockError(
             f"record promises {n_atoms} atoms and {n_bonds} bonds "
             f"but ends after {len(lines)} lines"
         )
-    atoms = [_parse_atom_line(lines[atom_start + i], i) for i in range(n_atoms)]
+    return name, n_atoms, n_bonds
 
+
+def _read_atoms(lines: list[str], start: int, n_atoms: int) -> list[Atom]:
+    """The atom block, checked line by line in column order."""
+    atoms: list[Atom] = []
+    for idx, line in enumerate(lines[start:start + n_atoms]):
+        if len(line) < 34:
+            raise TruncatedBlockError(f"atom line {idx + 1} too short: {line!r}")
+        try:
+            coords = (float(line[0:10]), float(line[10:20]), float(line[20:30]))
+        except ValueError:
+            raise TruncatedBlockError(
+                f"atom line {idx + 1}: unreadable coordinates in {line!r}"
+            ) from None
+        symbol = line[31:34].strip()
+        if symbol not in _ELEMENT_INDEX:
+            if not symbol:
+                raise TruncatedBlockError(f"atom line {idx + 1}: empty element symbol")
+            if not _ELEMENT_SYMBOL.fullmatch(symbol):
+                raise SdfError(f"atom line {idx + 1}: {symbol!r} is not an element symbol")
+        charge = _FIELD_CHARGE.get(line[36:39].strip())
+        if charge is None:
+            code = _int_field(line, 36, 39, f"atom line {idx + 1} charge code", SdfError)
+            charge = CHARGE_CODES.get(code, 0)
+        atoms.append(Atom(symbol, charge, coords))
+    return atoms
+
+
+def _read_bonds(lines: list[str], start: int, n_bonds: int, n_atoms: int) -> list[Bond]:
+    """The bond block, checked line by line: fields, endpoints, order, then
+    a pair bonded twice."""
     bonds: list[Bond] = []
-    seen_pairs: set[frozenset[int]] = set()
-    for i in range(n_bonds):
-        bond = _parse_bond_line(lines[bond_start + i], i, n_atoms)
-        pair = frozenset((bond.a1, bond.a2))
+    seen_pairs: set[tuple[int, int]] = set()
+    for idx, line in enumerate(lines[start:start + n_bonds]):
+        if len(line) < 9:
+            raise TruncatedBlockError(f"bond line {idx + 1} too short: {line!r}")
+        try:
+            a1, a2, order = int(line[0:3]), int(line[3:6]), int(line[6:9])
+            plain = line.isascii() and "_" not in line
+        except ValueError:
+            plain = False
+        if not plain:  # name the first field that is not an ASCII integer
+            what = f"bond line {idx + 1}"
+            a1 = _int_field(line, 0, 3, what, InvalidBondError)
+            a2 = _int_field(line, 3, 6, what, InvalidBondError)
+            order = _int_field(line, 6, 9, what, InvalidBondError)
+        if not (1 <= a1 <= n_atoms and 1 <= a2 <= n_atoms):
+            raise InvalidBondError(
+                f"bond line {idx + 1}: endpoints ({a1}, {a2}) outside [1, {n_atoms}]"
+            )
+        if a1 == a2:
+            raise InvalidBondError(f"bond line {idx + 1}: self-bond on atom {a1}")
+        if order not in _BOND_CHANNEL:
+            raise InvalidBondError(f"bond line {idx + 1}: unsupported bond type {order}")
+        pair = (a1, a2) if a1 < a2 else (a2, a1)
         if pair in seen_pairs:
             raise InvalidBondError(
-                f"bond line {i + 1}: duplicate bond between {bond.a1} and {bond.a2}"
+                f"bond line {idx + 1}: duplicate bond between {a1} and {a2}"
             )
         seen_pairs.add(pair)
-        bonds.append(bond)
+        bonds.append(Bond(a1, a2, order))
+    return bonds
 
+
+def _finish_record(lines: list[str], cursor: int, name: Optional[str],
+                   atoms: list[Atom], bonds: list[Bond]) -> Molecule:
+    """The record's molecule from its blocks, the properties block that
+    starts at `cursor` and runs to M  END, and the data items after it."""
     # properties block: M CHG overrides every atom-block charge code
     chg_entries: list[tuple[int, int]] = []
-    cursor = block_end
     while cursor < len(lines):
         line = lines[cursor]
         cursor += 1
@@ -172,14 +200,14 @@ def _parse_record(lines: list[str]) -> Molecule:
             parts = line.split()
             for a_txt, v_txt in zip(parts[3::2], parts[4::2]):
                 try:
-                    chg_entries.append((int(a_txt), int(v_txt)))
+                    chg_entries.append((_ascii_int(a_txt), _ascii_int(v_txt)))
                 except ValueError:
                     raise SdfError(f"M CHG: cannot read integers from {line!r}") from None
     if chg_entries:
         for atom in atoms:
             atom.charge = 0
         for a_idx, value in chg_entries:
-            if not (1 <= a_idx <= n_atoms):
+            if not (1 <= a_idx <= len(atoms)):
                 raise TruncatedBlockError(f"M CHG references atom {a_idx}")
             atoms[a_idx - 1].charge = value
 
@@ -209,22 +237,30 @@ def _parse_record(lines: list[str]) -> Molecule:
                     name=name, data=data)
 
 
+def _parse_record(lines: list[str]) -> Molecule:
+    name, n_atoms, n_bonds = _read_header(lines)
+    atoms = _read_atoms(lines, 4, n_atoms)
+    bonds = _read_bonds(lines, 4 + n_atoms, n_bonds, n_atoms)
+    return _finish_record(lines, 4 + n_atoms + n_bonds, name, atoms, bonds)
+
+
+def _records(data) -> Iterator[list[str]]:
+    """The lines of each record in an SDF payload (bytes or str)."""
+    lines = _decode(data).splitlines()
+    ends = [k for k, raw in enumerate(lines) if "$$$$" in raw and raw.strip() == "$$$$"]
+    start = 0
+    # the lines after the last $$$$ are a record too: a lone molfile
+    # without the terminator is still one
+    for end in ends + [len(lines)]:
+        record = lines[start:end]
+        if any(line.strip() for line in record):
+            yield record
+        start = end + 1
+
+
 def parse_sdf(data) -> list[Molecule]:
     """Parse an SDF payload (bytes or str) into Molecules, one per record."""
-    text = _decode(data)
-    molecules: list[Molecule] = []
-    record: list[str] = []
-    for raw in text.splitlines():
-        if raw.strip() == "$$$$":
-            if any(line.strip() for line in record):
-                molecules.append(_parse_record(record))
-            record = []
-        else:
-            record.append(raw)
-    if any(line.strip() for line in record):
-        # a lone molfile without the $$$$ terminator is still one record
-        molecules.append(_parse_record(record))
-    return molecules
+    return [_parse_record(lines) for lines in _records(data)]
 
 
 def write_sdf(molecules) -> str:
@@ -261,14 +297,6 @@ def write_sdf(molecules) -> str:
     return "\n".join(chunks) + ("\n" if chunks else "")
 
 
-def _element_index(symbol: str) -> int:
-    try:
-        return ELEMENT_VOCAB.index(symbol)
-    except ValueError:
-        warnings.warn(f"element {symbol!r} not in vocabulary, using the catch-all bucket")
-        return OTHER_BUCKET
-
-
 def featurize(mol: Molecule) -> Graph:
     """Molecule -> Graph with documented features.
 
@@ -278,26 +306,25 @@ def featurize(mol: Molecule) -> Graph:
     1-based convention to 0-based; every bond emits both directed entries.
     """
     n = mol.atom_count
-    x = np.zeros((n, NODE_FEATURE_DIM), dtype=np.float64)
-    degree = np.zeros(n, dtype=np.float64)
-    for bond in mol.bonds:
-        degree[bond.a1 - 1] += 1
-        degree[bond.a2 - 1] += 1
-    for i, atom in enumerate(mol.atoms):
-        x[i, _element_index(atom.symbol)] = 1.0
-        x[i, OTHER_BUCKET + 1] = float(atom.charge)
-        x[i, OTHER_BUCKET + 2] = degree[i]
+    element = [_ELEMENT_INDEX.get(atom.symbol, OTHER_BUCKET) for atom in mol.atoms]
+    if OTHER_BUCKET in element:
+        for atom in mol.atoms:
+            if atom.symbol not in _ELEMENT_INDEX:
+                warnings.warn(f"element {atom.symbol!r} not in vocabulary, "
+                              "using the catch-all bucket")
+    bonds = np.array([(b.a1 - 1, b.a2 - 1, _BOND_CHANNEL[b.order]) for b in mol.bonds],
+                     dtype=np.int64).reshape(-1, 3)
+    ends = bonds[:, :2]  # (E, 2), 0-based
 
-    u = 2 * mol.bond_count
-    edge_index = np.zeros((2, u), dtype=np.int64)
-    edge_attr = np.zeros((u, EDGE_FEATURE_DIM), dtype=np.float64)
-    for e, bond in enumerate(mol.bonds):
-        i, j = bond.a1 - 1, bond.a2 - 1
-        channel = BOND_ORDERS.index(bond.order)
-        edge_index[:, 2 * e] = (i, j)
-        edge_index[:, 2 * e + 1] = (j, i)
-        edge_attr[2 * e, channel] = 1.0
-        edge_attr[2 * e + 1, channel] = 1.0
+    x = np.zeros((n, NODE_FEATURE_DIM), dtype=np.float64)
+    x[np.arange(n), element] = 1.0
+    x[:, OTHER_BUCKET + 1] = [atom.charge for atom in mol.atoms]
+    x[:, OTHER_BUCKET + 2] = np.bincount(ends.ravel(), minlength=n)
+
+    # bond e gives directed edges 2e = (i, j) and 2e + 1 = (j, i)
+    edge_index = np.stack([ends.ravel(), ends[:, ::-1].ravel()])
+    edge_attr = np.zeros((2 * len(bonds), EDGE_FEATURE_DIM), dtype=np.float64)
+    edge_attr[np.arange(2 * len(bonds)), bonds[:, 2].repeat(2)] = 1.0
 
     mol_id = str(mol.cid) if mol.cid is not None else mol.name
     return Graph(x=x, edge_index=edge_index, edge_attr=edge_attr, id=mol_id)

@@ -24,26 +24,228 @@ it was while a membership held its dense N x G matrix, and returns that
 matrix. `membership_from_dense` and `dense_membership` convert between the
 dense matrix and the group-index vector that `MembershipMatrix` holds.
 
+`parse_sdf_per_line`, `featurize_loop`, `mark_atoms_loop` and
+`build_partition_loop` are ingest as it was before its block loops and
+featurization lost their per-atom calls: one helper call per atom line and
+per bond line, with the checks in the same order and the same errors, and
+`_is_hydrogen` / `_is_heteroatom` once per bond end. The field reader is
+the library's `sdf._int_field`, so the references take the same integer
+grammar (ASCII digits only); the header and the properties and data that
+follow the blocks are read by the library's own helpers.
+
 `permute_graph`, `decode_adjacency_numpy`, `formula_from_molecule` and
 `functional_groups` are reference helpers that the pipeline does not call.
 """
 
 import math
+import warnings
 
 import numpy as np
 
+from tiergae import sdf
 from tiergae.autodiff import Adam, Tape
 from tiergae.errors import (
     DomainError,
     DuplicateEdgeError,
     IncompleteCoverError,
     IndexOutOfRangeError,
+    InvalidBondError,
+    SdfError,
     ShapeMismatchError,
+    TruncatedBlockError,
 )
-from tiergae.fgroups import FUNCTIONAL, GroupPartition
+from tiergae.fgroups import FUNCTIONAL, SKELETON, GroupPartition
 from tiergae.graphs import Graph, MembershipMatrix, Violation, adjacency_array
-from tiergae.sdf import ELEMENT_VOCAB, OTHER_BUCKET, Molecule, _hill_formula
+from tiergae.sdf import (
+    BOND_ORDERS,
+    CHARGE_CODES,
+    EDGE_FEATURE_DIM,
+    ELEMENT_VOCAB,
+    NODE_FEATURE_DIM,
+    OTHER_BUCKET,
+    Atom,
+    Bond,
+    Molecule,
+    _hill_formula,
+)
 from tiergae.tgae import TierSample, bce_weights, stack_samples, tier_sample
+
+
+# ---------------------------------------------------------------- ingest
+
+def parse_atom_line(line: str, idx: int) -> Atom:
+    if len(line) < 34:
+        raise TruncatedBlockError(f"atom line {idx + 1} too short: {line!r}")
+    try:
+        coords = (float(line[0:10]), float(line[10:20]), float(line[20:30]))
+    except ValueError:
+        raise TruncatedBlockError(
+            f"atom line {idx + 1}: unreadable coordinates in {line!r}"
+        ) from None
+    symbol = line[31:34].strip()
+    if not symbol:
+        raise TruncatedBlockError(f"atom line {idx + 1}: empty element symbol")
+    if not sdf._ELEMENT_SYMBOL.fullmatch(symbol):
+        raise SdfError(f"atom line {idx + 1}: {symbol!r} is not an element symbol")
+    code = 0
+    if line[36:39].strip():
+        code = sdf._int_field(line, 36, 39, f"atom line {idx + 1} charge code", SdfError)
+    charge = CHARGE_CODES.get(code, 0)
+    return Atom(symbol=symbol, charge=charge, coords=coords)
+
+
+def parse_bond_line(line: str, idx: int, n_atoms: int) -> Bond:
+    if len(line) < 9:
+        raise TruncatedBlockError(f"bond line {idx + 1} too short: {line!r}")
+    a1 = sdf._int_field(line, 0, 3, f"bond line {idx + 1}", InvalidBondError)
+    a2 = sdf._int_field(line, 3, 6, f"bond line {idx + 1}", InvalidBondError)
+    order = sdf._int_field(line, 6, 9, f"bond line {idx + 1}", InvalidBondError)
+    if not (1 <= a1 <= n_atoms and 1 <= a2 <= n_atoms):
+        raise InvalidBondError(
+            f"bond line {idx + 1}: endpoints ({a1}, {a2}) outside [1, {n_atoms}]"
+        )
+    if a1 == a2:
+        raise InvalidBondError(f"bond line {idx + 1}: self-bond on atom {a1}")
+    if order not in BOND_ORDERS:
+        raise InvalidBondError(f"bond line {idx + 1}: unsupported bond type {order}")
+    return Bond(a1=a1, a2=a2, order=order)
+
+
+def _parse_record_per_line(lines: list[str]) -> Molecule:
+    name, n_atoms, n_bonds = sdf._read_header(lines)
+    bond_start = 4 + n_atoms
+    atoms = [parse_atom_line(lines[4 + i], i) for i in range(n_atoms)]
+    bonds: list[Bond] = []
+    seen_pairs: set[frozenset[int]] = set()
+    for i in range(n_bonds):
+        bond = parse_bond_line(lines[bond_start + i], i, n_atoms)
+        pair = frozenset((bond.a1, bond.a2))
+        if pair in seen_pairs:
+            raise InvalidBondError(
+                f"bond line {i + 1}: duplicate bond between {bond.a1} and {bond.a2}"
+            )
+        seen_pairs.add(pair)
+        bonds.append(bond)
+    return sdf._finish_record(lines, bond_start + n_bonds, name, atoms, bonds)
+
+
+def parse_sdf_per_line(data) -> list[Molecule]:
+    text = sdf._decode(data)
+    molecules: list[Molecule] = []
+    record: list[str] = []
+    for raw in text.splitlines():
+        if raw.strip() == "$$$$":
+            if any(line.strip() for line in record):
+                molecules.append(_parse_record_per_line(record))
+            record = []
+        else:
+            record.append(raw)
+    if any(line.strip() for line in record):
+        molecules.append(_parse_record_per_line(record))
+    return molecules
+
+
+def _element_index(symbol: str) -> int:
+    try:
+        return ELEMENT_VOCAB.index(symbol)
+    except ValueError:
+        warnings.warn(f"element {symbol!r} not in vocabulary, using the catch-all bucket")
+        return OTHER_BUCKET
+
+
+def featurize_loop(mol: Molecule) -> Graph:
+    n = mol.atom_count
+    x = np.zeros((n, NODE_FEATURE_DIM), dtype=np.float64)
+    degree = np.zeros(n, dtype=np.float64)
+    for bond in mol.bonds:
+        degree[bond.a1 - 1] += 1
+        degree[bond.a2 - 1] += 1
+    for i, atom in enumerate(mol.atoms):
+        x[i, _element_index(atom.symbol)] = 1.0
+        x[i, OTHER_BUCKET + 1] = float(atom.charge)
+        x[i, OTHER_BUCKET + 2] = degree[i]
+
+    u = 2 * mol.bond_count
+    edge_index = np.zeros((2, u), dtype=np.int64)
+    edge_attr = np.zeros((u, EDGE_FEATURE_DIM), dtype=np.float64)
+    for e, bond in enumerate(mol.bonds):
+        i, j = bond.a1 - 1, bond.a2 - 1
+        channel = BOND_ORDERS.index(bond.order)
+        edge_index[:, 2 * e] = (i, j)
+        edge_index[:, 2 * e + 1] = (j, i)
+        edge_attr[2 * e, channel] = 1.0
+        edge_attr[2 * e + 1, channel] = 1.0
+
+    mol_id = str(mol.cid) if mol.cid is not None else mol.name
+    return Graph(x=x, edge_index=edge_index, edge_attr=edge_attr, id=mol_id)
+
+
+def _is_hydrogen(mol: Molecule, i: int) -> bool:
+    return mol.atoms[i].symbol == "H"
+
+
+def _is_heteroatom(mol: Molecule, i: int) -> bool:
+    return mol.atoms[i].symbol not in ("C", "H")
+
+
+def mark_atoms_loop(mol: Molecule) -> set[int]:
+    marked: set[int] = set()
+    hetero_single_neighbors: dict[int, int] = {}
+    for i in range(mol.atom_count):
+        if _is_heteroatom(mol, i):
+            marked.add(i)
+    for bond in mol.bonds:
+        i, j = bond.a1 - 1, bond.a2 - 1
+        for a, b in ((i, j), (j, i)):
+            if mol.atoms[a].symbol != "C":
+                continue
+            if bond.order in (2, 3) and _is_heteroatom(mol, b):
+                marked.add(a)
+            if bond.order in (2, 3) and mol.atoms[b].symbol == "C":
+                marked.add(a)
+            if bond.order == 1 and _is_heteroatom(mol, b):
+                hetero_single_neighbors[a] = hetero_single_neighbors.get(a, 0) + 1
+    for a, count in hetero_single_neighbors.items():
+        if count >= 2:
+            marked.add(a)
+    return marked
+
+
+def build_partition_loop(mol: Molecule, marked: set[int]) -> GroupPartition:
+    n = mol.atom_count
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[max(ri, rj)] = min(ri, rj)
+
+    for bond in mol.bonds:
+        i, j = bond.a1 - 1, bond.a2 - 1
+        if i in marked and j in marked:
+            union(i, j)
+    for bond in mol.bonds:
+        i, j = bond.a1 - 1, bond.a2 - 1
+        for h, other in ((i, j), (j, i)):
+            if _is_hydrogen(mol, h) and not _is_hydrogen(mol, other):
+                union(h, other)
+
+    members: dict[int, list[int]] = {}
+    for i in range(n):
+        members.setdefault(find(i), []).append(i)
+    roots = sorted(members, key=lambda r: min(members[r]))
+    groups = [tuple(sorted(members[r])) for r in roots]
+    kinds = [
+        FUNCTIONAL if any(a in marked for a in g) else SKELETON
+        for g in groups
+    ]
+    return GroupPartition(groups=groups, kinds=kinds)
 
 
 def formula_from_molecule(mol: Molecule) -> str:

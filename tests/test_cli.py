@@ -763,6 +763,7 @@ def test_main_non_finite_rate_or_weight_exits_2(tmp_path, capsys, corpus_path, f
     ("x", float("nan")), ("x", float("-inf")), ("edge_attr", float("inf")),
     ("edge_index", float("inf")), ("edge_index", 0.9), ("edge_index", -0.5),
     ("edge_index", 1.0), ("edge_index", True), ("edge_index", 2**63),  # not int64
+    ("x", True), ("edge_attr", False),  # a bool is not a float either
 ])
 def test_main_corpus_with_non_finite_value_exits_2(tmp_path, capsys, corpus_path,
                                                     key, value):
@@ -825,6 +826,16 @@ def test_main_checkpoint_with_non_finite_param_exits_2(tmp_path, capsys, corpus_
     checkpoint_doc["params"][name]["data"][0] = float("nan")
     assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
     assert f"param {name!r}: array data holds a non-finite value" in capsys.readouterr().err
+    assert not (tmp_path / "export").exists()
+
+
+@pytest.mark.parametrize("value", [True, "0.5"])
+def test_main_checkpoint_with_non_number_param_exits_2(tmp_path, capsys, corpus_path,
+                                                       checkpoint_doc, value):
+    name = sorted(checkpoint_doc["params"])[0]
+    checkpoint_doc["params"][name]["data"][0] = value
+    assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
+    assert f"param {name!r}: array data holds {value!r}, not a number" in capsys.readouterr().err
     assert not (tmp_path / "export").exists()
 
 

@@ -213,6 +213,48 @@ def test_element_field_must_be_a_symbol(field):
         parse_sdf(molfile([(field, 0)], []))
 
 
+def _edit_vanillin(text: str, row: int, start: int, stop: int, value: str) -> str:
+    """Vanillin with columns [start, stop) of line `row` replaced by `value`;
+    row None inserts `value` as a line before M  END."""
+    lines = text.splitlines()
+    if row is None:
+        lines.insert(lines.index("M  END"), value)
+    else:
+        lines[row] = lines[row][:start] + value.rjust(stop - start) + lines[row][stop:]
+    return "\n".join(lines) + "\n"
+
+
+# int() reads both "1_0" and "١٠" (Arabic-Indic digits) as 10
+NOT_ASCII_DIGITS = pytest.mark.parametrize("value", ["1_0", "١٠"],
+                                           ids=["underscore", "arabic-indic"])
+
+
+# line 3 is the counts line, 4 the first atom line, 23 the first bond line
+@NOT_ASCII_DIGITS
+@pytest.mark.parametrize("row, start, stop, error, what", [
+    (3, 0, 3, MalformedCountsLineError, "counts line"),
+    (3, 3, 6, MalformedCountsLineError, "counts line"),
+    (4, 36, 39, SdfError, "atom line 1 charge code"),
+    (23, 0, 3, InvalidBondError, "bond line 1"),
+    (23, 3, 6, InvalidBondError, "bond line 1"),
+    (23, 6, 9, InvalidBondError, "bond line 1"),
+], ids=["counts-atoms", "counts-bonds", "charge-code", "bond-a1", "bond-a2", "bond-order"])
+def test_integer_fields_take_only_ascii_digits(vanillin_sdf_bytes, value, row, start, stop,
+                                               error, what):
+    text = _edit_vanillin(vanillin_sdf_bytes.decode(), row, start, stop, value)
+    with pytest.raises(error) as info:
+        parse_sdf(text)
+    assert str(info.value) == f"{what}: cannot read integer from {value!r}"
+
+
+@NOT_ASCII_DIGITS
+def test_m_chg_takes_only_ascii_digits(vanillin_sdf_bytes, value):
+    line = f"M  CHG  1   1{value:>4}"
+    with pytest.raises(SdfError) as info:
+        parse_sdf(_edit_vanillin(vanillin_sdf_bytes.decode(), None, 0, 0, line))
+    assert str(info.value) == f"M CHG: cannot read integers from {line!r}"
+
+
 @pytest.mark.parametrize("symbol", ["C", "Cl", "He", "Se", "Uuo"])
 def test_element_symbols_parse(symbol):
     assert parse_sdf(molfile([(symbol, 0)], []))[0].atoms[0].symbol == symbol
