@@ -229,7 +229,7 @@ def _finish_record(lines: list[str], cursor: int, name: Optional[str],
     cid = None
     if "PUBCHEM_COMPOUND_CID" in data:
         try:
-            cid = int(data["PUBCHEM_COMPOUND_CID"])
+            cid = _ascii_int(data["PUBCHEM_COMPOUND_CID"])
         except ValueError:
             cid = None
     inchi = data.get("PUBCHEM_IUPAC_INCHI") or None

@@ -255,6 +255,16 @@ def test_m_chg_takes_only_ascii_digits(vanillin_sdf_bytes, value):
     assert str(info.value) == f"M CHG: cannot read integers from {line!r}"
 
 
+@pytest.mark.parametrize("value", ["1_183", "١١٨٣"], ids=["underscore", "arabic-indic"])
+def test_cid_takes_only_ascii_digits(vanillin_sdf_bytes, value):
+    text = vanillin_sdf_bytes.decode()
+    row = text.splitlines().index("> <PUBCHEM_COMPOUND_CID>") + 1
+    mol = parse_sdf(_edit_vanillin(text, row, 0, 4, value))[0]
+    assert mol.data["PUBCHEM_COMPOUND_CID"] == value
+    assert mol.cid is None  # as for any unreadable CID; the id falls back to the name
+    assert featurize(mol).id == mol.name
+
+
 @pytest.mark.parametrize("symbol", ["C", "Cl", "He", "Se", "Uuo"])
 def test_element_symbols_parse(symbol):
     assert parse_sdf(molfile([(symbol, 0)], []))[0].atoms[0].symbol == symbol
