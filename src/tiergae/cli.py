@@ -23,10 +23,7 @@ import contextlib
 import csv
 import json
 import math
-import os
-import pickle
 import sys
-import threading
 import time
 from dataclasses import fields, replace
 from pathlib import Path
@@ -47,6 +44,7 @@ from .tvgae import (
     make_variational_tier_models,
     train_tiered_variational,
 )
+from .workers import fork_share, reap, worker_count
 
 CORPUS_FORMAT_VERSION = 3
 CHECKPOINT_FORMAT_VERSION = 1
@@ -534,75 +532,11 @@ def _export_filename(entry: dict, index: int) -> str:
     return f"{safe}.json"
 
 
-def _worker_count(n: int) -> int:
-    """Processes that embed `n` molecules: one per CPU in this process's
-    affinity mask, at most one per molecule. It is 1 where `os.fork` or
-    `os.sched_getaffinity` is missing, and while another thread runs, since
-    a fork copies the locks that thread may hold."""
-    if (not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
-            or threading.active_count() > 1):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n)
-
-
-def _pickled_failure(failure: tuple[int, Exception]) -> bytes:
-    """`failure` pickled; an exception that does not survive the round trip
-    is sent as a RuntimeError holding its text."""
-    try:
-        payload = pickle.dumps(failure)
-        pickle.loads(payload)
-        return payload
-    except Exception:
-        index, exc = failure
-        return pickle.dumps((index, RuntimeError(f"{type(exc).__name__}: {exc}")))
-
-
-def _fork_share(run_share, share: range) -> Optional[tuple[int, int]]:
-    """Fork a child that runs `run_share(share)`, writes the failure it
-    returns, pickled, to a pipe, and leaves with `os._exit`, never returning
-    to the caller. (pid, read end of the pipe), or None if no child could be
-    started."""
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(rfd)
-            failure = run_share(share)
-            if failure is not None:
-                with open(wfd, "wb") as fh:
-                    fh.write(_pickled_failure(failure))
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, rfd
-
-
-def _reap(pid: int, rfd: int) -> tuple[int, bytes]:
-    """(exit code, report) of a child of `_fork_share` once it has ended.
-    The pipe is read first, so a child never blocks on a full pipe."""
-    try:
-        with open(rfd, "rb") as fh:
-            report = fh.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    return code, report
-
-
 def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     """Read-only inference over the corpus; one export JSON per molecule.
 
     After every check, the molecules are split by stride over one process
-    per CPU in the affinity mask (`_worker_count`): this one takes 0, k, 2k,
+    per CPU in the affinity mask (`workers.worker_count`): this one takes 0, k, 2k,
     ..., forked children the rest. Each process writes its own exports.
     Every child is reaped before this returns or raises, and the failure
     raised is the one of the lowest molecule index, as in a serial run."""
@@ -638,28 +572,22 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
                 return index, exc
         return None
 
-    k = _worker_count(len(paths))
+    k = worker_count(len(paths))
     own = list(range(0, len(paths), k))
     children = []  # (pid, read end of its pipe, first index of its share)
     failures = []
     try:
         for start in range(1, k):
             share = range(start, len(paths), k)
-            child = _fork_share(embed_share, share)
+            child = fork_share(embed_share, share)
             if child is None:  # this process takes the share
                 own.extend(share)
             else:
                 children.append((*child, start))
         failures.append(embed_share(sorted(own)))
     finally:
-        ended = [(_reap(pid, rfd), pid, start) for pid, rfd, start in children]
-    for (code, report), pid, start in ended:
-        if code != 0:  # ended without a report; its share may have failed anywhere
-            how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-            failures.append((start, CliError(
-                f"worker process {pid} for molecules #{start}, #{start + k}, ... {how}")))
-        elif report:
-            failures.append(pickle.loads(report))
+        failures += [reap(pid, rfd, f"molecules #{start}, #{start + k}, ...", start)
+                     for pid, rfd, start in children]
     failures = [f for f in failures if f is not None]
     if failures:
         raise min(failures, key=lambda f: f[0])[1]

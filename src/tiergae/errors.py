@@ -75,3 +75,7 @@ class ConfigError(TiergaeError, ValueError):
 
 class CliError(TiergaeError):
     """Fatal command-line failure; message is user-facing."""
+
+
+class WorkerError(TiergaeError):
+    """A forked worker process ended without reporting how (a signal, OOM)."""

@@ -75,6 +75,14 @@ class MembershipMatrix:
         if empty.size:
             raise EmptyGroupError(f"membership column {int(empty[0])} assigns no nodes")
 
+    @classmethod
+    def unchecked(cls, group: np.ndarray, num_groups: int) -> MembershipMatrix:
+        """The membership of an int64 `group` vector that its caller has
+        already checked against every rule above; no check is repeated."""
+        m = cls.__new__(cls)
+        m.group, m.num_groups = group, num_groups
+        return m
+
     @property
     def num_nodes(self) -> int:
         return self.group.shape[0]

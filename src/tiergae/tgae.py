@@ -34,6 +34,7 @@ from .errors import DomainError, ShapeMismatchError
 from .gcn import GnnEncoder, binary_collapse, encode, encode_numpy, gcn_norm, make_encoder
 from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo
 from .pooling import graph_tier_membership, pool_adjacency, pool_features
+from .workers import StackWorkers
 
 # rng stream roles within one (seed, tier) pair; the deterministic model and
 # the mu encoder of the variational one share role 0 so their initial weights
@@ -260,7 +261,9 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
     all graphs in sample order in one call (the numbers that one draw per
     graph would give) and gathers each stack's rows from it. A loss that is
     not finite is a DomainError naming the tier and epoch, raised before
-    that epoch's update.
+    that epoch's update. The stacks may be shared out over forked
+    processes (`workers.StackWorkers`); the losses and parameters come
+    out the same to the bit.
     """
     if not samples:
         raise ValueError("training a tier needs at least one sample")
@@ -268,26 +271,34 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
     node_rows = sum(s.x.shape[0] for s in samples)
     scale = 1.0 / len(samples)
     opt = Adam(model.params(), lr=config.lr)
+
+    def draw() -> Optional[np.ndarray]:
+        return None if noise is None else noise.standard_normal((node_rows, model.d_z))
+
+    def run_stack(k: int, eps: Optional[np.ndarray]) -> float:
+        """Forward and backward of stack k, its gradient added into each
+        Param.grad; its loss."""
+        st, tape = stacks[k], Tape()
+        st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
+        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+                             config, st_eps)
+        value = float(tape.value(loss))
+        tape.backward(tape.scalar_mul(scale, loss))
+        return value
+
     history: list[float] = []
-    for epoch in range(config.epochs):
-        opt.zero_grads()
-        eps = None if noise is None else noise.standard_normal((node_rows, model.d_z))
-        losses = [0.0] * len(stacks)
-        for k in reversed(range(len(stacks))):
-            st, tape = stacks[k], Tape()
-            st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
-            loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
-                                 config, st_eps)
-            losses[k] = float(tape.value(loss))
-            tape.backward(tape.scalar_mul(scale, loss))
-        total = losses[0]
-        for value in losses[1:]:
-            total += value
-        loss = scale * total
-        if not math.isfinite(loss):
-            raise DomainError(f"tier {model.tier}: epoch {epoch} loss is {loss}")
-        opt.step()
-        history.append(loss)
+    with StackWorkers(len(stacks), opt.params, run_stack, draw,
+                      f"tier {model.tier}") as workers:
+        for epoch in range(config.epochs):
+            losses = workers.epoch()
+            total = losses[0]
+            for value in losses[1:]:
+                total += value
+            loss = scale * total
+            if not math.isfinite(loss):
+                raise DomainError(f"tier {model.tier}: epoch {epoch} loss is {loss}")
+            opt.step()
+            history.append(loss)
     return history
 
 

@@ -13,6 +13,7 @@ from tiergae.fgroups import (
     membership_from_partition,
     partition_molecule,
 )
+from tiergae.graphs import MembershipMatrix
 from tiergae.sdf import Atom, Bond, Molecule
 
 from oracles import dense_membership, functional_groups
@@ -165,6 +166,26 @@ def test_membership_rejects_overlap():
     p = GroupPartition(groups=[(0, 1), (1, 2)], kinds=[SKELETON, SKELETON])
     with pytest.raises(IncompleteCoverError):
         membership_from_partition(p, 3)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 100_000))
+def test_membership_from_a_partition_is_not_checked_twice(seed):
+    # membership_from_partition checks the cover itself, so it builds the
+    # matrix without MembershipMatrix's checks; the matrix is the one a
+    # checked construction gives. A direct construction keeps every check
+    # (test_graphs.py::test_malformed_membership_vector_rejected)
+    m = random_molecule(np.random.default_rng(seed))
+    p = partition_molecule(m)
+    with pytest.MonkeyPatch.context() as mp:
+        def checked_again(self):
+            raise AssertionError("membership checked twice")
+
+        mp.setattr(MembershipMatrix, "__post_init__", checked_again)
+        built = membership_from_partition(p, m.atom_count)
+    checked = MembershipMatrix(built.group, built.num_groups)
+    assert type(built.num_groups) is int and built.num_groups == checked.num_groups
+    assert built.group.dtype == np.int64 and built.group.tolist() == checked.group.tolist()
 
 
 # ---------------------------------------------------------------- properties

@@ -39,6 +39,14 @@ def corpus(seed=0):
     return mixed_size_samples(np.random.default_rng(seed), SIZES, D_IN)
 
 
+@pytest.fixture()
+def one_process(monkeypatch):
+    """Train in the calling process alone, so a spy sees every stack; the
+    stacks of forked workers are checked against this loop bit for bit in
+    test_train_workers.py."""
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+
+
 def test_stacks_group_by_size_in_sample_order():
     samples = corpus()
     stacks = stack_samples(samples)
@@ -94,7 +102,7 @@ def test_stacked_training_matches_one_graph_at_a_time(flavor):
         assert np.abs(p.value - q.value).max() <= 1e-12
 
 
-def test_each_graph_gets_its_per_graph_noise(monkeypatch):
+def test_each_graph_gets_its_per_graph_noise(monkeypatch, one_process):
     seen = []
 
     def spy(tape, mu, logsigma, noise):
@@ -130,7 +138,7 @@ def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor):
 
 
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
-def test_each_tape_holds_one_stack(flavor, monkeypatch):
+def test_each_tape_holds_one_stack(flavor, monkeypatch, one_process):
     tapes = []
 
     def spy(tape, loss_node):
