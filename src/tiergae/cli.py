@@ -21,10 +21,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -44,13 +46,28 @@ from .tvgae import (
     make_variational_tier_models,
     train_tiered_variational,
 )
-from .workers import fork_share, reap, worker_count
+from .workers import Report, run_strides, worker_count
 
 CORPUS_FORMAT_VERSION = 3
 CHECKPOINT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 3
 
 MODELS = ("tgae", "tvgae")
+
+# widest `hidden` and `d_z`. A layer's weight is at most MAX_WIDTH**2
+# float64 values (8 MiB), so the largest model (6 layers, 3 tiers, the
+# variational flavor's two encoders, each weight with its gradient and
+# Adam's two moments) holds about 1 GiB; --hidden 2147483648 asked numpy
+# for 208 GiB and died with a MemoryError traceback
+MAX_WIDTH = 1024
+
+# SDF bytes that each ingest process must have to pay for its fork. On
+# 2 vCPUs, two processes against one on the first files of the perfbench
+# library input, in a process that had run a library pass (medians of 15
+# alternating in-process repeats, two sets), ran 0.82-0.83x at 120 KiB,
+# 1.00-1.01x at 230 KiB, 1.10-1.32x at 348 KiB and 1.40-1.43x at 459 KiB:
+# the break-even lies at 115-175 KiB a process
+INGEST_BYTES_PER_PROCESS = 160 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -126,11 +143,19 @@ def _writing(path):
         raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def write_json(path: Path, obj) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+def to_json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def write_text(path: Path, text: str) -> None:
+    """`text` and a newline into `path`, creating its directory."""
     with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n", encoding="utf-8")
+
+
+def write_json(path: Path, obj) -> None:
+    write_text(path, to_json(obj))
 
 
 def read_json(path: Path) -> dict:
@@ -258,6 +283,10 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     if not (MIN_LAYERS <= cfg.k <= MAX_LAYERS):
         raise ConfigError(f"config field 'k': must be in [{MIN_LAYERS}, {MAX_LAYERS}], "
                           f"got {cfg.k}")
+    for name in ("hidden", "d_z"):
+        if getattr(cfg, name) > MAX_WIDTH:
+            raise ConfigError(f"config field {name!r}: must be at most {MAX_WIDTH}, "
+                              f"got {getattr(cfg, name)}")
     return cfg
 
 
@@ -400,36 +429,123 @@ def _iter_sdf_paths(paths: Sequence) -> list[Path]:
     return found
 
 
+def _input_bytes(paths: Sequence[Path]) -> int:
+    """Total size of `paths`; a path that cannot be stat'ed counts 0."""
+    total = 0
+    for path in paths:
+        with contextlib.suppress(OSError):
+            total += path.stat().st_size
+    return total
+
+
+def _drain(caught: list, events: list) -> None:
+    """Move the warnings recorded in `caught` to `events`, each as the
+    arguments of `_warn_again`."""
+    events.extend((w.message, w.category, w.filename, w.lineno) for w in caught)
+    caught.clear()
+
+
+def _ingest_file(path: Path, events: list, caught: list) -> Optional[list[str]]:
+    """Read, parse, featurize and partition one SDF file: each molecule's
+    corpus entry as JSON text, or None if the file is skipped as unreadable.
+    Its stderr lines, and the warnings recorded into `caught` before each,
+    go into `events` in the order they happen, so an exception leaves the
+    events up to it there."""
+
+    def emit(line: str) -> None:
+        _drain(caught, events)
+        events.append(line)
+
+    try:
+        molecules = parse_sdf(path.read_bytes())
+    except (TiergaeError, OSError) as exc:
+        emit(f"ingest: {path}: {exc}")
+        return None
+    fragments = []
+    for mol in molecules:
+        if mol.atom_count == 0:
+            emit(f"ingest: {path}: skipping empty molecule")
+            continue
+        graph = featurize(mol)
+        partition = partition_molecule(mol)
+        fragments.append(to_json(_molecule_entry(mol, graph, partition)))
+        emit(f"ingest: {graph.id or path}: {mol.atom_count} atoms, "
+             f"{partition.group_count} groups")
+    return fragments
+
+
+def _ingest_share(sdf_paths: Sequence[Path], share) -> Report:
+    """`_ingest_file` on the files at `share`, in order, with every warning
+    recorded: one (index, events, fragments) result per file, and (index,
+    exception) of the first exception other than a skipped file's, whose
+    result holds the events up to it."""
+    results = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for index in share:
+            events = []
+            try:
+                fragments = _ingest_file(sdf_paths[index], events, caught)
+            except Exception as exc:
+                _drain(caught, events)
+                results.append((index, events, []))
+                return results, (index, exc)
+            results.append((index, events, fragments))
+    return results, None
+
+
+def _warn_again(message, category, filename: str, lineno: int) -> None:
+    """Issue a warning that `_ingest_share` recorded as `warnings.warn`
+    issued it: through this process's filters, and under the registry of
+    the module that warned, so that the `default` action shows it once."""
+    module = next((m for m in list(sys.modules.values())
+                   if getattr(m, "__file__", None) == filename), None)
+    if module is None:
+        warnings.warn_explicit(message, category, filename, lineno)
+        return
+    scope = vars(module)
+    warnings.warn_explicit(message, category, filename, lineno, scope["__name__"],
+                           scope.setdefault("__warningregistry__", {}), scope)
+
+
 def cmd_ingest(paths: Sequence, out_path) -> Path:
-    """Parse, featurize and partition every molecule; write the corpus."""
+    """Parse, featurize and partition every molecule; write the corpus.
+
+    The files are shared by stride over `workers.worker_count` processes,
+    at most one per INGEST_BYTES_PER_PROCESS of input: this one takes files
+    0, k, 2k, ..., forked children the rest, and each returns its files'
+    stderr lines, warnings and JSON entries. They come out in file order,
+    and the exception raised is the one a one-process run meets first,
+    after the lines that run prints before it."""
     sdf_paths = _iter_sdf_paths(paths)
     if not sdf_paths:
         raise CliError("ingest: no input files")
-    entries: list[dict] = []
+    k = worker_count(max(1, min(len(sdf_paths),
+                                _input_bytes(sdf_paths) // INGEST_BYTES_PER_PROCESS)))
+    results, failure = run_strides(functools.partial(_ingest_share, sdf_paths),
+                                   len(sdf_paths), k, "SDF files")
+    last = len(sdf_paths) if failure is None else failure[0]
+    fragments: list[str] = []
     failures = 0
-    for path in sdf_paths:
-        try:
-            molecules = parse_sdf(Path(path).read_bytes())
-        except (TiergaeError, OSError) as exc:
+    for index, events, file_fragments in sorted(results):  # indices are unique
+        if index > last:
+            break
+        for event in events:
+            if isinstance(event, str):
+                print(event, file=sys.stderr)
+            else:
+                _warn_again(*event)
+        if file_fragments is None:
             failures += 1
-            print(f"ingest: {path}: {exc}", file=sys.stderr)
-            continue
-        for mol in molecules:
-            if mol.atom_count == 0:
-                print(f"ingest: {path}: skipping empty molecule", file=sys.stderr)
-                continue
-            graph = featurize(mol)
-            partition = partition_molecule(mol)
-            entries.append(_molecule_entry(mol, graph, partition))
-            print(
-                f"ingest: {entries[-1]['id'] or path}: {mol.atom_count} atoms, "
-                f"{partition.group_count} groups",
-                file=sys.stderr,
-            )
-    if not entries:
+        else:
+            fragments += file_fragments
+    if failure is not None:
+        raise failure[1]
+    if not fragments:
         raise CliError(f"ingest: no molecules ingested ({failures} file(s) failed)")
     out = Path(out_path)
-    write_json(out, {"format_version": CORPUS_FORMAT_VERSION, "molecules": entries})
+    write_text(out, f'{{"format_version":{CORPUS_FORMAT_VERSION},"molecules":['
+               + ",".join(fragments) + "]}")
     return out
 
 
@@ -560,37 +676,21 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
         out.mkdir(parents=True, exist_ok=True)
     paths = [out / filename for filename in first]
 
-    def embed_share(share) -> Optional[tuple[int, Exception]]:
-        """Encode and write the molecules at `share`, in order; (index,
-        exception) of the first that fails, or None."""
+    def embed_share(share) -> Report:
+        """Encode and write the molecules at `share`, in order; no results,
+        and (index, exception) of the first that fails."""
         for index in share:
             try:
                 graph, membership = items[index]
                 rep = encode(graph, membership, models)
                 write_json(paths[index], _export_doc(entries[index], rep, kind))
             except Exception as exc:
-                return index, exc
-        return None
+                return None, (index, exc)
+        return None, None
 
-    k = worker_count(len(paths))
-    own = list(range(0, len(paths), k))
-    children = []  # (pid, read end of its pipe, first index of its share)
-    failures = []
-    try:
-        for start in range(1, k):
-            share = range(start, len(paths), k)
-            child = fork_share(embed_share, share)
-            if child is None:  # this process takes the share
-                own.extend(share)
-            else:
-                children.append((*child, start))
-        failures.append(embed_share(sorted(own)))
-    finally:
-        failures += [reap(pid, rfd, f"molecules #{start}, #{start + k}, ...", start)
-                     for pid, rfd, start in children]
-    failures = [f for f in failures if f is not None]
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
+    failure = run_strides(embed_share, len(paths), worker_count(len(paths)), "molecules")[1]
+    if failure is not None:
+        raise failure[1]
     return paths
 
 

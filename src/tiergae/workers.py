@@ -1,12 +1,15 @@
 """Forked worker processes, one per CPU in the affinity mask.
 
-`cli.cmd_embed` and `tgae.fit_tier` split work whose result does not depend
-on how it is split: the caller keeps one share and forks a child for each
-other share. A child leaves through `os._exit` in a `finally`, so it never
-returns into the caller's stack or runs atexit handlers. The rules live
-here, once: when not to fork (`worker_count`), how a child's failure
-travels back (`fork_share` writes it pickled, `reap` reads it), and what a
-child that ended without a report becomes (`WorkerError`).
+Three commands split work whose result does not depend on how it is split:
+`cli.cmd_ingest` shares out its SDF files, `cli.cmd_embed` its molecules
+and `tgae.fit_tier` (under `cli.cmd_train`) each tier's stacks. The caller
+keeps one share and forks a child for each other share. A child leaves
+through `os._exit` in a `finally`, so it never returns into the caller's
+stack or runs atexit handlers. The rules live here, once: when not to fork
+(`worker_count`), how a child's results and first failure travel back
+(`fork_share` writes them pickled, `reap` reads them), what a child that
+ended without a report becomes (`WorkerError`), and how units are shared
+out by stride (`run_strides`, which ingest and embed use).
 `StackWorkers` runs the epochs of one training tier over such children,
 which stay up for the whole tier and pin themselves one per CPU.
 
@@ -32,6 +35,9 @@ from .errors import WorkerError
 # (rank, exception) of a share's first failure; the caller raises the
 # failure that a run in one process would have met first
 Failure = tuple[int, Exception]
+# what a share's run gives back: its results (a list, or None if it sends
+# none back) and its first failure, or None
+Report = tuple[Optional[list], Optional[Failure]]
 
 # how long `receive` polls before it blocks: a CPU that idles in a blocking
 # read can take milliseconds to wake on a virtual machine, longer than most
@@ -52,20 +58,20 @@ def worker_count(n: int) -> int:
     return min(len(os.sched_getaffinity(0)), n)
 
 
-def pickled_failure(failure: Failure) -> bytes:
-    """`failure` pickled; an exception that does not survive the round trip
+def pickled_report(report: Report) -> bytes:
+    """`report` pickled; an exception that does not survive the round trip
     is sent as a RuntimeError holding its text."""
+    results, failure = report
     try:
-        payload = pickle.dumps(failure)
-        pickle.loads(payload)
-        return payload
+        pickle.loads(pickle.dumps(failure))
     except Exception:
         rank, exc = failure
-        return pickle.dumps((rank, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        failure = rank, RuntimeError(f"{type(exc).__name__}: {exc}")
+    return pickle.dumps((results, failure))
 
 
-def fork_share(run_share: Callable, share) -> Optional[tuple[int, int]]:
-    """Fork a child that runs `run_share(share)`, writes the failure it
+def fork_share(run_share: Callable[..., Report], share) -> Optional[tuple[int, int]]:
+    """Fork a child that runs `run_share(share)`, writes the report it
     returns, pickled, to a pipe, and leaves with `os._exit`, never returning
     to the caller. (pid, read end of the pipe), or None if no child could be
     started."""
@@ -83,10 +89,9 @@ def fork_share(run_share: Callable, share) -> Optional[tuple[int, int]]:
         code = 1
         try:
             os.close(rfd)
-            failure = run_share(share)
-            if failure is not None:
-                with open(wfd, "wb") as fh:
-                    fh.write(pickled_failure(failure))
+            payload = pickled_report(run_share(share))
+            with open(wfd, "wb") as fh:
+                fh.write(payload)
             code = 0
         finally:
             os._exit(code)
@@ -94,22 +99,50 @@ def fork_share(run_share: Callable, share) -> Optional[tuple[int, int]]:
     return pid, rfd
 
 
-def reap(pid: int, rfd: int, what: str, rank: int) -> Optional[Failure]:
-    """The failure a child of `fork_share` reported, once it has ended, or
-    None. A child that ended without a report and not with status 0 (a
-    signal, OOM) is a WorkerError naming `what` it was running, ranked at
-    `rank`. The pipe is read first, so a child never blocks on a full pipe."""
+def reap(pid: int, rfd: int, what: str, rank: int) -> Report:
+    """The report of a child of `fork_share`, once it has ended. A child
+    that did not end with status 0, so did not finish its report (a signal,
+    OOM), gives no results and a WorkerError naming `what` it was running,
+    ranked at `rank`. The pipe is read first, so a child never blocks on a
+    full pipe."""
     try:
         with open(rfd, "rb") as fh:
-            report = fh.read()
+            payload = fh.read()
     finally:
         code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if report:
-        return pickle.loads(report)
     if code == 0:
-        return None
+        return pickle.loads(payload)
     how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return rank, WorkerError(f"worker process {pid} for {what} {how}")
+    return None, (rank, WorkerError(f"worker process {pid} for {what} {how}"))
+
+
+def run_strides(run_share: Callable[..., Report], n: int, k: int,
+                label: str) -> Report:
+    """Units 0 .. n-1 shared by stride over k processes: this one runs
+    units 0, k, 2k, ... and a forked child each other stride, or this one
+    if the child could not start. `run_share(share)` runs the units of
+    `share` in order and returns their report. The results of every share,
+    in no set order, and the failure of the lowest rank; a child that ended
+    without a report is a WorkerError naming its `label`ed units, ranked at
+    its first unit. Every child is reaped before this returns or raises."""
+    own = list(range(0, n, k))
+    children = []  # (pid, read end of its pipe, first unit of its share)
+    reports = []
+    try:
+        for start in range(1, k):
+            share = range(start, n, k)
+            child = fork_share(run_share, share)
+            if child is None:  # this process takes the share
+                own.extend(share)
+            else:
+                children.append((*child, start))
+        reports.append(run_share(sorted(own)))
+    finally:
+        reports += [reap(pid, rfd, f"{label} #{start}, #{start + k}, ...", start)
+                    for pid, rfd, start in children]
+    failures = [failure for _, failure in reports if failure is not None]
+    return ([r for results, _ in reports for r in results or ()],
+            min(failures, key=lambda f: f[0], default=None))
 
 
 def pin(cpu: int) -> bool:
@@ -265,7 +298,7 @@ class StackWorkers:
         finally:
             for child in children:
                 failures.append(reap(child.pid, child.report, child.what,
-                                     self._rank(child.share[0])))
+                                     self._rank(child.share[0]))[1])
             if self.mask is not None:
                 os.sched_setaffinity(0, self.mask)
                 self.mask = None
@@ -336,7 +369,7 @@ class StackWorkers:
         for child in self.children:
             inherited += [child.down, child.up, child.report]
 
-        def serve(share: list[int]) -> Optional[Failure]:
+        def serve(share: list[int]) -> Report:
             for fd in inherited:
                 os.close(fd)
             pin(cpu)
@@ -346,9 +379,9 @@ class StackWorkers:
                     p.value[...] = self.values[sl].reshape(p.value.shape)
                 failure = self._run_share(share, rows, self.draw())
                 if failure is not None:
-                    return failure
+                    return None, failure
                 send(up[1], rows)
-            return None
+            return None, None
 
         started = fork_share(serve, share)
         os.close(down[0])

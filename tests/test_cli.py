@@ -742,6 +742,50 @@ def test_main_checkpoint_dims_follow_the_config_rules(tmp_path, capsys, corpus_p
         assert not (tmp_path / "export").exists()
 
 
+# past MAX_WIDTH; 2**31 asked numpy for 208 GiB and 2**63 overflowed its generator
+WIDE = [cli.MAX_WIDTH + 1, 2**31, 2**63]
+
+
+def forbid_weights(monkeypatch) -> None:
+    def build(*args):
+        raise AssertionError("weights drawn for a width past the bound")
+
+    for name in ("make_tier_models", "make_variational_tier_models"):
+        monkeypatch.setattr(cli, name, build)
+
+
+def width_error(field: str, value: int) -> str:
+    return f"config field {field!r}: must be at most {cli.MAX_WIDTH}, got {value}"
+
+
+@pytest.mark.parametrize("value", WIDE)
+@pytest.mark.parametrize("flag, field", [("--hidden", "hidden"), ("--d-z", "d_z")])
+def test_main_width_past_the_bound_exits_2_and_draws_no_weight(tmp_path, capsys, monkeypatch,
+                                                               corpus_path, flag, field,
+                                                               value):
+    forbid_weights(monkeypatch)
+    out = tmp_path / "m.json"
+    assert main(["train", str(corpus_path), flag, str(value), "--out", str(out)]) == 2
+    assert width_error(field, value) in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{field} = {value}\n")
+    assert main(["train", str(corpus_path), "--config", str(config), "--out", str(out)]) == 2
+    assert width_error(field, value) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [corpus_path, config]
+    validate_config(RunConfig(**{field: cli.MAX_WIDTH}))  # the bound itself is valid
+
+
+@pytest.mark.parametrize("value", WIDE)
+@pytest.mark.parametrize("field", ["hidden", "d_z"])
+def test_main_checkpoint_width_past_the_bound_exits_2_and_draws_no_weight(
+        tmp_path, capsys, monkeypatch, corpus_path, checkpoint_doc, field, value):
+    checkpoint_doc["dims"][field] = value
+    forbid_weights(monkeypatch)
+    assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
+    assert width_error(field, value) in capsys.readouterr().err
+    assert not (tmp_path / "export").exists()
+
+
 @pytest.mark.parametrize("doc", [[], None])
 def test_main_checkpoint_not_an_object_is_a_clean_error(tmp_path, capsys, corpus_path, doc):
     assert _embed_with_checkpoint(tmp_path, corpus_path, doc) == 2
@@ -902,11 +946,9 @@ _EDIT = st.tuples(st.integers(0, 10**6), st.sampled_from(("replace", "insert", "
                   _SDF_BYTES)
 
 
-@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
-@settings(deadline=None, max_examples=120)
-@given(edits=st.lists(_EDIT, min_size=1, max_size=5))
-def test_ingest_mutated_vanillin_exit_0_or_2(edits):
-    data = bytearray(VANILLIN_SDF.read_bytes())
+def mutated(data: bytes, edits) -> bytes:
+    """`data` with each (position, kind, chunk) of `edits` applied in turn."""
+    data = bytearray(data)
     for pos, kind, chunk in edits:
         i = pos % (len(data) + 1)
         if kind == "replace":
@@ -915,7 +957,14 @@ def test_ingest_mutated_vanillin_exit_0_or_2(edits):
             data[i:i] = chunk
         else:
             del data[i:i + max(len(chunk), 1)]
-    assert _ingest_exit_code(bytes(data)) in (0, 2)
+    return bytes(data)
+
+
+@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
+@settings(deadline=None, max_examples=120)
+@given(edits=st.lists(_EDIT, min_size=1, max_size=5))
+def test_ingest_mutated_vanillin_exit_0_or_2(edits):
+    assert _ingest_exit_code(mutated(VANILLIN_SDF.read_bytes(), edits)) in (0, 2)
 
 
 def test_main_train_config_file(tmp_path):

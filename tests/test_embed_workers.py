@@ -3,8 +3,8 @@ affinity mask, forked after every check. The exports must not depend on the
 number of processes, a failure must be the one a serial run raises, and no
 child may outlive the command.
 
-The process count is set by replacing `os.sched_getaffinity`; `os.fork` is
-wrapped to count the children.
+The process count is set and the children counted with the helpers of
+`forks.py`.
 """
 
 import json
@@ -24,6 +24,7 @@ from tiergae.sdf import write_sdf
 from tiergae.tgae import RunConfig
 
 from conftest import VANILLIN_SDF
+from forks import assert_no_child_left, count_forks, use_cpus
 from test_blas_threads import chain_molecule
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -50,30 +51,6 @@ def checkpoint(request, corpus, tmp_path_factory) -> Path:
 @pytest.fixture(scope="module")
 def export_names(corpus) -> list[str]:
     return [cli._export_filename(entry, i) for i, entry in enumerate(load_corpus(corpus))]
-
-
-def use_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def count_forks(monkeypatch) -> list[int]:
-    """The pids of the children `os.fork` starts from now on."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def embed_argv(checkpoint: Path, corpus: Path, out: Path) -> list[str]:

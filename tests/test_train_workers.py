@@ -4,8 +4,8 @@ checkpoint and history must not depend on the number of processes, a
 failure must be the one a run in one process raises, no child may outlive
 the command, and the caller's affinity mask must be the same afterwards.
 
-The process count is set by replacing `os.sched_getaffinity`; `os.fork` is
-wrapped to count the children.
+The process count is set and the children counted with the helpers of
+`forks.py`.
 """
 
 import os
@@ -27,6 +27,8 @@ from tiergae.tgae import RunConfig, fit_tier, make_tier_models
 from tiergae.tvgae import make_variational_tier_models
 
 from conftest import VANILLIN_SDF
+from forks import (REAL_GETAFFINITY, REAL_MASK, REFUSED, assert_no_child_left, count_forks,
+                   use_cpus)
 from oracles import assert_same_bits, mixed_size_samples
 from test_blas_threads import chain_molecule
 
@@ -36,9 +38,6 @@ ROOT = Path(__file__).resolve().parents[1]
 CHAINS = (3, 5, 8, 2, 12, 6)
 TIER_STACKS = (6, 6, 1)
 FLAVORS = ("tgae", "tvgae")
-REAL_GETAFFINITY = getattr(os, "sched_getaffinity", lambda pid: {0})
-REAL_MASK = REAL_GETAFFINITY(0)
-REFUSED = 4096  # a CPU id past the kernel's CPU count, which it refuses
 
 
 @pytest.fixture(scope="module")
@@ -52,34 +51,6 @@ def corpus(tmp_path_factory) -> Path:
 
 def config(flavor: str) -> RunConfig:
     return validate_config(RunConfig(model=flavor, epochs=3, hidden=6, d_z=3, seed=0))
-
-
-def use_cpus(monkeypatch, n: int) -> set[int]:
-    """A mask of n CPUs: this process's own first, then ids the kernel refuses."""
-    own = sorted(REAL_MASK)[:n]
-    mask = set(own) | set(range(REFUSED, REFUSED + n - len(own)))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
-    return mask
-
-
-def count_forks(monkeypatch) -> list[int]:
-    """The pids of the children `os.fork` starts from now on."""
-    pids = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def real_affinity() -> set[int]:
