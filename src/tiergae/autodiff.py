@@ -245,35 +245,45 @@ def zero_grads(params: Iterable[Param]) -> None:
         p.grad[...] = 0.0
 
 
-class Adam:
-    """Standard bias-corrected Adam; moment state persists across steps."""
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and its guard
 
-    def __init__(self, params: Sequence[Param], lr: float = 0.01,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+
+class Adam:
+    """Standard bias-corrected Adam; moment state persists across steps.
+
+    Adam holds its parameters: their values and gradients are copied, in
+    param order, into one `value` and one `grad` vector, and each
+    Param.value and Param.grad becomes a view into them, so a Param given
+    twice is a ValueError. `step` updates the whole vectors at once; the
+    update is elementwise, so it gives the bits of one update per Param."""
+
+    def __init__(self, params: Sequence[Param], lr: float = 0.01):
+        params = list(params)
+        if len({id(p) for p in params}) != len(params):
+            raise ValueError("Adam: a Param is given more than once")
+        self.lr, self.t = lr, 0
+        self.value = np.concatenate([p.value.ravel() for p in params] or [np.empty(0)])
+        self.grad = np.concatenate([p.grad.ravel() for p in params] or [np.empty(0)])
+        self.m, self.v = np.zeros_like(self.value), np.zeros_like(self.value)
+        end = 0
+        for p in params:
+            start, end = end, end + p.value.size
+            p.value = self.value[start:end].reshape(p.value.shape)
+            p.grad = self.grad[start:end].reshape(p.grad.shape)
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g, m, v = self.grad, self.m, self.v
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * g * g
+        m_hat = m / (1.0 - BETA1 ** self.t)
+        v_hat = v / (1.0 - BETA2 ** self.t)
+        self.value -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
 
     def zero_grads(self) -> None:
-        zero_grads(self.params)
+        self.grad[...] = 0.0
 
 
 def seeded_rng(*key: int) -> np.random.Generator:

@@ -35,7 +35,7 @@ import numpy as np
 
 from . import pubchem
 from .autodiff import Param
-from .errors import CliError, ConfigError, ShapeMismatchError, TiergaeError
+from .errors import CliError, ConfigError, DomainError, ShapeMismatchError, TiergaeError
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
 from .gcn import MAX_LAYERS, MIN_LAYERS
 from .graphs import Graph, MembershipMatrix, validate
@@ -68,6 +68,9 @@ MAX_WIDTH = 1024
 # 1.00-1.01x at 230 KiB, 1.10-1.32x at 348 KiB and 1.40-1.43x at 459 KiB:
 # the break-even lies at 115-175 KiB a process
 INGEST_BYTES_PER_PROCESS = 160 * 1024
+
+# longest `fetch --delay`, seconds; `time.sleep` refuses about 9.2e9 s and more
+MAX_FETCH_DELAY = 86400.0
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +279,8 @@ def validate_config(cfg: RunConfig) -> RunConfig:
         raise ConfigError("config field 'seed': must be nonnegative")
     for name in ("epochs", "lr", "hidden", "d_z", "kl_weight", "k"):
         value = getattr(cfg, name)
-        if not math.isfinite(value):
+        # math.isfinite overflows on an int past the float range (10**400)
+        if type(value) is float and not math.isfinite(value):
             raise ConfigError(f"config field {name!r}: must be finite, got {value}")
         if value <= 0:
             raise ConfigError(f"config field {name!r}: must be strictly positive")
@@ -353,8 +357,10 @@ def _molecule_name(entry: dict, index: int) -> str:
 
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
     """Graph and membership of each corpus entry, the membership rebuilt from
-    the entry's `groups`; a malformed entry or a graph that breaks an
-    invariant of `graphs.validate` is a ConfigError."""
+    the entry's `groups`. A malformed entry, or a graph that breaks an
+    invariant of `graphs.validate` or that training cannot take (no atoms,
+    no node features, edge features whose pooled sums could overflow), is a
+    ConfigError naming the molecule."""
     items = []
     for index, entry in enumerate(entries):
         _require_object(entry, f"corpus molecule #{index}",
@@ -374,6 +380,12 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
         violations = validate(graph)
         if violations:
             raise ConfigError(f"{what}: {violations[0]}")
+        if 0 in graph.x.shape:
+            raise ConfigError(f"{what}: x has shape {graph.x.shape}, no atoms or features")
+        # a pooled entry sums each edge feature at most once, in any order
+        with np.errstate(over="ignore"):
+            if not np.isfinite(2.0 * np.abs(graph.edge_attr).sum(axis=0)).all():
+                raise ConfigError(f"{what}: edge features too large to pool")
         items.append((graph, membership))
     return items
 
@@ -393,6 +405,9 @@ def _check_feature_width(entries: Sequence[dict], items, d_in: int, source: str)
 def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
               base: Optional[str] = None, delay: float = 0.2) -> list[Path]:
     """Download one SDF per CID into out_dir. Returns written paths."""
+    if not 0.0 <= delay <= MAX_FETCH_DELAY:  # NaN fails both comparisons
+        raise CliError(f"fetch: delay must be between 0 and {MAX_FETCH_DELAY:g} "
+                       f"seconds, got {delay!r}")
     if transport is None:
         transport = pubchem.urllib_transport()
     out = Path(out_dir)
@@ -568,7 +583,8 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     del entries  # the graphs hold all that training reads
     make_models, train_tiered_fn, _ = _flavor(cfg.model)
     models = make_models(d_in, cfg)
-    histories = train_tiered_fn(models, items, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends at a loss check
+        histories = train_tiered_fn(models, items, cfg)
     checkpoint = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": cfg.model,
@@ -682,7 +698,12 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
         for index in share:
             try:
                 graph, membership = items[index]
-                rep = encode(graph, membership, models)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rep = encode(graph, membership, models)
+                for tier, bundle in enumerate(rep.tiers, 1):
+                    if not (np.isfinite(bundle.x).all() and np.isfinite(bundle.z).all()):
+                        raise DomainError(f"{_molecule_name(entries[index], index)}: "
+                                          f"tier {tier} features or embedding not finite")
                 write_json(paths[index], _export_doc(entries[index], rep, kind))
             except Exception as exc:
                 return None, (index, exc)

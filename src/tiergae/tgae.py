@@ -137,15 +137,19 @@ class TieredRepresentation:
     tiers: list[TierBundle] = field(default_factory=list)
 
 
+def make_tier_encoders(d_in: int, cfg: RunConfig, role: int, prefix: str) -> list[GnnEncoder]:
+    """One encoder per tier, chained by width d_in -> d_z -> d_z; tier t's
+    weights come from the stream (seed, t, role) and its params are named
+    `tier{t}.{prefix}layer{i}.*`."""
+    return [make_encoder(width, cfg.hidden, cfg.d_z, cfg.k, seeded_rng(cfg.seed, tier, role),
+                         name_prefix=f"tier{tier}.{prefix}")
+            for tier, width in zip((1, 2, 3), (d_in, cfg.d_z, cfg.d_z))]
+
+
 def make_tier_models(d_in: int, cfg: RunConfig = RunConfig()) -> list[TierModel]:
     """Three encoders chained by width: d_in -> d_z -> d_z."""
-    models = []
-    for tier, width in zip((1, 2, 3), (d_in, cfg.d_z, cfg.d_z)):
-        rng = seeded_rng(cfg.seed, tier, ENCODER_ROLE)
-        enc = make_encoder(width, cfg.hidden, cfg.d_z, cfg.k, rng,
-                           name_prefix=f"tier{tier}.")
-        models.append(TierModel(encoder=enc, tier=tier))
-    return models
+    return [TierModel(encoder=enc, tier=tier)
+            for tier, enc in enumerate(make_tier_encoders(d_in, cfg, ENCODER_ROLE, ""), 1)]
 
 
 def decode_adjacency(tape: Tape, z: int) -> int:
@@ -248,22 +252,21 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
              noise: Optional[np.random.Generator] = None) -> list[float]:
     """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch.
 
-    The graphs are trained in stacks of equal node count, built once. A
-    stack's loss is the sum of its graphs' losses, so the epoch loss is the
-    per-graph mean up to summation order. Each stack runs forward and
-    backward on a tape of its own, dropped before the next stack starts, so
-    training memory follows the largest stack, not the corpus. The stacks
-    are walked in reverse, each loss scaled by 1 / len(samples) on its
-    tape, so every Param.grad receives the same adds in the same order as
-    one reverse sweep over a tape holding the whole epoch. The epoch loss
-    is the forward-order sum of the stack losses times 1 / len(samples).
-    With a noise generator, each epoch draws the standard normal rows of
-    all graphs in sample order in one call (the numbers that one draw per
-    graph would give) and gathers each stack's rows from it. A loss that is
-    not finite is a DomainError naming the tier and epoch, raised before
-    that epoch's update. The stacks may be shared out over forked
-    processes (`workers.StackWorkers`); the losses and parameters come
-    out the same to the bit.
+    The graphs are trained in stacks of equal node count, built once; a
+    stack's loss is the sum of its graphs' losses. Each stack runs forward
+    and backward on a tape of its own, dropped before the next starts, so
+    training memory follows the largest stack, not the corpus. Each loss is
+    scaled by 1 / len(samples) on its tape and the stacks' gradients are
+    added into Adam's `grad` vector in reverse stack order: every Param.grad
+    receives the adds of one reverse sweep over a tape of the whole epoch.
+    The epoch loss is the forward-order sum of the stack losses times
+    1 / len(samples). With a noise generator, each epoch draws the standard
+    normal rows of all graphs in sample order in one call (the numbers of
+    one draw per graph) and gathers each stack's rows from it. A loss that
+    is not finite is a DomainError naming the tier and epoch, raised before
+    that epoch's update. The stacks are shared out over one process per CPU
+    (`workers.StackWorkers`); the losses and parameters do not depend on
+    the process count, to the bit.
     """
     if not samples:
         raise ValueError("training a tier needs at least one sample")
@@ -276,8 +279,8 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
         return None if noise is None else noise.standard_normal((node_rows, model.d_z))
 
     def run_stack(k: int, eps: Optional[np.ndarray]) -> float:
-        """Forward and backward of stack k, its gradient added into each
-        Param.grad; its loss."""
+        """Forward and backward of stack k, its gradient added into
+        `opt.grad`; its loss."""
         st, tape = stacks[k], Tape()
         st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
         loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
@@ -287,8 +290,7 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
         return value
 
     history: list[float] = []
-    with StackWorkers(len(stacks), opt.params, run_stack, draw,
-                      f"tier {model.tier}") as workers:
+    with StackWorkers(len(stacks), opt, run_stack, draw, f"tier {model.tier}") as workers:
         for epoch in range(config.epochs):
             losses = workers.epoch()
             total = losses[0]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Param, Tape, seeded_rng
 from .errors import ShapeMismatchError
-from .gcn import GnnEncoder, encode, encode_numpy, make_encoder
+from .gcn import GnnEncoder, encode, encode_numpy
 from .graphs import Graph, MembershipMatrix
 from .tgae import (
     ENCODER_ROLE,
@@ -31,6 +31,7 @@ from .tgae import (
     decode_adjacency,
     encode_tiers,
     fit_tier,
+    make_tier_encoders,
     pool_samples,
     reconstruction_loss,
     run_tiered_schedule,
@@ -77,18 +78,10 @@ def make_variational_tier_models(d_in: int,
                                  cfg: RunConfig = RunConfig()) -> list[VariationalTierModel]:
     """Per tier: mu encoder drawn from the same stream as the deterministic
     model's encoder (shared role), logsigma encoder from its own stream."""
-    models = []
-    for tier, width in zip((1, 2, 3), (d_in, cfg.d_z, cfg.d_z)):
-        enc_mu = make_encoder(
-            width, cfg.hidden, cfg.d_z, cfg.k,
-            seeded_rng(cfg.seed, tier, ENCODER_ROLE), name_prefix=f"tier{tier}.mu.",
-        )
-        enc_ls = make_encoder(
-            width, cfg.hidden, cfg.d_z, cfg.k,
-            seeded_rng(cfg.seed, tier, LOGSIGMA_ROLE), name_prefix=f"tier{tier}.logsigma.",
-        )
-        models.append(VariationalTierModel(enc_mu, enc_ls, tier))
-    return models
+    mus = make_tier_encoders(d_in, cfg, ENCODER_ROLE, "mu.")
+    logsigmas = make_tier_encoders(d_in, cfg, LOGSIGMA_ROLE, "logsigma.")
+    return [VariationalTierModel(mu, ls, tier)
+            for tier, (mu, ls) in enumerate(zip(mus, logsigmas), 1)]
 
 
 def encode_posterior(model: VariationalTierModel, x: int, a_norm: int,

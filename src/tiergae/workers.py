@@ -2,16 +2,13 @@
 
 Three commands split work whose result does not depend on how it is split:
 `cli.cmd_ingest` shares out its SDF files, `cli.cmd_embed` its molecules
-and `tgae.fit_tier` (under `cli.cmd_train`) each tier's stacks. The caller
-keeps one share and forks a child for each other share. A child leaves
-through `os._exit` in a `finally`, so it never returns into the caller's
-stack or runs atexit handlers. The rules live here, once: when not to fork
-(`worker_count`), how a child's results and first failure travel back
-(`fork_share` writes them pickled, `reap` reads them), what a child that
-ended without a report becomes (`WorkerError`), and how units are shared
-out by stride (`run_strides`, which ingest and embed use).
-`StackWorkers` runs the epochs of one training tier over such children,
-which stay up for the whole tier and pin themselves one per CPU.
+and `tgae.fit_tier` (under `cli.cmd_train`) each tier's stacks. The rules
+live here, once: when not to fork (`worker_count`), how units are shared
+out by stride (`start_strides`), how a child's results and first failure
+travel back (`fork_share` writes them pickled, `reap` reads them) and what
+a child that ended without a report becomes (`WorkerError`). `run_strides`
+(ingest, embed) runs each share once; `StackWorkers` keeps its children up
+for a training tier and sends them the tier's `Adam` vectors as they are.
 
 Plain `os` and `pickle`, not `multiprocessing`: a `multiprocessing`
 prototype of `embed` raised peak RSS by 1.6-2.4%, and `os`, `pickle` and
@@ -25,11 +22,11 @@ import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .autodiff import Param, zero_grads
+from .autodiff import Adam
 from .errors import WorkerError
 
 # (rank, exception) of a share's first failure; the caller raises the
@@ -72,9 +69,9 @@ def pickled_report(report: Report) -> bytes:
 
 def fork_share(run_share: Callable[..., Report], share) -> Optional[tuple[int, int]]:
     """Fork a child that runs `run_share(share)`, writes the report it
-    returns, pickled, to a pipe, and leaves with `os._exit`, never returning
-    to the caller. (pid, read end of the pipe), or None if no child could be
-    started."""
+    returns, pickled, to a pipe, and leaves with `os._exit` in a `finally`,
+    so it never returns into the caller's stack or runs atexit handlers.
+    (pid, read end of the pipe), or None if no child could be started."""
     try:
         rfd, wfd = os.pipe()
     except OSError:
@@ -116,27 +113,41 @@ def reap(pid: int, rfd: int, what: str, rank: int) -> Report:
     return None, (rank, WorkerError(f"worker process {pid} for {what} {how}"))
 
 
+def start_strides(fork: Callable[[list[int]], Optional[object]], n: int, k: int,
+                  children: list) -> list[int]:
+    """Units 0 .. n-1 shared by stride over k processes. Share i, units i,
+    i + k, ..., goes to a child that `fork(share)` starts, and its record
+    is appended to `children` at once, so the caller can reap it whatever
+    happens next; this process keeps share 0 and each share whose `fork`
+    returned None. This process's units, ascending, as every share is."""
+    own = list(range(0, n, k))
+    for i in range(1, k):
+        share = list(range(i, n, k))
+        child = fork(share)
+        if child is None:
+            own += share
+        else:
+            children.append(child)
+    return sorted(own)
+
+
 def run_strides(run_share: Callable[..., Report], n: int, k: int,
                 label: str) -> Report:
-    """Units 0 .. n-1 shared by stride over k processes: this one runs
-    units 0, k, 2k, ... and a forked child each other stride, or this one
-    if the child could not start. `run_share(share)` runs the units of
+    """Units 0 .. n-1 shared by stride over k processes (`start_strides`),
+    each child forked by `fork_share`; `run_share(share)` runs the units of
     `share` in order and returns their report. The results of every share,
     in no set order, and the failure of the lowest rank; a child that ended
     without a report is a WorkerError naming its `label`ed units, ranked at
     its first unit. Every child is reaped before this returns or raises."""
-    own = list(range(0, n, k))
+
+    def fork(share: list[int]) -> Optional[tuple[int, int, int]]:
+        child = fork_share(run_share, share)
+        return None if child is None else (*child, share[0])
+
     children = []  # (pid, read end of its pipe, first unit of its share)
     reports = []
     try:
-        for start in range(1, k):
-            share = range(start, n, k)
-            child = fork_share(run_share, share)
-            if child is None:  # this process takes the share
-                own.extend(share)
-            else:
-                children.append((*child, start))
-        reports.append(run_share(sorted(own)))
+        reports.append(run_share(start_strides(fork, n, k, children)))
     finally:
         reports += [reap(pid, rfd, f"{label} #{start}, #{start + k}, ...", start)
                     for pid, rfd, start in children]
@@ -195,55 +206,46 @@ class _Child:
     report: int          # read end of the pipe of its failure report
     down: int            # write end of the pipe of parameter values
     up: int              # read end of the pipe of its replies
-    share: list[int]     # its stacks, in the order it runs them
+    share: list[int]     # its stacks, ascending
     rows: np.ndarray     # its reply: one row per stack, the loss then the gradient
-    what: str            # what it runs, for a WorkerError
 
 
 class StackWorkers:
-    """The epochs of one tier of `tgae.fit_tier`, with its stacks shared
-    out over one process per CPU in the affinity mask (`worker_count`).
-    `run_stack(s, eps)` runs forward and backward of stack s, adding its
-    gradient into each Param.grad, and returns its loss; `draw()` gives
-    an epoch's noise (or None).
+    """The epochs of one tier of `tgae.fit_tier`, its stacks shared out by
+    stride (`start_strides`) over one process per CPU in the affinity mask
+    (`worker_count`). `opt` is the tier's `Adam`; `run_stack(s, eps)` runs
+    stack s forward and backward, adding its gradient into `opt.grad`, and
+    returns its loss; `draw()` gives an epoch's noise (or None).
 
-    With one process, `epoch` is the plain loop: stacks in reverse, every
-    gradient added into Param.grad. With k, the caller runs stacks 0, k,
-    2k, ..., and k - 1 forked children run the other strides; they keep
-    their stacks through the fork, and each epoch goes: the caller sends
-    the parameter values down a pipe to each child; every process runs
-    each stack of its share on zeroed grads and keeps its loss and its
-    gradient; the children send theirs back; the caller adds the
-    gradients into zeroed grads in reverse stack order. Each stack's
-    gradient is 0.0 + g, and a sum that starts at +0.0 is never -0.0, so
-    every Param.grad gets the bits of the one-process loop. This holds
-    because each Param is one leaf of a stack's tape, so a stack adds into
-    its grad once. A child with a noise generator draws each epoch's
-    normals from its forked copy, in step with the caller's.
+    An epoch: the caller writes `opt.value` to each child, which reads it
+    straight into its parameters; every process runs its stacks, highest
+    first, each on a zeroed `opt.grad` that it copies into the stack's
+    reply row after the loss; the children send their rows back, and the
+    caller adds all rows into a zeroed `opt.grad` in reverse stack order.
+    One process runs the same code with no children. A stack adds into each
+    Param.grad once, so its row holds 0.0 + g, and a sum from +0.0 is never
+    -0.0: `opt.grad` gets the bits of adding every stack straight into it.
+    A child keeps its stacks, and its copy of the noise generator, from the
+    fork, so it draws each epoch's normals in step with the caller.
 
-    While the tier trains, the caller and each child run on a CPU of the
-    mask of their own, since unpinned, each epoch's pipe write woke the
-    child on the writer's CPU and the split ran slower than one process; a
-    CPU the kernel refuses leaves that process unpinned. On leaving, every child is reaped and the caller's mask is
-    restored. A failure in any share is raised as the one-process loop
+    While the tier trains, each process is pinned to a CPU of the mask of
+    its own (unpinned, the pipe writes woke each child on the writer's CPU
+    and the split ran slower than one process); a CPU the kernel refuses
+    leaves its process unpinned. On leaving, every child is reaped and the
+    caller's mask restored. A failure is raised as the one-process loop
     would meet it first, at the highest stack index; a child that ends
     without a report is a WorkerError.
     """
 
-    def __init__(self, count: int, params: Sequence[Param], run_stack: Callable,
-                 draw: Callable, label: str):
-        self.count, self.params, self.run_stack, self.draw = count, params, run_stack, draw
+    def __init__(self, count: int, opt: Adam, run_stack: Callable, draw: Callable,
+                 label: str):
+        self.count, self.opt, self.run_stack, self.draw = count, opt, run_stack, draw
         self.label = label  # names the tier in a WorkerError
-        self.slices, offset = [], 0
-        for p in self.params:
-            self.slices.append(slice(offset, offset + p.value.size))
-            offset += p.value.size
-        self.values = np.empty(offset)
         self.children: list[_Child] = []
         self.mask = None  # the caller's affinity mask while it is pinned
 
-    def _reply_rows(self, share: list[int]) -> np.ndarray:
-        return np.empty((len(share), 1 + self.values.size))
+    def _reply_rows(self, n: int) -> np.ndarray:
+        return np.empty((n, 1 + self.opt.value.size))
 
     def _rank(self, s: int) -> int:
         """Place of stack s in the one-process loop, which runs the last first."""
@@ -252,35 +254,18 @@ class StackWorkers:
     # the caller ------------------------------------------------------------
 
     def __enter__(self) -> StackWorkers:
-        k = worker_count(self.count)
-        if k == 1:
-            return self
-        mask = os.sched_getaffinity(0)
-        cpus = sorted(mask)
-        # by stride, so the split follows the stack count and nothing else;
-        # each share in the reverse order that a one-process epoch walks
-        shares = [list(range(i, self.count, k))[::-1] for i in range(k)]
-        own = shares[0]
         try:
-            for cpu, share in zip(cpus[1:], shares[1:]):
-                child = self._fork(cpu, share)
-                if child is None:  # this process takes the share
-                    own = sorted(own + share, reverse=True)
-                else:
-                    self.children.append(child)
-            if pin(cpus[0]):
-                self.mask = mask
+            self.own = start_strides(self._fork, self.count, worker_count(self.count),
+                                     self.children)
+            if self.children:
+                mask = os.sched_getaffinity(0)
+                if pin(min(mask)):
+                    self.mask = mask
         except BaseException:
             self.close()
             raise
-        self.own, self.own_rows = own, self._reply_rows(own)
-        self.total = np.empty_like(self.values)
-        # the reply row of each stack: its loss, then its gradient
-        self.rows = [None] * self.count
-        for share, rows in [(own, self.own_rows),
-                            *((c.share, c.rows) for c in self.children)]:
-            for s, row in zip(share, rows):
-                self.rows[s] = row
+        self.rows = self._reply_rows(self.count)  # every stack's reply row
+        self.own_rows = [self.rows[s] for s in self.own]
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -297,8 +282,9 @@ class StackWorkers:
                 os.close(child.up)
         finally:
             for child in children:
-                failures.append(reap(child.pid, child.report, child.what,
-                                     self._rank(child.share[0]))[1])
+                what = f"{self.label} stacks " + ", ".join(f"#{s}" for s in child.share)
+                failures.append(reap(child.pid, child.report, what,
+                                     self._rank(child.share[-1]))[1])
             if self.mask is not None:
                 os.sched_setaffinity(0, self.mask)
                 self.mask = None
@@ -306,60 +292,50 @@ class StackWorkers:
 
     def epoch(self) -> list[float]:
         """Run every stack once on the current parameters; leave the epoch's
-        gradient in Param.grad and return the stack losses."""
-        if not self.children:
-            zero_grads(self.params)
-            eps = self.draw()
-            losses = [0.0] * self.count
-            for k in reversed(range(self.count)):
-                losses[k] = self.run_stack(k, eps)
-            return losses
-        np.concatenate([p.value.ravel() for p in self.params], out=self.values)
+        gradient in `opt.grad` and return the stack losses."""
         for child in self.children:
-            send(child.down, self.values)
+            send(child.down, self.opt.value)
         failure = self._run_share(self.own, self.own_rows, self.draw())
         # every reply is read, so no child is left blocked on its pipe
         ended = [not receive(child.up, child.rows) for child in self.children]
         if failure is not None or any(ended):
-            failures = self.close()
-            if failure is not None:
-                failures.append(failure)
+            failures = self.close() + ([failure] if failure else [])
             raise min(failures, key=lambda f: f[0])[1]
-        total = self.total
-        total[...] = 0.0
-        for row in reversed(self.rows):
-            total += row[1:]
-        for p, sl in zip(self.params, self.slices):
-            p.grad[...] = total[sl].reshape(p.grad.shape)
-        return [float(row[0]) for row in self.rows]
+        for child in self.children:
+            self.rows[child.share] = child.rows
+        grad = self.opt.grad
+        grad[...] = 0.0
+        for row in self.rows[::-1]:
+            grad += row[1:]
+        return self.rows[:, 0].tolist()
 
-    def _run_share(self, share: list[int], rows: np.ndarray,
+    def _run_share(self, share: list[int], rows,
                    eps: Optional[np.ndarray]) -> Optional[Failure]:
-        """Each stack of `share` on zeroed grads, its loss and gradient into
-        its row of `rows`; the failure of the first that raises, or None."""
-        for s, row in zip(share, rows):
+        """Each stack of `share`, highest index first, on a zeroed
+        `opt.grad`, its loss and gradient into its row of `rows`; the
+        failure of the first that raises, or None."""
+        for j in reversed(range(len(share))):
             try:
-                zero_grads(self.params)
-                row[0] = self.run_stack(s, eps)
-                np.concatenate([p.grad.ravel() for p in self.params], out=row[1:])
+                self.opt.zero_grads()
+                rows[j][0] = self.run_stack(share[j], eps)
+                rows[j][1:] = self.opt.grad
             except Exception as exc:
-                return self._rank(s), exc
+                return self._rank(share[j]), exc
         return None
 
     # a child -----------------------------------------------------------------
 
-    def _fork(self, cpu: int, share: list[int]) -> Optional[_Child]:
-        """Start the child that runs `share` on `cpu`, or None if it could
-        not start."""
+    def _fork(self, share: list[int]) -> Optional[_Child]:
+        """Start the child that runs `share` on the CPU of the mask that its
+        first stack indexes, or None if it could not start."""
+        cpu = sorted(os.sched_getaffinity(0))[share[0]]
+        down = up = ()
         try:
             down = os.pipe()
-        except OSError:
-            return None
-        try:
             up = os.pipe()
         except OSError:
-            os.close(down[0])
-            os.close(down[1])
+            for fd in down + up:
+                os.close(fd)
             return None
         for fd in (down[0], up[0]):  # the ends that `receive` polls
             os.set_blocking(fd, False)
@@ -373,10 +349,8 @@ class StackWorkers:
             for fd in inherited:
                 os.close(fd)
             pin(cpu)
-            rows = self._reply_rows(share)
-            while receive(down[0], self.values):
-                for p, sl in zip(self.params, self.slices):
-                    p.value[...] = self.values[sl].reshape(p.value.shape)
+            rows = self._reply_rows(len(share))
+            while receive(down[0], self.opt.value):
                 failure = self._run_share(share, rows, self.draw())
                 if failure is not None:
                     return None, failure
@@ -390,5 +364,4 @@ class StackWorkers:
             os.close(down[1])
             os.close(up[0])
             return None
-        what = f"{self.label} stacks " + ", ".join(f"#{s}" for s in sorted(share))
-        return _Child(*started, down[1], up[0], share, self._reply_rows(share), what)
+        return _Child(*started, down[1], up[0], share, self._reply_rows(len(share)))

@@ -518,6 +518,30 @@ def messy_graph(rng, n: int, s: int, defects: bool) -> Graph:
     return Graph(x=rng.standard_normal((n, 3)), edge_index=edge_index, edge_attr=edge_attr)
 
 
+class AdamPerParam:
+    """Bias-corrected Adam as one update per parameter, on arrays of its own,
+    with the decays 0.9 and 0.999 and the guard 1e-8: the loop that
+    `autodiff.Adam`'s one update over its vectors must match bit for bit."""
+
+    def __init__(self, params, lr: float):
+        self.params, self.lr, self.t = list(params), lr, 0
+        self.m = [np.zeros_like(p.value) for p in self.params]
+        self.v = [np.zeros_like(p.value) for p in self.params]
+
+    def step(self) -> None:
+        self.t += 1
+        b1, b2 = 0.9, 0.999
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = p.grad
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1 ** self.t)
+            v_hat = v / (1.0 - b2 ** self.t)
+            p.value -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
 def fit_tier_per_graph(model, samples, config, rng=None) -> list[float]:
     """Full-batch Adam on the mean per-graph loss, one graph (a stack of
     one) at a time."""

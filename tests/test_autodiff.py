@@ -14,6 +14,7 @@ from tiergae.cli import params_state, set_params_state
 from tiergae.errors import ConfigError, NonScalarLossError, ShapeMismatchError
 
 from oracles import (
+    AdamPerParam,
     assert_same_bits,
     bce_logits_two_softplus,
     decode_adjacency_matmul,
@@ -347,6 +348,42 @@ def test_adam_state_persists_across_steps():
     opt.step()
     # momentum keeps the second step from mirroring the first
     assert not np.allclose(p.value - after_first, -(after_first - 0.0))
+
+
+def test_adam_vector_step_matches_the_per_parameter_loop():
+    rng = seeded_rng(21)
+    shapes = [(3, 4), (1, 4), (4, 2), (1, 2), (5,), (1, 1)]
+    params = [Param(rng.standard_normal(s), name=f"p{i}") for i, s in enumerate(shapes)]
+    ref = [Param(p.value.copy(), name=p.name) for p in params]
+    opt, oracle = Adam(params, lr=0.03), AdamPerParam(ref, lr=0.03)
+    # each param is a view into the vectors, in param order
+    offset = 0
+    for p, q in zip(params, ref):
+        size = p.value.size
+        assert np.shares_memory(p.value, opt.value) and np.shares_memory(p.grad, opt.grad)
+        assert p.value.shape == q.value.shape and p.grad.shape == q.value.shape
+        assert_same_bits(opt.value[offset:offset + size], q.value.ravel())
+        offset += size
+    assert offset == opt.value.size == opt.grad.size
+    for step in range(8):
+        for p, q in zip(params, ref):
+            # gradients across twenty decades, with zeros of both signs
+            g = rng.standard_normal(p.value.shape) * 10.0 ** rng.integers(-12, 8, p.value.shape)
+            g.ravel()[:step % 3] = (0.0, -0.0)[step % 2]
+            p.grad[...] = g
+            q.grad[...] = g
+        opt.step()
+        oracle.step()
+        for p, q in zip(params, ref):
+            assert_same_bits(p.value, q.value)
+    opt.zero_grads()
+    assert not opt.grad.any() and not any(p.grad.any() for p in params)
+
+
+def test_adam_refuses_a_param_given_twice():
+    p = Param(np.ones((1, 2)), name="p")
+    with pytest.raises(ValueError, match="more than once"):
+        Adam([p, Param(np.ones((1, 2)), name="q"), p])
 
 
 def test_zero_grads_resets():

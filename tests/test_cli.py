@@ -1,5 +1,6 @@
 import json
 import re
+import signal
 import tempfile
 import time
 from dataclasses import fields
@@ -33,8 +34,8 @@ from tiergae.cli import (
 )
 from tiergae.errors import CliError, ConfigError
 from tiergae.fgroups import membership_from_partition, partition_molecule
-from tiergae.graphs import validate
-from tiergae.pooling import graph_tier_membership
+from tiergae.graphs import coo_to_dense, validate
+from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.tgae import make_tier_models, train_tiered
 from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
 
@@ -499,6 +500,52 @@ def test_fetch_pauses_between_requests(tmp_path, monkeypatch):
                       ("sleep", 0.5), ("get", "3")]
 
 
+@pytest.mark.parametrize("delay", ["inf", "1e300", "-inf", "nan", "-1", "-0.001",
+                                   "86400.001"])
+def test_main_fetch_refuses_a_delay_before_the_first_request(tmp_path, monkeypatch, capsys,
+                                                             delay):
+    transport = RecordingTransport([(200, b"data")] * 2)
+    monkeypatch.setattr(cli.pubchem, "urllib_transport", lambda: transport)
+    monkeypatch.setattr(time, "sleep", lambda s: pytest.fail(f"slept {s}"))
+    out = tmp_path / "sdf"
+    assert main(["fetch", "1", "2", f"--delay={delay}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"tiergae fetch: fetch: delay must be between 0 and 86400 seconds, got " in err
+    assert "Traceback" not in err
+    assert transport.urls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("delay", ["0", "-0.0", "86400"])
+def test_main_fetch_takes_a_delay_within_the_bound(tmp_path, monkeypatch, delay):
+    transport = RecordingTransport([(200, b"data")] * 2)
+    monkeypatch.setattr(cli.pubchem, "urllib_transport", lambda: transport)
+    slept = []
+    monkeypatch.setattr(time, "sleep", slept.append)
+    assert main(["fetch", "1", "2", f"--delay={delay}", "--out", str(tmp_path / "sdf")]) == 0
+    assert len(transport.urls) == 2
+    assert slept == ([float(delay)] if float(delay) > 0 else [])
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs signal.setitimer")
+def test_time_sleep_takes_the_longest_fetch_delay():
+    # a delay past what time.sleep takes fails at once; one it takes sleeps
+    # until the timer's signal stops it
+    class Woken(Exception):
+        pass
+
+    def wake(signum, frame):
+        raise Woken
+
+    previous = signal.signal(signal.SIGALRM, wake)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 0.05)
+        with pytest.raises(Woken):
+            time.sleep(cli.MAX_FETCH_DELAY)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_fetch_unwritable_output_is_a_cli_error(tmp_path, vanillin_sdf_bytes):
     blocker = tmp_path / "file"
     blocker.write_text("")
@@ -803,6 +850,59 @@ def test_main_non_finite_rate_or_weight_exits_2(tmp_path, capsys, corpus_path, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("epochs", -10**400, "must be strictly positive"),
+    ("hidden", 10**400, "must be at most 1024"),
+    ("d_z", -10**400, "must be strictly positive"),
+    ("k", 10**400, "must be in [2, 6]"),
+])
+def test_main_int_past_the_float_range_exits_2(tmp_path, capsys, monkeypatch, corpus_path,
+                                               checkpoint_doc, field, value, message):
+    # an int is finite; asking math.isfinite about one past the float range
+    # raised OverflowError
+    forbid_weights(monkeypatch)
+    expected = f"config field {field!r}: {message}"
+    out = tmp_path / "m.json"
+    flag = "--" + field.replace("_", "-")
+    assert main(["train", str(corpus_path), f"{flag}={value}", "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{field} = {value}\n")
+    assert main(["train", str(corpus_path), "--config", str(config), "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
+    assert not out.exists()
+    if field in checkpoint_doc["dims"]:
+        checkpoint_doc["dims"][field] = value
+        assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
+        assert f"checkpoint {tmp_path / 'edited.json'}: {expected}" in capsys.readouterr().err
+        assert not (tmp_path / "export").exists()
+
+
+@pytest.mark.parametrize("flags, tier", [
+    (["--lr", "1e308"], 1),
+    (["--lr", "1e308", "--epochs", "1"], 2),  # tier 1's weights overflow as they pool
+    (["--model", "tvgae", "--kl-weight", "1e308"], 1),
+])
+def test_main_diverging_run_exits_2_without_a_warning(tmp_path, capsys, corpus_path, flags,
+                                                      tier):
+    # the suite turns warnings into errors, so an overflow warning fails here
+    out = tmp_path / "m.json"
+    assert main(["train", str(corpus_path), "--epochs", "3", "--out", str(out), *flags]) == 2
+    assert re.search(rf"tiergae train: tier {tier}: epoch \d loss is (nan|inf)\n",
+                     capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_main_embed_with_weights_that_overflow_exits_2(tmp_path, capsys, corpus_path,
+                                                       checkpoint_doc):
+    weight = checkpoint_doc["params"]["tier2.layer0.weight"]
+    weight["data"] = [1e308] * len(weight["data"])
+    assert _embed_with_checkpoint(tmp_path, corpus_path, checkpoint_doc) == 2
+    assert re.search(r"tiergae embed: corpus molecule '1183': tier [23] features or "
+                     r"embedding not finite\n", capsys.readouterr().err)
+    assert not (tmp_path / "export" / "1183.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [
     ("x", float("nan")), ("x", float("-inf")), ("edge_attr", float("inf")),
     ("edge_index", float("inf")), ("edge_index", 0.9), ("edge_index", -0.5),
@@ -823,6 +923,65 @@ def test_main_corpus_with_non_finite_value_exits_2(tmp_path, capsys, corpus_path
     assert main(["embed", str(bad), "--checkpoint", str(ckpt), "--out", str(export)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists() and not export.exists()
+
+
+def _train_and_embed_exit_2(tmp_path, capsys, corpus_path, edit, message: str) -> None:
+    """`train` and `embed` of vanillin's corpus with `edit` applied to its
+    molecule exit 2, print `message` after the molecule's name and write
+    nothing."""
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    doc = json.loads(corpus_path.read_text())
+    edit(doc["molecules"][0])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out, export = tmp_path / "m.json", tmp_path / "export"
+    expected = f"tiergae train: corpus molecule {doc['molecules'][0]['id']!r}: {message}"
+    assert main(["train", str(bad), "--epochs", "2", "--out", str(out)]) == 2
+    assert expected in capsys.readouterr().err
+    assert main(["embed", str(bad), "--checkpoint", str(ckpt), "--out", str(export)]) == 2
+    assert expected.replace("train", "embed", 1) in capsys.readouterr().err
+    assert not out.exists() and not export.exists()
+
+
+def test_main_corpus_molecule_without_atoms_exits_2(tmp_path, capsys, corpus_path):
+    def no_atoms(mol):
+        mol.update(x={"shape": [0, 13], "data": []}, edge_index={"shape": [2, 0], "data": []},
+                   edge_attr={"shape": [0, mol["edge_attr"]["shape"][1]], "data": []},
+                   groups=[], group_kinds=[])
+
+    _train_and_embed_exit_2(tmp_path, capsys, corpus_path, no_atoms,
+                            "x has shape (0, 13), no atoms or features")
+
+
+def test_main_corpus_molecule_without_node_features_exits_2(tmp_path, capsys, corpus_path):
+    def no_features(mol):
+        mol["x"] = {"shape": [19, 0], "data": []}
+
+    _train_and_embed_exit_2(tmp_path, capsys, corpus_path, no_features,
+                            "x has shape (19, 0), no atoms or features")
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning on the way either
+def test_main_corpus_edge_features_whose_pooled_sums_overflow_exit_2(tmp_path, capsys,
+                                                                     corpus_path):
+    def huge(mol):
+        mol["edge_attr"]["data"] = [1e308] * len(mol["edge_attr"]["data"])
+
+    _train_and_embed_exit_2(tmp_path, capsys, corpus_path, huge,
+                            "edge features too large to pool")
+
+
+def test_corpus_edge_features_inside_the_pooling_bound_pool_finite(corpus_path):
+    # one bond of 4e307 each way: twice the mass is 1.6e308, and the
+    # molecule's tier-3 entry 8e307 plus the other bonds
+    doc = json.loads(corpus_path.read_text())
+    attr = doc["molecules"][0]["edge_attr"]
+    for e in range(2):  # edges 0 and 1 are the two directions of one bond
+        attr["data"][e * attr["shape"][1]] = 4e307
+    graph, m1 = corpus_items(doc["molecules"])[0]
+    tier2 = pool_adjacency(coo_to_dense(graph), m1)
+    tier3 = pool_adjacency(tier2, graph_tier_membership(m1.num_groups))
+    assert np.isfinite(tier3).all() and tier3[0, 0, 0] >= 8e307
 
 
 @pytest.mark.parametrize("command, out", [
