@@ -6,9 +6,9 @@ sweeps the tape once in reverse, accumulating vector-Jacobian products into
 Param.grad. The op set is what training records: fused GCN layers
 (`gcn_layer`), the inner-product decoder (`gram`, Z Z^T), a BCE-on-logits
 loss (`bce_logits`), the KL and reparameterization terms (`add`,
-`elementwise_mul`, `scalar_mul`, `exp`, `sum`, `clip`) and the pooling
-product of the end-to-end loss (`matmul`). Every rule is checkable against
-central finite differences.
+`elementwise_mul`, `scalar_mul`, `exp`, `graph_sum`, `clip`) and the pooling
+product of the end-to-end loss (`matmul`), plus `sum`, a plain reduction to
+a scalar. Every rule is checkable against central finite differences.
 
 Constants get no gradient. A leaf made by `const` holds no Param and no
 vector-Jacobian product (VJP), so nothing reads a gradient formed for it; an
@@ -19,7 +19,9 @@ so for the first layer's features, and requires a constant A.
 A stack of B matrices sits on a leading axis, (B, n, m). `matmul` multiplies
 2-D @ 2-D, or a stack slice by slice with a stack of the same B; `gcn_layer`
 shares its weight and bias across a stack, so their gradients are summed
-over the batch. The elementwise ops, `sum` and `bce_logits` are shape-agnostic.
+over the batch. The elementwise ops and `sum` are shape-agnostic; `bce_logits`
+and `graph_sum` sum each graph of a stack apart and weight it by a number of
+its own.
 
 Gradients accumulate: replaying a tape without zero_grads doubles them,
 and the backward passes of several tapes sum into the same Param.grad.
@@ -168,20 +170,24 @@ class Tape:
 
         return self._record(np.maximum(pre, 0.0) if relu else pre, (h, w, b), vjp)
 
-    def bce_logits(self, logits: int, c1, c2, count: float) -> int:
-        """Weighted BCE on logits l: (sum(c1 softplus(-l)) + sum(c2 softplus(l)))
-        / count, with c1, c2 constant arrays shaped like l. Its gradient is
-        (c2 sigmoid(l) - c1 sigmoid(-l)) / count. A NaN or infinite logit
+    def bce_logits(self, logits: int, c1, c2, count) -> int:
+        """Weighted BCE on the logits l of a graph (n, n) or a stack
+        (B, n, n): the sum over graphs b of (sum(c1 softplus(-l)) +
+        sum(c2 softplus(l))) / count_b, with c1, c2 constant arrays shaped
+        like l and count a number or one per graph. Its gradient is
+        (c2 sigmoid(l) - c1 sigmoid(-l)) / count_b. A NaN or infinite logit
         gives a loss that is not finite, without a warning.
 
         softplus(+-l) = max(+-l, 0) + log1p(e) and sigmoid(+-l) is 1 / (1 + e)
         or e / (1 + e), picked by the sign of +-l, all from one e = exp(-|l|),
         so exp never overflows and the backward pass calls no exp."""
         vl = self.value(logits)
-        c1, c2 = _as_f64(c1), _as_f64(c2)
-        if c1.shape != vl.shape or c2.shape != vl.shape:
+        c1, c2, count = _as_f64(c1), _as_f64(c2), _as_f64(count)
+        if (vl.ndim < 2 or c1.shape != vl.shape or c2.shape != vl.shape
+                or count.shape not in ((), vl.shape[:-2])):
             raise ShapeMismatchError(
-                f"bce_logits: logits {vl.shape}, weights {c1.shape} and {c2.shape}"
+                f"bce_logits: logits {vl.shape}, weights {c1.shape} and {c2.shape}, "
+                f"count {count.shape}"
             )
         # in place where it can be: a fresh N x N temporary costs more in
         # allocation and page faults than the arithmetic on it
@@ -193,11 +199,13 @@ class Tape:
         with np.errstate(invalid="ignore"):  # 0 * inf on an infinite logit
             term += log1p_e
             term *= c1
-            loss = term.sum()
+            loss = term.sum(axis=(-2, -1))
             np.maximum(vl, 0.0, out=term)
             term += log1p_e
             term *= c2
-            loss = (loss + term.sum()) / count
+            loss = ((loss + term.sum(axis=(-2, -1))) / count).sum()
+        # 1 / count_b on each cell of graph b
+        per_cell = count[..., None, None]
 
         def vjp(g):
             big = 1.0 + e
@@ -208,10 +216,23 @@ class Tape:
             np.copyto(small, big, where=vl <= 0)  # sigmoid(-l)
             small *= c1
             grad -= small
-            grad *= float(g) / count
+            grad *= float(g) / per_cell
             return (grad,)
 
         return self._record(loss, (logits,), vjp)
+
+    def graph_sum(self, a: int, mask, scale) -> int:
+        """The sum over graphs b of scale_b * sum(mask_b * a_b), for a graph
+        a (n, m) or a stack (B, n, m); mask is a constant that broadcasts to
+        a and scale a number or one per graph. Its gradient is
+        scale_b * mask_b. A mask of ones gives scale * sum(a) to the bit."""
+        va = self.value(a)
+        mask, scale = _as_f64(mask), _as_f64(scale)
+        if va.ndim < 2 or scale.shape not in ((), va.shape[:-2]):
+            raise ShapeMismatchError(f"graph_sum: a {va.shape}, scale {scale.shape}")
+        weight = np.broadcast_to(mask * scale[..., None, None], va.shape)
+        value = ((va * mask).sum(axis=(-2, -1)) * scale).sum()
+        return self._record(value, (a,), lambda g: (float(g) * weight,))
 
     # backward ---------------------------------------------------------------
 

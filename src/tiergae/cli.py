@@ -406,8 +406,8 @@ def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
               base: Optional[str] = None, delay: float = 0.2) -> list[Path]:
     """Download one SDF per CID into out_dir. Returns written paths."""
     if not 0.0 <= delay <= MAX_FETCH_DELAY:  # NaN fails both comparisons
-        raise CliError(f"fetch: delay must be between 0 and {MAX_FETCH_DELAY:g} "
-                       f"seconds, got {delay!r}")
+        raise CliError(f"delay must be between 0 and {MAX_FETCH_DELAY:g} seconds, "
+                       f"got {delay!r}")
     if transport is None:
         transport = pubchem.urllib_transport()
     out = Path(out_dir)
@@ -429,7 +429,7 @@ def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
             path.write_bytes(body)
         written.append(path)
     if cids and not written:
-        raise CliError(f"fetch: all {failures} requests failed")
+        raise CliError(f"all {failures} requests failed")
     return written
 
 
@@ -534,7 +534,7 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     after the lines that run prints before it."""
     sdf_paths = _iter_sdf_paths(paths)
     if not sdf_paths:
-        raise CliError("ingest: no input files")
+        raise CliError("no input files")
     k = worker_count(max(1, min(len(sdf_paths),
                                 _input_bytes(sdf_paths) // INGEST_BYTES_PER_PROCESS)))
     results, failure = run_strides(functools.partial(_ingest_share, sdf_paths),
@@ -557,7 +557,7 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     if failure is not None:
         raise failure[1]
     if not fragments:
-        raise CliError(f"ingest: no molecules ingested ({failures} file(s) failed)")
+        raise CliError(f"no molecules ingested ({failures} file(s) failed)")
     out = Path(out_path)
     write_text(out, f'{{"format_version":{CORPUS_FORMAT_VERSION},"molecules":['
                + ",".join(fragments) + "]}")

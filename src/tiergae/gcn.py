@@ -7,8 +7,8 @@ binary existence before normalization, and the full channels flow through
 pooling untouched.
 
 `encode` and `encode_numpy` take one graph, x (N, d) with a_norm (N, N), or a
-stack of B same-size graphs, x (B, N, d) with a_norm (B, N, N); the layer
-weights are shared across the stack.
+stack of B graphs padded to N nodes, x (B, N, d) with a_norm (B, N, N); the
+layer weights are shared across the stack.
 """
 
 from __future__ import annotations

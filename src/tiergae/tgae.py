@@ -12,10 +12,12 @@ pipeline through a two-method protocol:
   embed(x, a_norm) -> the numpy embedding that gets pooled (tvgae: mu)
   loss(tape, x, a_norm, bce, config, noise) -> (loss node, node to pool)
 where x (B, N, d) and a_norm (B, N, N) are tape nodes holding a stack of B
-graphs with the same node count N, bce their `BceWeights`, config the
-run's `RunConfig` and noise a (B, N, d_z) standard normal array (None
-for `tgae`). The loss of a stack is the sum of its graphs' losses. A model
-that takes noise also has a `d_z` attribute, the width of that array.
+graphs, each zero-padded to the stack's largest node count N, bce their
+`BceWeights` (which also give each graph's node count), config the run's
+`RunConfig` and noise a (B, N, d_z) standard normal array, zero on pad rows
+(None for `tgae`). The loss of a stack is the sum of its graphs' losses, and
+no pad entry reaches it. A model that takes noise also has a `d_z`
+attribute, the width of that array.
 `fit_tier`, `pool_samples`, `run_tiered_schedule`, `encode_tiers` and
 `pipeline_loss` are the shared epoch loop, tier handoff, schedule, inference
 pass and end-to-end loss.
@@ -42,6 +44,22 @@ from .workers import StackWorkers
 ENCODER_ROLE = 0
 LOGSIGMA_ROLE = 1
 NOISE_ROLE = 2
+
+# The padded cells B * N^2 that `stack_samples` lets a stack of graphs of
+# several sizes reach. A stack's tape and numpy calls cost 0.10-0.19 ms
+# even for one graph of 20 nodes (ten graphs padded to 26 nodes: 0.33-0.52
+# ms), so fewer stacks pay; at 8192 cells one float64 N x N plane is 64 KiB
+# and the dozen planes of a stack's forward and backward pass stay in a
+# 2 MiB L2. Measured on the drugs-tgae seed-1 corpus (64 molecules, 20-58
+# atoms), tgae, 30 epochs, budgets interleaved, medians of 21 in-process
+# runs on a 2 vCPU Xeon host. Budget: tier-1 stacks, then tier-1 and
+# tier-2 ms per epoch on one CPU:
+#   0 (a stack per node count): 33, 9.51, 4.27     4096: 25, 8.41, 2.62
+#   8192: 16, 6.86, 2.26     16384: 9, 6.09, 2.35     32768: 5, 7.18, 2.98
+#   65536: 3, 10.50, 3.78
+# On both CPUs, forked: 0: 6.61, 3.13; 8192: 5.09, 1.71; 16384: 4.24, 2.03.
+# 16384 is as fast but pads 9.1% of the tier-1 cells, against 3.6% here.
+STACK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -102,25 +120,34 @@ class TierSample:
 
 @dataclass
 class BceWeights:
-    """Weighted-BCE coefficients of a graph or a stack of same-size graphs.
-    On logits l, with p = sigmoid(l), loss = -(sum(c1 log p) + sum(c2 log(1 - p)))
-    / count = (sum(c1 softplus(-l)) + sum(c2 softplus(l))) / count, which is
-    the sum of the graphs' losses because each graph has the same count."""
+    """Weighted-BCE coefficients of a graph or of a stack of graphs padded
+    to one node count N. On the logits l_b of graph b, with p = sigmoid(l_b),
+    its loss is -(sum(c1 log p) + sum(c2 log(1 - p))) / count_b =
+    (sum(c1 softplus(-l_b)) + sum(c2 softplus(l_b))) / count_b, and a
+    stack's loss is the sum of its graphs' losses. The mask is a graph's
+    off-diagonal cells in its own leading nodes x nodes block (its one cell
+    if it has one node): c1 and c2 are zero on the diagonal and on every
+    pad cell, so a pad logit gets no loss and exactly zero gradient."""
 
     c1: np.ndarray       # pos_weight * target * mask, per graph
     c2: np.ndarray       # (1 - target) * mask
-    count: float         # masked entries per graph
+    count: np.ndarray    # masked entries of each graph
+    nodes: np.ndarray    # node count of each graph; its rows past it are pad
 
 
 @dataclass
 class TierStack:
-    """The samples of one tier with node count N, stacked in sample order."""
+    """Samples of one tier, smallest node count first and in sample order
+    within a count, each zero-padded to the largest count N: its x rows and
+    its a_norm rows and columns past its own nodes are zero, with no
+    self-loop, so no real row reads a pad."""
 
     index: list[int]     # positions of the B graphs in the sample list
-    rows: np.ndarray     # their node rows in the sample-order concatenation
+    rows: np.ndarray     # B * N: each row's place in the sample-order
+                         # concatenation of node rows, a pad's one past its end
     x: np.ndarray        # B x N x d
     a_norm: np.ndarray   # B x N x N
-    bce: BceWeights      # c1, c2: B x N x N
+    bce: BceWeights      # c1, c2: B x N x N; count, nodes: B
 
 
 @dataclass
@@ -172,28 +199,35 @@ def reconstruction_target(exist: np.ndarray) -> np.ndarray:
     return exist * (1.0 - np.eye(n))
 
 
-def bce_weights(target) -> BceWeights:
-    """Fold pos_weight and the diagonal mask of a binary (N, N) target, or
-    of a (B, N, N) stack of them, into `BceWeights`."""
+def bce_weights(target, nodes=None) -> BceWeights:
+    """Fold pos_weight and the mask of a binary (N, N) target, or of a
+    (B, N, N) stack of them, into `BceWeights`. `nodes` gives each graph's
+    node count (N if None); a graph of n < N nodes is padded: its target
+    sits in the leading n x n block and is zero past it."""
     target = np.asarray(target, dtype=np.float64)
     n = target.shape[-1]
     if target.ndim not in (2, 3) or target.shape[-2] != n:
         raise ShapeMismatchError(f"target must be square, got {target.shape}")
+    nodes = np.full(target.shape[:-2], n) if nodes is None else np.asarray(nodes)
+    if nodes.shape != target.shape[:-2] or not ((nodes >= 1) & (nodes <= n)).all():
+        raise ShapeMismatchError(f"node counts {nodes} do not fit target {target.shape}")
     if not ((target == 0.0) | (target == 1.0)).all():
         raise ValueError("reconstruction target must be binary")
-    if n > 1:
-        if np.diagonal(target, axis1=-2, axis2=-1).any():
-            raise ValueError("reconstruction target must have a zero diagonal")
-        mask = 1.0 - np.eye(n)
-    else:
-        mask = np.ones((1, 1))
-    count = float(mask.sum())
+    real = np.arange(n) < nodes[..., None]
+    keep = real[..., :, None] & real[..., None, :]
+    # the diagonal is masked out, but for a one-node graph it is its one cell
+    keep &= ~np.eye(n, dtype=bool) | (nodes == 1)[..., None, None]
+    if np.where(keep, 0.0, target).any():
+        raise ValueError("reconstruction target must have a zero diagonal and no "
+                         "entry past its node count")
+    mask = keep.astype(np.float64)
+    count = mask.sum(axis=(-2, -1))
     n_pos = (target * mask).sum(axis=(-2, -1), keepdims=True)
-    n_neg = count - n_pos
+    n_neg = count[..., None, None] - n_pos
     # either class empty: pos_weight is undefined, fall back to unweighted BCE
     pos_weight = np.divide(n_neg, n_pos, out=np.ones_like(n_pos),
                            where=(n_pos > 0) & (n_neg > 0))
-    return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count)
+    return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count, nodes)
 
 
 def reconstruction_loss(tape: Tape, logits: int, bce: BceWeights) -> int:
@@ -218,33 +252,46 @@ def tier_sample(x: np.ndarray, a, m: Optional[MembershipMatrix] = None) -> TierS
 
 
 def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
-    """Group the samples by node count, smallest N first, into `TierStack`s.
+    """Stack the samples, smallest node count first and in sample order
+    within a count, into `TierStack`s padded to their largest count N.
 
-    Each sample's x and a_norm become views into its stack, so the stack
-    holds the only copy of them, and its target is dropped, since only the
-    stack's `BceWeights` are read from then on. So a sample is stacked, and
-    trained, once: stacking it again is a ValueError.
+    Consecutive node counts share a stack while its padded cells B * N^2
+    stay within STACK_CELLS; the graphs of one count are never split, so a
+    count whose graphs exceed the budget alone is a stack of its own,
+    unpadded. Each sample's x and a_norm become views into its stack, so
+    the stack holds the only copy of them, and its target is dropped, since
+    only the stack's `BceWeights` are read from then on. So a sample is
+    stacked, and trained, once: stacking it again is a ValueError.
     """
     by_n: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
         if s.target is None:
             raise ValueError(f"sample {i} was stacked for training already")
         by_n.setdefault(s.x.shape[0], []).append(i)
+    packs: list[list[int]] = []
+    for n in sorted(by_n):
+        if packs and (len(packs[-1]) + len(by_n[n])) * n * n <= STACK_CELLS:
+            packs[-1] += by_n[n]
+        else:
+            packs.append(list(by_n[n]))
     starts = np.cumsum([0] + [s.x.shape[0] for s in samples])
     stacks = []
-    for n in sorted(by_n):
-        index = by_n[n]
-        stack = TierStack(
-            index=index,
-            rows=(starts[index][:, None] + np.arange(n)).ravel(),
-            x=np.stack([samples[i].x for i in index]),
-            a_norm=np.stack([samples[i].a_norm for i in index]),
-            bce=bce_weights(np.stack([samples[i].target for i in index])),
-        )
+    for index in packs:
+        nodes = np.array([samples[i].x.shape[0] for i in index])
+        b, n = len(index), int(nodes[-1])
+        x = np.zeros((b, n, samples[index[0]].x.shape[1]))
+        a_norm = np.zeros((b, n, n))
+        target = np.zeros((b, n, n))
+        rows = np.full((b, n), starts[-1])
         for j, i in enumerate(index):
-            samples[i].x, samples[i].a_norm = stack.x[j], stack.a_norm[j]
+            k = nodes[j]
+            x[j, :k] = samples[i].x
+            a_norm[j, :k, :k] = samples[i].a_norm
+            target[j, :k, :k] = samples[i].target
+            rows[j, :k] = starts[i] + np.arange(k)
+            samples[i].x, samples[i].a_norm = x[j, :k], a_norm[j, :k, :k]
             samples[i].target = None
-        stacks.append(stack)
+        stacks.append(TierStack(index, rows.ravel(), x, a_norm, bce_weights(target, nodes)))
     return stacks
 
 
@@ -252,8 +299,8 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
              noise: Optional[np.random.Generator] = None) -> list[float]:
     """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch.
 
-    The graphs are trained in stacks of equal node count, built once; a
-    stack's loss is the sum of its graphs' losses. Each stack runs forward
+    The graphs are trained in padded stacks (`stack_samples`), built once;
+    a stack's loss is the sum of its graphs' losses. Each stack runs forward
     and backward on a tape of its own, dropped before the next starts, so
     training memory follows the largest stack, not the corpus. Each loss is
     scaled by 1 / len(samples) on its tape and the stacks' gradients are
@@ -262,7 +309,8 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
     The epoch loss is the forward-order sum of the stack losses times
     1 / len(samples). With a noise generator, each epoch draws the standard
     normal rows of all graphs in sample order in one call (the numbers of
-    one draw per graph) and gathers each stack's rows from it. A loss that
+    one draw per graph), followed by one row of zeros, and gathers each
+    stack's rows from it: a pad row gets the zeros. A loss that
     is not finite is a DomainError naming the tier and epoch, raised before
     that epoch's update. The stacks are shared out over one process per CPU
     (`workers.StackWorkers`); the losses and parameters do not depend on
@@ -276,7 +324,11 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
     opt = Adam(model.params(), lr=config.lr)
 
     def draw() -> Optional[np.ndarray]:
-        return None if noise is None else noise.standard_normal((node_rows, model.d_z))
+        if noise is None:
+            return None
+        eps = np.zeros((node_rows + 1, model.d_z))
+        noise.standard_normal(out=eps[:-1])
+        return eps
 
     def run_stack(k: int, eps: Optional[np.ndarray]) -> float:
         """Forward and backward of stack k, its gradient added into

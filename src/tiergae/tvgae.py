@@ -5,8 +5,9 @@ two independent GCNs (no weight sharing between the mu and log-sigma paths).
 Training samples z = mu + exp(logsigma) * eps and minimizes the negative
 ELBO: weighted BCE reconstruction plus KL against the standard normal prior.
 Pooling and inference always consume mu, never samples, so tier handoff and
-embedding export are deterministic. Training works on stacks of same-size
-graphs (see `tgae`); the noise stays per graph.
+embedding export are deterministic. Training works on padded stacks of
+graphs (see `tgae`); the noise stays per graph, and pad rows get zero noise
+and no KL.
 """
 
 from __future__ import annotations
@@ -107,20 +108,24 @@ def reparameterize(tape: Tape, mu: int, logsigma: int, noise: np.ndarray) -> int
     return tape.add(mu, tape.elementwise_mul(tape.exp(logsigma), tape.const(eps)))
 
 
-def kl_divergence(tape: Tape, mu: int, logsigma: int) -> int:
-    """KL(q || N(0, I)) = -1/2 sum(1 + 2 ls - mu^2 - exp(2 ls)), over nodes
-    and dims, divided by the node count; summed over the graphs of a stack."""
+def kl_divergence(tape: Tape, mu: int, logsigma: int, nodes=None) -> int:
+    """KL(q || N(0, I)) = -1/2 sum(1 + 2 ls - mu^2 - exp(2 ls)) over the
+    node rows and dims of a graph, divided by its node count, and summed
+    over the graphs of a stack. `nodes` gives each graph's node count (all
+    rows if None); the rows past it are padding, weighted 0."""
     vm = tape.value(mu)
     if tape.value(logsigma).shape != vm.shape:
         raise ShapeMismatchError("mu and logsigma shapes differ")
     n = vm.shape[-2]
+    nodes = np.full(vm.shape[:-2], n) if nodes is None else np.asarray(nodes)
     ones = tape.const(np.ones_like(vm))
     two_ls = tape.scalar_mul(2.0, logsigma)
     mu_sq = tape.elementwise_mul(mu, mu)
     exp_two_ls = tape.exp(two_ls)
     inner = tape.add(tape.add(ones, two_ls),
                      tape.scalar_mul(-1.0, tape.add(mu_sq, exp_two_ls)))
-    return tape.scalar_mul(-0.5 / n, tape.sum(inner))
+    real_rows = (np.arange(n) < nodes[..., None])[..., None]
+    return tape.graph_sum(inner, real_rows, -0.5 / nodes)
 
 
 def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
@@ -128,7 +133,8 @@ def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
     """Negative ELBO on the edge logits: the reconstruction loss plus
     `kl_weight` times the KL term."""
     recon = reconstruction_loss(tape, logits, bce)
-    return tape.add(recon, tape.scalar_mul(kl_weight, kl_divergence(tape, mu, logsigma)))
+    kl = kl_divergence(tape, mu, logsigma, bce.nodes)
+    return tape.add(recon, tape.scalar_mul(kl_weight, kl))
 
 
 def train_tier_variational(model: VariationalTierModel,

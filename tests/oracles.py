@@ -6,9 +6,9 @@ error types and messages, and violation order. Tests compare the library
 against them bit for bit.
 
 `fit_tier_per_graph` is the epoch loop as it was before training stacked
-same-size graphs: one graph at a time, with each graph's noise drawn on its
-own, in sample order. `fit_tier_one_tape` is the stacked epoch loop as it
-was before each stack got a tape of its own: every stack of an epoch on
+graphs: one graph at a time, with each graph's noise drawn on its own, in
+sample order. `fit_tier_one_tape` is the stacked epoch loop as it was
+before each stack got a tape of its own: every padded stack of an epoch on
 one tape, and one backward sweep over it.
 
 `formula_from_features_loop` is `sdf.formula_from_features` with one
@@ -17,7 +17,8 @@ one tape, and one backward sweep over it.
 `bce_logits_two_softplus` and `decode_adjacency_matmul` are the loss and
 decoder as they were before `Tape.bce_logits` was fused and `Tape.gram`
 replaced a matmul with a transpose node: two `softplus` passes forward, two
-`stable_sigmoid` calls backward, and Z Z^T as two tape nodes.
+`stable_sigmoid` calls backward (with the per-graph count of the fused
+op), and Z Z^T as two tape nodes.
 
 `membership_from_partition_dense` is `fgroups.membership_from_partition` as
 it was while a membership held its dense N x G matrix, and returns that
@@ -335,16 +336,21 @@ def softplus(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
 
 
-def bce_logits_two_softplus(tape: Tape, logits: int, c1, c2, count: float) -> int:
+def bce_logits_two_softplus(tape: Tape, logits: int, c1, c2, count) -> int:
     """`Tape.bce_logits` with a softplus per term and a sigmoid per term of
-    its gradient; takes the tape first, so it can stand in for the method."""
+    its gradient, each graph's sums over its last two axes divided by its
+    own count; takes the tape first, so it can stand in for the method."""
     vl = tape.value(logits)
     c1, c2 = np.asarray(c1, dtype=np.float64), np.asarray(c2, dtype=np.float64)
+    count = np.asarray(count, dtype=np.float64)
+    cells = (-2, -1)
     with np.errstate(invalid="ignore"):  # 0 * inf on an infinite logit
-        loss = ((c1 * softplus(-vl)).sum() + (c2 * softplus(vl)).sum()) / count
+        loss = (((c1 * softplus(-vl)).sum(axis=cells) + (c2 * softplus(vl)).sum(axis=cells))
+                / count).sum()
 
     def vjp(g):
-        return ((c2 * stable_sigmoid(vl) - c1 * stable_sigmoid(-vl)) * (float(g) / count),)
+        return ((c2 * stable_sigmoid(vl) - c1 * stable_sigmoid(-vl))
+                * (float(g) / count[..., None, None]),)
 
     return tape._record(loss, (logits,), vjp)
 
@@ -576,7 +582,10 @@ def fit_tier_one_tape(model, samples, config, noise=None) -> list[float]:
     for epoch in range(config.epochs):
         tape = Tape()
         opt.zero_grads()
-        eps = None if noise is None else noise.standard_normal((node_rows, model.d_z))
+        # the rows of every graph, then a row of zeros for the pad rows
+        eps = (None if noise is None else
+               np.vstack([noise.standard_normal((node_rows, model.d_z)),
+                          np.zeros((1, model.d_z))]))
         total = None
         for st in stacks:
             st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)

@@ -131,6 +131,7 @@ def _op_cases():
     c22 = rng.standard_normal((2, 2))
     c232 = rng.standard_normal((2, 3, 2))
     c233 = rng.standard_normal((2, 3, 3))
+    row_mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])[:, :, None]
 
     def wsum(t, node, c):
         return t.sum(t.elementwise_mul(t.const(c), node))
@@ -148,6 +149,8 @@ def _op_cases():
         ("scalar_mul", lambda t: wsum(t, t.scalar_mul(-2.5, t.param(a)), c32), [a]),
         ("exp", lambda t: wsum(t, t.exp(t.param(a)), c32), [a]),
         ("sum", lambda t: t.sum(t.param(a)), [a]),
+        # a stack whose second graph has a pad row, each graph weighted apart
+        ("graph_sum", lambda t: t.graph_sum(t.param(h), row_mask, [0.5, -1.5]), [h]),
         ("clip", lambda t: wsum(t, t.clip(t.param(kinked), -0.5, 1.0), c22), [kinked]),
         ("gcn_layer", lambda t: wsum(t, layer(t, True), c232), [h, w, bias]),
         ("gcn_layer", lambda t: wsum(t, layer(t, False), c232), [h, w, bias]),

@@ -209,6 +209,8 @@ def test_shape_mismatches_rejected():
         t.gcn_layer(t.const(np.ones((3, 3))), stack, w, b, relu=True)  # A not a stack
     with pytest.raises(ShapeMismatchError):
         t.bce_logits(a, np.ones((2, 3)), np.ones((3, 2)), 1.0)
+    with pytest.raises(ShapeMismatchError):
+        t.bce_logits(a3, np.ones((2, 3, 3)), np.ones((2, 3, 3)), np.ones(3))  # count per graph
 
 
 def test_gcn_layer_rejects_a_with_a_gradient_path():
@@ -250,9 +252,12 @@ def test_bce_logits_matches_two_softplus_bit_for_bit():
         rng = np.random.default_rng(int(len(row)))
         c1 = rng.uniform(0.0, 3.0, logits.shape) * (rng.random(logits.shape) < 0.7)
         c2 = rng.uniform(0.0, 3.0, logits.shape) * (rng.random(logits.shape) < 0.7)
-        for count in (1.0, 7.0):
-            got = _bce_loss_and_grad(Tape.bce_logits, logits, c1, c2, count)
-            want = _bce_loss_and_grad(bce_logits_two_softplus, logits, c1, c2, count)
+        # a graph, and a stack of two with a count each
+        for args in [(logits, c1, c2, 1.0), (logits, c1, c2, 7.0),
+                     (np.stack([logits, -logits]), np.stack([c1, c2]), np.stack([c2, c1]),
+                      np.array([7.0, 1.0]))]:
+            got = _bce_loss_and_grad(Tape.bce_logits, *args)
+            want = _bce_loss_and_grad(bce_logits_two_softplus, *args)
             assert_same_bits(got[0], want[0])
             assert_same_bits(got[1], want[1])
 

@@ -267,6 +267,18 @@ def test_ingest_nothing_usable_fails(tmp_path):
         cmd_ingest([tmp_path / "bad.sdf"], tmp_path / "corpus.json")
 
 
+@pytest.mark.parametrize("broken", [False, True])
+def test_main_ingest_names_the_command_once(tmp_path, capsys, broken):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    if broken:
+        (inputs / "bad.sdf").write_text("broken")
+    assert main(["ingest", str(inputs), "--out", str(tmp_path / "corpus.json")]) == 2
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last == ("tiergae ingest: no molecules ingested (1 file(s) failed)" if broken
+                    else "tiergae ingest: no input files")
+
+
 def test_corpus_items_rebuild_valid_graphs(corpus_path):
     items = corpus_items(load_corpus(corpus_path))
     graph, membership = items[0]
@@ -510,7 +522,8 @@ def test_main_fetch_refuses_a_delay_before_the_first_request(tmp_path, monkeypat
     out = tmp_path / "sdf"
     assert main(["fetch", "1", "2", f"--delay={delay}", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert f"tiergae fetch: fetch: delay must be between 0 and 86400 seconds, got " in err
+    assert "tiergae fetch: delay must be between 0 and 86400 seconds, got " in err
+    assert "fetch: fetch:" not in err
     assert "Traceback" not in err
     assert transport.urls == [] and not out.exists()
 
@@ -562,6 +575,14 @@ def test_fetch_total_failure_raises(tmp_path):
     t = RecordingTransport([(404, b""), (404, b"")])
     with pytest.raises(CliError):
         cmd_fetch([1, 2], tmp_path / "sdf", transport=t)
+
+
+def test_main_fetch_total_failure_names_the_command_once(tmp_path, monkeypatch, capsys):
+    transport = RecordingTransport([(404, b""), (404, b"")])
+    monkeypatch.setattr(cli.pubchem, "urllib_transport", lambda: transport)
+    monkeypatch.setattr(time, "sleep", lambda s: None)
+    assert main(["fetch", "1", "2", "--out", str(tmp_path / "sdf")]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == "tiergae fetch: all 2 requests failed"
 
 
 # ---------------------------------------------------------------- main

@@ -215,7 +215,7 @@ def test_files_that_fail_in_a_childs_share_are_skipped_as_in_one_process(tmp_pat
     one = serial(monkeypatch, failing, tmp_path / "none.json", capsys)
     use_cpus(monkeypatch, cpus)
     assert ingest(failing, tmp_path / "none.json", capsys) == one
-    assert one["result"] == (CliError, "ingest: no molecules ingested (3 file(s) failed)")
+    assert one["result"] == (CliError, "no molecules ingested (3 file(s) failed)")
     assert_no_child_left()
 
 

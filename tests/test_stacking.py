@@ -1,6 +1,7 @@
-"""Training on stacks of same-size graphs against one graph at a time, one
-tape per stack against one tape per epoch, and the fused tape ops against
-the unfused ones they replaced."""
+"""Training on padded stacks of graphs against one graph at a time, the
+budget rule that cuts the stacks, the exactness of the padding, one tape
+per stack against one tape per epoch, and the fused tape ops against the
+unfused ones they replaced."""
 
 import copy
 
@@ -9,17 +10,20 @@ import pytest
 
 from tiergae import tgae, tvgae
 from tiergae.autodiff import Tape, seeded_rng
-from tiergae.errors import DomainError
+from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.tgae import (
     NOISE_ROLE,
+    STACK_CELLS,
     RunConfig,
+    bce_weights,
     fit_tier,
     make_tier_models,
     stack_samples,
     tier_sample,
 )
-from tiergae.tvgae import make_variational_tier_models
+from tiergae.tvgae import kl_divergence, make_variational_tier_models
 
+from conftest import kl_value
 from oracles import (
     assert_same_bits,
     bce_logits_two_softplus,
@@ -29,10 +33,13 @@ from oracles import (
     mixed_size_samples,
 )
 
-# repeated sizes (3, 5), a singleton size (4) and a one-node graph
+# repeated sizes (3, 5), a singleton size (4) and a one-node graph: 7 * 5^2
+# padded cells, one stack under the budget
 SIZES = (3, 5, 1, 3, 4, 5, 3)
 D_IN = 4
 D_Z = 3
+# a budget that cuts SIZES into [1, 3, 3, 3] padded to 3 nodes, [4] and [5, 5]
+SMALL_BUDGET = 50
 
 
 def corpus(seed=0):
@@ -41,22 +48,110 @@ def corpus(seed=0):
 
 @pytest.fixture()
 def one_process(monkeypatch):
-    """Train in the calling process alone, so a spy sees every stack; the
+    """Train in the calling process alone, so a spy sees every stack, with
+    a stack per node count (a budget of 0 cells), so that it sees several,
+    none padded; a spy test may set a budget of its own after this. The
     stacks of forked workers are checked against this loop bit for bit in
     test_train_workers.py."""
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(tgae, "STACK_CELLS", 0)
+
+
+def stack_index(sizes, budget=STACK_CELLS):
+    """The `index` of each stack of random graphs of `sizes`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tgae, "STACK_CELLS", budget)
+        return [st.index for st in stack_samples(
+            mixed_size_samples(np.random.default_rng(0), sizes, 2))]
 
 
 def test_stacks_group_by_size_in_sample_order():
     samples = corpus()
+    before = [(s.x.copy(), s.a_norm.copy(), s.target.copy()) for s in samples]
     stacks = stack_samples(samples)
-    assert [s.index for s in stacks] == [[2], [0, 3, 6], [4], [1, 5]]
+    # smallest node count first, sample order within a count, in one stack
+    assert [s.index for s in stacks] == [[2, 0, 3, 6, 4, 1, 5]]
+    st = stacks[0]
+    b, n = 7, 5
+    assert st.x.shape == (b, n, D_IN)
+    assert st.a_norm.shape == st.bce.c1.shape == st.bce.c2.shape == (b, n, n)
+    assert st.bce.nodes.tolist() == [1, 3, 3, 3, 4, 5, 5]
+    assert st.bce.count.tolist() == [1.0, 6.0, 6.0, 6.0, 12.0, 20.0, 20.0]
     starts = np.cumsum((0,) + SIZES)
-    for st in stacks:
-        n = st.x.shape[1]
-        assert st.x.shape == (len(st.index), n, D_IN)
-        assert st.a_norm.shape == st.bce.c1.shape == st.bce.c2.shape == (len(st.index), n, n)
-        assert st.rows.tolist() == [starts[i] + k for i in st.index for k in range(n)]
+    pad = starts[-1]  # the row of zeros past every graph's rows
+    assert st.rows.tolist() == [starts[i] + k if k < SIZES[i] else pad
+                                for i in st.index for k in range(n)]
+    for j, i in enumerate(st.index):
+        k = SIZES[i]
+        x, a_norm, target = before[i]
+        assert_same_bits(st.x[j, :k], x)
+        assert_same_bits(st.a_norm[j, :k, :k], a_norm)
+        want = bce_weights(target)
+        assert_same_bits(st.bce.c1[j, :k, :k], want.c1)
+        assert_same_bits(st.bce.c2[j, :k, :k], want.c2)
+        # zero past the graph's own rows and columns
+        for arr in (st.a_norm[j], st.bce.c1[j], st.bce.c2[j]):
+            assert not arr[k:].any() and not arr[:, k:].any()
+        assert not st.x[j, k:].any()
+
+
+def test_a_size_group_over_the_budget_is_a_stack_of_its_own():
+    # three graphs of 60 nodes are 10,800 cells: alone, unpadded, never split
+    sizes = (3, 60, 4, 60, 60, 70, 2)
+    assert stack_index(sizes) == [[6, 0, 2], [1, 3, 4], [5]]
+
+
+def test_a_lone_graph_over_the_budget_is_a_stack_of_its_own():
+    # 91^2 = 8,281 cells are over the budget, 90^2 = 8,100 within it
+    samples = mixed_size_samples(np.random.default_rng(1), (5, 91, 4, 92, 90), 2)
+    x = samples[1].x.copy()
+    stacks = stack_samples(samples)
+    assert [st.index for st in stacks] == [[2, 0], [4], [1], [3]]
+    assert stacks[2].x.shape == (1, 91, 2)
+    assert_same_bits(stacks[2].x[0], x)
+
+
+def test_one_node_graphs_pack_with_a_one_cell_mask():
+    rng = np.random.default_rng(2)
+    samples = mixed_size_samples(rng, (3,), 2)
+    # one-node graphs with and without a self-loop, as at tier 3
+    samples += [tier_sample(rng.standard_normal((1, 2)), np.full((1, 1, 2), loop))
+                for loop in (1.0, 0.0)]
+    st, = stack_samples(samples)
+    assert st.index == [1, 2, 0]
+    assert st.bce.count.tolist() == [1.0, 1.0, 6.0]
+    for j, (c1, c2) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+        assert st.bce.c1[j, 0, 0] == c1 and st.bce.c2[j, 0, 0] == c2
+        for arr in (st.bce.c1[j], st.bce.c2[j], st.a_norm[j]):
+            assert np.count_nonzero(arr.ravel()[1:]) == 0
+    assert st.a_norm[0, 0, 0] > 0.0 and st.a_norm[1, 0, 0] > 0.0
+
+
+def test_bce_weights_refuse_an_entry_past_a_graphs_nodes():
+    target = np.zeros((2, 3, 3))
+    target[0, 0, 1] = target[0, 1, 0] = 1.0
+    assert bce_weights(target, [2, 3]).count.tolist() == [2.0, 6.0]
+    target[0, 2, 0] = 1.0
+    with pytest.raises(ValueError, match="past its node count"):
+        bce_weights(target, [2, 3])
+    with pytest.raises(ShapeMismatchError):
+        bce_weights(target, [4, 3])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_every_stack_is_a_union_of_consecutive_size_stacks(seed):
+    rng = np.random.default_rng(seed)
+    sizes = tuple(int(n) for n in rng.choice([1, 2, 5, 9, 20, 33, 40, 64, 65, 91],
+                                             size=int(rng.integers(1, 16))))
+    by_size = stack_index(sizes, budget=0)
+    packed = stack_index(sizes)
+    assert [i for index in packed for i in index] == [i for index in by_size for i in index]
+    cuts = set(np.cumsum([len(index) for index in by_size]).tolist())
+    assert set(np.cumsum([len(index) for index in packed]).tolist()) <= cuts
+    for index in packed:
+        n = max(sizes[i] for i in index)
+        # a stack holds one node count, or stays within the budget
+        assert len({sizes[i] for i in index}) == 1 or len(index) * n * n <= STACK_CELLS
 
 
 def test_stacking_drops_the_targets_and_refuses_a_stacked_sample():
@@ -126,6 +221,119 @@ def test_each_graph_gets_its_per_graph_noise(monkeypatch, one_process):
                 assert np.array_equal(noise[j], draws[i])
 
 
+def spy_noise(monkeypatch) -> list:
+    seen = []
+
+    def spy(tape, mu, logsigma, noise):
+        seen.append(noise.copy())
+        return reparameterize(tape, mu, logsigma, noise)
+
+    reparameterize = tvgae.reparameterize
+    monkeypatch.setattr(tvgae, "reparameterize", spy)
+    return seen
+
+
+def test_each_graph_in_a_padded_stack_gets_its_per_graph_noise(monkeypatch, one_process):
+    monkeypatch.setattr(tgae, "STACK_CELLS", SMALL_BUDGET)
+    seen = spy_noise(monkeypatch)
+    model = make_variational_tier_models(D_IN, RunConfig(hidden=5, d_z=D_Z, seed=4))[0]
+    epochs = 3
+    fit_tier(model, corpus(), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
+
+    stacks = stack_samples(corpus())[::-1]
+    assert [st.index for st in stacks] == [[1, 5], [4], [2, 0, 3, 6]]
+    assert len(seen) == epochs * len(stacks)
+    per_graph = seeded_rng(4, 1, NOISE_ROLE)
+    for epoch in range(epochs):
+        draws = [per_graph.standard_normal((n, D_Z)) for n in SIZES]
+        for st, noise in zip(stacks, seen[epoch * len(stacks):]):
+            assert noise.shape == st.x.shape[:2] + (D_Z,)
+            for j, i in enumerate(st.index):
+                assert_same_bits(noise[j, :SIZES[i]], draws[i])
+                assert not noise[j, SIZES[i]:].any()
+
+
+def padded_stack():
+    """The one stack of SIZES, and its graphs' samples, unstacked."""
+    return stack_samples(corpus())[0], corpus()
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_a_padded_stack_loss_and_gradients_are_the_per_graph_sums(flavor):
+    model, config, _ = flavor_setup(flavor)
+    st, samples = padded_stack()
+    rng = np.random.default_rng(5)
+    eps = rng.standard_normal((sum(SIZES) + 1, D_Z))
+    eps[-1] = 0.0
+
+    def loss_and_grads(x, a_norm, bce, noise):
+        tape = Tape()
+        for p in model.params():
+            p.grad[...] = 0.0
+        loss, _ = model.loss(tape, tape.const(x), tape.const(a_norm), bce, config,
+                             None if flavor == "tgae" else noise)
+        tape.backward(loss)
+        return float(tape.value(loss)), [p.grad.copy() for p in model.params()]
+
+    got, got_grads = loss_and_grads(st.x, st.a_norm, st.bce,
+                                    eps[st.rows].reshape(*st.x.shape[:2], D_Z))
+    want, want_grads = 0.0, [np.zeros_like(p.value) for p in model.params()]
+    starts = np.cumsum((0,) + SIZES)
+    for i, s in enumerate(samples):
+        loss, grads = loss_and_grads(s.x[None], s.a_norm[None], bce_weights(s.target[None]),
+                                     eps[starts[i]:starts[i + 1]][None])
+        want += loss
+        want_grads = [w + g for w, g in zip(want_grads, grads)]
+    assert abs(got - want) <= 1e-12
+    for g, w in zip(got_grads, want_grads):
+        assert np.abs(g - w).max() <= 1e-12
+
+
+def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
+    st, _ = padded_stack()
+    pad = st.bce.c1 == 0.0
+    pad &= st.bce.c2 == 0.0
+    rng = np.random.default_rng(6)
+    logits = rng.standard_normal(st.a_norm.shape) * 5.0
+    losses, grads = [], []
+    for fill in (0.0, 40.0):
+        values = np.where(pad, fill * rng.standard_normal(pad.shape), logits)
+        p = tgae.Param(values, name="logits")
+        tape = Tape()
+        loss = tgae.reconstruction_loss(tape, tape.param(p), st.bce)
+        tape.backward(loss)
+        losses.append(tape.value(loss))
+        grads.append(p.grad)
+    assert_same_bits(losses[0], losses[1])
+    assert_same_bits(grads[0], grads[1])
+    for g in grads:
+        assert (g[pad] == 0.0).all()
+
+
+def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
+    st, _ = padded_stack()
+    nodes = st.bce.nodes
+    pad = np.arange(st.x.shape[1]) >= nodes[:, None]
+    rng = np.random.default_rng(7)
+    mu = rng.standard_normal(st.x.shape[:2] + (D_Z,))
+    ls = rng.standard_normal(mu.shape) * 0.5
+    values, grads = [], []
+    for fill in (0.0, 3.0):
+        mu_p = tgae.Param(np.where(pad[..., None], fill, mu), name="mu")
+        ls_p = tgae.Param(np.where(pad[..., None], -fill, ls), name="ls")
+        tape = Tape()
+        kl = kl_divergence(tape, tape.param(mu_p), tape.param(ls_p), nodes)
+        tape.backward(kl)
+        values.append(tape.value(kl))
+        grads += [mu_p.grad, ls_p.grad]
+    assert_same_bits(values[0], values[1])
+    for g in grads:
+        assert (g[pad] == 0.0).all()
+    # each real row is weighted 1/n of its own graph
+    want = sum(kl_value(mu[j, :n], ls[j, :n]) for j, n in enumerate(nodes))
+    assert abs(values[0] - want) <= 1e-12
+
+
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
 def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor):
     model, config, rng = flavor_setup(flavor)
@@ -139,6 +347,16 @@ def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor):
 
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
 def test_each_tape_holds_one_stack(flavor, monkeypatch, one_process):
+    assert_each_tape_holds_one_stack(flavor, monkeypatch)
+
+
+@pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
+def test_each_tape_holds_one_padded_stack(flavor, monkeypatch, one_process):
+    monkeypatch.setattr(tgae, "STACK_CELLS", SMALL_BUDGET)
+    assert_each_tape_holds_one_stack(flavor, monkeypatch)
+
+
+def assert_each_tape_holds_one_stack(flavor, monkeypatch):
     tapes = []
 
     def spy(tape, loss_node):
@@ -160,6 +378,7 @@ def test_each_tape_holds_one_stack(flavor, monkeypatch, one_process):
         return len(tape.nodes)
 
     stacks = stack_samples(corpus())
+    assert len(stacks) > 1
     assert len(tapes) == config.epochs * len(stacks)
     for k, (x, nodes) in enumerate(tapes):
         st = stacks[-1 - k % len(stacks)]  # reverse order, every epoch
@@ -171,7 +390,7 @@ def test_each_tape_holds_one_stack(flavor, monkeypatch, one_process):
 def test_nan_in_one_stack_raises_at_epoch_0_before_any_update(flavor):
     model, config, rng = flavor_setup(flavor)
     samples = corpus()
-    samples[4].x[1, 2] = np.nan  # the only graph of size 4, so one stack of the four
+    samples[4].x[1, 2] = np.nan  # one graph of the one padded stack
     initial = [p.value.copy() for p in model.params()]
     with pytest.raises(DomainError, match=r"^tier 1: epoch 0 loss is nan$"):
         fit_tier(model, samples, config, rng())

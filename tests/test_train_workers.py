@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tiergae import tgae
 from tiergae.autodiff import Tape
 from tiergae.cli import cmd_ingest, cmd_train, main, validate_config
 from tiergae.errors import DomainError
 from tiergae.sdf import write_sdf
-from tiergae.tgae import RunConfig, fit_tier, make_tier_models
+from tiergae.tgae import STACK_CELLS, RunConfig, fit_tier, make_tier_models
 from tiergae.tvgae import make_variational_tier_models
 
 from conftest import VANILLIN_SDF
@@ -33,10 +34,13 @@ from oracles import assert_same_bits, mixed_size_samples
 from test_blas_threads import chain_molecule
 
 ROOT = Path(__file__).resolve().parents[1]
-# with vanillin, 19 atoms and 10 groups, tiers 1 and 2 have six stacks each,
-# one of them of two graphs; tier 3 has one
-CHAINS = (3, 5, 8, 2, 12, 6)
-TIER_STACKS = (6, 6, 1)
+# Stacks pack small graphs under the budget of STACK_CELLS padded cells, so
+# the chains of 65, 66 and 68 carbons (192-200 atoms, 65-68 groups, each
+# graph over the budget alone) keep tiers 1 and 2 at four stacks: one packs
+# vanillin (19 atoms, 10 groups) with the small chains, and each large chain
+# is one. Tier 3 has one.
+CHAINS = (5, 65, 2, 12, 68, 66)
+TIER_STACKS = (4, 4, 1)
 FLAVORS = ("tgae", "tvgae")
 
 
@@ -97,7 +101,25 @@ def serial(request, corpus, tmp_path_factory) -> tuple[str, dict[str, bytes]]:
 # ---------------------------------------------------------------- same bytes
 
 
-@pytest.mark.parametrize("cpus", [2, 3, max(TIER_STACKS) + 3])
+def test_each_tier_but_the_top_has_stacks_to_share(tmp_path, monkeypatch, corpus):
+    counts = []
+    stack_samples = tgae.stack_samples
+
+    def spy(samples):
+        stacks = stack_samples(samples)
+        counts.append(len(stacks))
+        return stacks
+
+    monkeypatch.setattr(tgae, "stack_samples", spy)
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    train("tgae", corpus, tmp_path)
+    assert tuple(counts) == TIER_STACKS
+    assert len(forks) == 2  # one child at tier 1, one at tier 2
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 9])  # 9: more CPUs than any tier has stacks
 def test_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch, corpus, serial,
                                                   cpus):
     flavor, expected = serial
@@ -234,18 +256,25 @@ def test_a_killed_child_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys
     assert_no_child_left()
     assert_mask_restored()
     err = capsys.readouterr().err
-    assert (f"tiergae train: worker process {forks[0]} for tier 1 stacks #1, #3, #5 "
+    assert (f"tiergae train: worker process {forks[0]} for tier 1 stacks #1, #3 "
             f"killed by signal {int(signal.SIGKILL)}") in err
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
 
 
+# graphs of BIG + 1, 3, 4 and 5 nodes: each over the budget alone, so a
+# tier of them has a stack per node count
+BIG = 90
+
+
 def samples(nan_size: int = 0):
-    """A tier-1 corpus in stacks of 1, 3, 4 and 5 nodes, with a NaN feature
-    in a graph of `nan_size` nodes if there is one."""
-    samples = mixed_size_samples(np.random.default_rng(0), (3, 5, 1, 3, 4, 5, 3), 4)
+    """A tier-1 corpus in stacks of BIG + 1, 3, 4 and 5 nodes, with a NaN
+    feature in a graph of BIG + `nan_size` nodes if there is one."""
+    sizes = tuple(BIG + n for n in (3, 5, 1, 3, 4, 5, 3))
+    assert min(sizes) ** 2 > STACK_CELLS
+    samples = mixed_size_samples(np.random.default_rng(0), sizes, 4)
     for s in samples:
-        if s.x.shape[0] == nan_size:
+        if s.x.shape[0] == BIG + nan_size:
             s.x[0, 1] = np.nan
             break
     return samples
@@ -272,15 +301,15 @@ def test_a_non_finite_loss_in_any_share_is_the_one_process_error(monkeypatch, fl
 @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
 def test_the_failure_raised_is_the_one_process_loops_first(monkeypatch, cpus):
     # the loop runs the stacks from the largest node count down, so the
-    # failure at 4 nodes comes before the one at 3 in every share
+    # failure at BIG + 4 nodes comes before the one at BIG + 3 in every share
     def fail(n):
-        if n in (3, 4):
+        if n in (BIG + 3, BIG + 4):
             raise ValueError(f"stack of {n} nodes")
 
     on_backward(monkeypatch, fail)
     use_cpus(monkeypatch, cpus)
     model = make_tier_models(4, RunConfig(hidden=5, d_z=3))[0]
-    with pytest.raises(ValueError, match="^stack of 4 nodes$"):
+    with pytest.raises(ValueError, match="^stack of 94 nodes$"):
         fit_tier(model, samples(), RunConfig(epochs=2))
     assert_no_child_left()
     assert_mask_restored()
