@@ -11,8 +11,12 @@ end-to-end metric that BENCHMARK.json declares it prints each side's
 median and quartiles, how many pairs the change won (ties count for
 neither), whether a gain is shown (it wins at least 9 of 10 pairs and the
 medians differ by more than the parent's interquartile range) and whether
-the change stays within the metric's bound. Each run's metrics come first,
-one JSON line each, so every run made is on record.
+the change's median stays within the metric's bound of the parent's: "yes",
+"NO", or "unresolved" where the parent's interquartile range is wider than
+the bound and not every run of the change beats every run of the parent.
+The metrics and their bounds are read from the change's BENCHMARK.json.
+Each run's metrics come first, one JSON line each, so every run made is on
+record.
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload drugs-tgae --seed 301 --pairs 10 --seconds 35
@@ -51,6 +55,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def bound_verdict(parent: list[float], change: list[float], sign: float,
+                  bound: float) -> str:
+    """"yes" if the change's median is no worse than the parent's by more
+    than the relative bound, "NO" if it is, and "unresolved" if the
+    parent's own spread is wider than the bound; a change whose every run
+    beats every parent run is "yes" whatever the spread."""
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "yes"
+    (p1, p2, p3), c2 = quartiles(parent), quartiles(change)[1]
+    if sign * (c2 - p2 * (1.0 - sign * bound)) < 0.0:
+        return "NO"
+    return "unresolved" if p3 - p1 > bound * abs(p2) else "yes"
+
+
 def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[dict]:
     """One row per declared metric from (parent, change) metric pairs."""
     rows = []
@@ -62,12 +80,11 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
         wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
         p_q, c_q = quartiles(parent), quartiles(change)
         gap = sign * (c_q[1] - p_q[1])  # > 0: the change's median is better
-        limit = p_q[1] * (1.0 - sign * metric["bound"])
         rows.append({
             "metric": name, "unit": metric["unit"], "better": metric["better"],
             "pairs": len(pairs), "parent": p_q, "change": c_q, "wins": wins,
             "gain_shown": wins >= WIN_SHARE * len(pairs) and gap > p_q[2] - p_q[0],
-            "within_bound": sign * (c_q[1] - limit) >= 0.0,
+            "bound": bound_verdict(parent, change, sign, metric["bound"]),
         })
     return rows
 
@@ -79,8 +96,7 @@ def format_rows(rows: list[dict]) -> list[str]:
         sides = ["/".join(f"{v:.6g}" for v in r[side]) for side in ("parent", "change")]
         gain = "yes" if r["gain_shown"] else "no"
         lines.append(f"{r['metric']:26} {sides[0]:>34} {sides[1]:>34} "
-                     f"{r['wins']:>3}/{r['pairs']:<2}  {gain:4}  "
-                     f"{'yes' if r['within_bound'] else 'NO'}")
+                     f"{r['wins']:>3}/{r['pairs']:<2}  {gain:4}  {r['bound']}")
     return lines
 
 
@@ -94,12 +110,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", required=True, type=int, help="seed of the first pair")
     parser.add_argument("--pairs", default=10, type=int)
     parser.add_argument("--seconds", default=35.0, type=float)
-    parser.add_argument("--benchmark", type=Path,
-                        help="BENCHMARK.json (default: the change's)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be positive, --seconds positive and --seed nonnegative")
-    spec = json.loads((args.benchmark or args.change / "BENCHMARK.json").read_text())
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
     pairs = []
     for i in range(args.pairs):
         seed = args.seed + i

@@ -7,8 +7,8 @@ Param.grad. The op set is what training records: fused GCN layers
 (`gcn_layer`), the inner-product decoder (`gram`, Z Z^T), a BCE-on-logits
 loss (`bce_logits`), the KL and reparameterization terms (`add`,
 `elementwise_mul`, `scalar_mul`, `exp`, `graph_sum`, `clip`) and the pooling
-product of the end-to-end loss (`matmul`), plus `sum`, a plain reduction to
-a scalar. Every rule is checkable against central finite differences.
+product of the end-to-end loss (`matmul`). Every rule is checkable against
+central finite differences.
 
 Constants get no gradient. A leaf made by `const` holds no Param and no
 vector-Jacobian product (VJP), so nothing reads a gradient formed for it; an
@@ -19,9 +19,9 @@ so for the first layer's features, and requires a constant A.
 A stack of B matrices sits on a leading axis, (B, n, m). `matmul` multiplies
 2-D @ 2-D, or a stack slice by slice with a stack of the same B; `gcn_layer`
 shares its weight and bias across a stack, so their gradients are summed
-over the batch. The elementwise ops and `sum` are shape-agnostic; `bce_logits`
-and `graph_sum` sum each graph of a stack apart and weight it by a number of
-its own.
+over the batch. The elementwise ops are shape-agnostic; `bce_logits` and
+`graph_sum`, the two reductions to a scalar, sum each graph of a stack apart
+and weight it by a number of its own.
 
 Gradients accumulate: replaying a tape without zero_grads doubles them,
 and the backward passes of several tapes sum into the same Param.grad.
@@ -130,10 +130,6 @@ class Tape:
     def exp(self, a: int) -> int:
         out = np.exp(self.value(a))
         return self._record(out, (a,), lambda g: (g * out,))
-
-    def sum(self, a: int) -> int:
-        va = self.value(a)
-        return self._record(va.sum(), (a,), lambda g: (np.full(va.shape, float(g)),))
 
     def clip(self, a: int, lo: float, hi: float) -> int:
         va = self.value(a)

@@ -13,7 +13,7 @@ pipeline through a two-method protocol:
   loss(tape, x, a_norm, bce, config, noise) -> (loss node, node to pool)
 where x (B, N, d) and a_norm (B, N, N) are tape nodes holding a stack of B
 graphs, each zero-padded to the stack's largest node count N, bce their
-`BceWeights` (which also give each graph's node count), config the run's
+`BceWeights` (which also weight each graph's node rows), config the run's
 `RunConfig` and noise a (B, N, d_z) standard normal array, zero on pad rows
 (None for `tgae`). The loss of a stack is the sum of its graphs' losses, and
 no pad entry reaches it. A model that takes noise also has a `d_z`
@@ -127,12 +127,17 @@ class BceWeights:
     stack's loss is the sum of its graphs' losses. The mask is a graph's
     off-diagonal cells in its own leading nodes x nodes block (its one cell
     if it has one node): c1 and c2 are zero on the diagonal and on every
-    pad cell, so a pad logit gets no loss and exactly zero gradient."""
+    pad cell, so a pad logit gets no loss and exactly zero gradient.
 
-    c1: np.ndarray       # pos_weight * target * mask, per graph
-    c2: np.ndarray       # (1 - target) * mask
-    count: np.ndarray    # masked entries of each graph
-    nodes: np.ndarray    # node count of each graph; its rows past it are pad
+    rows and inv_nodes weight a term summed over node rows, such as the KL
+    of `tvgae`: graph b's sum over the rows where rows_b is 1, times
+    inv_nodes_b, is its mean over its own nodes, and no pad row reaches it."""
+
+    c1: np.ndarray         # pos_weight * target * mask, per graph
+    c2: np.ndarray         # (1 - target) * mask
+    count: np.ndarray      # masked entries of each graph
+    rows: np.ndarray       # 1 on each graph's node rows, 0 on its pad rows
+    inv_nodes: np.ndarray  # 1 / node count of each graph
 
 
 @dataclass
@@ -147,7 +152,7 @@ class TierStack:
                          # concatenation of node rows, a pad's one past its end
     x: np.ndarray        # B x N x d
     a_norm: np.ndarray   # B x N x N
-    bce: BceWeights      # c1, c2: B x N x N; count, nodes: B
+    bce: BceWeights      # c1, c2: B x N x N; rows: B x N x 1; count, inv_nodes: B
 
 
 @dataclass
@@ -221,13 +226,15 @@ def bce_weights(target, nodes=None) -> BceWeights:
         raise ValueError("reconstruction target must have a zero diagonal and no "
                          "entry past its node count")
     mask = keep.astype(np.float64)
+    rows = real[..., None].astype(np.float64)
     count = mask.sum(axis=(-2, -1))
     n_pos = (target * mask).sum(axis=(-2, -1), keepdims=True)
     n_neg = count[..., None, None] - n_pos
     # either class empty: pos_weight is undefined, fall back to unweighted BCE
     pos_weight = np.divide(n_neg, n_pos, out=np.ones_like(n_pos),
                            where=(n_pos > 0) & (n_neg > 0))
-    return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count, nodes)
+    return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count, rows,
+                      1.0 / nodes)
 
 
 def reconstruction_loss(tape: Tape, logits: int, bce: BceWeights) -> int:

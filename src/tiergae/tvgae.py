@@ -108,24 +108,24 @@ def reparameterize(tape: Tape, mu: int, logsigma: int, noise: np.ndarray) -> int
     return tape.add(mu, tape.elementwise_mul(tape.exp(logsigma), tape.const(eps)))
 
 
-def kl_divergence(tape: Tape, mu: int, logsigma: int, nodes=None) -> int:
+def kl_divergence(tape: Tape, mu: int, logsigma: int, rows=1.0, inv_nodes=None) -> int:
     """KL(q || N(0, I)) = -1/2 sum(1 + 2 ls - mu^2 - exp(2 ls)) over the
     node rows and dims of a graph, divided by its node count, and summed
-    over the graphs of a stack. `nodes` gives each graph's node count (all
-    rows if None); the rows past it are padding, weighted 0."""
+    over the graphs of a stack. rows and inv_nodes are a padded stack's
+    `BceWeights.rows` and `.inv_nodes`, which weight a pad row 0; left
+    out, every row is a node row."""
     vm = tape.value(mu)
     if tape.value(logsigma).shape != vm.shape:
         raise ShapeMismatchError("mu and logsigma shapes differ")
-    n = vm.shape[-2]
-    nodes = np.full(vm.shape[:-2], n) if nodes is None else np.asarray(nodes)
+    if inv_nodes is None:
+        inv_nodes = 1.0 / vm.shape[-2]
     ones = tape.const(np.ones_like(vm))
     two_ls = tape.scalar_mul(2.0, logsigma)
     mu_sq = tape.elementwise_mul(mu, mu)
     exp_two_ls = tape.exp(two_ls)
     inner = tape.add(tape.add(ones, two_ls),
                      tape.scalar_mul(-1.0, tape.add(mu_sq, exp_two_ls)))
-    real_rows = (np.arange(n) < nodes[..., None])[..., None]
-    return tape.graph_sum(inner, real_rows, -0.5 / nodes)
+    return tape.graph_sum(inner, rows, -0.5 * inv_nodes)
 
 
 def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
@@ -133,7 +133,7 @@ def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
     """Negative ELBO on the edge logits: the reconstruction loss plus
     `kl_weight` times the KL term."""
     recon = reconstruction_loss(tape, logits, bce)
-    kl = kl_divergence(tape, mu, logsigma, bce.nodes)
+    kl = kl_divergence(tape, mu, logsigma, bce.rows, bce.inv_nodes)
     return tape.add(recon, tape.scalar_mul(kl_weight, kl))
 
 

@@ -134,7 +134,7 @@ def _op_cases():
     row_mask = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])[:, :, None]
 
     def wsum(t, node, c):
-        return t.sum(t.elementwise_mul(t.const(c), node))
+        return t.graph_sum(t.elementwise_mul(t.const(c), node), 1.0, 1.0)
 
     def layer(t, relu):
         return t.gcn_layer(t.const(adj), t.param(h), t.param(w), t.param(bias), relu)
@@ -148,7 +148,6 @@ def _op_cases():
         ("elementwise_mul", lambda t: wsum(t, t.elementwise_mul(t.param(a), t.param(b)), c32), [a, b]),
         ("scalar_mul", lambda t: wsum(t, t.scalar_mul(-2.5, t.param(a)), c32), [a]),
         ("exp", lambda t: wsum(t, t.exp(t.param(a)), c32), [a]),
-        ("sum", lambda t: t.sum(t.param(a)), [a]),
         # a stack whose second graph has a pad row, each graph weighted apart
         ("graph_sum", lambda t: t.graph_sum(t.param(h), row_mask, [0.5, -1.5]), [h]),
         ("clip", lambda t: wsum(t, t.clip(t.param(kinked), -0.5, 1.0), c22), [kinked]),

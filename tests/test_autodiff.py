@@ -55,7 +55,7 @@ def test_matmul_identity():
 def test_sum_gradient_all_ones():
     t = Tape()
     w = Param(np.array([[1.0, 2.0], [3.0, 4.0]]), name="w")
-    t.backward(t.sum(t.param(w)))
+    t.backward(t.graph_sum(t.param(w), 1.0, 1.0))
     assert np.array_equal(w.grad, np.ones((2, 2)))
 
 
@@ -65,7 +65,7 @@ def test_matmul_sum_gradient_closed_form():
     x = rng.standard_normal((3, 2))
     w = Param(rng.standard_normal((2, 4)), name="w")
     t = Tape()
-    t.backward(t.sum(t.matmul(t.const(x), t.param(w))))
+    t.backward(t.graph_sum(t.matmul(t.const(x), t.param(w)), 1.0, 1.0))
     assert np.allclose(w.grad, x.T @ np.ones((3, 4)))
 
 
@@ -75,10 +75,10 @@ def _check_unary(op_name, value, **kwargs):
     def run():
         t = Tape()
         node = getattr(t, op_name)(t.param(p), **kwargs)
-        return t.value(t.sum(node))
+        return t.value(t.graph_sum(node, 1.0, 1.0))
 
     t = Tape()
-    loss = t.sum(getattr(t, op_name)(t.param(p), **kwargs))
+    loss = t.graph_sum(getattr(t, op_name)(t.param(p), **kwargs), 1.0, 1.0)
     t.backward(loss)
     assert_grads_match([p.grad], finite_difference_grads(run, [p]))
 
@@ -89,10 +89,10 @@ def _check_binary(op_name, left, right):
 
     def run():
         t = Tape()
-        return t.value(t.sum(getattr(t, op_name)(t.param(a), t.param(b))))
+        return t.value(t.graph_sum(getattr(t, op_name)(t.param(a), t.param(b)), 1.0, 1.0))
 
     t = Tape()
-    t.backward(t.sum(getattr(t, op_name)(t.param(a), t.param(b))))
+    t.backward(t.graph_sum(getattr(t, op_name)(t.param(a), t.param(b)), 1.0, 1.0))
     assert_grads_match([a.grad, b.grad], finite_difference_grads(run, [a, b]))
 
 
@@ -117,10 +117,10 @@ def test_gradcheck_every_op():
 
     def run():
         t = Tape()
-        return t.value(t.sum(t.scalar_mul(-2.5, t.param(p))))
+        return t.value(t.graph_sum(t.scalar_mul(-2.5, t.param(p)), 1.0, 1.0))
 
     t = Tape()
-    t.backward(t.sum(t.scalar_mul(-2.5, t.param(p))))
+    t.backward(t.graph_sum(t.scalar_mul(-2.5, t.param(p)), 1.0, 1.0))
     assert_grads_match([p.grad], finite_difference_grads(run, [p]))
 
 
@@ -155,8 +155,8 @@ def test_backward_is_linear():
         zero_grads([w])
         t = Tape()
         node = t.param(w)
-        l1 = t.sum(t.exp(node))
-        l2 = t.sum(t.elementwise_mul(node, node))
+        l1 = t.graph_sum(t.exp(node), 1.0, 1.0)
+        l2 = t.graph_sum(t.elementwise_mul(node, node), 1.0, 1.0)
         losses = {"l1": l1, "l2": l2, "both": t.add(l1, l2)}
         t.backward(losses[single])
         return w.grad.copy()
@@ -167,7 +167,7 @@ def test_backward_is_linear():
 def test_replaying_backward_doubles_grads():
     w = Param(np.array([[1.0, -2.0]]), name="w")
     t = Tape()
-    loss = t.sum(t.exp(t.param(w)))
+    loss = t.graph_sum(t.exp(t.param(w)), 1.0, 1.0)
     t.backward(loss)
     once = w.grad.copy()
     t.backward(loss)
@@ -272,7 +272,7 @@ def test_gram_matches_matmul_of_transpose_bit_for_bit(shape):
         p = Param(z.copy(), name="z")
         t = Tape()
         out = decode(t, t.param(p))
-        t.backward(t.sum(t.elementwise_mul(t.const(weight), out)))
+        t.backward(t.graph_sum(t.elementwise_mul(t.const(weight), out), 1.0, 1.0))
         grads.append((t.value(out), p.grad))
     assert_same_bits(grads[0][0], grads[1][0])
     assert_same_bits(grads[0][1], grads[1][1])
@@ -294,7 +294,7 @@ def test_constant_input_gcn_layer_forms_no_input_gradient(relu):
         t = Tape()
         h = t.const(x) if constant else t.param(Param(x.copy(), name="x"))
         layer = t.gcn_layer(t.const(a), h, t.param(w), t.param(b), relu)
-        t.backward(t.sum(t.elementwise_mul(t.const(weight), layer)))
+        t.backward(t.graph_sum(t.elementwise_mul(t.const(weight), layer), 1.0, 1.0))
         grads.append((w.grad, b.grad))
         vjps.append(t.nodes[layer].vjp(weight))
     assert vjps[0][0] is None
@@ -308,7 +308,7 @@ def test_unreached_param_untouched():
     unused = Param(np.ones((1, 1)), name="unused")
     t = Tape()
     t.param(unused)  # recorded but not part of the loss
-    t.backward(t.sum(t.param(used)))
+    t.backward(t.graph_sum(t.param(used), 1.0, 1.0))
     assert np.array_equal(unused.grad, np.zeros((1, 1)))
     assert np.array_equal(used.grad, np.ones((1, 1)))
 
@@ -458,7 +458,7 @@ def test_batched_ops_match_per_slice():
     xy = t.value(t.matmul(t.const(x), t.const(y)))
     xx = t.value(t.gram(t.const(x)))
     layer = t.gcn_layer(t.const(a), t.const(x), t.param(w), t.param(bias), relu=False)
-    t.backward(t.sum(layer))
+    t.backward(t.graph_sum(layer, 1.0, 1.0))
     for b in range(3):
         assert np.allclose(xy[b], x[b] @ y[b], rtol=1e-14, atol=0.0)
         assert np.allclose(xx[b], x[b] @ x[b].T, rtol=1e-14, atol=0.0)

@@ -58,8 +58,8 @@ def test_bench_pairs_summary_applies_the_win_and_spread_rule():
     assert rows["close"]["wins"] == 8 and not rows["close"]["gain_shown"]
     assert rows["wall"]["wins"] == 5 and not rows["wall"]["gain_shown"]
     assert rows["wall"]["change"][1] == 0.9
-    assert all(rows[m]["within_bound"] for m in ("rate", "close", "wall"))
-    assert not rows["rss"]["within_bound"] and rows["rss"]["wins"] == 0
+    assert all(rows[m]["bound"] == "yes" for m in ("rate", "close", "wall"))
+    assert rows["rss"]["bound"] == "NO" and rows["rss"]["wins"] == 0
     lines = bench_pairs.format_rows(list(rows.values()))
     assert len(lines) == 5 and lines[1].split()[0] == "rate"
 
@@ -72,3 +72,18 @@ def test_bench_pairs_gain_needs_a_gap_wider_than_the_parent_spread():
     row, = bench_pairs.summarize(pairs, metric)
     assert row["wins"] == 10 and not row["gain_shown"]
     assert row["parent"] == (80.0, 100.0, 120.0)
+    # a parent spread of 40 is wider than the bound, 25: no verdict on it
+    assert row["bound"] == "unresolved"
+
+
+def test_bench_pairs_bound_verdict_under_a_wide_parent_spread():
+    verdict = load_script("bench_pairs.py").bound_verdict
+    parent = [80.0, 120.0] * 5
+    # every change run beats every parent run: within the bound whatever the spread
+    assert verdict(parent, [121.0] * 10, 1.0, 0.25) == "yes"
+    assert verdict(parent, [79.0] * 10, -1.0, 0.25) == "yes"
+    # a median past the bound is out of it whatever the spread
+    assert verdict(parent, [70.0] * 10, 1.0, 0.25) == "NO"
+    assert verdict(parent, [100.0] * 10, 1.0, 0.25) == "unresolved"
+    # the same medians under a spread narrower than the bound
+    assert verdict([99.0, 101.0] * 5, [100.0] * 10, 1.0, 0.25) == "yes"

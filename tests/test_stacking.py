@@ -75,7 +75,8 @@ def test_stacks_group_by_size_in_sample_order():
     b, n = 7, 5
     assert st.x.shape == (b, n, D_IN)
     assert st.a_norm.shape == st.bce.c1.shape == st.bce.c2.shape == (b, n, n)
-    assert st.bce.nodes.tolist() == [1, 3, 3, 3, 4, 5, 5]
+    assert_same_bits(st.bce.inv_nodes, 1.0 / np.array([1, 3, 3, 3, 4, 5, 5]))
+    assert st.bce.rows.shape == (b, n, 1)
     assert st.bce.count.tolist() == [1.0, 6.0, 6.0, 6.0, 12.0, 20.0, 20.0]
     starts = np.cumsum((0,) + SIZES)
     pad = starts[-1]  # the row of zeros past every graph's rows
@@ -93,6 +94,7 @@ def test_stacks_group_by_size_in_sample_order():
         for arr in (st.a_norm[j], st.bce.c1[j], st.bce.c2[j]):
             assert not arr[k:].any() and not arr[:, k:].any()
         assert not st.x[j, k:].any()
+        assert st.bce.rows[j, :, 0].tolist() == [1.0] * k + [0.0] * (n - k)
 
 
 def test_a_size_group_over_the_budget_is_a_stack_of_its_own():
@@ -312,8 +314,8 @@ def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
 
 def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
     st, _ = padded_stack()
-    nodes = st.bce.nodes
-    pad = np.arange(st.x.shape[1]) >= nodes[:, None]
+    nodes = np.array([SIZES[i] for i in st.index])
+    pad = st.bce.rows[..., 0] == 0.0
     rng = np.random.default_rng(7)
     mu = rng.standard_normal(st.x.shape[:2] + (D_Z,))
     ls = rng.standard_normal(mu.shape) * 0.5
@@ -322,7 +324,8 @@ def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
         mu_p = tgae.Param(np.where(pad[..., None], fill, mu), name="mu")
         ls_p = tgae.Param(np.where(pad[..., None], -fill, ls), name="ls")
         tape = Tape()
-        kl = kl_divergence(tape, tape.param(mu_p), tape.param(ls_p), nodes)
+        kl = kl_divergence(tape, tape.param(mu_p), tape.param(ls_p), st.bce.rows,
+                           st.bce.inv_nodes)
         tape.backward(kl)
         values.append(tape.value(kl))
         grads += [mu_p.grad, ls_p.grad]
@@ -334,15 +337,25 @@ def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
     assert abs(values[0] - want) <= 1e-12
 
 
+# the stacks of SIZES under a budget: a stack per node count, three stacks
+# of which the first is padded, and the one padded stack of STACK_CELLS
+BUDGET_STACKS = {0: 4, SMALL_BUDGET: 3, STACK_CELLS: 1}
+
+
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
-def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor):
-    model, config, rng = flavor_setup(flavor)
-    reference = copy.deepcopy(model)
-    streamed = fit_tier(model, corpus(), config, rng())
-    one_tape = fit_tier_one_tape(reference, corpus(), config, rng())
-    assert_same_bits(np.array(streamed), np.array(one_tape))
-    for p, q in zip(model.params(), reference.params()):
-        assert_same_bits(p.value, q.value)
+def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor, monkeypatch):
+    # the gradients of several stacks, added in reverse order, and the
+    # losses, added in forward order, keep the bits of one tape per epoch
+    for budget, count in BUDGET_STACKS.items():
+        monkeypatch.setattr(tgae, "STACK_CELLS", budget)
+        assert len(stack_samples(corpus())) == count
+        model, config, rng = flavor_setup(flavor)
+        reference = copy.deepcopy(model)
+        streamed = fit_tier(model, corpus(), config, rng())
+        one_tape = fit_tier_one_tape(reference, corpus(), config, rng())
+        assert_same_bits(np.array(streamed), np.array(one_tape))
+        for p, q in zip(model.params(), reference.params()):
+            assert_same_bits(p.value, q.value)
 
 
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
@@ -387,15 +400,20 @@ def assert_each_tape_holds_one_stack(flavor, monkeypatch):
 
 
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
-def test_nan_in_one_stack_raises_at_epoch_0_before_any_update(flavor):
-    model, config, rng = flavor_setup(flavor)
-    samples = corpus()
-    samples[4].x[1, 2] = np.nan  # one graph of the one padded stack
-    initial = [p.value.copy() for p in model.params()]
-    with pytest.raises(DomainError, match=r"^tier 1: epoch 0 loss is nan$"):
-        fit_tier(model, samples, config, rng())
-    for p, before in zip(model.params(), initial):
-        assert_same_bits(p.value, before)
+def test_nan_in_one_stack_raises_at_epoch_0_before_any_update(flavor, monkeypatch):
+    for budget, count in BUDGET_STACKS.items():
+        monkeypatch.setattr(tgae, "STACK_CELLS", budget)
+        model, config, rng = flavor_setup(flavor)
+        samples = corpus()
+        # a graph of 3 nodes: in the stack of the three such graphs, in the
+        # padded stack of [1, 3, 3, 3] and in the one padded stack
+        samples[0].x[1, 2] = np.nan
+        assert len(stack_samples(corpus())) == count
+        initial = [p.value.copy() for p in model.params()]
+        with pytest.raises(DomainError, match=r"^tier 1: epoch 0 loss is nan$"):
+            fit_tier(model, samples, config, rng())
+        for p, before in zip(model.params(), initial):
+            assert_same_bits(p.value, before)
 
 
 def large_corpus(seed=0):

@@ -160,7 +160,7 @@ def test_reparameterize_gradients():
     tape = Tape()
     z = reparameterize(tape, tape.param(mu_p), tape.param(ls_p), eps)
     zero_grads([mu_p, ls_p])
-    tape.backward(tape.sum(z))
+    tape.backward(tape.graph_sum(z, 1.0, 1.0))
     assert np.allclose(mu_p.grad, np.ones((1, 2)), atol=1e-15)
     assert np.allclose(ls_p.grad, np.exp(ls_p.value) * eps, atol=1e-15)
 
