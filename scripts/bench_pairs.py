@@ -15,8 +15,10 @@ the change's median stays within the metric's bound of the parent's: "yes",
 "NO", or "unresolved" where the parent's interquartile range is wider than
 the bound and not every run of the change beats every run of the parent.
 The metrics and their bounds are read from the change's BENCHMARK.json.
-Each run's metrics come first, one JSON line each, so every run made is on
-record.
+Each run's metrics and its `sha256 checkpoint ... exports ...` digests come
+first, one JSON line each, so every run made is on record; the last line
+says whether the parent and the change wrote the same checkpoint and
+exports in every pair (both sides of a pair run the same seed).
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
         --workload drugs-tgae --seed 301 --pairs 10 --seconds 35
@@ -26,25 +28,48 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 WIN_SHARE = 0.9  # the share of pairs a gain must win
+# the report line with the digests of a run's checkpoint and exports
+DIGESTS = re.compile(r"^sha256 checkpoint (\S+) exports (\S+)$", re.MULTILINE)
+
+Digests = Optional[tuple[str, str]]
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """The end-to-end metrics of one untraced benchmark run in `root`."""
+def parse_run(stdout: str) -> tuple[dict[str, float], Digests]:
+    """The end-to-end metrics in the output of one benchmark run, and its
+    (checkpoint, exports) digests, or None if it printed none."""
+    result = json.loads(stdout.strip().splitlines()[-1])
+    found = DIGESTS.search(stdout)
+    return ({name: m["value"] for name, m in result["metrics"].items()},
+            found.groups() if found else None)
+
+
+def run_once(root: Path, workload: str, seed: int,
+             seconds: float) -> tuple[dict[str, float], Digests]:
+    """`parse_run` of one untraced benchmark run in `root`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    if done.returncode != 0 or not lines:
+    if done.returncode != 0 or not done.stdout.strip():
         raise RuntimeError(f"{root}: {' '.join(cmd)} exited {done.returncode}: "
                            f"{done.stderr.strip()[-2000:]}")
-    result = json.loads(lines[-1])
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return parse_run(done.stdout)
+
+
+def digest_verdict(digests: list[tuple[Digests, Digests]]) -> str:
+    """Whether each (parent, change) pair of digests agrees."""
+    differ = [i for i, (p, c) in enumerate(digests) if p is None or p != c]
+    if not differ:
+        return f"digests: checkpoint and exports agree in all {len(digests)} pairs"
+    return ("digests: differ or missing in pair(s) " + ", ".join(map(str, differ))
+            + f" of {len(digests)}")
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -114,20 +139,23 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be positive, --seconds positive and --seed nonnegative")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    pairs = []
+    pairs, digests = [], []
     for i in range(args.pairs):
         seed = args.seed + i
         sides = {}
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             root = args.parent if side == "parent" else args.change
             sides[side] = run_once(root, args.workload, seed, args.seconds)
-            print(json.dumps({"pair": i, "seed": seed, "side": side,
-                              "metrics": sides[side]}, sort_keys=True), flush=True)
-        pairs.append((sides["parent"], sides["change"]))
+            metrics, sha = sides[side]
+            print(json.dumps({"pair": i, "seed": seed, "side": side, "metrics": metrics,
+                              "sha256": sha}, sort_keys=True), flush=True)
+        pairs.append((sides["parent"][0], sides["change"][0]))
+        digests.append((sides["parent"][1], sides["change"][1]))
     print(f"workload {args.workload}, {args.pairs} pairs at {args.seconds:g} s, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
     for line in format_rows(summarize(pairs, spec["end_to_end"])):
         print(line)
+    print(digest_verdict(digests))
     return 0
 
 

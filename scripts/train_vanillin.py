@@ -75,7 +75,7 @@ def main() -> int:
     t0 = time.perf_counter()
     models = make(graph.x.shape[1], cfg)
     hist = train(models, [(graph, m1)], cfg)
-    rep = encode(graph, m1, models)
+    rep, = encode([graph], [m1], models)  # one representation per graph
     elapsed = time.perf_counter() - t0
 
     kind = "variational" if args.variational else "deterministic"

@@ -182,6 +182,9 @@ _ARRAY_SCHEMA = {
 }
 
 
+# JSON Schema (draft 2020-12) counts a float with a zero fraction as an
+# integer, so these items pass 1.0 as well as 1; json_to_array(..., np.int64),
+# which an export's reader applies, is the exact check and refuses 1.0
 _INDEX_DATA = {"type": "array", "items": {"type": "integer", "minimum": 0}}
 _EDGE_INDEX_SCHEMA = {**_ARRAY_SCHEMA,
                       "properties": {**_ARRAY_SCHEMA["properties"], "data": _INDEX_DATA}}
@@ -669,9 +672,13 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
 
     After every check, the molecules are split by stride over one process
     per CPU in the affinity mask (`workers.worker_count`): this one takes 0, k, 2k,
-    ..., forked children the rest. Each process writes its own exports.
-    Every child is reaped before this returns or raises, and the failure
-    raised is the one of the lowest molecule index, as in a serial run."""
+    ..., forked children the rest. Each process encodes its share in one
+    stacked pass (`tgae.encode_tiers`), then checks, builds and writes each
+    export in molecule order. Every child is reaped before this returns or
+    raises, and the failure raised is the one of the lowest molecule index,
+    as in a serial run. An exception raised inside a share's stacked pass
+    is ranked at the share's first molecule: none of the share is written,
+    as if that molecule had failed."""
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
     # the exports read only these keys of the parsed documents
@@ -693,13 +700,16 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     paths = [out / filename for filename in first]
 
     def embed_share(share) -> Report:
-        """Encode and write the molecules at `share`, in order; no results,
-        and (index, exception) of the first that fails."""
-        for index in share:
+        """Encode the molecules at `share`, then check and write them in
+        order; no results, and (index, exception) of the first that fails."""
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                reps = encode([items[i][0] for i in share], [items[i][1] for i in share],
+                              models)
+        except Exception as exc:
+            return None, (share[0], exc)
+        for index, rep in zip(share, reps):
             try:
-                graph, membership = items[index]
-                with np.errstate(over="ignore", invalid="ignore"):
-                    rep = encode(graph, membership, models)
                 for tier, bundle in enumerate(rep.tiers, 1):
                     if not (np.isfinite(bundle.x).all() and np.isfinite(bundle.z).all()):
                         raise DomainError(f"{_molecule_name(entries[index], index)}: "

@@ -95,28 +95,35 @@ def make_encoder(d_in: int, hidden: int, d_z: int, k: int,
 
 
 def binary_collapse(a) -> np.ndarray:
-    """N x N x s adjacency -> binary N x N existence matrix."""
-    return edge_mask(adjacency_array(a)).astype(np.float64)
+    """N x N x s adjacency -> binary N x N existence matrix, as bools."""
+    return edge_mask(adjacency_array(a))
 
 
-def gcn_norm(a) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I.
+def gcn_norm(a, nodes=None) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, of one N x N
+    matrix or of each matrix of a (B, N, N) stack.
 
-    Isolated nodes end up with a pure self-loop row e_i, so the matrix is
-    always finite. Input must be square, symmetric and nonnegative.
+    `nodes` gives the node count of each graph of a stack that is
+    zero-padded past it (N if None): the self-loops go on its own nodes
+    only, so its pad rows and columns stay zero. Isolated nodes end up with
+    a pure self-loop row e_i, so the matrix is always finite. Input must be
+    square, symmetric and nonnegative; a bool mask is read as 0 and 1.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatchError(f"gcn_norm needs a square matrix, got {a.shape}")
+    if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
+        raise ShapeMismatchError(f"gcn_norm needs a square matrix or a stack of them, "
+                                 f"got {a.shape}")
     if (a < 0).any():
         raise NegativeWeightError("adjacency has negative entries")
-    if not np.array_equal(a, a.T):
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
         raise ValueError("adjacency must be symmetric")
-    a_tilde = a + np.eye(a.shape[0])
-    deg = a_tilde.sum(axis=1)
+    n = a.shape[-1]
+    nodes = np.full(a.shape[:-2], n) if nodes is None else np.asarray(nodes)
+    a_tilde = a + np.eye(n) * (np.arange(n) < nodes[..., None])[..., None]
+    deg = a_tilde.sum(axis=-1)
     with np.errstate(divide="ignore"):
         d_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
-    return a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    return a_tilde * d_inv_sqrt[..., :, None] * d_inv_sqrt[..., None, :]
 
 
 def _check_inputs(enc: GnnEncoder, x_shape, a_shape) -> None:

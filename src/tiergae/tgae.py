@@ -11,16 +11,20 @@ Both flavors (`TierModel` here, `tvgae.VariationalTierModel`) share one
 pipeline through a two-method protocol:
   embed(x, a_norm) -> the numpy embedding that gets pooled (tvgae: mu)
   loss(tape, x, a_norm, bce, config, noise) -> (loss node, node to pool)
-where x (B, N, d) and a_norm (B, N, N) are tape nodes holding a stack of B
-graphs, each zero-padded to the stack's largest node count N, bce their
-`BceWeights` (which also weight each graph's node rows), config the run's
-`RunConfig` and noise a (B, N, d_z) standard normal array, zero on pad rows
-(None for `tgae`). The loss of a stack is the sum of its graphs' losses, and
+where embed takes numpy arrays x (B, N, d) and a_norm (B, N, N) of B graphs
+of N nodes each, unpadded. For loss, x and a_norm are tape nodes holding a
+stack of B graphs, each zero-padded to the stack's largest node count N, bce
+their `BceWeights` (which also weight each graph's node rows), config the
+run's `RunConfig` and noise a (B, N, d_z) standard normal array, zero on pad
+rows (None for `tgae`). The loss of a stack is the sum of its graphs' losses, and
 no pad entry reaches it. A model that takes noise also has a `d_z`
 attribute, the width of that array.
 `fit_tier`, `pool_samples`, `run_tiered_schedule`, `encode_tiers` and
 `pipeline_loss` are the shared epoch loop, tier handoff, schedule, inference
-pass and end-to-end loss.
+pass and end-to-end loss. Training and inference both work on a tier's
+padded stacks (`stack_samples`): the handoff embeds the tier's training
+stacks and inference stacks the graphs it is given, and both embed and pool
+them the same way (`embed_stacks`, `pool_rows`).
 """
 
 from __future__ import annotations
@@ -103,17 +107,14 @@ class TierModel:
 
 @dataclass
 class TierSample:
-    """One graph prepared for one tier: features, normalized adjacency, the
-    binary reconstruction target, and the membership m that pools the tier
-    into the next with the adjacency already pooled through it (both None
-    at the top tier). The tier's own N x N x s adjacency is not kept. Once
-    the tier's samples are stacked for training, x and a_norm are views
-    into its `TierStack` and target is None: the stack's `BceWeights`
-    replace it."""
+    """One graph prepared for one tier: features, the edge mask of its
+    adjacency, and the membership m that pools the tier into the next with
+    the adjacency already pooled through it (both None at the top tier).
+    The tier's own N x N x s adjacency is not kept, and the normalized
+    adjacency is made per stack (`stack_samples`)."""
 
     x: np.ndarray
-    a_norm: np.ndarray                 # N x N
-    target: Optional[np.ndarray]       # N x N binary
+    mask: np.ndarray                   # N x N bool, True where an edge is
     m: Optional[MembershipMatrix]      # N x G
     pooled_a: Optional[np.ndarray]     # G x G x s
 
@@ -144,15 +145,22 @@ class BceWeights:
 class TierStack:
     """Samples of one tier, smallest node count first and in sample order
     within a count, each zero-padded to the largest count N: its x rows and
-    its a_norm rows and columns past its own nodes are zero, with no
-    self-loop, so no real row reads a pad."""
+    its mask and a_norm rows and columns past its own nodes are zero, with
+    no self-loop, so no real row reads a pad."""
 
     index: list[int]     # positions of the B graphs in the sample list
+    nodes: np.ndarray    # B: the node count of each graph, ascending
     rows: np.ndarray     # B * N: each row's place in the sample-order
                          # concatenation of node rows, a pad's one past its end
     x: np.ndarray        # B x N x d
+    mask: np.ndarray     # B x N x N bool
     a_norm: np.ndarray   # B x N x N
-    bce: BceWeights      # c1, c2: B x N x N; rows: B x N x 1; count, inv_nodes: B
+
+    def bce(self) -> BceWeights:
+        """The weighted-BCE coefficients of the stack's graphs, for
+        training: each graph's target is its edge mask without the diagonal
+        (`reconstruction_target`)."""
+        return bce_weights(reconstruction_target(self.mask, self.nodes), self.nodes)
 
 
 @dataclass
@@ -190,18 +198,20 @@ def decode_adjacency(tape: Tape, z: int) -> int:
     return tape.gram(z)
 
 
-def reconstruction_target(exist: np.ndarray) -> np.ndarray:
-    """Binary target from the N x N existence matrix of an adjacency (its
-    `binary_collapse`): off-diagonal entries for N > 1.
+def reconstruction_target(exist, nodes=None) -> np.ndarray:
+    """Binary float target from the N x N existence matrix of an adjacency
+    (its `binary_collapse`), or from each of a (B, N, N) stack of them whose
+    graphs have `nodes` node counts (N if None): a graph's off-diagonal
+    entries if it has more than one node.
 
     A 1-node graph has no off-diagonal entries, so its target degenerates to
     the single self-loop-existence bit; without this the top-tier loss would
     be a constant.
     """
-    n = exist.shape[0]
-    if n == 1:
-        return exist
-    return exist * (1.0 - np.eye(n))
+    exist = np.asarray(exist, dtype=np.float64)
+    n = exist.shape[-1]
+    nodes = np.full(exist.shape[:-2], n) if nodes is None else np.asarray(nodes)
+    return exist * (1.0 - np.eye(n) * (nodes > 1)[..., None, None])
 
 
 def bce_weights(target, nodes=None) -> BceWeights:
@@ -245,35 +255,32 @@ def reconstruction_loss(tape: Tape, logits: int, bce: BceWeights) -> int:
 
 def tier_sample(x: np.ndarray, a, m: Optional[MembershipMatrix] = None) -> TierSample:
     """The sample of features x and adjacency a, pooled through m for the
-    next tier unless m is None. The edge mask of a is computed once and
-    feeds the normalized adjacency, the target and the pooling."""
+    next tier unless m is None: the work that stays per graph. The edge
+    mask of a is computed once; it feeds the pooling here and the
+    normalized adjacency and the target of the sample's stack."""
     arr = adjacency_array(a)
-    exist = binary_collapse(arr)
+    mask = binary_collapse(arr)
     return TierSample(
         x=np.asarray(x, dtype=np.float64),
-        a_norm=gcn_norm(exist),
-        target=reconstruction_target(exist),
+        mask=mask,
         m=m,
-        pooled_a=None if m is None else pool_adjacency(arr, m, exist),
+        pooled_a=None if m is None else pool_adjacency(arr, m, mask),
     )
 
 
 def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
     """Stack the samples, smallest node count first and in sample order
-    within a count, into `TierStack`s padded to their largest count N.
+    within a count, into `TierStack`s padded to their largest count N, and
+    normalize each stack's adjacency in one `gcn_norm` call.
 
     Consecutive node counts share a stack while its padded cells B * N^2
     stay within STACK_CELLS; the graphs of one count are never split, so a
     count whose graphs exceed the budget alone is a stack of its own,
-    unpadded. Each sample's x and a_norm become views into its stack, so
-    the stack holds the only copy of them, and its target is dropped, since
-    only the stack's `BceWeights` are read from then on. So a sample is
-    stacked, and trained, once: stacking it again is a ValueError.
+    unpadded. A stack of one graph holds views of its sample's x and mask,
+    not copies. The samples are left as they are.
     """
     by_n: dict[int, list[int]] = {}
     for i, s in enumerate(samples):
-        if s.target is None:
-            raise ValueError(f"sample {i} was stacked for training already")
         by_n.setdefault(s.x.shape[0], []).append(i)
     packs: list[list[int]] = []
     for n in sorted(by_n):
@@ -286,35 +293,35 @@ def stack_samples(samples: Sequence[TierSample]) -> list[TierStack]:
     for index in packs:
         nodes = np.array([samples[i].x.shape[0] for i in index])
         b, n = len(index), int(nodes[-1])
-        x = np.zeros((b, n, samples[index[0]].x.shape[1]))
-        a_norm = np.zeros((b, n, n))
-        target = np.zeros((b, n, n))
         rows = np.full((b, n), starts[-1])
+        if b == 1:
+            x, mask = samples[index[0]].x[None], samples[index[0]].mask[None]
+        else:
+            x = np.zeros((b, n, samples[index[0]].x.shape[1]))
+            mask = np.zeros((b, n, n), dtype=bool)
         for j, i in enumerate(index):
             k = nodes[j]
-            x[j, :k] = samples[i].x
-            a_norm[j, :k, :k] = samples[i].a_norm
-            target[j, :k, :k] = samples[i].target
+            if b > 1:
+                x[j, :k] = samples[i].x
+                mask[j, :k, :k] = samples[i].mask
             rows[j, :k] = starts[i] + np.arange(k)
-            samples[i].x, samples[i].a_norm = x[j, :k], a_norm[j, :k, :k]
-            samples[i].target = None
-        stacks.append(TierStack(index, rows.ravel(), x, a_norm, bce_weights(target, nodes)))
+        stacks.append(TierStack(index, nodes, rows.ravel(), x, mask, gcn_norm(mask, nodes)))
     return stacks
 
 
-def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
+def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
              noise: Optional[np.random.Generator] = None) -> list[float]:
-    """Full-batch Adam on the mean per-graph `model.loss`; one loss per epoch.
+    """Full-batch Adam on the mean per-graph `model.loss` of the graphs of
+    a tier's `stacks` (`stack_samples`); one loss per epoch.
 
-    The graphs are trained in padded stacks (`stack_samples`), built once;
-    a stack's loss is the sum of its graphs' losses. Each stack runs forward
+    A stack's loss is the sum of its graphs' losses. Each stack runs forward
     and backward on a tape of its own, dropped before the next starts, so
     training memory follows the largest stack, not the corpus. Each loss is
-    scaled by 1 / len(samples) on its tape and the stacks' gradients are
+    scaled by 1 / the graph count on its tape and the stacks' gradients are
     added into Adam's `grad` vector in reverse stack order: every Param.grad
     receives the adds of one reverse sweep over a tape of the whole epoch.
     The epoch loss is the forward-order sum of the stack losses times
-    1 / len(samples). With a noise generator, each epoch draws the standard
+    1 / the graph count. With a noise generator, each epoch draws the standard
     normal rows of all graphs in sample order in one call (the numbers of
     one draw per graph), followed by one row of zeros, and gathers each
     stack's rows from it: a pad row gets the zeros. A loss that
@@ -323,11 +330,11 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
     (`workers.StackWorkers`); the losses and parameters do not depend on
     the process count, to the bit.
     """
-    if not samples:
+    if not stacks:
         raise ValueError("training a tier needs at least one sample")
-    stacks = stack_samples(samples)
-    node_rows = sum(s.x.shape[0] for s in samples)
-    scale = 1.0 / len(samples)
+    bces = [st.bce() for st in stacks]
+    node_rows = sum(int(st.nodes.sum()) for st in stacks)
+    scale = 1.0 / sum(len(st.index) for st in stacks)
     opt = Adam(model.params(), lr=config.lr)
 
     def draw() -> Optional[np.ndarray]:
@@ -342,7 +349,7 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
         `opt.grad`; its loss."""
         st, tape = stacks[k], Tape()
         st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
-        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), bces[k],
                              config, st_eps)
         value = float(tape.value(loss))
         tape.backward(tape.scalar_mul(scale, loss))
@@ -363,10 +370,10 @@ def fit_tier(model, samples: Sequence[TierSample], config: RunConfig,
     return history
 
 
-def train_tier(model: TierModel, samples: Sequence[TierSample],
+def train_tier(model: TierModel, stacks: Sequence[TierStack],
                config: RunConfig) -> list[float]:
     """Full-batch Adam on the mean per-graph reconstruction loss."""
-    return fit_tier(model, samples, config)
+    return fit_tier(model, stacks, config)
 
 
 def _check_models(models: Sequence) -> None:
@@ -374,43 +381,83 @@ def _check_models(models: Sequence) -> None:
         raise ValueError("expected models for tiers 1, 2, 3 in order")
 
 
-def pool_sample(z: np.ndarray, s: TierSample, m: Optional[MembershipMatrix]) -> TierSample:
-    """The next tier's sample: embeddings z of sample s pooled through s.m,
-    itself pooled through m unless m is None."""
-    return tier_sample(pool_features(z, s.m), s.pooled_a, m)
+def _next_memberships(memberships: Sequence[MembershipMatrix]) -> tuple:
+    """Per tier, what pools the tier's samples, given the tier-1
+    `memberships`: the tier-2 and tier-3 lists, then None at the top."""
+    return ([graph_tier_membership(m.num_groups) for m in memberships],
+            [None] * len(memberships), None)
 
 
-def pool_samples(model, samples: Sequence[TierSample],
+def embed_stacks(model, stacks: Sequence[TierStack]) -> np.ndarray:
+    """`model.embed` of the graphs of a tier's stacks: the node rows of all
+    of them, in sample order (the rows that `TierStack.rows` index).
+
+    A stack is embedded one node count at a time, on views of its graphs'
+    leading rows, so each product has the shapes of a graph embedded alone
+    and its bits: OpenBLAS rounds some products over a padded shape
+    otherwise (measured for layer widths of 4 and less, and for one-node
+    graphs, whose one-row products take its vector kernel)."""
+    z = None
+    for st in stacks:
+        at = st.rows.reshape(len(st.index), -1)
+        cuts = [0, *(np.flatnonzero(np.diff(st.nodes)) + 1), len(st.index)]
+        for j0, j1 in zip(cuts, cuts[1:]):
+            n = st.nodes[j0]
+            zs = model.embed(st.x[j0:j1, :n], st.a_norm[j0:j1, :n, :n])
+            if z is None:
+                z = np.empty((sum(int(t.nodes.sum()) for t in stacks), zs.shape[-1]))
+            z[at[j0:j1, :n].ravel()] = zs.reshape(-1, zs.shape[-1])
+    return z
+
+
+def pool_rows(z: np.ndarray, samples: Sequence[TierSample],
+              memberships: Sequence[Optional[MembershipMatrix]]) -> list[TierSample]:
+    """The next tier's samples from z, the node rows of all `samples` in
+    sample order: every sample's rows pooled through its membership in one
+    `pool_features` call, each sample's groups numbered past the ones
+    before, and its pooled adjacency pooled in turn through its entry of
+    `memberships` (None at the top tier). A group's sum gets its rows in
+    node order, as pooling the sample alone does."""
+    ends = np.cumsum([s.m.num_groups for s in samples])
+    group = np.concatenate([s.m.group + (end - s.m.num_groups)
+                            for s, end in zip(samples, ends)])
+    x = pool_features(z, MembershipMatrix.unchecked(group, int(ends[-1])))
+    return [tier_sample(x[end - s.m.num_groups:end], s.pooled_a, m)
+            for s, end, m in zip(samples, ends, memberships)]
+
+
+def pool_samples(model, samples: Sequence[TierSample], stacks: Sequence[TierStack],
                  memberships: Sequence[Optional[MembershipMatrix]]) -> list[TierSample]:
-    """Frozen embeddings of a trained tier, pooled into next-tier samples;
-    `memberships` pool those samples in turn (None at the top tier)."""
-    return [pool_sample(model.embed(s.x, s.a_norm), s, m)
-            for s, m in zip(samples, memberships)]
+    """Frozen embeddings of a trained tier, from its training `stacks` of
+    `samples`, pooled into next-tier samples; `memberships` pool those
+    samples in turn (None at the top tier)."""
+    return pool_rows(embed_stacks(model, stacks), samples, memberships)
 
 
 def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
+                      stacks: Sequence[TierStack],
                       memberships: Sequence[Optional[MembershipMatrix]]) -> list[TierSample]:
     """Frozen embeddings of a trained tier, pooled into next-tier samples."""
-    return pool_samples(model, samples, memberships)
+    return pool_samples(model, samples, stacks, memberships)
 
 
 def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, MembershipMatrix]],
                         train: Callable, pool: Callable) -> dict[int, list[float]]:
-    """Bottom-up schedule: train a tier with `train(tier, model, samples)`,
-    freeze it, build the next tier's samples with `pool`, move up. Each
-    graph's dense adjacency is pooled as its sample is built, so one
-    graph's N x N x s array at a time is alive, not the corpus's."""
+    """Bottom-up schedule: stack a tier's samples, train the tier with
+    `train(tier, model, stacks)`, freeze it, build the next tier's samples
+    with `pool(model, samples, stacks, memberships)`, move up. Each graph's
+    dense adjacency is pooled as its sample is built, so one graph's
+    N x N x s array at a time is alive, not the corpus's."""
     _check_models(models)
     if not items:
         raise ValueError("empty corpus")
     samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in items]
-    next_memberships = ([graph_tier_membership(m.num_groups) for _, m in items],
-                        [None] * len(items), None)
     hist = {}
-    for model, ms in zip(models, next_memberships):
-        hist[model.tier] = train(model.tier, model, samples)
+    for model, ms in zip(models, _next_memberships([m for _, m in items])):
+        stacks = stack_samples(samples)
+        hist[model.tier] = train(model.tier, model, stacks)
         if ms is not None:
-            samples = pool(model, samples, ms)
+            samples = pool(model, samples, stacks, ms)
     return hist
 
 
@@ -419,36 +466,47 @@ def train_tiered(models: Sequence[TierModel],
                  config: RunConfig) -> dict[int, list[float]]:
     """Bottom-up schedule: train a tier, freeze it, pool, move up."""
     return run_tiered_schedule(
-        models, items, lambda _tier, model, s: train_tier(model, s, config),
+        models, items, lambda _tier, model, stacks: train_tier(model, stacks, config),
         next_tier_samples)
 
 
-def encode_tiers(graph: Graph, m1: MembershipMatrix,
-                 models: Sequence) -> TieredRepresentation:
-    """Inference pass through all tiers on `model.embed`; tape-free. Tier 1
-    keeps the graph's own COO; the pooled tiers take theirs from
-    `dense_to_coo`."""
+def encode_tiers(graphs, memberships, models: Sequence):
+    """Inference pass through all tiers on `model.embed`, tape-free: one
+    `TieredRepresentation` per graph of `graphs`, whose tier-1 memberships
+    are `memberships`; a lone Graph and its membership give its one
+    representation. Each tier's samples are stacked (`stack_samples`),
+    embedded (`embed_stacks`) and pooled into the next tier's (`pool_rows`),
+    as training's handoff does, so the stacking changes no bit. Tier 1 keeps
+    each graph's own COO; the pooled tiers take theirs from `dense_to_coo`."""
+    if isinstance(graphs, Graph):
+        return encode_tiers([graphs], [memberships], models)[0]
     _check_models(models)
-    if m1.num_nodes != graph.num_nodes:
-        raise ShapeMismatchError(
-            f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
-        )
-    s = tier_sample(graph.x, coo_to_dense(graph), m1)
-    coo = (graph.edge_index, graph.edge_attr)
-    rep = TieredRepresentation()
-    for model, m_next in zip(models, (graph_tier_membership(m1.num_groups), None)):
-        z = model.embed(s.x, s.a_norm)
-        rep.tiers.append(TierBundle(s.x, *coo, s.m.group, z))
-        coo = dense_to_coo(s.pooled_a)
-        s = pool_sample(z, s, m_next)
-    rep.tiers.append(TierBundle(s.x, *coo, None, models[2].embed(s.x, s.a_norm)))
-    return rep
+    for graph, m1 in zip(graphs, memberships, strict=True):
+        if m1.num_nodes != graph.num_nodes:
+            raise ShapeMismatchError(
+                f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
+            )
+    if not graphs:
+        return []
+    samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in zip(graphs, memberships)]
+    coos = [(g.edge_index, g.edge_attr) for g in graphs]
+    reps = [TieredRepresentation() for _ in graphs]
+    for model, ms in zip(models, _next_memberships(memberships)):
+        z = embed_stacks(model, stack_samples(samples))
+        end = 0
+        for rep, s, coo in zip(reps, samples, coos):
+            end += s.x.shape[0]
+            rep.tiers.append(TierBundle(s.x, *coo, None if s.m is None else s.m.group,
+                                        z[end - s.x.shape[0]:end]))
+        if ms is not None:
+            coos = [dense_to_coo(s.pooled_a) for s in samples]
+            samples = pool_rows(z, samples, ms)
+    return reps
 
 
-def encode_tiered(graph: Graph, m1: MembershipMatrix,
-                  models: Sequence[TierModel]) -> TieredRepresentation:
+def encode_tiered(graphs, memberships, models: Sequence[TierModel]):
     """Inference pass through all tiers; deterministic, tape-free."""
-    return encode_tiers(graph, m1, models)
+    return encode_tiers(graphs, memberships, models)
 
 
 def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
@@ -471,10 +529,11 @@ def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
     total = None
     for model, m, noise in zip(models, memberships, noises):
         s = tier_sample(tape.value(x_node)[0], a_cur, m)
+        st, = stack_samples([s])
         if noise is not None:
             noise = np.asarray(noise, dtype=np.float64)[None]
-        loss, pooled = model.loss(tape, x_node, tape.const(s.a_norm[None]),
-                                  bce_weights(s.target[None]), config, noise)
+        loss, pooled = model.loss(tape, x_node, tape.const(st.a_norm), st.bce(), config,
+                                  noise)
         total = loss if total is None else tape.add(total, loss)
         if m is not None:
             # M^T, the G x N binary matrix of the membership

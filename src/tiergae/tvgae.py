@@ -27,8 +27,8 @@ from .tgae import (
     NOISE_ROLE,
     BceWeights,
     RunConfig,
-    TieredRepresentation,
     TierSample,
+    TierStack,
     decode_adjacency,
     encode_tiers,
     fit_tier,
@@ -138,19 +138,20 @@ def elbo_loss(tape: Tape, logits: int, bce: BceWeights, mu: int,
 
 
 def train_tier_variational(model: VariationalTierModel,
-                           samples: Sequence[TierSample],
+                           stacks: Sequence[TierStack],
                            config: RunConfig,
                            rng: np.random.Generator) -> list[float]:
     """Full-batch Adam on the mean per-graph negative ELBO, one posterior
     sample per graph per epoch."""
-    return fit_tier(model, samples, config, rng)
+    return fit_tier(model, stacks, config, rng)
 
 
 def next_tier_samples_variational(model: VariationalTierModel,
                                   samples: Sequence[TierSample],
+                                  stacks: Sequence[TierStack],
                                   memberships: Sequence[MembershipMatrix]) -> list[TierSample]:
     """Pool the posterior means of a trained tier into next-tier samples."""
-    return pool_samples(model, samples, memberships)
+    return pool_samples(model, samples, stacks, memberships)
 
 
 def train_tiered_variational(models: Sequence[VariationalTierModel],
@@ -159,12 +160,12 @@ def train_tiered_variational(models: Sequence[VariationalTierModel],
     """Bottom-up schedule with one noise stream per tier."""
     return run_tiered_schedule(
         models, items,
-        lambda tier, model, s: train_tier_variational(
-            model, s, config, seeded_rng(config.seed, tier, NOISE_ROLE)),
+        lambda tier, model, stacks: train_tier_variational(
+            model, stacks, config, seeded_rng(config.seed, tier, NOISE_ROLE)),
         next_tier_samples_variational)
 
 
-def encode_tiered_variational(graph: Graph, m1: MembershipMatrix,
-                              models: Sequence[VariationalTierModel]) -> TieredRepresentation:
+def encode_tiered_variational(graphs, memberships,
+                              models: Sequence[VariationalTierModel]):
     """Mu-mode inference: z_t = mu_t everywhere, no sampling, no rng."""
-    return encode_tiers(graph, m1, models)
+    return encode_tiers(graphs, memberships, models)

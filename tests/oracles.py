@@ -7,7 +7,13 @@ against them bit for bit.
 
 `fit_tier_per_graph` is the epoch loop as it was before training stacked
 graphs: one graph at a time, with each graph's noise drawn on its own, in
-sample order. `fit_tier_one_tape` is the stacked epoch loop as it was
+sample order.
+
+`encode_tiers_per_graph` and `pool_samples_per_graph` are inference and the
+training handoff as they were before they stacked graphs: one graph at a
+time, each on the normalized adjacency of `gcn_norm_per_graph` (the
+library's `gcn_norm` as it was, A + I for one graph), its embedding pooled
+through its own membership. `fit_tier_one_tape` is the stacked epoch loop as it was
 before each stack got a tape of its own: every padded stack of an epoch on
 one tape, and one backward sweep over it.
 
@@ -56,7 +62,15 @@ from tiergae.errors import (
     TruncatedBlockError,
 )
 from tiergae.fgroups import FUNCTIONAL, SKELETON, GroupPartition
-from tiergae.graphs import Graph, MembershipMatrix, Violation, adjacency_array
+from tiergae.graphs import (
+    Graph,
+    MembershipMatrix,
+    Violation,
+    adjacency_array,
+    coo_to_dense,
+    dense_to_coo,
+)
+from tiergae.pooling import graph_tier_membership, pool_features
 from tiergae.sdf import (
     BOND_ORDERS,
     CHARGE_CODES,
@@ -69,7 +83,16 @@ from tiergae.sdf import (
     Molecule,
     _hill_formula,
 )
-from tiergae.tgae import TierSample, bce_weights, stack_samples, tier_sample
+from tiergae.gcn import gcn_norm
+from tiergae.tgae import (
+    TierBundle,
+    TieredRepresentation,
+    TierSample,
+    bce_weights,
+    reconstruction_target,
+    stack_samples,
+    tier_sample,
+)
 
 
 # ---------------------------------------------------------------- ingest
@@ -559,8 +582,8 @@ def fit_tier_per_graph(model, samples, config, rng=None) -> list[float]:
         total = None
         for s in samples:
             eps = None if rng is None else rng.standard_normal((s.x.shape[0], model.d_z))
-            loss, _ = model.loss(tape, tape.const(s.x[None]), tape.const(s.a_norm[None]),
-                                 bce_weights(s.target[None]), config,
+            loss, _ = model.loss(tape, tape.const(s.x[None]), tape.const(gcn_norm(s.mask)[None]),
+                                 bce_weights(reconstruction_target(s.mask)[None]), config,
                                  None if eps is None else eps[None])
             total = loss if total is None else tape.add(total, loss)
         total = tape.scalar_mul(1.0 / len(samples), total)
@@ -576,6 +599,7 @@ def fit_tier_one_tape(model, samples, config, noise=None) -> list[float]:
     if not samples:
         raise ValueError("training a tier needs at least one sample")
     stacks = stack_samples(samples)
+    bces = [st.bce() for st in stacks]
     node_rows = sum(s.x.shape[0] for s in samples)
     opt = Adam(model.params(), lr=config.lr)
     history: list[float] = []
@@ -587,9 +611,9 @@ def fit_tier_one_tape(model, samples, config, noise=None) -> list[float]:
                np.vstack([noise.standard_normal((node_rows, model.d_z)),
                           np.zeros((1, model.d_z))]))
         total = None
-        for st in stacks:
+        for st, bce in zip(stacks, bces):
             st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
-            loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+            loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), bce,
                                  config, st_eps)
             total = loss if total is None else tape.add(total, loss)
         total = tape.scalar_mul(1.0 / len(samples), total)
@@ -610,3 +634,38 @@ def mixed_size_samples(rng, sizes, d: int) -> list[TierSample]:
         a = (upper | upper.T).astype(np.float64)[:, :, None]
         samples.append(tier_sample(rng.standard_normal((n, d)), a))
     return samples
+
+
+def gcn_norm_per_graph(a) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} of one N x N matrix."""
+    a = np.asarray(a, dtype=np.float64)
+    a_tilde = a + np.eye(a.shape[0])
+    deg = a_tilde.sum(axis=1)
+    with np.errstate(divide="ignore"):
+        d_inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(deg), 0.0)
+    return a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+
+
+def pool_samples_per_graph(model, samples, memberships) -> list[TierSample]:
+    """The next tier's samples, one graph at a time: each sample embedded
+    alone, its rows pooled through its membership, its pooled adjacency
+    through its entry of `memberships`."""
+    return [tier_sample(pool_features(model.embed(s.x, gcn_norm_per_graph(s.mask)), s.m),
+                        s.pooled_a, m)
+            for s, m in zip(samples, memberships)]
+
+
+def encode_tiers_per_graph(graph: Graph, m1: MembershipMatrix, models) -> TieredRepresentation:
+    """The inference pass of one graph through all tiers, alone."""
+    s = tier_sample(graph.x, coo_to_dense(graph), m1)
+    coo = (graph.edge_index, graph.edge_attr)
+    rep = TieredRepresentation()
+    for model, m_next in zip(models, (graph_tier_membership(m1.num_groups), None)):
+        z = model.embed(s.x, gcn_norm_per_graph(s.mask))
+        rep.tiers.append(TierBundle(s.x, *coo, s.m.group, z))
+        coo = dense_to_coo(s.pooled_a)
+        s = tier_sample(pool_features(z, s.m), s.pooled_a, m_next)
+    rep.tiers.append(TierBundle(s.x, *coo, None,
+                                models[2].embed(s.x, gcn_norm_per_graph(s.mask))))
+    return rep
+

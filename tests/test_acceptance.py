@@ -28,6 +28,7 @@ from tiergae.tgae import (
     make_tier_models,
     next_tier_samples,
     pipeline_loss,
+    stack_samples,
     tier_sample,
     train_tier,
 )
@@ -277,9 +278,8 @@ def test_criterion_4_tgae_smoke():
                       "the pinned golden losses within 1e-9 (< 30 s)"):
         start = time.time()
         models = make_tier_models(4, RunConfig(seed=42))
-        sample = tier_sample(path4_features(), path4_adjacency())
-        target = sample.target  # training drops it from the sample
-        history = train_tier(models[0], [sample], RunConfig(epochs=200, lr=0.01))
+        stack, = stack_samples([tier_sample(path4_features(), path4_adjacency())])
+        history = train_tier(models[0], [stack], RunConfig(epochs=200, lr=0.01))
 
         assert history[-1] < history[0]
         assert abs(history[0] - GOLDEN_INITIAL_LOSS) <= GOLDEN_TOL
@@ -287,14 +287,14 @@ def test_criterion_4_tgae_smoke():
 
         from tiergae.gcn import encode_numpy
 
-        z = encode_numpy(models[0].encoder, sample.x, sample.a_norm)
+        z = encode_numpy(models[0].encoder, stack.x[0], stack.a_norm[0])
         logits = decode_adjacency_numpy(z)
         scores, labels = [], []
         for i in range(4):
             for j in range(4):
                 if i != j:
                     scores.append(logits[i, j])
-                    labels.append(target[i, j] == 1.0)
+                    labels.append(bool(stack.mask[0, i, j]))
         assert ranking_auc(scores, labels) >= 0.9
 
         elapsed = time.time() - start
@@ -318,14 +318,12 @@ def test_criterion_5_tvgae_properties():
             ls = rng.standard_normal((n, d)) * 2
             assert kl_value(mu, ls) >= 0.0
 
-        sample = tier_sample(path4_features(), path4_adjacency())
+        stacks = stack_samples([tier_sample(path4_features(), path4_adjacency())])
         det = make_tier_models(4, RunConfig(seed=42))[0]
-        det_hist = train_tier(det, [sample], RunConfig(epochs=200, lr=0.01))
+        det_hist = train_tier(det, stacks, RunConfig(epochs=200, lr=0.01))
         var = make_variational_tier_models(4, RunConfig(seed=42))[0]
-        # training drops the sample's target, so each run gets a sample of its own
         var_hist = train_tier_variational(
-            FixedLogsigmaModel(var.encoder_mu, var.tier),
-            [tier_sample(path4_features(), path4_adjacency())],
+            FixedLogsigmaModel(var.encoder_mu, var.tier), stacks,
             RunConfig(epochs=200, lr=0.01), seeded_rng(42, 1, NOISE_ROLE),
         )
         assert len(det_hist) == len(var_hist) == 200
@@ -371,14 +369,14 @@ def test_criterion_6_tier_invariances():
         sample = tier_sample(path4_features(), path4_adjacency(), path4_membership())
         t2 = next_tier_samples(
             make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=1))[0],
-            [sample], [None],
+            [sample], stack_samples([sample]), [None],
         )
         for trained_idx, train_samples in ((0, [sample]), (1, t2)):
             fresh = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=5))
             snapshot = {
                 p.name: p.value.copy() for m in fresh for p in m.params()
             }
-            train_tier(fresh[trained_idx], train_samples,
+            train_tier(fresh[trained_idx], stack_samples(train_samples),
                        RunConfig(epochs=8, lr=0.01))
             for idx, model in enumerate(fresh):
                 if idx == trained_idx:

@@ -462,6 +462,20 @@ def test_export_schema_holds_int_edge_indices(tmp_path, corpus_path, value):
         jsonschema.validate(doc, EXPORT_SCHEMA)
 
 
+def test_export_schema_passes_a_whole_float_index_that_json_to_array_refuses(tmp_path,
+                                                                            corpus_path):
+    # JSON Schema counts 1.0 as an integer; the exact check is json_to_array's
+    ckpt, _ = cmd_train(small_cfg(), corpus_path, tmp_path / "model.json")
+    doc = json.loads(cmd_embed(ckpt, corpus_path, tmp_path / "export")[0].read_text())
+    tier = doc["tiers"]["1"]
+    tier["membership"] = {"shape": [1], "data": [1.0]}
+    tier["edge_index"]["data"][0] = float(tier["edge_index"]["data"][0])
+    jsonschema.validate(doc, EXPORT_SCHEMA)
+    for key in ("membership", "edge_index"):
+        with pytest.raises(ConfigError, match=r"^array data holds \d+\.0, not an int64$"):
+            json_to_array(tier[key], np.int64)
+
+
 def test_embed_variational_uses_mu(tmp_path, corpus_path):
     ckpt, _ = cmd_train(
         small_cfg(model="tvgae"), corpus_path, tmp_path / "vmodel.json"

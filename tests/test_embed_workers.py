@@ -1,6 +1,7 @@
 """`embed` splits the molecules by stride over one process per CPU in the
-affinity mask, forked after every check. The exports must not depend on the
-number of processes, a failure must be the one a serial run raises, and no
+affinity mask, forked after every check, and each process encodes its share
+in padded stacks. The exports must not depend on the number of processes or
+on the stack budget, a failure must be the one a serial run raises, and no
 child may outlive the command.
 
 The process count is set and the children counted with the helpers of
@@ -17,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from tiergae import cli
+from tiergae import cli, tgae
 from tiergae.cli import cmd_embed, cmd_ingest, cmd_train, load_corpus, main, validate_config
-from tiergae.errors import CliError
+from tiergae.errors import CliError, DomainError
 from tiergae.sdf import write_sdf
 from tiergae.tgae import RunConfig
 
@@ -30,7 +31,8 @@ from test_blas_threads import chain_molecule
 ROOT = Path(__file__).resolve().parents[1]
 CHAINS = (3, 5, 8, 2, 12)
 N_MOLECULES = 1 + len(CHAINS)
-ENCODERS = {"tgae": "encode_tiered", "tvgae": "encode_tiered_variational"}
+# a stack per node count, stacks of a few small graphs, and the default
+BUDGETS = (0, 200, tgae.STACK_CELLS)
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +44,7 @@ def corpus(tmp_path_factory) -> Path:
     return cmd_ingest([VANILLIN_SDF, chains], root / "corpus.json")
 
 
-@pytest.fixture(scope="module", params=sorted(ENCODERS))
+@pytest.fixture(scope="module", params=["tgae", "tvgae"])
 def checkpoint(request, corpus, tmp_path_factory) -> Path:
     cfg = validate_config(RunConfig(model=request.param, epochs=2, hidden=6, d_z=3, seed=0))
     return cmd_train(cfg, corpus, tmp_path_factory.mktemp("model") / "model.json")[0]
@@ -57,16 +59,16 @@ def embed_argv(checkpoint: Path, corpus: Path, out: Path) -> list[str]:
     return ["embed", str(corpus), "--checkpoint", str(checkpoint), "--out", str(out)]
 
 
-def patch_encode(monkeypatch, checkpoint: Path, action) -> None:
-    """Call `action(molecule id)` before the flavor's encoder runs on a molecule."""
-    name = ENCODERS[json.loads(checkpoint.read_text())["model"]]
-    real_encode = getattr(cli, name)
+def patch_export(monkeypatch, action) -> None:
+    """Call `action(molecule id)` in the per-molecule step of `embed`, after
+    the stacked pass, as each molecule's export document is built."""
+    real_export_doc = cli._export_doc
 
-    def encode(graph, membership, models):
-        action(graph.id)
-        return real_encode(graph, membership, models)
+    def export_doc(entry, rep, kind):
+        action(entry["id"])
+        return real_export_doc(entry, rep, kind)
 
-    monkeypatch.setattr(cli, name, encode)
+    monkeypatch.setattr(cli, "_export_doc", export_doc)
 
 
 # ---------------------------------------------------------------- same bytes
@@ -75,17 +77,22 @@ def patch_encode(monkeypatch, checkpoint: Path, action) -> None:
 @pytest.mark.parametrize("cpus", [1, 2, 3, N_MOLECULES + 4])
 def test_exports_do_not_depend_on_the_process_count(tmp_path, monkeypatch, corpus,
                                                     checkpoint, export_names, cpus):
+    # one process at a stack per node count: no graph is padded
+    monkeypatch.setattr(tgae, "STACK_CELLS", 0)
     use_cpus(monkeypatch, 1)
     serial = cmd_embed(checkpoint, corpus, tmp_path / "serial")
-    use_cpus(monkeypatch, cpus)
-    forks = count_forks(monkeypatch)
-    paths = cmd_embed(checkpoint, corpus, tmp_path / "split")
-    assert len(forks) == min(cpus, N_MOLECULES) - 1
-    assert_no_child_left()
-    assert [p.name for p in serial] == [p.name for p in paths] == export_names
-    assert sorted(p.name for p in (tmp_path / "split").iterdir()) == sorted(export_names)
-    for one, split in zip(serial, paths):
-        assert one.read_bytes() == split.read_bytes(), split.name
+    for budget in BUDGETS:
+        monkeypatch.setattr(tgae, "STACK_CELLS", budget)
+        use_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        out = tmp_path / f"split-{budget}"
+        paths = cmd_embed(checkpoint, corpus, out)
+        assert len(forks) == min(cpus, N_MOLECULES) - 1
+        assert_no_child_left()
+        assert [p.name for p in serial] == [p.name for p in paths] == export_names
+        assert sorted(p.name for p in out.iterdir()) == sorted(export_names)
+        for one, split in zip(serial, paths):
+            assert one.read_bytes() == split.read_bytes(), (budget, split.name)
 
 
 def test_one_molecule_does_not_fork(tmp_path, monkeypatch, checkpoint):
@@ -170,7 +177,7 @@ def test_a_killed_child_exits_2_without_a_traceback(tmp_path, monkeypatch, capsy
         if mol_id == ids[3] and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
 
-    patch_encode(monkeypatch, checkpoint, kill_child)
+    patch_export(monkeypatch, kill_child)
     use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     out = tmp_path / "export"
@@ -196,7 +203,7 @@ def test_a_child_exception_is_raised_in_the_caller(tmp_path, monkeypatch, corpus
         if mol_id in failing:
             raise failing[mol_id]
 
-    patch_encode(monkeypatch, checkpoint, fail)
+    patch_export(monkeypatch, fail)
     use_cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match=f"^bad molecule {ids[1]}$"):
         cmd_embed(checkpoint, corpus, tmp_path / "a")
@@ -206,6 +213,32 @@ def test_a_child_exception_is_raised_in_the_caller(tmp_path, monkeypatch, corpus
     with pytest.raises(RuntimeError, match=f"^LocalError: local {ids[3]}$"):
         cmd_embed(checkpoint, corpus, tmp_path / "b")
     assert_no_child_left()
+
+
+def test_a_stacked_pass_failure_counts_at_its_shares_first_molecule(tmp_path, monkeypatch,
+                                                                    capsys, corpus, checkpoint,
+                                                                    export_names):
+    name = {"tgae": "encode_tiered", "tvgae": "encode_tiered_variational"}[
+        json.loads(checkpoint.read_text())["model"]]
+    real_encode = getattr(cli, name)
+    parent = os.getpid()
+
+    def encode(graphs, memberships, models):
+        if os.getpid() != parent:
+            raise DomainError(f"stacked pass of {len(graphs)} molecules")
+        return real_encode(graphs, memberships, models)
+
+    monkeypatch.setattr(cli, name, encode)
+    out = tmp_path / "export"
+    (out / export_names[2]).mkdir(parents=True)  # the caller's share fails at #2
+    use_cpus(monkeypatch, 2)
+    assert main(embed_argv(checkpoint, corpus, out)) == 2
+    assert_no_child_left()
+    err = capsys.readouterr().err
+    # the child's share, #1, #3, #5, fails as its first molecule, #1, would
+    assert f"tiergae embed: stacked pass of {N_MOLECULES // 2} molecules" in err
+    assert "cannot write" not in err
+    assert sorted(p.name for p in out.glob("*.json") if p.is_file()) == [export_names[0]]
 
 
 def test_children_are_reaped_when_the_caller_stops(tmp_path, monkeypatch, corpus, checkpoint):
@@ -218,7 +251,7 @@ def test_children_are_reaped_when_the_caller_stops(tmp_path, monkeypatch, corpus
         if os.getpid() == parent:
             raise Stop
 
-    patch_encode(monkeypatch, checkpoint, stop)
+    patch_export(monkeypatch, stop)
     use_cpus(monkeypatch, 3)
     forks = count_forks(monkeypatch)
     with pytest.raises(Stop):

@@ -87,3 +87,25 @@ def test_bench_pairs_bound_verdict_under_a_wide_parent_spread():
     assert verdict(parent, [100.0] * 10, 1.0, 0.25) == "unresolved"
     # the same medians under a spread narrower than the bound
     assert verdict([99.0, 101.0] * 5, [100.0] * 10, 1.0, 0.25) == "yes"
+
+
+RUN_OUTPUT = """perfbench: workload library-tvgae seed 7
+sha256 checkpoint {ck} exports {ex}
+metric embed_mol_per_s 512.5 mol/s
+{{"correct": true, "metrics": {{"embed_mol_per_s": {{"unit": "mol/s", "value": 512.5}}}}}}
+"""
+
+
+def test_bench_pairs_reads_the_digests_and_says_whether_each_pair_agrees():
+    bench_pairs = load_script("bench_pairs.py")
+    metrics, digests = bench_pairs.parse_run(RUN_OUTPUT.format(ck="9ade", ex="156e"))
+    assert metrics == {"embed_mol_per_s": 512.5}
+    assert digests == ("9ade", "156e")
+    no_line = "\n".join(line for line in RUN_OUTPUT.splitlines() if "sha256" not in line)
+    assert bench_pairs.parse_run(no_line.format(ck="", ex=""))[1] is None
+    same = [(("a", "b"), ("a", "b"))] * 3
+    assert bench_pairs.digest_verdict(same) == (
+        "digests: checkpoint and exports agree in all 3 pairs")
+    mixed = same + [(("a", "b"), ("a", "c")), (("a", "b"), None)]
+    assert bench_pairs.digest_verdict(mixed) == (
+        "digests: differ or missing in pair(s) 3, 4 of 5")

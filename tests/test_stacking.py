@@ -11,6 +11,7 @@ import pytest
 from tiergae import tgae, tvgae
 from tiergae.autodiff import Tape, seeded_rng
 from tiergae.errors import DomainError, ShapeMismatchError
+from tiergae.gcn import gcn_norm
 from tiergae.tgae import (
     NOISE_ROLE,
     STACK_CELLS,
@@ -18,6 +19,7 @@ from tiergae.tgae import (
     bce_weights,
     fit_tier,
     make_tier_models,
+    reconstruction_target,
     stack_samples,
     tier_sample,
 )
@@ -40,6 +42,11 @@ D_IN = 4
 D_Z = 3
 # a budget that cuts SIZES into [1, 3, 3, 3] padded to 3 nodes, [4] and [5, 5]
 SMALL_BUDGET = 50
+
+
+# the stacks of SIZES under a budget: a stack per node count, three stacks
+# of which the first is padded, and the one padded stack of STACK_CELLS
+BUDGET_STACKS = {0: 4, SMALL_BUDGET: 3, STACK_CELLS: 1}
 
 
 def corpus(seed=0):
@@ -67,34 +74,39 @@ def stack_index(sizes, budget=STACK_CELLS):
 
 def test_stacks_group_by_size_in_sample_order():
     samples = corpus()
-    before = [(s.x.copy(), s.a_norm.copy(), s.target.copy()) for s in samples]
+    # each graph's own normalized adjacency and target, made alone
+    before = [(s.x.copy(), s.mask.copy(), gcn_norm(s.mask), reconstruction_target(s.mask))
+              for s in samples]
     stacks = stack_samples(samples)
     # smallest node count first, sample order within a count, in one stack
     assert [s.index for s in stacks] == [[2, 0, 3, 6, 4, 1, 5]]
     st = stacks[0]
+    bce = st.bce()
     b, n = 7, 5
+    assert st.nodes.tolist() == [1, 3, 3, 3, 4, 5, 5]
     assert st.x.shape == (b, n, D_IN)
-    assert st.a_norm.shape == st.bce.c1.shape == st.bce.c2.shape == (b, n, n)
-    assert_same_bits(st.bce.inv_nodes, 1.0 / np.array([1, 3, 3, 3, 4, 5, 5]))
-    assert st.bce.rows.shape == (b, n, 1)
-    assert st.bce.count.tolist() == [1.0, 6.0, 6.0, 6.0, 12.0, 20.0, 20.0]
+    assert st.mask.shape == st.a_norm.shape == bce.c1.shape == bce.c2.shape == (b, n, n)
+    assert_same_bits(bce.inv_nodes, 1.0 / np.array([1, 3, 3, 3, 4, 5, 5]))
+    assert bce.rows.shape == (b, n, 1)
+    assert bce.count.tolist() == [1.0, 6.0, 6.0, 6.0, 12.0, 20.0, 20.0]
     starts = np.cumsum((0,) + SIZES)
     pad = starts[-1]  # the row of zeros past every graph's rows
     assert st.rows.tolist() == [starts[i] + k if k < SIZES[i] else pad
                                 for i in st.index for k in range(n)]
     for j, i in enumerate(st.index):
         k = SIZES[i]
-        x, a_norm, target = before[i]
+        x, mask, a_norm, target = before[i]
         assert_same_bits(st.x[j, :k], x)
+        assert np.array_equal(st.mask[j, :k, :k], mask)
         assert_same_bits(st.a_norm[j, :k, :k], a_norm)
         want = bce_weights(target)
-        assert_same_bits(st.bce.c1[j, :k, :k], want.c1)
-        assert_same_bits(st.bce.c2[j, :k, :k], want.c2)
+        assert_same_bits(bce.c1[j, :k, :k], want.c1)
+        assert_same_bits(bce.c2[j, :k, :k], want.c2)
         # zero past the graph's own rows and columns
-        for arr in (st.a_norm[j], st.bce.c1[j], st.bce.c2[j]):
+        for arr in (st.mask[j], st.a_norm[j], bce.c1[j], bce.c2[j]):
             assert not arr[k:].any() and not arr[:, k:].any()
         assert not st.x[j, k:].any()
-        assert st.bce.rows[j, :, 0].tolist() == [1.0] * k + [0.0] * (n - k)
+        assert bce.rows[j, :, 0].tolist() == [1.0] * k + [0.0] * (n - k)
 
 
 def test_a_size_group_over_the_budget_is_a_stack_of_its_own():
@@ -120,11 +132,12 @@ def test_one_node_graphs_pack_with_a_one_cell_mask():
     samples += [tier_sample(rng.standard_normal((1, 2)), np.full((1, 1, 2), loop))
                 for loop in (1.0, 0.0)]
     st, = stack_samples(samples)
+    bce = st.bce()
     assert st.index == [1, 2, 0]
-    assert st.bce.count.tolist() == [1.0, 1.0, 6.0]
+    assert bce.count.tolist() == [1.0, 1.0, 6.0]
     for j, (c1, c2) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
-        assert st.bce.c1[j, 0, 0] == c1 and st.bce.c2[j, 0, 0] == c2
-        for arr in (st.bce.c1[j], st.bce.c2[j], st.a_norm[j]):
+        assert bce.c1[j, 0, 0] == c1 and bce.c2[j, 0, 0] == c2
+        for arr in (bce.c1[j], bce.c2[j], st.a_norm[j]):
             assert np.count_nonzero(arr.ravel()[1:]) == 0
     assert st.a_norm[0, 0, 0] > 0.0 and st.a_norm[1, 0, 0] > 0.0
 
@@ -156,25 +169,38 @@ def test_every_stack_is_a_union_of_consecutive_size_stacks(seed):
         assert len({sizes[i] for i in index}) == 1 or len(index) * n * n <= STACK_CELLS
 
 
-def test_stacking_drops_the_targets_and_refuses_a_stacked_sample():
-    samples = corpus()
-    stacks = stack_samples(samples)
-    assert all(s.target is None for s in samples)
-    assert all(st.bce.c1.shape == st.a_norm.shape for st in stacks)
-    with pytest.raises(ValueError, match="^sample 0 was stacked for training already$"):
-        stack_samples(samples)
+def test_stacking_leaves_the_samples_as_they_are(monkeypatch):
+    # training stacks a tier's samples and its handoff embeds those stacks;
+    # inference stacks the samples it makes
+    for budget in BUDGET_STACKS:
+        monkeypatch.setattr(tgae, "STACK_CELLS", budget)
+        samples = corpus()
+        stacks = stack_samples(samples)
+        again = stack_samples(samples)
+        for s, fresh in zip(samples, corpus()):
+            assert_same_bits(s.x, fresh.x)
+            assert np.array_equal(s.mask, fresh.mask)
+        assert len(stacks) == len(again) == BUDGET_STACKS[budget]
+        for st, st2 in zip(stacks, again):
+            assert st.index == st2.index
+            for a, b in ((st.x, st2.x), (st.a_norm, st2.a_norm),
+                         (st.bce().c1, st2.bce().c1)):
+                assert_same_bits(a, b)
 
 
-def test_stacks_hold_the_only_copy_of_x_and_a_norm():
+def test_a_stack_of_one_graph_holds_views_of_its_sample(monkeypatch):
+    # a stack per node count: SIZES has one graph of 1 and one of 4 nodes
+    monkeypatch.setattr(tgae, "STACK_CELLS", 0)
     samples = corpus()
-    before = [(s.x.copy(), s.a_norm.copy()) for s in samples]
     stacks = stack_samples(samples)
+    assert [len(st.index) for st in stacks] == [1, 3, 1, 2]
     for st in stacks:
         for i in st.index:
-            assert np.shares_memory(samples[i].x, st.x)
-            assert np.shares_memory(samples[i].a_norm, st.a_norm)
-            assert np.array_equal(samples[i].x, before[i][0])
-            assert np.array_equal(samples[i].a_norm, before[i][1])
+            shared = len(st.index) == 1
+            assert np.shares_memory(samples[i].x, st.x) == shared
+            assert np.shares_memory(samples[i].mask, st.mask) == shared
+            # the normalized adjacency is the stack's own
+            assert not np.shares_memory(samples[i].mask, st.a_norm)
 
 
 def flavor_setup(flavor):
@@ -191,7 +217,7 @@ def flavor_setup(flavor):
 def test_stacked_training_matches_one_graph_at_a_time(flavor):
     model, config, rng = flavor_setup(flavor)
     reference = copy.deepcopy(model)
-    stacked = fit_tier(model, corpus(), config, rng())
+    stacked = fit_tier(model, stack_samples(corpus()), config, rng())
     one_by_one = fit_tier_per_graph(reference, corpus(), config, rng())
     assert len(stacked) == 12
     assert max(abs(a - b) for a, b in zip(stacked, one_by_one)) <= 1e-12
@@ -210,7 +236,7 @@ def test_each_graph_gets_its_per_graph_noise(monkeypatch, one_process):
     monkeypatch.setattr(tvgae, "reparameterize", spy)
     model = make_variational_tier_models(D_IN, RunConfig(hidden=5, d_z=D_Z, seed=4))[0]
     epochs = 3
-    fit_tier(model, corpus(), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
+    fit_tier(model, stack_samples(corpus()), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
 
     # each epoch processes the stacks in reverse order
     stacks = stack_samples(corpus())[::-1]
@@ -240,7 +266,7 @@ def test_each_graph_in_a_padded_stack_gets_its_per_graph_noise(monkeypatch, one_
     seen = spy_noise(monkeypatch)
     model = make_variational_tier_models(D_IN, RunConfig(hidden=5, d_z=D_Z, seed=4))[0]
     epochs = 3
-    fit_tier(model, corpus(), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
+    fit_tier(model, stack_samples(corpus()), RunConfig(epochs=epochs), seeded_rng(4, 1, NOISE_ROLE))
 
     stacks = stack_samples(corpus())[::-1]
     assert [st.index for st in stacks] == [[1, 5], [4], [2, 0, 3, 6]]
@@ -277,12 +303,13 @@ def test_a_padded_stack_loss_and_gradients_are_the_per_graph_sums(flavor):
         tape.backward(loss)
         return float(tape.value(loss)), [p.grad.copy() for p in model.params()]
 
-    got, got_grads = loss_and_grads(st.x, st.a_norm, st.bce,
+    got, got_grads = loss_and_grads(st.x, st.a_norm, st.bce(),
                                     eps[st.rows].reshape(*st.x.shape[:2], D_Z))
     want, want_grads = 0.0, [np.zeros_like(p.value) for p in model.params()]
     starts = np.cumsum((0,) + SIZES)
     for i, s in enumerate(samples):
-        loss, grads = loss_and_grads(s.x[None], s.a_norm[None], bce_weights(s.target[None]),
+        loss, grads = loss_and_grads(s.x[None], gcn_norm(s.mask)[None],
+                                     bce_weights(reconstruction_target(s.mask)[None]),
                                      eps[starts[i]:starts[i + 1]][None])
         want += loss
         want_grads = [w + g for w, g in zip(want_grads, grads)]
@@ -293,8 +320,9 @@ def test_a_padded_stack_loss_and_gradients_are_the_per_graph_sums(flavor):
 
 def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
     st, _ = padded_stack()
-    pad = st.bce.c1 == 0.0
-    pad &= st.bce.c2 == 0.0
+    bce = st.bce()
+    pad = bce.c1 == 0.0
+    pad &= bce.c2 == 0.0
     rng = np.random.default_rng(6)
     logits = rng.standard_normal(st.a_norm.shape) * 5.0
     losses, grads = [], []
@@ -302,7 +330,7 @@ def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
         values = np.where(pad, fill * rng.standard_normal(pad.shape), logits)
         p = tgae.Param(values, name="logits")
         tape = Tape()
-        loss = tgae.reconstruction_loss(tape, tape.param(p), st.bce)
+        loss = tgae.reconstruction_loss(tape, tape.param(p), bce)
         tape.backward(loss)
         losses.append(tape.value(loss))
         grads.append(p.grad)
@@ -315,7 +343,8 @@ def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
 def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
     st, _ = padded_stack()
     nodes = np.array([SIZES[i] for i in st.index])
-    pad = st.bce.rows[..., 0] == 0.0
+    bce = st.bce()
+    pad = bce.rows[..., 0] == 0.0
     rng = np.random.default_rng(7)
     mu = rng.standard_normal(st.x.shape[:2] + (D_Z,))
     ls = rng.standard_normal(mu.shape) * 0.5
@@ -324,8 +353,8 @@ def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
         mu_p = tgae.Param(np.where(pad[..., None], fill, mu), name="mu")
         ls_p = tgae.Param(np.where(pad[..., None], -fill, ls), name="ls")
         tape = Tape()
-        kl = kl_divergence(tape, tape.param(mu_p), tape.param(ls_p), st.bce.rows,
-                           st.bce.inv_nodes)
+        kl = kl_divergence(tape, tape.param(mu_p), tape.param(ls_p), bce.rows,
+                           bce.inv_nodes)
         tape.backward(kl)
         values.append(tape.value(kl))
         grads += [mu_p.grad, ls_p.grad]
@@ -337,11 +366,6 @@ def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
     assert abs(values[0] - want) <= 1e-12
 
 
-# the stacks of SIZES under a budget: a stack per node count, three stacks
-# of which the first is padded, and the one padded stack of STACK_CELLS
-BUDGET_STACKS = {0: 4, SMALL_BUDGET: 3, STACK_CELLS: 1}
-
-
 @pytest.mark.parametrize("flavor", ["tgae", "tvgae"])
 def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor, monkeypatch):
     # the gradients of several stacks, added in reverse order, and the
@@ -351,7 +375,7 @@ def test_one_tape_per_stack_matches_one_tape_per_epoch_bit_for_bit(flavor, monke
         assert len(stack_samples(corpus())) == count
         model, config, rng = flavor_setup(flavor)
         reference = copy.deepcopy(model)
-        streamed = fit_tier(model, corpus(), config, rng())
+        streamed = fit_tier(model, stack_samples(corpus()), config, rng())
         one_tape = fit_tier_one_tape(reference, corpus(), config, rng())
         assert_same_bits(np.array(streamed), np.array(one_tape))
         for p, q in zip(model.params(), reference.params()):
@@ -379,13 +403,13 @@ def assert_each_tape_holds_one_stack(flavor, monkeypatch):
     backward = Tape.backward
     monkeypatch.setattr(Tape, "backward", spy)
     model, config, rng = flavor_setup(flavor)
-    fit_tier(model, corpus(), config, rng())
+    fit_tier(model, stack_samples(corpus()), config, rng())
 
     def one_stack_nodes(st):
         """Nodes on a tape that records the scaled loss of stack st alone."""
         tape = Tape()
         noise = np.zeros(st.x.shape[:2] + (D_Z,)) if flavor == "tvgae" else None
-        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce,
+        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce(),
                              config, noise)
         tape.scalar_mul(1.0, loss)
         return len(tape.nodes)
@@ -411,7 +435,7 @@ def test_nan_in_one_stack_raises_at_epoch_0_before_any_update(flavor, monkeypatc
         assert len(stack_samples(corpus())) == count
         initial = [p.value.copy() for p in model.params()]
         with pytest.raises(DomainError, match=r"^tier 1: epoch 0 loss is nan$"):
-            fit_tier(model, samples, config, rng())
+            fit_tier(model, stack_samples(samples), config, rng())
         for p, before in zip(model.params(), initial):
             assert_same_bits(p.value, before)
 
@@ -429,11 +453,11 @@ def large_corpus(seed=0):
 def test_training_matches_the_unfused_ops_bit_for_bit(flavor, monkeypatch):
     model, config, rng = flavor_setup(flavor)
     reference = copy.deepcopy(model)
-    fused = fit_tier(model, large_corpus(), config, rng())
+    fused = fit_tier(model, stack_samples(large_corpus()), config, rng())
     monkeypatch.setattr(Tape, "bce_logits", bce_logits_two_softplus)
     monkeypatch.setattr(tgae, "decode_adjacency", decode_adjacency_matmul)
     monkeypatch.setattr(tvgae, "decode_adjacency", decode_adjacency_matmul)
-    unfused = fit_tier(reference, large_corpus(), config, rng())
+    unfused = fit_tier(reference, stack_samples(large_corpus()), config, rng())
     assert len(fused) == config.epochs
     assert_same_bits(np.array(fused), np.array(unfused))
     for p, q in zip(model.params(), reference.params()):

@@ -10,7 +10,7 @@ from tiergae.autodiff import Param, Tape, zero_grads
 from tiergae.cli import params_state
 from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
-from tiergae.gcn import binary_collapse
+from tiergae.gcn import binary_collapse, gcn_norm
 from tiergae.graphs import Graph, coo_to_dense, dense_to_coo
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
@@ -25,6 +25,7 @@ from tiergae.tgae import (
     pipeline_loss,
     reconstruction_loss,
     reconstruction_target,
+    stack_samples,
     tier_sample,
     train_tier,
     train_tiered,
@@ -195,8 +196,9 @@ def test_loss_gradient_against_finite_differences():
         tape = Tape()
         from tiergae.gcn import encode
 
-        z = encode(model.encoder, tape.const(s.x), tape.const(s.a_norm), tape)
-        loss = reconstruction_loss(tape, decode_adjacency(tape, z), bce_weights(s.target))
+        z = encode(model.encoder, tape.const(s.x), tape.const(gcn_norm(s.mask)), tape)
+        loss = reconstruction_loss(tape, decode_adjacency(tape, z),
+                                   bce_weights(reconstruction_target(s.mask)))
         return tape, loss
 
     tape, loss = run()
@@ -249,7 +251,7 @@ def test_zero_epochs_changes_nothing():
     models = make_tier_models(4, RunConfig(hidden=4, d_z=2, seed=1))
     before = params_state(models[0].params())
     s = tier_sample(path4_features(), path4_adjacency())
-    hist = train_tier(models[0], [s], RunConfig(epochs=0))
+    hist = train_tier(models[0], stack_samples([s]), RunConfig(epochs=0))
     assert hist == []
     after = params_state(models[0].params())
     for k in before:
@@ -259,7 +261,7 @@ def test_zero_epochs_changes_nothing():
 def test_training_descends_on_path4():
     models = make_tier_models(4, RunConfig(hidden=8, d_z=4, seed=42))
     s = tier_sample(path4_features(), path4_adjacency())
-    hist = train_tier(models[0], [s], RunConfig(epochs=40, lr=0.01))
+    hist = train_tier(models[0], stack_samples([s]), RunConfig(epochs=40, lr=0.01))
     assert len(hist) == 40
     assert hist[-1] < hist[0]
     assert all(np.isfinite(v) for v in hist)
@@ -269,7 +271,7 @@ def test_training_is_deterministic():
     def run():
         models = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=7))
         s = tier_sample(path4_features(), path4_adjacency())
-        return train_tier(models[0], [s], RunConfig(epochs=15, lr=0.01))
+        return train_tier(models[0], stack_samples([s]), RunConfig(epochs=15, lr=0.01))
 
     assert run() == run()
 
@@ -287,7 +289,7 @@ def test_train_tier_rejects_non_finite_loss(tier):
     s = tier_sample(x, path4_adjacency())
     # epoch 0 is finite; its NaN update makes epoch 1's loss NaN
     with pytest.raises(DomainError, match=rf"^tier {tier}: epoch 1 loss is nan$"):
-        train_tier(model, [s], RunConfig(epochs=3, lr=float("nan")))
+        train_tier(model, stack_samples([s]), RunConfig(epochs=3, lr=float("nan")))
 
 
 def test_tiered_training_keeps_lower_tiers_frozen():
@@ -299,7 +301,7 @@ def test_tiered_training_keeps_lower_tiers_frozen():
     cfg = RunConfig(epochs=10, lr=0.01)
     hist = train_tiered(models, items, cfg)
     s = tier_sample(path4_features(), path4_adjacency())
-    solo_hist = train_tier(solo, [s], cfg)
+    solo_hist = train_tier(solo, stack_samples([s]), cfg)
     assert hist[1] == solo_hist
     for p_solo, p_tiered in zip(solo.params(), models[0].params()):
         assert np.array_equal(p_solo.value, p_tiered.value)
@@ -344,11 +346,11 @@ def test_next_tier_samples_shapes():
     s = tier_sample(path4_features(), path4_adjacency(), m)
     # the tier-2 adjacency is pooled as the tier-1 sample is built
     assert s.pooled_a.shape == (2, 2, 1)
-    nxt = next_tier_samples(models[0], [s], [graph_tier_membership(2)])
+    nxt = next_tier_samples(models[0], [s], stack_samples([s]), [graph_tier_membership(2)])
     assert len(nxt) == 1
     assert nxt[0].x.shape == (2, 3)
-    assert nxt[0].a_norm.shape == (2, 2)
-    assert nxt[0].target.shape == (2, 2)
+    assert nxt[0].mask.shape == (2, 2)
+    assert stack_samples(nxt)[0].a_norm.shape == (1, 2, 2)
     assert nxt[0].pooled_a.shape == (1, 1, 1)
 
 
@@ -454,7 +456,8 @@ def test_pipeline_loss_is_the_sum_of_the_tier_losses(vanillin_mol):
     want = 0.0
     for bundle in encode_tiered(g, m1, models).tiers:
         a = coo_to_dense(Graph(bundle.x, bundle.edge_index, bundle.edge_attr))
-        want += recon_value(decode_adjacency_numpy(bundle.z), tier_sample(bundle.x, a).target)
+        want += recon_value(decode_adjacency_numpy(bundle.z),
+                            reconstruction_target(tier_sample(bundle.x, a).mask))
     assert math.isclose(total, want, rel_tol=1e-12)
 
 

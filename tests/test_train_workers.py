@@ -234,7 +234,7 @@ def test_the_caller_is_pinned_while_a_tier_trains(monkeypatch):
     on_backward(monkeypatch, lambda _n: masks.append(real_affinity()))
     use_cpus(monkeypatch, 2)
     model = make_tier_models(4, RunConfig(hidden=5, d_z=3))[0]
-    fit_tier(model, samples(), RunConfig(epochs=2))
+    fit_tier(model, tgae.stack_samples(samples()), RunConfig(epochs=2))
     assert masks and all(m == {min(REAL_MASK)} for m in masks)
     assert_no_child_left()
     assert_mask_restored()
@@ -291,7 +291,7 @@ def test_a_non_finite_loss_in_any_share_is_the_one_process_error(monkeypatch, fl
     noise = None if flavor == "tgae" else np.random.default_rng(2)
     use_cpus(monkeypatch, cpus)
     with pytest.raises(DomainError, match=r"^tier 1: epoch 0 loss is nan$"):
-        fit_tier(model, samples(size), RunConfig(epochs=3), noise)
+        fit_tier(model, tgae.stack_samples(samples(size)), RunConfig(epochs=3), noise)
     for p, before in zip(model.params(), initial):
         assert_same_bits(p.value, before)
     assert_no_child_left()
@@ -310,7 +310,7 @@ def test_the_failure_raised_is_the_one_process_loops_first(monkeypatch, cpus):
     use_cpus(monkeypatch, cpus)
     model = make_tier_models(4, RunConfig(hidden=5, d_z=3))[0]
     with pytest.raises(ValueError, match="^stack of 94 nodes$"):
-        fit_tier(model, samples(), RunConfig(epochs=2))
+        fit_tier(model, tgae.stack_samples(samples()), RunConfig(epochs=2))
     assert_no_child_left()
     assert_mask_restored()
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from tiergae.autodiff import Param, Tape, seeded_rng, zero_grads
 from tiergae.cli import params_state
 from tiergae.errors import ShapeMismatchError
+from tiergae.gcn import gcn_norm
 from tiergae.tgae import (
     NOISE_ROLE,
     RunConfig,
@@ -16,6 +17,7 @@ from tiergae.tgae import (
     encode_tiered,
     make_tier_models,
     pipeline_loss,
+    stack_samples,
     tier_sample,
     train_tier,
 )
@@ -96,7 +98,7 @@ def test_posterior_shapes_and_clamp():
         p.value *= 1e6
     s = tier_sample(path4_features(), path4_adjacency())
     tape = Tape()
-    mu, ls = encode_posterior(var, tape.const(s.x), tape.const(s.a_norm), tape)
+    mu, ls = encode_posterior(var, tape.const(s.x), tape.const(gcn_norm(s.mask)), tape)
     vm, vl = tape.value(mu), tape.value(ls)
     assert vm.shape == vl.shape == (4, 3)
     assert (np.abs(vl) <= LOGSIGMA_LIMIT).all()
@@ -268,7 +270,7 @@ def test_variational_zero_epochs_changes_nothing():
     before = params_state(var.params())
     s = tier_sample(path4_features(), path4_adjacency())
     hist = train_tier_variational(
-        var, [s], RunConfig(epochs=0), np.random.default_rng(0)
+        var, stack_samples([s]), RunConfig(epochs=0), np.random.default_rng(0)
     )
     assert hist == []
     after = params_state(var.params())
@@ -280,7 +282,7 @@ def test_variational_training_descends():
     var = make_variational_tier_models(4, RunConfig(hidden=8, d_z=4, seed=42))[0]
     s = tier_sample(path4_features(), path4_adjacency())
     hist = train_tier_variational(
-        var, [s], RunConfig(epochs=60, lr=0.01),
+        var, stack_samples([s]), RunConfig(epochs=60, lr=0.01),
         seeded_rng(42, 1, NOISE_ROLE),
     )
     assert len(hist) == 60
@@ -294,7 +296,7 @@ def test_variational_training_deterministic():
         var = make_variational_tier_models(4, RunConfig(hidden=5, d_z=3, seed=6))[0]
         s = tier_sample(path4_features(), path4_adjacency())
         return train_tier_variational(
-            var, [s], RunConfig(epochs=12, lr=0.01),
+            var, stack_samples([s]), RunConfig(epochs=12, lr=0.01),
             seeded_rng(6, 1, NOISE_ROLE),
         )
 
@@ -315,12 +317,10 @@ def test_fixed_logsigma_ablation_tracks_deterministic_model():
     seed = 31
     s = tier_sample(path4_features(), path4_adjacency())
     det = make_tier_models(4, RunConfig(hidden=6, d_z=3, seed=seed))[0]
-    det_hist = train_tier(det, [s], RunConfig(epochs=30, lr=0.01))
+    det_hist = train_tier(det, stack_samples([s]), RunConfig(epochs=30, lr=0.01))
     var = make_variational_tier_models(4, RunConfig(hidden=6, d_z=3, seed=seed))[0]
-    # training drops the sample's target, so each run gets a sample of its own
     var_hist = train_tier_variational(
-        FixedLogsigmaModel(var.encoder_mu, var.tier),
-        [tier_sample(path4_features(), path4_adjacency())],
+        FixedLogsigmaModel(var.encoder_mu, var.tier), stack_samples([s]),
         RunConfig(epochs=30, lr=0.01), seeded_rng(seed, 1, NOISE_ROLE),
     )
     assert len(det_hist) == len(var_hist)
