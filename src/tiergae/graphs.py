@@ -168,12 +168,13 @@ def coo_to_dense(g: Graph) -> np.ndarray:
     return a
 
 
-def dense_to_coo(a) -> tuple[np.ndarray, np.ndarray]:
-    """COO tuple of all (i, j) with any nonzero channel, in row-major order."""
+def dense_to_coo(a, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """COO tuple of all (i, j) with any nonzero channel, in row-major order.
+    A caller that has a's `edge_mask` already passes it as `mask`."""
     arr = adjacency_array(a)
     if not np.isfinite(arr).all():
         raise ValueError("dense adjacency contains non-finite entries")
-    i, j = np.nonzero(edge_mask(arr))  # row-major
+    i, j = np.nonzero(edge_mask(arr) if mask is None else mask)  # row-major
     return np.array([i, j], dtype=np.int64), arr[i, j]
 
 

@@ -63,4 +63,4 @@ def graph_tier_membership(g_count: int) -> MembershipMatrix:
     """All groups into one graph-level node: the G x 1 ones matrix."""
     if g_count < 1:
         raise ValueError(f"need at least one group, got {g_count}")
-    return MembershipMatrix(np.zeros(g_count, dtype=np.int64), 1)
+    return MembershipMatrix.unchecked(np.zeros(g_count, dtype=np.int64), 1)

@@ -499,8 +499,10 @@ def encode_tiers(graphs, memberships, models: Sequence):
             rep.tiers.append(TierBundle(s.x, *coo, None if s.m is None else s.m.group,
                                         z[end - s.x.shape[0]:end]))
         if ms is not None:
-            coos = [dense_to_coo(s.pooled_a) for s in samples]
-            samples = pool_rows(z, samples, ms)
+            pooled = pool_rows(z, samples, ms)
+            # the next tier's edge masks are those of the pooled adjacency
+            coos = [dense_to_coo(s.pooled_a, p.mask) for s, p in zip(samples, pooled)]
+            samples = pooled
     return reps
 
 
