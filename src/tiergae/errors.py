@@ -25,10 +25,6 @@ class NonScalarLossError(TiergaeError, ValueError):
     pass
 
 
-class NegativeWeightError(TiergaeError, ValueError):
-    pass
-
-
 class EmptyGroupError(TiergaeError, ValueError):
     pass
 

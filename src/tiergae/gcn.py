@@ -1,10 +1,10 @@
 """GCN encoder: K stacked layers of normalized-adjacency propagation.
 
 Each layer computes act((A_norm @ H) @ W + b), one `Tape.gcn_layer` node on
-a tape. A_norm is the symmetrically normalized adjacency with self-loops.
-Edge feature channels never enter the encoder: structure is collapsed to
-binary existence before normalization, and the full channels flow through
-pooling untouched.
+a tape. A_norm is the symmetrically normalized adjacency with self-loops, made
+from a graph's edge mask (`graphs.edge_mask`). Edge feature channels never
+enter the encoder: only the existence of an edge is normalized, and the
+full channels flow through pooling untouched.
 
 `encode` and `encode_numpy` take one graph, x (N, d) with a_norm (N, N), or a
 stack of B graphs padded to N nodes, x (B, N, d) with a_norm (B, N, N); the
@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Param, Tape, glorot_uniform
-from .errors import NegativeWeightError, ShapeMismatchError
-from .graphs import adjacency_array, edge_mask
+from .errors import ShapeMismatchError
 
 MIN_LAYERS = 2
 MAX_LAYERS = 6
@@ -94,29 +93,24 @@ def make_encoder(d_in: int, hidden: int, d_z: int, k: int,
     return GnnEncoder(layers)
 
 
-def binary_collapse(a) -> np.ndarray:
-    """N x N x s adjacency -> binary N x N existence matrix, as bools."""
-    return edge_mask(adjacency_array(a))
+def gcn_norm(mask, nodes=None) -> np.ndarray:
+    """D^{-1/2} (A + I) D^{-1/2} with A the 0/1 matrix of an N x N edge
+    mask and D the degree of A + I, of one mask or of each mask of a
+    (B, N, N) stack.
 
-
-def gcn_norm(a, nodes=None) -> np.ndarray:
-    """D^{-1/2} (A + I) D^{-1/2} with D the degree of A + I, of one N x N
-    matrix or of each matrix of a (B, N, N) stack.
-
+    The mask is read as bools, so any nonzero entry is an edge of weight 1.
     `nodes` gives the node count of each graph of a stack that is
     zero-padded past it (N if None): the self-loops go on its own nodes
     only, so its pad rows and columns stay zero. Isolated nodes end up with
-    a pure self-loop row e_i, so the matrix is always finite. Input must be
-    square, symmetric and nonnegative; a bool mask is read as 0 and 1.
+    a pure self-loop row e_i, so the matrix is always finite. The mask must
+    be square and symmetric: an undirected graph.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = np.asarray(mask, dtype=bool)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"gcn_norm needs a square matrix or a stack of them, "
                                  f"got {a.shape}")
-    if (a < 0).any():
-        raise NegativeWeightError("adjacency has negative entries")
     if not np.array_equal(a, np.swapaxes(a, -1, -2)):
-        raise ValueError("adjacency must be symmetric")
+        raise ValueError("edge mask must be symmetric")
     n = a.shape[-1]
     nodes = np.full(a.shape[:-2], n) if nodes is None else np.asarray(nodes)
     a_tilde = a + np.eye(n) * (np.arange(n) < nodes[..., None])[..., None]

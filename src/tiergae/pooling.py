@@ -15,6 +15,14 @@ receives its terms in the same order as a loop over i, then j. Adjacency
 entries whose channels are all zero are left out of the scatter: a sum
 started at +0.0 is never -0.0, and adding a zero of either sign to any
 other float leaves it unchanged, so skipping them changes no bit.
+
+That order fixes the diagonal and the upper triangle (g <= h) of a pooled
+adjacency. Each cell (h, g) below the diagonal is summed from the terms of
+its mirror (g, h), in the same order, so the two are equal bit for bit.
+Summed from its own terms, cell (h, g) of a symmetric input could round
+apart from cell (g, h) (1e16 + 3 - 1e16 is 4.0 one way and 3.0 the other),
+and the pooled tier would not be an undirected graph. So every pooled tier
+is one exactly, and its edge mask is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -40,10 +48,11 @@ def pool_features(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
 
 
 def pool_adjacency(a, m: MembershipMatrix, mask: Optional[np.ndarray] = None) -> np.ndarray:
-    """Per-channel M^T A M via ordered accumulation over entries (i, j).
+    """Per-channel M^T A M: each cell on or above the diagonal sums its
+    entries (i, j) in row-major order, each cell below it its mirror's.
     A caller that has a's edge mask already passes it as `mask`: an N x N
     array that is nonzero exactly where a has a nonzero channel (its
-    `edge_mask`, or `gcn.binary_collapse`)."""
+    `edge_mask`)."""
     arr = adjacency_array(a)
     if arr.shape[0] != m.num_nodes:
         raise ShapeMismatchError(
@@ -54,8 +63,14 @@ def pool_adjacency(a, m: MembershipMatrix, mask: Optional[np.ndarray] = None) ->
     group = m.group
     g = m.num_groups
     i, j = np.nonzero(edge_mask(arr) if mask is None else mask)  # row-major
+    gi, gj = group[i], group[j]
+    # the entries of the cells on and above the diagonal, then those above
+    # it again, in the same order, for the mirror cells below it
+    upper, above = np.flatnonzero(gi <= gj), np.flatnonzero(gi < gj)
+    cells = np.concatenate([gi[upper] * g + gj[upper], gj[above] * g + gi[above]])
+    k = np.concatenate([upper, above])
     out = np.zeros((g * g, arr.shape[2]), dtype=np.float64)
-    np.add.at(out, group[i] * g + group[j], arr[i, j])
+    np.add.at(out, cells, arr[i[k], j[k]])
     return out.reshape(g, g, arr.shape[2])
 
 

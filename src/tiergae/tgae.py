@@ -37,8 +37,9 @@ import numpy as np
 
 from .autodiff import Adam, Param, Tape, seeded_rng
 from .errors import DomainError, ShapeMismatchError
-from .gcn import GnnEncoder, binary_collapse, encode, encode_numpy, gcn_norm, make_encoder
-from .graphs import Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo
+from .gcn import GnnEncoder, encode, encode_numpy, gcn_norm, make_encoder
+from .graphs import (Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo,
+                     edge_mask)
 from .pooling import graph_tier_membership, pool_adjacency, pool_features
 from .workers import StackWorkers
 
@@ -125,18 +126,21 @@ class BceWeights:
     to one node count N. On the logits l_b of graph b, with p = sigmoid(l_b),
     its loss is -(sum(c1 log p) + sum(c2 log(1 - p))) / count_b =
     (sum(c1 softplus(-l_b)) + sum(c2 softplus(l_b))) / count_b, and a
-    stack's loss is the sum of its graphs' losses. The mask is a graph's
-    off-diagonal cells in its own leading nodes x nodes block (its one cell
-    if it has one node): c1 and c2 are zero on the diagonal and on every
-    pad cell, so a pad logit gets no loss and exactly zero gradient.
+    stack's loss is the sum of its graphs' losses. The scored cells are a
+    graph's off-diagonal cells in its own leading nodes x nodes block (its
+    one cell if it has one node): c1 and c2 are zero on the diagonal and on
+    every pad cell, so a pad logit gets no loss and exactly zero gradient.
+    The target is the graph's edge mask on the scored cells: 1 where an
+    edge is, 0 elsewhere. A one-node graph's target is its one self-loop
+    bit, so the top-tier loss is not a constant.
 
     rows and inv_nodes weight a term summed over node rows, such as the KL
     of `tvgae`: graph b's sum over the rows where rows_b is 1, times
     inv_nodes_b, is its mean over its own nodes, and no pad row reaches it."""
 
-    c1: np.ndarray         # pos_weight * target * mask, per graph
-    c2: np.ndarray         # (1 - target) * mask
-    count: np.ndarray      # masked entries of each graph
+    c1: np.ndarray         # pos_weight * target, per graph
+    c2: np.ndarray         # (1 - target) on the scored cells, 0 elsewhere
+    count: np.ndarray      # scored cells of each graph
     rows: np.ndarray       # 1 on each graph's node rows, 0 on its pad rows
     inv_nodes: np.ndarray  # 1 / node count of each graph
 
@@ -155,12 +159,6 @@ class TierStack:
     x: np.ndarray        # B x N x d
     mask: np.ndarray     # B x N x N bool
     a_norm: np.ndarray   # B x N x N
-
-    def bce(self) -> BceWeights:
-        """The weighted-BCE coefficients of the stack's graphs, for
-        training: each graph's target is its edge mask without the diagonal
-        (`reconstruction_target`)."""
-        return bce_weights(reconstruction_target(self.mask, self.nodes), self.nodes)
 
 
 @dataclass
@@ -198,52 +196,33 @@ def decode_adjacency(tape: Tape, z: int) -> int:
     return tape.gram(z)
 
 
-def reconstruction_target(exist, nodes=None) -> np.ndarray:
-    """Binary float target from the N x N existence matrix of an adjacency
-    (its `binary_collapse`), or from each of a (B, N, N) stack of them whose
-    graphs have `nodes` node counts (N if None): a graph's off-diagonal
-    entries if it has more than one node.
-
-    A 1-node graph has no off-diagonal entries, so its target degenerates to
-    the single self-loop-existence bit; without this the top-tier loss would
-    be a constant.
-    """
-    exist = np.asarray(exist, dtype=np.float64)
-    n = exist.shape[-1]
-    nodes = np.full(exist.shape[:-2], n) if nodes is None else np.asarray(nodes)
-    return exist * (1.0 - np.eye(n) * (nodes > 1)[..., None, None])
-
-
-def bce_weights(target, nodes=None) -> BceWeights:
-    """Fold pos_weight and the mask of a binary (N, N) target, or of a
-    (B, N, N) stack of them, into `BceWeights`. `nodes` gives each graph's
-    node count (N if None); a graph of n < N nodes is padded: its target
-    sits in the leading n x n block and is zero past it."""
-    target = np.asarray(target, dtype=np.float64)
-    n = target.shape[-1]
-    if target.ndim not in (2, 3) or target.shape[-2] != n:
-        raise ShapeMismatchError(f"target must be square, got {target.shape}")
-    nodes = np.full(target.shape[:-2], n) if nodes is None else np.asarray(nodes)
-    if nodes.shape != target.shape[:-2] or not ((nodes >= 1) & (nodes <= n)).all():
-        raise ShapeMismatchError(f"node counts {nodes} do not fit target {target.shape}")
-    if not ((target == 0.0) | (target == 1.0)).all():
-        raise ValueError("reconstruction target must be binary")
+def bce_weights(mask, nodes=None) -> BceWeights:
+    """The `BceWeights` of the (N, N) edge mask of a graph, or of each of a
+    (B, N, N) stack of them, read as bools. `nodes` gives each graph's node
+    count (N if None); a graph of n < N nodes is padded to N, and only its
+    leading n x n block is scored. The target is the mask on the scored
+    cells."""
+    mask = np.asarray(mask, dtype=bool)
+    n = mask.shape[-1]
+    if mask.ndim not in (2, 3) or mask.shape[-2] != n:
+        raise ShapeMismatchError(f"edge mask must be square, got {mask.shape}")
+    nodes = np.full(mask.shape[:-2], n) if nodes is None else np.asarray(nodes)
+    if nodes.shape != mask.shape[:-2] or not ((nodes >= 1) & (nodes <= n)).all():
+        raise ShapeMismatchError(f"node counts {nodes} do not fit edge mask {mask.shape}")
     real = np.arange(n) < nodes[..., None]
     keep = real[..., :, None] & real[..., None, :]
-    # the diagonal is masked out, but for a one-node graph it is its one cell
+    # the diagonal is not scored, but for a one-node graph it is its one cell
     keep &= ~np.eye(n, dtype=bool) | (nodes == 1)[..., None, None]
-    if np.where(keep, 0.0, target).any():
-        raise ValueError("reconstruction target must have a zero diagonal and no "
-                         "entry past its node count")
-    mask = keep.astype(np.float64)
+    target = (mask & keep).astype(np.float64)
+    scored = keep.astype(np.float64)
     rows = real[..., None].astype(np.float64)
-    count = mask.sum(axis=(-2, -1))
-    n_pos = (target * mask).sum(axis=(-2, -1), keepdims=True)
+    count = scored.sum(axis=(-2, -1))
+    n_pos = target.sum(axis=(-2, -1), keepdims=True)
     n_neg = count[..., None, None] - n_pos
     # either class empty: pos_weight is undefined, fall back to unweighted BCE
     pos_weight = np.divide(n_neg, n_pos, out=np.ones_like(n_pos),
                            where=(n_pos > 0) & (n_neg > 0))
-    return BceWeights(pos_weight * target * mask, (1.0 - target) * mask, count, rows,
+    return BceWeights(pos_weight * target, (1.0 - target) * scored, count, rows,
                       1.0 / nodes)
 
 
@@ -257,9 +236,10 @@ def tier_sample(x: np.ndarray, a, m: Optional[MembershipMatrix] = None) -> TierS
     """The sample of features x and adjacency a, pooled through m for the
     next tier unless m is None: the work that stays per graph. The edge
     mask of a is computed once; it feeds the pooling here and the
-    normalized adjacency and the target of the sample's stack."""
+    normalized adjacency and, in training, the BCE weights of the sample's
+    stack."""
     arr = adjacency_array(a)
-    mask = binary_collapse(arr)
+    mask = edge_mask(arr)
     return TierSample(
         x=np.asarray(x, dtype=np.float64),
         mask=mask,
@@ -332,7 +312,7 @@ def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
     """
     if not stacks:
         raise ValueError("training a tier needs at least one sample")
-    bces = [st.bce() for st in stacks]
+    bces = [bce_weights(st.mask, st.nodes) for st in stacks]
     node_rows = sum(int(st.nodes.sum()) for st in stacks)
     scale = 1.0 / sum(len(st.index) for st in stacks)
     opt = Adam(model.params(), lr=config.lr)
@@ -534,8 +514,8 @@ def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
         st, = stack_samples([s])
         if noise is not None:
             noise = np.asarray(noise, dtype=np.float64)[None]
-        loss, pooled = model.loss(tape, x_node, tape.const(st.a_norm), st.bce(), config,
-                                  noise)
+        loss, pooled = model.loss(tape, x_node, tape.const(st.a_norm),
+                                  bce_weights(st.mask, st.nodes), config, noise)
         total = loss if total is None else tape.add(total, loss)
         if m is not None:
             # M^T, the G x N binary matrix of the membership

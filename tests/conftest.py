@@ -1,7 +1,14 @@
 """Shared fixtures. The whole suite runs offline: an autouse session guard
 replaces socket connections with a hard failure so any accidental network
-use fails loudly instead of silently reaching out."""
+use fails loudly instead of silently reaching out.
 
+tiergae is imported before numpy: it pins BLAS to one thread, which takes
+effect only if numpy is not loaded yet, so the in-process tests run BLAS at
+one thread, as the `tiergae` command does."""
+
+import tiergae  # noqa: F401  # before numpy, see above
+
+import json
 import socket
 from dataclasses import dataclass
 from pathlib import Path
@@ -10,7 +17,9 @@ import numpy as np
 import pytest
 
 from tiergae.autodiff import Tape
+from tiergae.cli import json_to_array
 from tiergae.gcn import GnnEncoder, encode, encode_numpy
+from tiergae.graphs import Graph, validate
 from tiergae.sdf import parse_sdf
 from tiergae.tgae import bce_weights, decode_adjacency, reconstruction_loss
 from tiergae.tvgae import elbo_loss, kl_divergence, reparameterize
@@ -76,10 +85,24 @@ def path4():
 
 
 def recon_value(logits, target) -> float:
-    """`reconstruction_loss` of an array of edge logits against a binary target."""
+    """`reconstruction_loss` of an array of edge logits against the edge
+    mask `target`."""
     tape = Tape()
     return float(tape.value(
         reconstruction_loss(tape, tape.const(logits), bce_weights(target))))
+
+
+def export_violations(out_dir) -> list[str]:
+    """`graphs.validate`'s violations of every tier of every export in
+    out_dir, each as "file tier: violation"."""
+    found = []
+    for path in sorted(Path(out_dir).glob("*.json")):
+        for tier, doc in json.loads(path.read_text())["tiers"].items():
+            graph = Graph(json_to_array(doc["x"]),
+                          json_to_array(doc["edge_index"], dtype=np.int64),
+                          json_to_array(doc["edge_attr"]))
+            found += [f"{path.name} tier {tier}: {v}" for v in validate(graph)]
+    return found
 
 
 def kl_value(mu, logsigma) -> float:

@@ -20,6 +20,11 @@ one tape, and one backward sweep over it.
 `formula_from_features_loop` is `sdf.formula_from_features` with one
 `argmax` per atom.
 
+`pool_adjacency_loop` sums every cell of the pooled adjacency in row-major
+order and then, as `pooling.pool_adjacency` does since pooled tiers are
+symmetric by construction, copies each cell above the diagonal into its
+mirror below it; `mirror=False` gives the loop as it was before.
+
 `bce_logits_two_softplus` and `decode_adjacency_matmul` are the loss and
 decoder as they were before `Tape.bce_logits` was fused and `Tape.gram`
 replaced a matmul with a transpose node: two `softplus` passes forward, two
@@ -89,7 +94,6 @@ from tiergae.tgae import (
     TieredRepresentation,
     TierSample,
     bce_weights,
-    reconstruction_target,
     stack_samples,
     tier_sample,
 )
@@ -394,7 +398,9 @@ def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
     return out
 
 
-def pool_adjacency_loop(a, m: MembershipMatrix) -> np.ndarray:
+def pool_adjacency_loop(a, m: MembershipMatrix, mirror: bool = True) -> np.ndarray:
+    """Every entry (i, j) added into its cell, row-major; then, with
+    `mirror`, each cell above the diagonal copied into its mirror below."""
     arr = adjacency_array(a)
     group = dense_membership(m).argmax(axis=1)
     n, _, s = arr.shape
@@ -403,6 +409,10 @@ def pool_adjacency_loop(a, m: MembershipMatrix) -> np.ndarray:
         gi = group[i]
         for j in range(n):
             out[gi, group[j]] += arr[i, j]
+    if mirror:
+        for g in range(m.num_groups):
+            for h in range(g + 1, m.num_groups):
+                out[h, g] = out[g, h]
     return out
 
 
@@ -583,7 +593,7 @@ def fit_tier_per_graph(model, samples, config, rng=None) -> list[float]:
         for s in samples:
             eps = None if rng is None else rng.standard_normal((s.x.shape[0], model.d_z))
             loss, _ = model.loss(tape, tape.const(s.x[None]), tape.const(gcn_norm(s.mask)[None]),
-                                 bce_weights(reconstruction_target(s.mask)[None]), config,
+                                 bce_weights(s.mask[None]), config,
                                  None if eps is None else eps[None])
             total = loss if total is None else tape.add(total, loss)
         total = tape.scalar_mul(1.0 / len(samples), total)
@@ -599,7 +609,7 @@ def fit_tier_one_tape(model, samples, config, noise=None) -> list[float]:
     if not samples:
         raise ValueError("training a tier needs at least one sample")
     stacks = stack_samples(samples)
-    bces = [st.bce() for st in stacks]
+    bces = [bce_weights(st.mask, st.nodes) for st in stacks]
     node_rows = sum(s.x.shape[0] for s in samples)
     opt = Adam(model.params(), lr=config.lr)
     history: list[float] = []

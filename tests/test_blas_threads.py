@@ -4,14 +4,19 @@ environment asks for.
 Threaded BLAS kernels split a product by thread, and at most N past about
 165 atoms OpenBLAS's threaded syrk (the decoder's Z Z^T) gives other bits
 than its one-thread kernel. `tiergae` pins BLAS to one thread when it is
-imported, so a run at OPENBLAS_NUM_THREADS=2 must match one at 1.
+imported, so a run at OPENBLAS_NUM_THREADS=2 must match one at 1. The
+pin acts only where numpy was not loaded first; the suite's own process
+runs BLAS at one thread too.
 """
 
+import ctypes
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
+import numpy as np
 import pytest
 
 from tiergae.cli import cmd_ingest
@@ -79,3 +84,24 @@ def test_train_and_embed_bytes_do_not_depend_on_blas_threads(tmp_path):
     assert list(outputs[0]) == ["model.json", "model_history.csv", "export/chain59.json"]
     for name in outputs[0]:
         assert outputs[0][name] == outputs[1][name], f"{name} depends on the BLAS thread count"
+
+
+def openblas_threads() -> Optional[int]:
+    """The thread count of the OpenBLAS bundled with numpy, or None where
+    numpy bundles none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(lib, name):
+            return getattr(lib, name)()
+    return None
+
+
+def test_the_suite_runs_blas_at_one_thread():
+    # conftest.py imports tiergae before numpy, so the pin holds in-process
+    threads = openblas_threads()
+    if threads is None:
+        pytest.skip("numpy bundles no scipy-openblas library")
+    assert threads == 1

@@ -39,7 +39,7 @@ from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.tgae import make_tier_models, train_tiered
 from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
 
-from conftest import VANILLIN_SDF
+from conftest import VANILLIN_SDF, export_violations
 from oracles import dense_membership, membership_from_partition_dense
 from test_pubchem import RecordingTransport
 
@@ -1017,6 +1017,40 @@ def test_corpus_edge_features_inside_the_pooling_bound_pool_finite(corpus_path):
     tier2 = pool_adjacency(coo_to_dense(graph), m1)
     tier3 = pool_adjacency(tier2, graph_tier_membership(m1.num_groups))
     assert np.isfinite(tier3).all() and tier3[0, 0, 0] >= 8e307
+
+
+def cancelling_corpus(path: Path, q: float) -> Path:
+    """A corpus of one 4-atom molecule in groups {0, 1} and {2, 3}, with
+    bonds (0, 2), (0, 3) and (1, 2) of edge feature 1e16, q and -1e16. Its
+    tier-2 edge sums them; summed row-major, cell (0, 1) is
+    (1e16 + q) - 1e16 and cell (1, 0) is (1e16 - 1e16) + q, which round
+    apart: to 0.0 and 1.0 for q = 1, to 4.0 and 3.0 for q = 3."""
+    bonds = {(0, 2): 1e16, (0, 3): q, (1, 2): -1e16}
+    edges = sorted([*bonds, *((j, i) for i, j in bonds)])
+    doc = {"format_version": cli.CORPUS_FORMAT_VERSION, "molecules": [{
+        "id": "cancel",
+        "x": array_to_json(np.eye(4)),
+        "edge_index": array_to_json(np.array(edges, dtype=np.int64).T),
+        "edge_attr": array_to_json(np.array([[bonds[min(e), max(e)]] for e in edges])),
+        "groups": [[0, 1], [2, 3]],
+    }]}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("model", ["tgae", "tvgae"])
+@pytest.mark.parametrize("q", [1.0, 3.0])
+def test_main_cancelling_edge_features_pool_to_an_undirected_tier(tmp_path, model, q):
+    corpus = cancelling_corpus(tmp_path / "corpus.json", q)
+    ckpt, export = tmp_path / "model.json", tmp_path / "export"
+    assert main(["train", str(corpus), "--model", model, "--epochs", "2", "--hidden", "4",
+                 "--d-z", "2", "--out", str(ckpt)]) == 0
+    assert main(["embed", str(corpus), "--checkpoint", str(ckpt), "--out", str(export)]) == 0
+    assert export_violations(export) == []
+    tier2 = json.loads((export / "cancel.json").read_text())["tiers"]["2"]
+    # the one edge, both ways, with the bits of the row-major sum above the diagonal
+    want = {1.0: [], 3.0: [[4.0], [4.0]]}[q]
+    assert json_to_array(tier2["edge_attr"]).tolist() == want
 
 
 @pytest.mark.parametrize("command, out", [

@@ -7,6 +7,14 @@ TiergaeError, never a traceback. A field is changed by replacing it with an
 odd value, removing it, or adding an extra key or element next to it.
 Ingest's SDF bytes are fuzzed in test_cli.py.
 
+One-field changes keep a corpus's bonds symmetric only by leaving them be.
+A second corpus strategy redraws every bond's edge-feature value over 24
+decades and both signs, the same value both ways, so the corpus stays
+valid, and groups the atoms anew: vanillin's own groups share one bond per
+pair, and a pooled cell needs three or more terms to round apart from its
+mirror. `embed`'s exports must then
+hold undirected graphs at every tier.
+
 The corpus holds one molecule, so each tier trains one stack and nothing
 forks; the runs are two epochs of a narrow model, a few milliseconds each.
 """
@@ -22,11 +30,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.cli import cmd_ingest, cmd_train, validate_config
+import numpy as np
+
+from tiergae.cli import array_to_json, cmd_ingest, cmd_train, json_to_array, validate_config
 from tiergae.cli import main as cli_main
 from tiergae.tgae import RunConfig
 
-from conftest import VANILLIN_SDF
+from conftest import VANILLIN_SDF, export_violations
 
 SMALL = ["--epochs", "2", "--hidden", "4", "--d-z", "2"]
 HUGE = str(10**400)  # an int past the float range
@@ -129,6 +139,50 @@ def test_train_and_embed_of_a_changed_corpus_exit_0_or_2(documents, data):
                      "--out", f"{tmp}/out/model.json"]) in (0, 2)
         assert main(["embed", corpus, "--checkpoint", checkpoint,
                      "--out", f"{tmp}/export"]) in (0, 2)
+
+
+# an edge-feature value over 24 decades, of either sign
+BOND_VALUES = st.builds(lambda sign, mantissa, decade: sign * mantissa * 10.0 ** decade,
+                        st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0, exclude_max=True),
+                        st.integers(-8, 16))
+
+
+@st.composite
+def bond_values_redrawn(draw, doc):
+    """`doc` with each bond's nonzero edge features set to one value of
+    BOND_VALUES, the same in both directions, and (unless it keeps them)
+    its atoms grouped anew into one to four groups."""
+    doc = copy.deepcopy(doc)
+    mol = doc["molecules"][0]
+    edges = json_to_array(mol["edge_index"], dtype=np.int64).T.tolist()
+    attr = json_to_array(mol["edge_attr"])
+    bonds = sorted({(min(e), max(e)) for e in edges})
+    values = dict(zip(bonds, draw(st.lists(BOND_VALUES, min_size=len(bonds),
+                                           max_size=len(bonds)))))
+    for row, e in zip(attr, edges):
+        row[row != 0.0] = values[min(e), max(e)]
+    mol["edge_attr"] = array_to_json(attr)
+    if draw(st.booleans()):
+        n = mol["x"]["shape"][0]
+        label = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        mol["groups"] = [[i for i in range(n) if label[i] == k] for k in sorted(set(label))]
+    return doc
+
+
+@settings(deadline=None, max_examples=100)
+@given(data=st.data())
+def test_train_and_embed_of_redrawn_bond_values_export_undirected_tiers(documents, data):
+    doc = data.draw(bond_values_redrawn(documents["corpus_doc"]))
+    flavor = data.draw(st.sampled_from(("tgae", "tvgae")))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = write(tmp, "corpus.json", doc)
+        checkpoint = write(tmp, "model.json", documents[flavor])
+        assert main(["train", corpus, "--model", flavor, *SMALL,
+                     "--out", f"{tmp}/out/model.json"]) in (0, 2)
+        code = main(["embed", corpus, "--checkpoint", checkpoint, "--out", f"{tmp}/export"])
+        assert code in (0, 2)
+        if code == 0:
+            assert export_violations(f"{tmp}/export") == []
 
 
 @settings(deadline=None, max_examples=150)

@@ -19,7 +19,8 @@ from oracles import (
 
 
 def pool_oracle(z, a, m):
-    """Independent dense oracle: scalar accumulation in row-major scan order.
+    """Independent dense oracle: scalar accumulation in row-major scan order,
+    then each cell below the diagonal set to its mirror above it.
 
     Written deliberately differently from the library loop (per-entry scalar
     adds, group lookup inline) but with the same per-cell addition order, so
@@ -40,6 +41,10 @@ def pool_oracle(z, a, m):
             gj = int(np.argmax(m[j]))
             for c in range(s):
                 a_next[gi, gj, c] += a[i, j, c]
+    for gi in range(g):
+        for gj in range(gi):
+            for c in range(s):
+                a_next[gi, gj, c] = a_next[gj, gi, c]
     return x_next, a_next
 
 
@@ -116,11 +121,14 @@ def test_mass_and_column_sum_conservation(seed, s):
 
 
 def test_pooled_adjacency_symmetric():
+    # values over 16 decades, which summed in another order round apart
     rng = np.random.default_rng(3)
-    a = random_symmetric_adjacency(rng, 6, 3)
-    m = random_membership(rng, 6)
-    a_next = pool_adjacency(a, m)
-    assert np.allclose(a_next, a_next.transpose(1, 0, 2), atol=1e-12)
+    for n, s in ((6, 3), (40, 1), (220, 4)):
+        a = mixed_adjacency(rng, n, s)
+        a = a + a.transpose(1, 0, 2)
+        m = random_membership(rng, n)
+        a_next = pool_adjacency(a, m)
+        assert_same_bits(a_next, a_next.transpose(1, 0, 2))
 
 
 def test_permutation_consistency():
@@ -178,7 +186,11 @@ def _check_against_loops(rng, n, s, m):
     z = rng.standard_normal((n, 5)) * 10.0 ** rng.integers(-8, 8, size=(n, 5))
     a = mixed_adjacency(rng, n, s)
     assert_same_bits(pool_features(z, m), pool_features_loop(z, m))
-    assert_same_bits(pool_adjacency(a, m), pool_adjacency_loop(a, m))
+    got = pool_adjacency(a, m)
+    assert_same_bits(got, pool_adjacency_loop(a, m))
+    # the diagonal and the upper triangle are the unmirrored loop's cells
+    upper = np.triu_indices(m.num_groups)
+    assert_same_bits(got[upper], pool_adjacency_loop(a, m, mirror=False)[upper])
     return a
 
 

@@ -19,7 +19,6 @@ from tiergae.tgae import (
     bce_weights,
     fit_tier,
     make_tier_models,
-    reconstruction_target,
     stack_samples,
     tier_sample,
 )
@@ -74,14 +73,13 @@ def stack_index(sizes, budget=STACK_CELLS):
 
 def test_stacks_group_by_size_in_sample_order():
     samples = corpus()
-    # each graph's own normalized adjacency and target, made alone
-    before = [(s.x.copy(), s.mask.copy(), gcn_norm(s.mask), reconstruction_target(s.mask))
-              for s in samples]
+    # each graph's own features, mask and normalized adjacency, made alone
+    before = [(s.x.copy(), s.mask.copy(), gcn_norm(s.mask)) for s in samples]
     stacks = stack_samples(samples)
     # smallest node count first, sample order within a count, in one stack
     assert [s.index for s in stacks] == [[2, 0, 3, 6, 4, 1, 5]]
     st = stacks[0]
-    bce = st.bce()
+    bce = bce_weights(st.mask, st.nodes)
     b, n = 7, 5
     assert st.nodes.tolist() == [1, 3, 3, 3, 4, 5, 5]
     assert st.x.shape == (b, n, D_IN)
@@ -95,11 +93,11 @@ def test_stacks_group_by_size_in_sample_order():
                                 for i in st.index for k in range(n)]
     for j, i in enumerate(st.index):
         k = SIZES[i]
-        x, mask, a_norm, target = before[i]
+        x, mask, a_norm = before[i]
         assert_same_bits(st.x[j, :k], x)
         assert np.array_equal(st.mask[j, :k, :k], mask)
         assert_same_bits(st.a_norm[j, :k, :k], a_norm)
-        want = bce_weights(target)
+        want = bce_weights(mask)
         assert_same_bits(bce.c1[j, :k, :k], want.c1)
         assert_same_bits(bce.c2[j, :k, :k], want.c2)
         # zero past the graph's own rows and columns
@@ -132,7 +130,7 @@ def test_one_node_graphs_pack_with_a_one_cell_mask():
     samples += [tier_sample(rng.standard_normal((1, 2)), np.full((1, 1, 2), loop))
                 for loop in (1.0, 0.0)]
     st, = stack_samples(samples)
-    bce = st.bce()
+    bce = bce_weights(st.mask, st.nodes)
     assert st.index == [1, 2, 0]
     assert bce.count.tolist() == [1.0, 1.0, 6.0]
     for j, (c1, c2) in enumerate([(1.0, 0.0), (0.0, 1.0)]):
@@ -142,15 +140,18 @@ def test_one_node_graphs_pack_with_a_one_cell_mask():
     assert st.a_norm[0, 0, 0] > 0.0 and st.a_norm[1, 0, 0] > 0.0
 
 
-def test_bce_weights_refuse_an_entry_past_a_graphs_nodes():
-    target = np.zeros((2, 3, 3))
-    target[0, 0, 1] = target[0, 1, 0] = 1.0
-    assert bce_weights(target, [2, 3]).count.tolist() == [2.0, 6.0]
-    target[0, 2, 0] = 1.0
-    with pytest.raises(ValueError, match="past its node count"):
-        bce_weights(target, [2, 3])
+def test_bce_weights_score_no_cell_past_a_graphs_nodes():
+    mask = np.zeros((2, 3, 3), dtype=bool)
+    mask[0, 0, 1] = mask[0, 1, 0] = True
+    want = bce_weights(mask, [2, 3])
+    assert want.count.tolist() == [2.0, 6.0]
+    # an edge past the first graph's two nodes is neither target nor scored
+    mask[0, 2, 0] = True
+    got = bce_weights(mask, [2, 3])
+    for a, b in ((got.c1, want.c1), (got.c2, want.c2), (got.count, want.count)):
+        assert_same_bits(a, b)
     with pytest.raises(ShapeMismatchError):
-        bce_weights(target, [4, 3])
+        bce_weights(mask, [4, 3])
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -184,7 +185,8 @@ def test_stacking_leaves_the_samples_as_they_are(monkeypatch):
         for st, st2 in zip(stacks, again):
             assert st.index == st2.index
             for a, b in ((st.x, st2.x), (st.a_norm, st2.a_norm),
-                         (st.bce().c1, st2.bce().c1)):
+                         (bce_weights(st.mask, st.nodes).c1,
+                          bce_weights(st2.mask, st2.nodes).c1)):
                 assert_same_bits(a, b)
 
 
@@ -303,13 +305,13 @@ def test_a_padded_stack_loss_and_gradients_are_the_per_graph_sums(flavor):
         tape.backward(loss)
         return float(tape.value(loss)), [p.grad.copy() for p in model.params()]
 
-    got, got_grads = loss_and_grads(st.x, st.a_norm, st.bce(),
+    got, got_grads = loss_and_grads(st.x, st.a_norm, bce_weights(st.mask, st.nodes),
                                     eps[st.rows].reshape(*st.x.shape[:2], D_Z))
     want, want_grads = 0.0, [np.zeros_like(p.value) for p in model.params()]
     starts = np.cumsum((0,) + SIZES)
     for i, s in enumerate(samples):
         loss, grads = loss_and_grads(s.x[None], gcn_norm(s.mask)[None],
-                                     bce_weights(reconstruction_target(s.mask)[None]),
+                                     bce_weights(s.mask[None]),
                                      eps[starts[i]:starts[i + 1]][None])
         want += loss
         want_grads = [w + g for w, g in zip(want_grads, grads)]
@@ -320,7 +322,7 @@ def test_a_padded_stack_loss_and_gradients_are_the_per_graph_sums(flavor):
 
 def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
     st, _ = padded_stack()
-    bce = st.bce()
+    bce = bce_weights(st.mask, st.nodes)
     pad = bce.c1 == 0.0
     pad &= bce.c2 == 0.0
     rng = np.random.default_rng(6)
@@ -343,7 +345,7 @@ def test_pad_cells_get_no_bce_loss_and_exactly_zero_gradient():
 def test_pad_rows_get_no_kl_and_exactly_zero_gradient():
     st, _ = padded_stack()
     nodes = np.array([SIZES[i] for i in st.index])
-    bce = st.bce()
+    bce = bce_weights(st.mask, st.nodes)
     pad = bce.rows[..., 0] == 0.0
     rng = np.random.default_rng(7)
     mu = rng.standard_normal(st.x.shape[:2] + (D_Z,))
@@ -409,8 +411,8 @@ def assert_each_tape_holds_one_stack(flavor, monkeypatch):
         """Nodes on a tape that records the scaled loss of stack st alone."""
         tape = Tape()
         noise = np.zeros(st.x.shape[:2] + (D_Z,)) if flavor == "tvgae" else None
-        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), st.bce(),
-                             config, noise)
+        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm),
+                             bce_weights(st.mask, st.nodes), config, noise)
         tape.scalar_mul(1.0, loss)
         return len(tape.nodes)
 

@@ -10,8 +10,8 @@ from tiergae.autodiff import Param, Tape, zero_grads
 from tiergae.cli import params_state
 from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
-from tiergae.gcn import binary_collapse, gcn_norm
-from tiergae.graphs import Graph, coo_to_dense, dense_to_coo
+from tiergae.gcn import gcn_norm
+from tiergae.graphs import Graph, coo_to_dense, dense_to_coo, edge_mask
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
 from tiergae.tgae import (
@@ -24,7 +24,6 @@ from tiergae.tgae import (
     next_tier_samples,
     pipeline_loss,
     reconstruction_loss,
-    reconstruction_target,
     stack_samples,
     tier_sample,
     train_tier,
@@ -87,17 +86,22 @@ def test_decoded_matrix_symmetric():
 # ---------------------------------------------------------------- targets
 
 
+def targets(a) -> np.ndarray:
+    """The BCE target of adjacency a as -1 (not scored), 0 or 1."""
+    bce = bce_weights(edge_mask(a))
+    return np.where(bce.c1 > 0, 1.0, np.where(bce.c2 > 0, 0.0, -1.0))
+
+
 def test_target_drops_diagonal_and_collapses_channels():
     a = np.zeros((3, 3, 2))
     a[0, 0, 0] = 5.0          # within-group mass parked on the diagonal
     a[0, 1, 1] = a[1, 0, 1] = 2.0
-    t = reconstruction_target(binary_collapse(a))
-    assert np.array_equal(t, np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=float))
+    assert np.array_equal(targets(a), [[-1, 1, 0], [1, -1, 0], [0, 0, -1]])
 
 
 def test_target_single_node_keeps_self_loop_bit():
-    assert np.array_equal(reconstruction_target(binary_collapse(np.array([[[3.0]]]))), [[1.0]])
-    assert np.array_equal(reconstruction_target(binary_collapse(np.array([[[0.0]]]))), [[0.0]])
+    assert np.array_equal(targets(np.array([[[3.0]]])), [[1.0]])
+    assert np.array_equal(targets(np.array([[[0.0]]])), [[0.0]])
 
 
 # ---------------------------------------------------------------- loss
@@ -178,10 +182,6 @@ def test_loss_permutation_invariant():
 
 def test_loss_rejects_bad_targets():
     logits = np.zeros((2, 2))
-    with pytest.raises(ValueError):
-        recon_value(logits, np.array([[0.0, 0.5], [0.5, 0.0]]))
-    with pytest.raises(ValueError):
-        recon_value(logits, np.array([[1.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
         recon_value(logits, np.zeros((3, 3)))
 
@@ -198,7 +198,7 @@ def test_loss_gradient_against_finite_differences():
 
         z = encode(model.encoder, tape.const(s.x), tape.const(gcn_norm(s.mask)), tape)
         loss = reconstruction_loss(tape, decode_adjacency(tape, z),
-                                   bce_weights(reconstruction_target(s.mask)))
+                                   bce_weights(s.mask))
         return tape, loss
 
     tape, loss = run()
@@ -323,7 +323,7 @@ def test_tiered_training_rejects_empty_corpus():
 
 def test_tier_sample_computes_one_edge_mask(monkeypatch):
     # the mask feeds the normalized adjacency, the target and the pooling
-    from tiergae import gcn, graphs, pooling
+    from tiergae import graphs, pooling, tgae
 
     calls = []
 
@@ -332,7 +332,7 @@ def test_tier_sample_computes_one_edge_mask(monkeypatch):
         return edge_mask(arr)
 
     edge_mask = graphs.edge_mask
-    monkeypatch.setattr(gcn, "edge_mask", spy)
+    monkeypatch.setattr(tgae, "edge_mask", spy)
     monkeypatch.setattr(pooling, "edge_mask", spy)
     m = path4_items()[0][1]
     s = tier_sample(path4_features(), path4_adjacency(), m)
@@ -456,8 +456,7 @@ def test_pipeline_loss_is_the_sum_of_the_tier_losses(vanillin_mol):
     want = 0.0
     for bundle in encode_tiered(g, m1, models).tiers:
         a = coo_to_dense(Graph(bundle.x, bundle.edge_index, bundle.edge_attr))
-        want += recon_value(decode_adjacency_numpy(bundle.z),
-                            reconstruction_target(tier_sample(bundle.x, a).mask))
+        want += recon_value(decode_adjacency_numpy(bundle.z), tier_sample(bundle.x, a).mask)
     assert math.isclose(total, want, rel_tol=1e-12)
 
 
