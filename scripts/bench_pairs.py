@@ -6,22 +6,27 @@ Runs N pairs of
 
 one side in each of two checkout roots (for example the repository and an
 extracted `git archive` of its parent commit), seeds S, S + 1, ..., the
-parent first in even pairs and the change first in odd ones. For every
-end-to-end metric that BENCHMARK.json declares it prints each side's
-median and quartiles, how many pairs the change won (ties count for
-neither), whether a gain is shown (it wins at least 9 of 10 pairs and the
-medians differ by more than the parent's interquartile range) and whether
-the change's median stays within the metric's bound of the parent's: "yes",
-"NO", or "unresolved" where the parent's interquartile range is wider than
-the bound and not every run of the change beats every run of the parent.
-The metrics and their bounds are read from the change's BENCHMARK.json.
+parent first in even pairs and the change first in odd ones. `--workload`
+may be given more than once: pair i of every workload, in the order given,
+runs before pair i + 1 of any, so that all of them see the same phases of
+a host whose speed drifts.
+
 Each run's metrics and its `sha256 checkpoint ... exports ...` digests come
-first, one JSON line each, so every run made is on record; the last line
-says whether the parent and the change wrote the same checkpoint and
-exports in every pair (both sides of a pair run the same seed).
+first, one JSON line each, so every run made is on record. Then, for each
+workload and every end-to-end metric that BENCHMARK.json declares, it
+prints each side's median and quartiles, how many pairs the change won
+(ties count for neither), whether a gain is shown (it wins at least 9 of
+10 pairs and the medians differ by more than the parent's interquartile
+range) and whether the change's median stays within the metric's bound of
+the parent's: "yes", "NO", or "unresolved" where the parent's
+interquartile range is wider than the bound and not every run of the
+change beats every run of the parent. The metrics and their bounds are
+read from the change's BENCHMARK.json. Each workload's summary ends with a
+line that says whether the parent and the change wrote the same checkpoint
+and exports in every pair (both sides of a pair run the same seed).
 
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
-        --workload drugs-tgae --seed 301 --pairs 10 --seconds 35
+        --workload drugs-tgae --workload library-tvgae --seed 301 --pairs 10 --seconds 35
 """
 
 from __future__ import annotations
@@ -125,13 +130,36 @@ def format_rows(rows: list[dict]) -> list[str]:
     return lines
 
 
+def run_pairs(parent: Path, change: Path, workloads: list[str], seed: int, pairs: int,
+              seconds: float) -> dict[str, tuple[list, list]]:
+    """`pairs` alternating pairs of each workload, pair i of every workload
+    before pair i + 1 of any, each run's line printed as it ends. Per
+    workload: the (parent, change) metrics and the (parent, change)
+    digests of each pair."""
+    runs: dict[str, tuple[list, list]] = {w: ([], []) for w in workloads}
+    for i in range(pairs):
+        for workload in workloads:
+            sides = {}
+            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                root = parent if side == "parent" else change
+                sides[side] = run_once(root, workload, seed + i, seconds)
+                metrics, sha = sides[side]
+                print(json.dumps({"workload": workload, "pair": i, "seed": seed + i,
+                                  "side": side, "metrics": metrics, "sha256": sha},
+                                 sort_keys=True), flush=True)
+            runs[workload][0].append((sides["parent"][0], sides["change"][0]))
+            runs[workload][1].append((sides["parent"][1], sides["change"][1]))
+    return runs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
                         help="checkout root of the parent")
     parser.add_argument("--change", default=Path("."), type=Path,
                         help="checkout root of the change (default: .)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append",
+                        help="a benchmark workload; give it once per workload to run")
     parser.add_argument("--seed", required=True, type=int, help="seed of the first pair")
     parser.add_argument("--pairs", default=10, type=int)
     parser.add_argument("--seconds", default=35.0, type=float)
@@ -139,23 +167,14 @@ def main(argv=None) -> int:
     if args.pairs < 1 or args.seconds <= 0 or args.seed < 0:
         parser.error("--pairs must be positive, --seconds positive and --seed nonnegative")
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    pairs, digests = [], []
-    for i in range(args.pairs):
-        seed = args.seed + i
-        sides = {}
-        for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            root = args.parent if side == "parent" else args.change
-            sides[side] = run_once(root, args.workload, seed, args.seconds)
-            metrics, sha = sides[side]
-            print(json.dumps({"pair": i, "seed": seed, "side": side, "metrics": metrics,
-                              "sha256": sha}, sort_keys=True), flush=True)
-        pairs.append((sides["parent"][0], sides["change"][0]))
-        digests.append((sides["parent"][1], sides["change"][1]))
-    print(f"workload {args.workload}, {args.pairs} pairs at {args.seconds:g} s, "
-          f"seeds {args.seed}-{args.seed + args.pairs - 1}")
-    for line in format_rows(summarize(pairs, spec["end_to_end"])):
-        print(line)
-    print(digest_verdict(digests))
+    runs = run_pairs(args.parent, args.change, list(dict.fromkeys(args.workload)),
+                     args.seed, args.pairs, args.seconds)
+    for workload, (pairs, digests) in runs.items():
+        print(f"workload {workload}, {args.pairs} pairs at {args.seconds:g} s, "
+              f"seeds {args.seed}-{args.seed + args.pairs - 1}")
+        for line in format_rows(summarize(pairs, spec["end_to_end"])):
+            print(line)
+        print(digest_verdict(digests))
     return 0
 
 

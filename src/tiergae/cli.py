@@ -21,9 +21,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import functools
+import io
+import itertools
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -33,12 +37,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from . import pubchem
+from . import graphs, pubchem
 from .autodiff import Param
-from .errors import CliError, ConfigError, DomainError, ShapeMismatchError, TiergaeError
+from .errors import (CliError, ConfigError, DomainError, IncompleteCoverError,
+                     ShapeMismatchError, TiergaeError)
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
 from .gcn import MAX_LAYERS, MIN_LAYERS
-from .graphs import Graph, MembershipMatrix, validate
+from .graphs import Graph, MembershipMatrix, first_defect
 from .sdf import featurize, formula_from_features, parse_sdf
 from .tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
 from .tvgae import (
@@ -90,14 +95,21 @@ def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
     that is not a JSON int in the dtype's range (1.0, true, 2**63) is a
     ConfigError, as is a value of a float array that is not a finite JSON
     number (true, "1.5", NaN)."""
-    data = obj["data"]
+    return _json_values(obj["data"], dtype).reshape(obj["shape"])
+
+
+def _json_values(data, dtype) -> np.ndarray:
+    """The 1-D array of the values `data` of a shape-tagged array, checked
+    as `json_to_array` says; the error names the first value refused."""
     if np.dtype(dtype).kind == "i":
         info = np.iinfo(dtype)
-        if not (set(map(type, data)) <= {int} and info.min <= min(data, default=0)
-                and max(data, default=0) <= info.max):
-            bad = next(v for v in data if type(v) is not int or not info.min <= v <= info.max)
-            raise ConfigError(f"array data holds {bad!r}, not an {info.dtype}")
-        return np.array(data, dtype=dtype).reshape(obj["shape"])
+        try:
+            if set(map(type, data)) <= {int}:
+                return np.array(data, dtype=dtype)
+        except OverflowError:  # an int past the dtype's range
+            pass
+        bad = next(v for v in data if type(v) is not int or not info.min <= v <= info.max)
+        raise ConfigError(f"array data holds {bad!r}, not an {info.dtype}")
     if not set(map(type, data)) <= {int, float}:  # true, "1.5" or a list
         bad = next(v for v in data if type(v) not in (int, float))
         raise ConfigError(f"array data holds {bad!r}, not a number")
@@ -107,7 +119,37 @@ def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
         raise ConfigError(f"array data: {exc}") from None
     if not np.isfinite(arr).all():
         raise ConfigError("array data holds a non-finite value")
-    return arr.reshape(obj["shape"])
+    return arr
+
+
+def json_to_arrays(objs: Sequence, dtype=np.float64):
+    """`json_to_array` of each of `objs`, decoded together when the shape of
+    each fits its data: the values of all of them go through one type
+    check, one conversion and one finiteness check, and each array is a
+    view of the result. Otherwise, or if a value is refused, they are
+    decoded one at a time. Returns the arrays of the objs before the first
+    that `json_to_array` refuses, and (its index, the error that it
+    raises), or None if it refuses none."""
+    if all(type(obj) is dict and type(obj.get("data")) is list
+           and type(shape := obj.get("shape")) is list and set(map(type, shape)) <= {int}
+           and min(shape, default=0) >= 0 and math.prod(shape) == len(obj["data"])
+           for obj in objs):
+        try:
+            values = _json_values(list(itertools.chain.from_iterable(
+                obj["data"] for obj in objs)), dtype)
+        except ConfigError:
+            pass
+        else:
+            ends = np.cumsum([len(obj["data"]) for obj in objs]).tolist()
+            return [values[end - len(obj["data"]):end].reshape(obj["shape"])
+                    for obj, end in zip(objs, ends)], None
+    arrays = []
+    for index, obj in enumerate(objs):
+        try:
+            arrays.append(json_to_array(obj, dtype))
+        except (KeyError, TypeError, ValueError) as exc:
+            return arrays, (index, exc)
+    return arrays, None
 
 
 def params_state(params: Iterable[Param]) -> dict:
@@ -155,6 +197,31 @@ def write_text(path: Path, text: str) -> None:
     with _writing(path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text + "\n", encoding="utf-8")
+
+
+def write_texts(files: Sequence[tuple[Path, str]]) -> None:
+    """Each (path, text) pair as `write_text` writes it, all or none: every
+    text goes to a temporary sibling of its path first, and the siblings
+    replace the paths, in order, only once every text is written. A path
+    that is a directory is refused before any file moves, since moving a
+    file onto it would fail only after the files before it had moved."""
+    staged: list[Path] = []
+    try:
+        for path, text in files:
+            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+            with _writing(path):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                staged[-1].write_text(text + "\n", encoding="utf-8")
+        for path, _ in files:
+            if path.is_dir():
+                raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+        for (path, _), tmp in zip(files, staged):
+            with _writing(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp in staged:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
 
 
 def write_json(path: Path, obj) -> None:
@@ -360,37 +427,55 @@ def _molecule_name(entry: dict, index: int) -> str:
 
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
     """Graph and membership of each corpus entry, the membership rebuilt from
-    the entry's `groups`. A malformed entry, or a graph that breaks an
-    invariant of `graphs.validate` or that training cannot take (no atoms,
-    no node features, edge features whose pooled sums could overflow), is a
-    ConfigError naming the molecule."""
-    items = []
+    the entry's `groups`: the one check of a corpus, after which the tier
+    path trusts it (`checked=True`). A malformed entry, or a graph that
+    `graphs.first_defect` refuses (an invariant of `graphs.validate`, no
+    atoms or node features, more than `graphs.MAX_ATOMS` atoms, edge
+    features whose pooled sums could overflow), is a ConfigError naming
+    the molecule.
+
+    The entries are checked together, one step at a time: every entry is
+    an object, then each array field of all of them is decoded at once
+    (`json_to_arrays`), the memberships are built in one pass and the
+    graphs checked in one. Each step looks only at the entries before the
+    first that an earlier step refused, so the error raised is the one of
+    the first molecule that fails, and its text is the one that molecule
+    alone gives."""
+    first, error = len(entries), None
     for index, entry in enumerate(entries):
-        _require_object(entry, f"corpus molecule #{index}",
-                        ("x", "edge_index", "edge_attr", "groups"))
-        what = _molecule_name(entry, index)
         try:
-            graph = Graph(
-                x=json_to_array(entry["x"]),
-                edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
-                edge_attr=json_to_array(entry["edge_attr"]),
-                id=entry.get("id"),
-            )
-            membership = membership_from_partition(GroupPartition(entry["groups"]),
-                                                   graph.x.shape[0])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{what}: {exc}") from None
-        violations = validate(graph)
-        if violations:
-            raise ConfigError(f"{what}: {violations[0]}")
-        if 0 in graph.x.shape:
-            raise ConfigError(f"{what}: x has shape {graph.x.shape}, no atoms or features")
-        # a pooled entry sums each edge feature at most once, in any order
-        with np.errstate(over="ignore"):
-            if not np.isfinite(2.0 * np.abs(graph.edge_attr).sum(axis=0)).all():
-                raise ConfigError(f"{what}: edge features too large to pool")
-        items.append((graph, membership))
-    return items
+            _require_object(entry, f"corpus molecule #{index}",
+                            ("x", "edge_index", "edge_attr", "groups"))
+        except ConfigError as exc:
+            first, error = index, exc
+            break
+
+    def refuse(index: int, problem) -> None:
+        nonlocal first, error
+        first = index
+        error = ConfigError(f"{_molecule_name(entries[index], index)}: {problem}")
+
+    arrays = []
+    for key, dtype in (("x", np.float64), ("edge_index", np.int64), ("edge_attr", np.float64)):
+        decoded, failed = json_to_arrays([entry[key] for entry in entries[:first]], dtype)
+        arrays.append(decoded)
+        if failed is not None:
+            refuse(*failed)
+    built = [Graph(x, edge_index, edge_attr, id=entry.get("id"))
+             for x, edge_index, edge_attr, entry in zip(*arrays, entries[:first])]
+    try:
+        # a 0-d x has no rows; the graph check refuses its shape
+        memberships = membership_from_partition(
+            [GroupPartition(entry["groups"]) for entry in entries[:first]],
+            [graph.x.shape[0] if graph.x.ndim else 0 for graph in built])
+    except IncompleteCoverError as exc:
+        refuse(exc.index, exc)
+    found = first_defect(built[:first])
+    if found is not None:
+        refuse(*found[:2])
+    if error is not None:
+        raise error
+    return list(zip(built, memberships))
 
 
 def _check_feature_width(entries: Sequence[dict], items, d_in: int, source: str) -> None:
@@ -483,6 +568,10 @@ def _ingest_file(path: Path, events: list, caught: list) -> Optional[list[str]]:
     for mol in molecules:
         if mol.atom_count == 0:
             emit(f"ingest: {path}: skipping empty molecule")
+            continue
+        if mol.atom_count > graphs.MAX_ATOMS:
+            emit(f"ingest: {path}: skipping a molecule of {mol.atom_count} atoms, "
+                 f"more than MAX_ATOMS = {graphs.MAX_ATOMS}")
             continue
         graph = featurize(mol)
         partition = partition_molecule(mol)
@@ -587,7 +676,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     make_models, train_tiered_fn, _ = _flavor(cfg.model)
     models = make_models(d_in, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends at a loss check
-        histories = train_tiered_fn(models, items, cfg)
+        histories = train_tiered_fn(models, items, cfg, checked=True)
     checkpoint = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": cfg.model,
@@ -596,19 +685,15 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
         "params": params_state([p for m in models for p in m.params()]),
     }
     out = Path(out_path)
-    write_json(out, checkpoint)
     history_path = out.parent / (out.stem + "_history.csv")
-    try:
-        with _writing(history_path), open(history_path, "w", newline="",
-                                          encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["epoch", "tier", "loss"])
-            for tier in sorted(histories):
-                for epoch, loss in enumerate(histories[tier]):
-                    writer.writerow([epoch, tier, repr(loss)])
-    except CliError:
-        out.unlink()  # no checkpoint without its history
-        raise
+    history = io.StringIO()
+    writer = csv.writer(history, lineterminator="\n")
+    writer.writerow(["epoch", "tier", "loss"])
+    for tier in sorted(histories):
+        for epoch, loss in enumerate(histories[tier]):
+            writer.writerow([epoch, tier, repr(loss)])
+    # no checkpoint without its history, and a failed write keeps both old files
+    write_texts([(out, to_json(checkpoint)), (history_path, history.getvalue()[:-1])])
     return out, history_path
 
 
@@ -705,7 +790,7 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 reps = encode([items[i][0] for i in share], [items[i][1] for i in share],
-                              models)
+                              models, checked=True)
         except Exception as exc:
             return None, (share[0], exc)
         for index, rep in zip(share, reps):

@@ -17,6 +17,10 @@ class DuplicateEdgeError(TiergaeError, ValueError):
     pass
 
 
+class AsymmetricEdgeError(TiergaeError, ValueError):
+    """An edge without its reverse, or with other features than its reverse."""
+
+
 class DomainError(TiergaeError, ValueError):
     """Math-domain violation, e.g. a training epoch whose loss is not finite."""
 

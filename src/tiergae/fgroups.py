@@ -99,28 +99,70 @@ def partition_molecule(mol: Molecule) -> GroupPartition:
     return build_partition(mol, mark_atoms(mol))
 
 
-def membership_from_partition(p: GroupPartition, n: int) -> MembershipMatrix:
+def _int_lists(groups) -> bool:
+    """Whether `groups` is a list of non-empty lists of ints (no bools)."""
+    return (isinstance(groups, (list, tuple))
+            and (set(map(type, groups)) <= {list, tuple}
+                 or all(isinstance(g, (list, tuple)) for g in groups))
+            and all(groups)
+            and set(map(type, itertools.chain.from_iterable(groups))) <= {int})
+
+
+def membership_from_partition(p, n):
     """Membership of n nodes in the partition's groups, the groups numbered
     by smallest member index. The groups are non-empty lists of ints (no
-    bools) that cover [0, n) once."""
-    groups = p.groups
-    if not (isinstance(groups, (list, tuple))
-            and all(isinstance(g, (list, tuple)) and g for g in groups)
-            and set(map(type, itertools.chain.from_iterable(groups))) <= {int}):
-        raise IncompleteCoverError("groups must be a list of non-empty lists of int indices")
-    atoms = list(itertools.chain.from_iterable(groups))
-    not_a_cover = f"groups hold {len(atoms)} atom indices, not each of [0, {n}) once"
-    if len(atoms) != n or (n and not 0 <= min(atoms) <= max(atoms) < n):
-        raise IncompleteCoverError(not_a_cover)
-    atoms = np.array(atoms, dtype=np.int64)
-    if np.bincount(atoms, minlength=n).max(initial=0) > 1:  # n in-range, so one repeats
-        raise IncompleteCoverError(not_a_cover)
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    starts = np.cumsum(sizes) - sizes
-    column = np.empty(len(groups), dtype=np.int64)
-    column[np.argsort(np.minimum.reduceat(atoms, starts))] = np.arange(len(groups))
-    group = np.empty(n, dtype=np.int64)
-    group[atoms] = column.repeat(sizes)
-    # a cover of [0, n) by non-empty groups: each index is in range and
+    bools) that cover [0, n) once.
+
+    A list of partitions and a list of node counts give the list of their
+    memberships, all built in one pass: the atoms of every partition are
+    numbered past those of the partitions before it, so one bincount finds
+    every repeat and one sort of the groups' smallest members numbers the
+    groups of all of them. If one of them is not a cover, the error is the
+    one that partition alone raises, for the first such, with its position
+    in the list as the error's `index`."""
+    if isinstance(p, GroupPartition):
+        return membership_from_partition([p], [n])[0]
+    groups = [q.groups for q in p]
+    total = len(groups)
+    n = np.array(n, dtype=np.int64)
+    # the partitions before the first that is not lists of ints
+    lists = next((k for k, g in enumerate(groups) if not _int_lists(g)), total)
+    groups = groups[:lists]
+    count = np.fromiter(map(len, groups), dtype=np.int64, count=lists)
+    flat = list(itertools.chain.from_iterable(groups))
+    sizes = np.fromiter(map(len, flat), dtype=np.int64, count=len(flat))
+    flat = list(itertools.chain.from_iterable(flat))
+    try:
+        atoms = np.array(flat, dtype=np.int64)
+    except OverflowError:  # an index past int64 is out of range as -1 is
+        atoms = np.array([a if -2**63 <= a < 2**63 else -1 for a in flat], dtype=np.int64)
+    del flat
+    group_of = np.repeat(np.arange(lists), count)   # partition of each group
+    atom_of = np.repeat(group_of, sizes)            # partition of each atom
+    held = np.bincount(atom_of, minlength=lists)
+    offset = np.cumsum(n[:lists]) - n[:lists]
+    inside = (atoms >= 0) & (atoms < n[atom_of])
+    # the in-range atoms of each partition keep to its own block of ids
+    ids = atoms[inside] + offset[atom_of[inside]]
+    repeats = np.bincount(ids, minlength=int(n[:lists].sum()))[ids] > 1
+    bad = ((held != n[:lists]) | (np.bincount(atom_of[~inside], minlength=lists) > 0)
+           | (np.bincount(atom_of[inside][repeats], minlength=lists) > 0))
+    if bad.any() or lists < total:
+        k = int(np.argmax(bad)) if bad.any() else lists
+        exc = IncompleteCoverError(
+            "groups must be a list of non-empty lists of int indices" if k == lists
+            else f"groups hold {held[k]} atom indices, not each of [0, {n[k]}) once")
+        exc.index = k
+        raise exc
+    # a cover of each [0, n) by non-empty groups: each index is in range and
     # each group has a node, so the matrix's own checks would all pass
-    return MembershipMatrix.unchecked(group, p.group_count)
+    starts = np.cumsum(sizes) - sizes
+    smallest = np.minimum.reduceat(atoms, starts) if sizes.size else sizes
+    order = np.argsort(smallest + offset[group_of])
+    first_group = np.cumsum(count) - count
+    column = np.empty(sizes.size, dtype=np.int64)
+    column[order] = np.arange(sizes.size) - first_group[group_of[order]]
+    group = np.empty(ids.size, dtype=np.int64)
+    group[ids] = column.repeat(sizes)
+    return [MembershipMatrix.unchecked(group[o:o + k], int(g))
+            for o, k, g in zip(offset.tolist(), n.tolist(), count.tolist())]

@@ -103,14 +103,15 @@ def gcn_norm(mask, nodes=None) -> np.ndarray:
     zero-padded past it (N if None): the self-loops go on its own nodes
     only, so its pad rows and columns stay zero. Isolated nodes end up with
     a pure self-loop row e_i, so the matrix is always finite. The mask must
-    be square and symmetric: an undirected graph.
+    be square and symmetric: an undirected graph. Symmetry is not checked
+    here: tier 1's masks come from graphs that passed `graphs.first_defect`,
+    and each pooled tier is symmetric by construction
+    (`pooling.pool_adjacency`).
     """
     a = np.asarray(mask, dtype=bool)
     if a.ndim not in (2, 3) or a.shape[-2] != a.shape[-1]:
         raise ShapeMismatchError(f"gcn_norm needs a square matrix or a stack of them, "
                                  f"got {a.shape}")
-    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
-        raise ValueError("edge mask must be symmetric")
     n = a.shape[-1]
     nodes = np.full(a.shape[:-2], n) if nodes is None else np.asarray(nodes)
     a_tilde = a + np.eye(n) * (np.arange(n) < nodes[..., None])[..., None]

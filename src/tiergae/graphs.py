@@ -9,17 +9,28 @@ form is a plain N x N x s float64 array with one channel per edge feature.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
+    AsymmetricEdgeError,
+    DomainError,
     DuplicateEdgeError,
     EmptyGroupError,
     IndexOutOfRangeError,
     ShapeMismatchError,
+    TiergaeError,
 )
+
+# The most atoms a molecule may have. The tier path holds a molecule's
+# edges as a dense N x N x s array, its normalized adjacency as N x N and,
+# in training, a dozen N x N planes of its stack: at N = 2,000 and s = 4
+# the edge array alone is 128 MB. The sizes this package is built and
+# measured for stop at N = 200; a corpus with one 12,000-atom chain asked
+# numpy for 4.29 GiB and ended in a MemoryError traceback
+MAX_ATOMS = 2000
 
 
 @dataclass
@@ -90,13 +101,24 @@ class MembershipMatrix:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed graph invariant; ``kind`` is machine-checkable."""
+    """One failed graph invariant; ``kind`` is machine-checkable. `message`
+    is the text of the error that `error` gives, where it is not `detail`."""
 
     kind: str
     detail: str
+    message: str = field(default="", compare=False)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
+
+    def error(self) -> TiergaeError:
+        """The error a library entry point raises for this violation."""
+        return _ERRORS[self.kind](self.message or self.detail)
+
+
+_ERRORS = {"ShapeMismatch": ShapeMismatchError, "IndexOutOfRange": IndexOutOfRangeError,
+           "DuplicateEdge": DuplicateEdgeError, "MissingReverseEdge": AsymmetricEdgeError,
+           "AsymmetricEdgeAttr": AsymmetricEdgeError}
 
 
 def adjacency_array(a) -> np.ndarray:
@@ -120,50 +142,12 @@ def edge_mask(arr: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _edge_cells(edge_index: np.ndarray, n: int):
-    """Per-edge bookkeeping for a 2 x U edge index over n nodes.
-
-    Returns (in_range, repeated, cells, first): `in_range` marks edges with
-    both ends in [0, n); `repeated` marks in-range edges whose (i, j) an
-    earlier in-range edge already holds; `cells` are the sorted distinct
-    row-major cells i*n + j of the in-range edges and `first[k]` is the
-    first edge holding `cells[k]`.
-    """
-    i, j = edge_index
-    in_range = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-    kept = np.flatnonzero(in_range)
-    # a stable sort, so return_index gives each cell's first edge
-    cells, first = np.unique(i[kept] * n + j[kept], return_index=True)
-    first = kept[first]
-    repeated = in_range.copy()
-    repeated[first] = False
-    return in_range, repeated, cells, first
-
-
 def coo_to_dense(g: Graph) -> np.ndarray:
-    """Expand the COO tuple into the N x N x s array; duplicates are an error.
-
-    Of several bad edges the one with the lowest index is reported.
-    """
-    n = g.num_nodes
-    u = g.num_edges
-    if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
-        raise ShapeMismatchError(f"edge_index must be 2 x U, got {g.edge_index.shape}")
-    if g.edge_attr.shape[0] != u:
-        raise ShapeMismatchError(
-            f"edge_attr has {g.edge_attr.shape[0]} rows, expected {u}"
-        )
-    in_range, repeated, _, _ = _edge_cells(g.edge_index, n)
-    bad = np.flatnonzero(~in_range | repeated)
-    if bad.size:
-        e = int(bad[0])
-        i, j = g.edge_index[:, e].tolist()
-        if not in_range[e]:
-            raise IndexOutOfRangeError(
-                f"edge {e} references node ({i}, {j}) outside [0, {n})"
-            )
-        raise DuplicateEdgeError(f"duplicate COO entry ({i}, {j}) at edge {e}")
-    a = np.zeros((n, n, g.num_edge_channels), dtype=np.float64)
+    """Expand the COO tuple into the N x N x s array. The graph is one that
+    `first_defect` has passed (at the corpus boundary or a library entry
+    point), so no edge is out of range or repeated; neither is checked
+    here."""
+    a = np.zeros((g.num_nodes, g.num_nodes, g.num_edge_channels), dtype=np.float64)
     a[g.edge_index[0], g.edge_index[1]] = g.edge_attr
     return a
 
@@ -172,61 +156,160 @@ def dense_to_coo(a, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.n
     """COO tuple of all (i, j) with any nonzero channel, in row-major order.
     A caller that has a's `edge_mask` already passes it as `mask`."""
     arr = adjacency_array(a)
-    if not np.isfinite(arr).all():
-        raise ValueError("dense adjacency contains non-finite entries")
     i, j = np.nonzero(edge_mask(arr) if mask is None else mask)  # row-major
     return np.array([i, j], dtype=np.int64), arr[i, j]
 
 
 def validate(g: Graph) -> list[Violation]:
-    """Check every Graph invariant; violations are returned, never raised."""
-    out: list[Violation] = []
-    n = g.num_nodes
+    """Check every Graph invariant; violations are returned, never raised:
+    the shapes first (and then nothing else), then each edge out of range
+    or repeated, in edge order, then each pair without its reverse or with
+    other features than its reverse, in order of the pair's first edge."""
+    return _violations([g])[0]
+
+
+def _shape_violation(g: Graph) -> Optional[Violation]:
     if g.x.ndim != 2:
-        out.append(Violation("ShapeMismatch", f"x must be 2-D, got shape {g.x.shape}"))
-        return out
+        return Violation("ShapeMismatch", f"x must be 2-D, got shape {g.x.shape}")
     if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
-        out.append(
-            Violation("ShapeMismatch", f"edge_index must be 2 x U, got {g.edge_index.shape}")
-        )
-        return out
+        return Violation("ShapeMismatch",
+                         f"edge_index must be 2 x U, got {g.edge_index.shape}")
     u = g.num_edges
     if g.edge_attr.ndim != 2 or g.edge_attr.shape[0] != u:
-        out.append(
-            Violation(
-                "ShapeMismatch",
-                f"edge_attr has shape {g.edge_attr.shape}, expected ({u}, s)",
-            )
-        )
-        return out
+        return Violation("ShapeMismatch",
+                         f"edge_attr has shape {g.edge_attr.shape}, expected ({u}, s)")
+    return None
 
-    in_range, repeated, cells, first = _edge_cells(g.edge_index, n)
-    # edge-level violations, in edge order
-    for e in np.flatnonzero(~in_range | repeated).tolist():
-        i, j = g.edge_index[:, e].tolist()
-        if in_range[e]:
-            out.append(Violation("DuplicateEdge", f"entry ({i}, {j}) repeated at edge {e}"))
+
+@dataclass
+class _Edges:
+    """The edges of several graphs, concatenated: `owner` is each edge's
+    graph, `start` each graph's first edge and `attr` the edge features,
+    zero-padded to the widest graph's channel count."""
+
+    i: np.ndarray
+    j: np.ndarray
+    owner: np.ndarray
+    start: np.ndarray
+    attr: np.ndarray
+
+    @classmethod
+    def of(cls, graphs: Sequence[Graph]) -> _Edges:
+        u = np.array([g.num_edges for g in graphs], dtype=np.int64)
+        s = max(g.num_edge_channels for g in graphs)
+        attr = np.concatenate([g.edge_attr if g.num_edge_channels == s else
+                               np.pad(g.edge_attr, ((0, 0), (0, s - g.num_edge_channels)))
+                               for g in graphs])
+        i, j = np.concatenate([g.edge_index for g in graphs], axis=1)
+        return cls(i, j, np.repeat(np.arange(len(graphs)), u), np.cumsum(u) - u, attr)
+
+
+def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
+    """`validate` of each graph, the edges of all of them checked at once:
+    in-range edge (i, j) of graph k is the cell c_k + i * n_k + j, with c_k
+    the n^2 cells of the graphs before k, and one stable sort of the cells
+    finds every repeat and every pair's reverse."""
+    out: list[list[Violation]] = [[] for _ in graphs]
+    regular = []
+    for k, g in enumerate(graphs):
+        shape = _shape_violation(g)
+        if shape is None:
+            regular.append(k)
         else:
-            out.append(Violation("IndexOutOfRange", f"edge {e} references ({i}, {j}), N={n}"))
+            out[k].append(shape)
+    if not regular:
+        return out
+    gs = [graphs[k] for k in regular]
+    e = _Edges.of(gs)
+    n = np.array([g.num_nodes for g in gs], dtype=np.int64)
+    n_e = n[e.owner]
+    in_range = (e.i >= 0) & (e.i < n_e) & (e.j >= 0) & (e.j < n_e)
+    kept = np.flatnonzero(in_range)
+    base = np.cumsum(n * n) - n * n
+    # a stable sort, so return_index gives each cell's first edge
+    cells, first = np.unique(base[e.owner[kept]] + e.i[kept] * n_e[kept] + e.j[kept],
+                             return_index=True)
+    first = kept[first]
+    repeated = in_range.copy()
+    repeated[first] = False
+    # edge-level violations, in edge order
+    for edge in np.flatnonzero(~in_range | repeated).tolist():
+        k = int(e.owner[edge])
+        local, i, j = edge - int(e.start[k]), int(e.i[edge]), int(e.j[edge])
+        if in_range[edge]:
+            out[regular[k]].append(Violation(
+                "DuplicateEdge", f"entry ({i}, {j}) repeated at edge {local}",
+                f"duplicate COO entry ({i}, {j}) at edge {local}"))
+        else:
+            out[regular[k]].append(Violation(
+                "IndexOutOfRange", f"edge {local} references ({i}, {j}), N={n[k]}",
+                f"edge {local} references node ({i}, {j}) outside [0, {n[k]})"))
     if not cells.size:
         return out
     # pair-level violations, in order of each entry's first edge
-    src, dst = g.edge_index[:, first]
-    k = np.minimum(np.searchsorted(cells, dst * n + src), cells.size - 1)
-    missing = cells[k] != dst * n + src
-    differ = ~missing & (src < dst) & (g.edge_attr[first] != g.edge_attr[first[k]]).any(axis=1)
+    src, dst, owner = e.i[first], e.j[first], e.owner[first]
+    reverse = base[owner] + dst * n[owner] + src
+    c = np.minimum(np.searchsorted(cells, reverse), cells.size - 1)
+    missing = cells[c] != reverse
+    differ = ~missing & (src < dst) & (e.attr[first] != e.attr[first[c]]).any(axis=1)
     bad = np.flatnonzero(missing | differ)
-    for c in bad[np.argsort(first[bad])].tolist():
-        i, j = int(src[c]), int(dst[c])
-        if missing[c]:
-            out.append(
-                Violation("MissingReverseEdge", f"({i}, {j}) present but ({j}, {i}) absent")
-            )
+    for pair in bad[np.argsort(first[bad])].tolist():
+        i, j = int(src[pair]), int(dst[pair])
+        if missing[pair]:
+            v = Violation("MissingReverseEdge", f"({i}, {j}) present but ({j}, {i}) absent")
         else:
-            out.append(
-                Violation(
-                    "AsymmetricEdgeAttr",
-                    f"edge features of ({i}, {j}) and ({j}, {i}) differ",
-                )
-            )
+            v = Violation("AsymmetricEdgeAttr",
+                          f"edge features of ({i}, {j}) and ({j}, {i}) differ")
+        out[regular[int(owner[pair])]].append(v)
     return out
+
+
+def first_defect(graphs: Sequence[Graph]) -> Optional[tuple[int, str, TiergaeError]]:
+    """The first graph that breaks an invariant of `validate` or that the
+    tier path cannot take (no atoms or no node features, more than
+    MAX_ATOMS atoms, or edge features whose pooled sums could overflow),
+    as (its index, the problem as the corpus reports it, the error a
+    library entry point raises); None if every graph passes. A graph's
+    first violation comes before those three, in that order."""
+    limit, found = len(graphs), None
+    for k, vs in enumerate(_violations(graphs)):
+        if vs:
+            limit, found = k, (k, str(vs[0]), vs[0].error())
+            break
+    for k, g in enumerate(graphs[:limit]):
+        error = _size_error(g)
+        if error is not None:
+            limit, found = k, (k, str(error), error)
+            break
+    unfit = _unpoolable(graphs[:limit]) if limit else None
+    if unfit is not None:
+        text = "edge features too large to pool"
+        return unfit, text, DomainError(text)
+    return found
+
+
+def _size_error(g: Graph) -> Optional[TiergaeError]:
+    if 0 in g.x.shape:
+        return ShapeMismatchError(f"x has shape {g.x.shape}, no atoms or features")
+    if g.num_nodes > MAX_ATOMS:
+        return DomainError(f"{g.num_nodes} atoms, more than MAX_ATOMS = {MAX_ATOMS}")
+    return None
+
+
+def _unpoolable(graphs: Sequence[Graph]) -> Optional[int]:
+    """The first graph whose edge features could overflow a pooled sum:
+    a pooled entry sums each edge feature at most once, in any order, so
+    twice the sum of each channel's magnitudes must be finite."""
+    e = _Edges.of(graphs)
+    has = np.flatnonzero(np.diff(np.append(e.start, e.attr.shape[0])) > 0)
+    if not has.size:
+        return None
+    with np.errstate(over="ignore"):
+        mass = 2.0 * np.add.reduceat(np.abs(e.attr), e.start[has])
+        # the order of a sum moves only its last bits, so only a mass this
+        # near the float range can fall on the other side of it; such a
+        # graph is summed alone, as the check of one graph sums it
+        for k in has[~(mass < 2.0 ** 1020).all(axis=1)].tolist():
+            if not np.isfinite(2.0 * np.abs(graphs[k].edge_attr).sum(axis=0)).all():
+                return k
+    return None

@@ -52,14 +52,15 @@ def pool_adjacency(a, m: MembershipMatrix, mask: Optional[np.ndarray] = None) ->
     entries (i, j) in row-major order, each cell below it its mirror's.
     A caller that has a's edge mask already passes it as `mask`: an N x N
     array that is nonzero exactly where a has a nonzero channel (its
-    `edge_mask`)."""
+    `edge_mask`). Every array the tier path pools is finite, and so is
+    every sum of it: tier 1 comes from graphs that `graphs.first_defect`
+    passed, whose edge-feature bound keeps twice each channel's summed
+    magnitude finite, and each tier above is a pooled tier 1."""
     arr = adjacency_array(a)
     if arr.shape[0] != m.num_nodes:
         raise ShapeMismatchError(
             f"adjacency is {arr.shape[0]} nodes, membership has {m.num_nodes}"
         )
-    if not np.isfinite(arr).all():
-        raise ValueError("adjacency contains non-finite entries")
     group = m.group
     g = m.num_groups
     i, j = np.nonzero(edge_mask(arr) if mask is None else mask)  # row-major

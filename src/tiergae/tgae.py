@@ -39,7 +39,7 @@ from .autodiff import Adam, Param, Tape, seeded_rng
 from .errors import DomainError, ShapeMismatchError
 from .gcn import GnnEncoder, encode, encode_numpy, gcn_norm, make_encoder
 from .graphs import (Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo,
-                     edge_mask)
+                     edge_mask, first_defect)
 from .pooling import graph_tier_membership, pool_adjacency, pool_features
 from .workers import StackWorkers
 
@@ -361,6 +361,21 @@ def _check_models(models: Sequence) -> None:
         raise ValueError("expected models for tiers 1, 2, 3 in order")
 
 
+def check_items(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]) -> None:
+    """The checks of the corpus boundary (`cli.corpus_items`), for graphs
+    and tier-1 memberships that did not come through it: the error of
+    `graphs.first_defect`'s graph, then a membership whose row count is not
+    its graph's node count. The tier path checks none of this again."""
+    found = first_defect(graphs)
+    if found is not None:
+        raise found[2]
+    for graph, m1 in zip(graphs, memberships, strict=True):
+        if m1.num_nodes != graph.num_nodes:
+            raise ShapeMismatchError(
+                f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
+            )
+
+
 def _next_memberships(memberships: Sequence[MembershipMatrix]) -> tuple:
     """Per tier, what pools the tier's samples, given the tier-1
     `memberships`: the tier-2 and tier-3 lists, then None at the top."""
@@ -422,15 +437,19 @@ def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
 
 
 def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, MembershipMatrix]],
-                        train: Callable, pool: Callable) -> dict[int, list[float]]:
+                        train: Callable, pool: Callable, *,
+                        checked: bool = False) -> dict[int, list[float]]:
     """Bottom-up schedule: stack a tier's samples, train the tier with
     `train(tier, model, stacks)`, freeze it, build the next tier's samples
     with `pool(model, samples, stacks, memberships)`, move up. Each graph's
     dense adjacency is pooled as its sample is built, so one graph's
-    N x N x s array at a time is alive, not the corpus's."""
+    N x N x s array at a time is alive, not the corpus's. The items go
+    through `check_items` first, unless `checked` says they have."""
     _check_models(models)
     if not items:
         raise ValueError("empty corpus")
+    if not checked:
+        check_items([g for g, _ in items], [m for _, m in items])
     samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in items]
     hist = {}
     for model, ms in zip(models, _next_memberships([m for _, m in items])):
@@ -443,29 +462,28 @@ def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, Membershi
 
 def train_tiered(models: Sequence[TierModel],
                  items: Sequence[tuple[Graph, MembershipMatrix]],
-                 config: RunConfig) -> dict[int, list[float]]:
+                 config: RunConfig, *, checked: bool = False) -> dict[int, list[float]]:
     """Bottom-up schedule: train a tier, freeze it, pool, move up."""
     return run_tiered_schedule(
         models, items, lambda _tier, model, stacks: train_tier(model, stacks, config),
-        next_tier_samples)
+        next_tier_samples, checked=checked)
 
 
-def encode_tiers(graphs, memberships, models: Sequence):
+def encode_tiers(graphs, memberships, models: Sequence, *, checked: bool = False):
     """Inference pass through all tiers on `model.embed`, tape-free: one
     `TieredRepresentation` per graph of `graphs`, whose tier-1 memberships
     are `memberships`; a lone Graph and its membership give its one
     representation. Each tier's samples are stacked (`stack_samples`),
     embedded (`embed_stacks`) and pooled into the next tier's (`pool_rows`),
     as training's handoff does, so the stacking changes no bit. Tier 1 keeps
-    each graph's own COO; the pooled tiers take theirs from `dense_to_coo`."""
+    each graph's own COO; the pooled tiers take theirs from `dense_to_coo`.
+    The graphs go through `check_items` first, unless `checked` says they
+    have."""
     if isinstance(graphs, Graph):
-        return encode_tiers([graphs], [memberships], models)[0]
+        return encode_tiers([graphs], [memberships], models, checked=checked)[0]
     _check_models(models)
-    for graph, m1 in zip(graphs, memberships, strict=True):
-        if m1.num_nodes != graph.num_nodes:
-            raise ShapeMismatchError(
-                f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
-            )
+    if not checked:
+        check_items(graphs, memberships)
     if not graphs:
         return []
     samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in zip(graphs, memberships)]
@@ -486,9 +504,9 @@ def encode_tiers(graphs, memberships, models: Sequence):
     return reps
 
 
-def encode_tiered(graphs, memberships, models: Sequence[TierModel]):
+def encode_tiered(graphs, memberships, models: Sequence[TierModel], *, checked: bool = False):
     """Inference pass through all tiers; deterministic, tape-free."""
-    return encode_tiers(graphs, memberships, models)
+    return encode_tiers(graphs, memberships, models, checked=checked)
 
 
 def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,

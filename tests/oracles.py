@@ -45,18 +45,29 @@ the library's `sdf._int_field`, so the references take the same integer
 grammar (ASCII digits only); the header and the properties and data that
 follow the blocks are read by the library's own helpers.
 
+`corpus_items_loop` is `cli.corpus_items` as it was before the corpus was
+decoded and checked together: one molecule at a time, each through every
+check before the next starts, with the molecule-size bound (`graphs.
+MAX_ATOMS`) checked after the no-atoms check. Its membership is
+`membership_from_partition_one`, `fgroups.membership_from_partition` as it
+was for one partition, and its graph check the shape checks of
+`graphs.validate` followed by `validate_loop`.
+
 `permute_graph`, `decode_adjacency_numpy`, `formula_from_molecule` and
 `functional_groups` are reference helpers that the pipeline does not call.
 """
 
+import itertools
 import math
 import warnings
 
 import numpy as np
 
-from tiergae import sdf
+from tiergae import graphs, sdf
 from tiergae.autodiff import Adam, Tape
+from tiergae.cli import _molecule_name, _require_object, json_to_array
 from tiergae.errors import (
+    ConfigError,
     DomainError,
     DuplicateEdgeError,
     IncompleteCoverError,
@@ -443,8 +454,6 @@ def coo_to_dense_loop(g: Graph) -> np.ndarray:
 
 def dense_to_coo_loop(a) -> tuple[np.ndarray, np.ndarray]:
     arr = adjacency_array(a)
-    if not np.isfinite(arr).all():
-        raise ValueError("dense adjacency contains non-finite entries")
     n, _, s = arr.shape
     pairs = [(i, j) for i in range(n) for j in range(n) if np.any(arr[i, j, :] != 0.0)]
     if not pairs:
@@ -679,3 +688,79 @@ def encode_tiers_per_graph(graph: Graph, m1: MembershipMatrix, models) -> Tiered
                                 models[2].embed(s.x, gcn_norm_per_graph(s.mask))))
     return rep
 
+
+
+# ---------------------------------------------------------------- corpus
+
+
+def membership_from_partition_one(p: GroupPartition, n: int) -> MembershipMatrix:
+    """Membership of n nodes in the partition's groups, the groups numbered
+    by smallest member index. The groups are non-empty lists of ints (no
+    bools) that cover [0, n) once."""
+    groups = p.groups
+    if not (isinstance(groups, (list, tuple))
+            and all(isinstance(g, (list, tuple)) and g for g in groups)
+            and set(map(type, itertools.chain.from_iterable(groups))) <= {int}):
+        raise IncompleteCoverError("groups must be a list of non-empty lists of int indices")
+    atoms = list(itertools.chain.from_iterable(groups))
+    not_a_cover = f"groups hold {len(atoms)} atom indices, not each of [0, {n}) once"
+    if len(atoms) != n or (n and not 0 <= min(atoms) <= max(atoms) < n):
+        raise IncompleteCoverError(not_a_cover)
+    atoms = np.array(atoms, dtype=np.int64)
+    if np.bincount(atoms, minlength=n).max(initial=0) > 1:
+        raise IncompleteCoverError(not_a_cover)
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    starts = np.cumsum(sizes) - sizes
+    column = np.empty(len(groups), dtype=np.int64)
+    column[np.argsort(np.minimum.reduceat(atoms, starts))] = np.arange(len(groups))
+    group = np.empty(n, dtype=np.int64)
+    group[atoms] = column.repeat(sizes)
+    return MembershipMatrix.unchecked(group, p.group_count)
+
+
+def _first_violation(g: Graph):
+    """The first violation `graphs.validate` reports, from its shape checks
+    and `validate_loop`; None if there is none."""
+    if g.x.ndim != 2:
+        return Violation("ShapeMismatch", f"x must be 2-D, got shape {g.x.shape}")
+    if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
+        return Violation("ShapeMismatch", f"edge_index must be 2 x U, got {g.edge_index.shape}")
+    u = g.num_edges
+    if g.edge_attr.ndim != 2 or g.edge_attr.shape[0] != u:
+        return Violation("ShapeMismatch",
+                         f"edge_attr has shape {g.edge_attr.shape}, expected ({u}, s)")
+    violations = validate_loop(g)
+    return violations[0] if violations else None
+
+
+def corpus_items_loop(entries) -> list[tuple[Graph, MembershipMatrix]]:
+    items = []
+    for index, entry in enumerate(entries):
+        _require_object(entry, f"corpus molecule #{index}",
+                        ("x", "edge_index", "edge_attr", "groups"))
+        what = _molecule_name(entry, index)
+        try:
+            graph = Graph(
+                x=json_to_array(entry["x"]),
+                edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
+                edge_attr=json_to_array(entry["edge_attr"]),
+                id=entry.get("id"),
+            )
+            membership = membership_from_partition_one(GroupPartition(entry["groups"]),
+                                                       graph.x.shape[0])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"{what}: {exc}") from None
+        violation = _first_violation(graph)
+        if violation is not None:
+            raise ConfigError(f"{what}: {violation}")
+        if 0 in graph.x.shape:
+            raise ConfigError(f"{what}: x has shape {graph.x.shape}, no atoms or features")
+        if graph.num_nodes > graphs.MAX_ATOMS:
+            raise ConfigError(f"{what}: {graph.num_nodes} atoms, more than "
+                              f"MAX_ATOMS = {graphs.MAX_ATOMS}")
+        # a pooled entry sums each edge feature at most once, in any order
+        with np.errstate(over="ignore"):
+            if not np.isfinite(2.0 * np.abs(graph.edge_attr).sum(axis=0)).all():
+                raise ConfigError(f"{what}: edge features too large to pool")
+        items.append((graph, membership))
+    return items

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae import cli
+from tiergae import cli, graphs
 from tiergae.cli import (
     EXPORT_SCHEMA,
     RunConfig,
@@ -1090,6 +1090,58 @@ def test_main_unwritable_checkpoint_leaves_no_history(tmp_path, capsys, corpus_p
     assert main(["train", str(corpus_path), "--epochs", "1", "--out", str(out)]) == 2
     assert f"tiergae train: cannot write {out}: " in capsys.readouterr().err
     assert out.is_dir() and not (tmp_path / "model_history.csv").exists()
+
+
+def test_main_failed_history_write_keeps_the_previous_checkpoint(tmp_path, capsys,
+                                                                 corpus_path):
+    out, history = tmp_path / "ck.json", tmp_path / "ck_history.csv"
+    argv = ["train", str(corpus_path), "--epochs", "2", "--out", str(out)]
+    assert main(argv) == 0
+    checkpoint, curve = out.read_bytes(), history.read_bytes()
+    # the bytes of a successful run: sorted-key JSON and CSV rows, each file
+    # ending in one newline, and the same bytes again on a rerun
+    assert checkpoint.decode() == cli.to_json(json.loads(checkpoint)) + "\n"
+    lines = curve.decode().split("\n")
+    assert lines[0] == "epoch,tier,loss" and lines[1].startswith("0,1,") and lines[-1] == ""
+    assert len(lines) == 1 + 3 * 2 + 1
+    assert main(argv) == 0
+    assert out.read_bytes() == checkpoint and history.read_bytes() == curve
+    capsys.readouterr()
+    history.unlink()
+    history.mkdir()
+    assert main(["train", str(corpus_path), "--epochs", "3", "--out", str(out)]) == 2
+    assert f"tiergae train: cannot write {history}: Is a directory" in capsys.readouterr().err
+    assert out.read_bytes() == checkpoint and history.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck_history.csv",
+                                                          "corpus.json"]
+
+
+def test_main_molecule_over_max_atoms_exits_2(tmp_path, capsys, corpus_path, monkeypatch):
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+    monkeypatch.setattr(graphs, "MAX_ATOMS", 18)  # vanillin has 19 atoms
+    out, export = tmp_path / "m.json", tmp_path / "export"
+    expected = "corpus molecule '1183': 19 atoms, more than MAX_ATOMS = 18"
+    assert main(["train", str(corpus_path), "--epochs", "2", "--out", str(out)]) == 2
+    assert f"tiergae train: {expected}\n" in capsys.readouterr().err
+    assert main(["embed", str(corpus_path), "--checkpoint", str(ckpt),
+                 "--out", str(export)]) == 2
+    assert f"tiergae embed: {expected}\n" in capsys.readouterr().err
+    assert not out.exists() and not export.exists()
+    monkeypatch.setattr(graphs, "MAX_ATOMS", 19)
+    assert main(["train", str(corpus_path), "--epochs", "2", "--out", str(out)]) == 0
+
+
+def test_main_ingest_skips_a_molecule_over_max_atoms(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(graphs, "MAX_ATOMS", 18)
+    corpus = tmp_path / "corpus.json"
+    assert main(["ingest", str(VANILLIN_SDF), "--out", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert (f"ingest: {VANILLIN_SDF}: skipping a molecule of 19 atoms, "
+            "more than MAX_ATOMS = 18\n") in err
+    assert "tiergae ingest: no molecules ingested (0 file(s) failed)" in err
+    assert not corpus.exists()
+    monkeypatch.setattr(graphs, "MAX_ATOMS", 19)
+    assert main(["ingest", str(VANILLIN_SDF), "--out", str(corpus)]) == 0
 
 
 def test_main_checkpoint_with_non_finite_param_exits_2(tmp_path, capsys, corpus_path,

@@ -14,6 +14,8 @@ from tiergae.gcn import (
     gcn_norm,
     make_encoder,
 )
+from tiergae.graphs import Graph, MembershipMatrix
+from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
 
 
 def test_gcn_norm_single_node():
@@ -46,10 +48,18 @@ def test_gcn_norm_permutation_equivariance(seed, n):
 
 
 def test_gcn_norm_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gcn_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
         gcn_norm(np.zeros((2, 3)))
+    # gcn_norm trusts a mask to be symmetric; the library entry points
+    # refuse the one-way edge that would make it not
+    one_way = Graph(x=np.zeros((2, 1)), edge_index=np.array([[0], [1]]),
+                    edge_attr=np.ones((1, 1)))
+    m1 = MembershipMatrix(np.zeros(2, dtype=np.int64), 1)
+    models = make_tier_models(1, RunConfig(hidden=2, d_z=2))
+    for call in (lambda: train_tiered(models, [(one_way, m1)], RunConfig(epochs=1)),
+                 lambda: encode_tiered([one_way], [m1], models)):
+        with pytest.raises(ValueError, match=r"^\(0, 1\) present but \(1, 0\) absent$"):
+            call()
 
 
 def _identity_encoder(dim):

@@ -4,6 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiergae.errors import (
+    AsymmetricEdgeError,
+    DomainError,
     DuplicateEdgeError,
     EmptyGroupError,
     IndexOutOfRangeError,
@@ -20,6 +22,12 @@ from tiergae.graphs import (
     validate,
 )
 from tiergae.sdf import featurize, parse_sdf
+from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
+from tiergae.tvgae import (
+    encode_tiered_variational,
+    make_variational_tier_models,
+    train_tiered_variational,
+)
 
 from oracles import (
     assert_same_bits,
@@ -145,18 +153,49 @@ def test_permutation_matches_dense_permutation(seed):
     assert np.array_equal(permuted_dense, dense[np.ix_(np.argsort(perm), np.argsort(perm))])
 
 
+def entry_point_error(g: Graph) -> Exception:
+    """The error that every library entry point (both flavors' training and
+    inference) raises for g, with all its nodes in one group; each raises
+    the same type and text. coo_to_dense trusts its graph, so these checks
+    of a library caller's graph run there."""
+    m1 = MembershipMatrix(np.zeros(g.num_nodes, dtype=np.int64), 1)
+    cfg = RunConfig(epochs=1, hidden=2, d_z=2)
+    d_in = g.x.shape[1]
+    calls = [
+        lambda: train_tiered(make_tier_models(d_in, cfg), [(g, m1)], cfg),
+        lambda: encode_tiered([g], [m1], make_tier_models(d_in, cfg)),
+        lambda: train_tiered_variational(make_variational_tier_models(d_in, cfg),
+                                         [(g, m1)], cfg),
+        lambda: encode_tiered_variational([g], [m1], make_variational_tier_models(d_in, cfg)),
+    ]
+    raised = []
+    for call in calls:
+        with pytest.raises(Exception) as info:
+            call()
+        raised.append(info.value)
+    assert len({(type(e), str(e)) for e in raised}) == 1
+    return raised[0]
+
+
+def entry_points_accept(g: Graph) -> None:
+    m1 = MembershipMatrix(np.zeros(g.num_nodes, dtype=np.int64), 1)
+    cfg = RunConfig(epochs=1, hidden=2, d_z=2)
+    train_tiered(make_tier_models(g.x.shape[1], cfg), [(g, m1)], cfg)
+    encode_tiered_variational([g], [m1], make_variational_tier_models(g.x.shape[1], cfg))
+
+
 def test_coo_to_dense_rejects_out_of_range():
+    # coo_to_dense trusts its graph; the library entry points refuse this one
     g = Graph(x=np.zeros((3, 1)), edge_index=np.array([[0, 7], [7, 0]]),
               edge_attr=np.ones((2, 1)))
-    with pytest.raises(IndexOutOfRangeError):
-        coo_to_dense(g)
+    assert isinstance(entry_point_error(g), IndexOutOfRangeError)
 
 
 def test_coo_to_dense_rejects_duplicates():
+    # coo_to_dense trusts its graph; the library entry points refuse this one
     g = Graph(x=np.zeros((2, 1)), edge_index=np.array([[0, 0], [1, 1]]),
               edge_attr=np.ones((2, 1)))
-    with pytest.raises(DuplicateEdgeError):
-        coo_to_dense(g)
+    assert isinstance(entry_point_error(g), DuplicateEdgeError)
 
 
 def test_validate_clean_vanillin(vanillin_mol):
@@ -188,17 +227,21 @@ def test_validate_reports_missing_reverse_and_asymmetry():
 
 
 def test_validate_violations_match_coo_to_dense_errors():
-    # empty violations imply coo_to_dense accepts; the two raising violation
-    # kinds imply it raises
+    # empty violations imply the library entry points accept; a violation
+    # implies they raise its error
     rng = np.random.default_rng(3)
     good = _random_undirected_graph(rng, 5, 1)
     assert validate(good) == []
-    coo_to_dense(good)
+    entry_points_accept(good)
     bad = Graph(x=np.zeros((2, 1)), edge_index=np.array([[0, 0], [1, 1]]),
                 edge_attr=np.ones((2, 1)))
     assert any(v.kind == "DuplicateEdge" for v in validate(bad))
-    with pytest.raises(DuplicateEdgeError):
-        coo_to_dense(bad)
+    assert isinstance(entry_point_error(bad), DuplicateEdgeError)
+    one_way = Graph(x=np.zeros((2, 1)), edge_index=np.array([[0], [1]]),
+                    edge_attr=np.ones((1, 1)))
+    error = entry_point_error(one_way)
+    assert isinstance(error, AsymmetricEdgeError)
+    assert str(error) == validate(one_way)[0].detail
 
 
 def test_dense_adj_channel_coercion():
@@ -293,11 +336,31 @@ def _same_outcome(fn, oracle, arg):
 
 
 def _check_graph_against_loops(g):
-    assert validate(g) == validate_loop(g)
-    got, want = _same_outcome(coo_to_dense, coo_to_dense_loop, g)
-    if got is not None:
-        assert_same_bits(got, want)
-        _check_dense_against_loop(got)
+    """validate and its loop agree. A graph that coo_to_dense_loop refuses
+    gets the same error from the library entry points, and so does one
+    that it takes while validate finds a violation (the error of the first
+    one) or whose edge features could overflow a pooled sum; any other
+    goes through coo_to_dense and dense_to_coo as through their loops."""
+    violations = validate(g)
+    assert violations == validate_loop(g)
+    try:
+        want = coo_to_dense_loop(g)
+    except Exception as exc:  # noqa: BLE001 - the oracle's error is the expectation
+        got = entry_point_error(g)
+        assert type(got) is type(exc) and str(got) == str(exc)
+        return
+    if violations:
+        got = entry_point_error(g)
+        assert type(got) is AsymmetricEdgeError and str(got) == violations[0].detail
+        return
+    with np.errstate(invalid="ignore"):
+        if not np.isfinite(2.0 * np.abs(g.edge_attr).sum(axis=0)).all():
+            got = entry_point_error(g)
+            assert type(got) is DomainError and str(got) == "edge features too large to pool"
+            return
+    got = coo_to_dense(g)
+    assert_same_bits(got, want)
+    _check_dense_against_loop(got)
 
 
 def _check_dense_against_loop(a):
@@ -345,13 +408,15 @@ def _edges(*pairs):
 
 
 def test_first_bad_edge_is_reported():
+    # by the library entry points, since coo_to_dense trusts its graph
     dup_first = _edges((0, 1), (1, 0), (0, 1), (9, 0), (1, 0), (0, -1))
-    with pytest.raises(DuplicateEdgeError, match=r"^duplicate COO entry \(0, 1\) at edge 2$"):
-        coo_to_dense(dup_first)
+    error = entry_point_error(dup_first)
+    assert type(error) is DuplicateEdgeError
+    assert str(error) == "duplicate COO entry (0, 1) at edge 2"
     range_first = _edges((0, 1), (1, 0), (2, 4), (0, 1), (-1, 0))
-    with pytest.raises(IndexOutOfRangeError,
-                       match=r"^edge 2 references node \(2, 4\) outside \[0, 4\)$"):
-        coo_to_dense(range_first)
+    error = entry_point_error(range_first)
+    assert type(error) is IndexOutOfRangeError
+    assert str(error) == "edge 2 references node (2, 4) outside [0, 4)"
     assert [str(v) for v in validate(dup_first)] == [
         "DuplicateEdge: entry (0, 1) repeated at edge 2",
         "IndexOutOfRange: edge 3 references (9, 0), N=4",

@@ -1,6 +1,7 @@
 """Smoke run of the example script, which calls the training APIs."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -109,3 +110,36 @@ def test_bench_pairs_reads_the_digests_and_says_whether_each_pair_agrees():
     mixed = same + [(("a", "b"), ("a", "c")), (("a", "b"), None)]
     assert bench_pairs.digest_verdict(mixed) == (
         "digests: differ or missing in pair(s) 3, 4 of 5")
+
+
+def test_bench_pairs_runs_pair_i_of_every_workload_before_pair_i_plus_1(tmp_path, capsys,
+                                                                       monkeypatch):
+    bench_pairs = load_script("bench_pairs.py")
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25}]}))
+    calls = []
+
+    def run_once(root, workload, seed, seconds):
+        calls.append((root.name, workload, seed))
+        return {"rate": 100.0 + (root == change)}, ("ck", "ex")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change), "--seed", "5",
+                             "--pairs", "3", "--seconds", "1", "--workload", "a",
+                             "--workload", "b"]) == 0
+    assert calls == [
+        ("parent", "a", 5), ("change", "a", 5), ("parent", "b", 5), ("change", "b", 5),
+        ("change", "a", 6), ("parent", "a", 6), ("change", "b", 6), ("parent", "b", 6),
+        ("parent", "a", 7), ("change", "a", 7), ("parent", "b", 7), ("change", "b", 7),
+    ]
+    out = capsys.readouterr().out.splitlines()
+    runs = [json.loads(line) for line in out if line.startswith("{")]
+    assert [(r["workload"], r["pair"], r["side"]) for r in runs][:2] == [
+        ("a", 0, "parent"), ("a", 0, "change")]
+    summaries = [i for i, line in enumerate(out) if line.startswith("workload ")]
+    assert [out[i].split(",")[0] for i in summaries] == ["workload a", "workload b"]
+    for i in summaries:
+        assert out[i + 2].split()[:1] == ["rate"] and "3/3" in out[i + 2]
+        assert out[i + 3] == "digests: checkpoint and exports agree in all 3 pairs"
