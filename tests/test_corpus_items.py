@@ -141,6 +141,7 @@ DEFECTS = {
     "float group entry": group_edit(
         lambda groups, g, _: groups[g].__setitem__(0, float(groups[g][0]))),
     "repeated group entry": group_edit(lambda groups, g, _: groups[g].append(groups[0][0])),
+    "group entry past int64": group_edit(lambda groups, g, _: groups[g].__setitem__(0, 2**70)),
     "missing group entry": group_edit(_missing),
     "empty group": group_edit(lambda groups, g, _: groups.insert(g, [])),
     "groups not a list": lambda rng, e: e.update(groups=3),
