@@ -122,7 +122,8 @@ def _json_values(data, dtype) -> np.ndarray:
     return arr
 
 
-def json_to_arrays(objs: Sequence, dtype=np.float64):
+def json_to_arrays(objs: Sequence, dtype=np.float64
+                   ) -> tuple[list[np.ndarray], Optional[tuple[int, Exception]]]:
     """`json_to_array` of each of `objs`, decoded together when the shape of
     each fits its data: the values of all of them go through one type
     check, one conversion and one finiteness check, and each array is a

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -108,7 +109,8 @@ def _int_lists(groups) -> bool:
             and set(map(type, itertools.chain.from_iterable(groups))) <= {int})
 
 
-def membership_from_partition(p, n):
+def membership_from_partition(p: GroupPartition | Sequence[GroupPartition],
+                              n: int | Sequence[int]):
     """Membership of n nodes in the partition's groups, the groups numbered
     by smallest member index. The groups are non-empty lists of ints (no
     bools) that cover [0, n) once.
