@@ -24,7 +24,6 @@ import csv
 import errno
 import functools
 import io
-import itertools
 import json
 import math
 import os
@@ -95,17 +94,12 @@ def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
     that is not a JSON int in the dtype's range (1.0, true, 2**63) is a
     ConfigError, as is a value of a float array that is not a finite JSON
     number (true, "1.5", NaN)."""
-    return _json_values(obj["data"], dtype).reshape(obj["shape"])
-
-
-def _json_values(data, dtype) -> np.ndarray:
-    """The 1-D array of the values `data` of a shape-tagged array, checked
-    as `json_to_array` says; the error names the first value refused."""
+    data = obj["data"]
     if np.dtype(dtype).kind == "i":
         info = np.iinfo(dtype)
         try:
             if set(map(type, data)) <= {int}:
-                return np.array(data, dtype=dtype)
+                return np.array(data, dtype=dtype).reshape(obj["shape"])
         except OverflowError:  # an int past the dtype's range
             pass
         bad = next(v for v in data if type(v) is not int or not info.min <= v <= info.max)
@@ -119,38 +113,7 @@ def _json_values(data, dtype) -> np.ndarray:
         raise ConfigError(f"array data: {exc}") from None
     if not np.isfinite(arr).all():
         raise ConfigError("array data holds a non-finite value")
-    return arr
-
-
-def json_to_arrays(objs: Sequence, dtype=np.float64
-                   ) -> tuple[list[np.ndarray], Optional[tuple[int, Exception]]]:
-    """`json_to_array` of each of `objs`, decoded together when the shape of
-    each fits its data: the values of all of them go through one type
-    check, one conversion and one finiteness check, and each array is a
-    view of the result. Otherwise, or if a value is refused, they are
-    decoded one at a time. Returns the arrays of the objs before the first
-    that `json_to_array` refuses, and (its index, the error that it
-    raises), or None if it refuses none."""
-    if all(type(obj) is dict and type(obj.get("data")) is list
-           and type(shape := obj.get("shape")) is list and set(map(type, shape)) <= {int}
-           and min(shape, default=0) >= 0 and math.prod(shape) == len(obj["data"])
-           for obj in objs):
-        try:
-            values = _json_values(list(itertools.chain.from_iterable(
-                obj["data"] for obj in objs)), dtype)
-        except ConfigError:
-            pass
-        else:
-            ends = np.cumsum([len(obj["data"]) for obj in objs]).tolist()
-            return [values[end - len(obj["data"]):end].reshape(obj["shape"])
-                    for obj, end in zip(objs, ends)], None
-    arrays = []
-    for index, obj in enumerate(objs):
-        try:
-            arrays.append(json_to_array(obj, dtype))
-        except (KeyError, TypeError, ValueError) as exc:
-            return arrays, (index, exc)
-    return arrays, None
+    return arr.reshape(obj["shape"])
 
 
 def params_state(params: Iterable[Param]) -> dict:
@@ -201,11 +164,13 @@ def write_text(path: Path, text: str) -> None:
 
 
 def write_texts(files: Sequence[tuple[Path, str]]) -> None:
-    """Each (path, text) pair as `write_text` writes it, all or none: every
-    text goes to a temporary sibling of its path first, and the siblings
-    replace the paths, in order, only once every text is written. A path
-    that is a directory is refused before any file moves, since moving a
-    file onto it would fail only after the files before it had moved."""
+    """Each (path, text) pair as `write_text` writes it: every text goes to
+    a temporary sibling of its path first, in order, and the siblings
+    replace the paths, in reverse order, only once every text is written.
+    A path that is a directory is refused before any file moves. A move
+    can still fail after the ones before it (a permission error, a
+    directory made in the meantime), so a caller lists first the file
+    that must not be new without the others: it moves last."""
     staged: list[Path] = []
     try:
         for path, text in files:
@@ -216,7 +181,7 @@ def write_texts(files: Sequence[tuple[Path, str]]) -> None:
         for path, _ in files:
             if path.is_dir():
                 raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
-        for (path, _), tmp in zip(files, staged):
+        for (path, _), tmp in reversed(list(zip(files, staged))):
             with _writing(path):
                 os.replace(tmp, path)
     finally:
@@ -428,21 +393,27 @@ def _molecule_name(entry: dict, index: int) -> str:
 
 def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]]:
     """Graph and membership of each corpus entry, the membership rebuilt from
-    the entry's `groups`: the one check of a corpus, after which the tier
-    path trusts it (`checked=True`). A malformed entry, or a graph that
-    `graphs.first_defect` refuses (an invariant of `graphs.validate`, no
-    atoms or node features, more than `graphs.MAX_ATOMS` atoms, edge
+    the entry's `groups`. A malformed entry, or a graph that
+    `graphs.first_defect` refuses (an invariant of `graphs.validate`, among
+    them at most `graphs.MAX_ATOMS` atoms; no atoms or node features; edge
     features whose pooled sums could overflow), is a ConfigError naming
-    the molecule.
+    the molecule. The library entry points run the same graph check again
+    (`tgae.check_items`), which costs a few milliseconds a corpus.
 
-    The entries are checked together, one step at a time: every entry is
-    an object, then each array field of all of them is decoded at once
-    (`json_to_arrays`), the memberships are built in one pass and the
-    graphs checked in one. Each step looks only at the entries before the
-    first that an earlier step refused, so the error raised is the one of
-    the first molecule that fails, and its text is the one that molecule
-    alone gives."""
+    Each molecule is decoded in turn, up to the first malformed one; then
+    the memberships of those before it are built in one pass and their
+    graphs checked in one. Each step looks only at the molecules before
+    the first that an earlier step refused, so the error raised is the one
+    of the first molecule that fails, and its text is the one that
+    molecule alone gives."""
     first, error = len(entries), None
+
+    def refuse(index: int, problem) -> None:
+        nonlocal first, error
+        first = index
+        error = ConfigError(f"{_molecule_name(entries[index], index)}: {problem}")
+
+    built = []
     for index, entry in enumerate(entries):
         try:
             _require_object(entry, f"corpus molecule #{index}",
@@ -450,20 +421,16 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
         except ConfigError as exc:
             first, error = index, exc
             break
-
-    def refuse(index: int, problem) -> None:
-        nonlocal first, error
-        first = index
-        error = ConfigError(f"{_molecule_name(entries[index], index)}: {problem}")
-
-    arrays = []
-    for key, dtype in (("x", np.float64), ("edge_index", np.int64), ("edge_attr", np.float64)):
-        decoded, failed = json_to_arrays([entry[key] for entry in entries[:first]], dtype)
-        arrays.append(decoded)
-        if failed is not None:
-            refuse(*failed)
-    built = [Graph(x, edge_index, edge_attr, id=entry.get("id"))
-             for x, edge_index, edge_attr, entry in zip(*arrays, entries[:first])]
+        try:
+            built.append(Graph(
+                x=json_to_array(entry["x"]),
+                edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
+                edge_attr=json_to_array(entry["edge_attr"]),
+                id=entry.get("id"),
+            ))
+        except (KeyError, TypeError, ValueError) as exc:
+            refuse(index, exc)
+            break
     try:
         # a 0-d x has no rows; the graph check refuses its shape
         memberships = membership_from_partition(
@@ -677,7 +644,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     make_models, train_tiered_fn, _ = _flavor(cfg.model)
     models = make_models(d_in, cfg)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends at a loss check
-        histories = train_tiered_fn(models, items, cfg, checked=True)
+        histories = train_tiered_fn(models, items, cfg)
     checkpoint = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": cfg.model,
@@ -693,7 +660,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     for tier in sorted(histories):
         for epoch, loss in enumerate(histories[tier]):
             writer.writerow([epoch, tier, repr(loss)])
-    # no checkpoint without its history, and a failed write keeps both old files
+    # no new checkpoint without its history: a failed write keeps the old one
     write_texts([(out, to_json(checkpoint)), (history_path, history.getvalue()[:-1])])
     return out, history_path
 
@@ -791,7 +758,7 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 reps = encode([items[i][0] for i in share], [items[i][1] for i in share],
-                              models, checked=True)
+                              models)
         except Exception as exc:
             return None, (share[0], exc)
         for index, rep in zip(share, reps):

@@ -142,12 +142,16 @@ def membership_from_partition(p: GroupPartition | Sequence[GroupPartition],
     group_of = np.repeat(np.arange(lists), count)   # partition of each group
     atom_of = np.repeat(group_of, sizes)            # partition of each atom
     held = np.bincount(atom_of, minlength=lists)
-    offset = np.cumsum(n[:lists]) - n[:lists]
-    inside = (atoms >= 0) & (atoms < n[atom_of])
+    # only a partition that holds n atoms can be a cover; the ids count
+    # the nodes of those alone, so they stay below the atoms given
+    whole = held == n[:lists]
+    span = np.where(whole, n[:lists], 0)
+    offset = np.cumsum(span) - span
+    inside = (atoms >= 0) & (atoms < n[atom_of]) & whole[atom_of]
     # the in-range atoms of each partition keep to its own block of ids
     ids = atoms[inside] + offset[atom_of[inside]]
-    repeats = np.bincount(ids, minlength=int(n[:lists].sum()))[ids] > 1
-    bad = ((held != n[:lists]) | (np.bincount(atom_of[~inside], minlength=lists) > 0)
+    repeats = np.bincount(ids)[ids] > 1
+    bad = (~whole | (np.bincount(atom_of[~inside], minlength=lists) > 0)
            | (np.bincount(atom_of[inside][repeats], minlength=lists) > 0))
     if bad.any() or lists < total:
         k = int(np.argmax(bad)) if bad.any() else lists

@@ -29,7 +29,8 @@ from .errors import (
 # in training, a dozen N x N planes of its stack: at N = 2,000 and s = 4
 # the edge array alone is 128 MB. The sizes this package is built and
 # measured for stop at N = 200; a corpus with one 12,000-atom chain asked
-# numpy for 4.29 GiB and ended in a MemoryError traceback
+# numpy for 4.29 GiB and ended in a MemoryError traceback. The bound also
+# keeps `_violations`' cell ids, which count n^2 cells a graph, in int64
 MAX_ATOMS = 2000
 
 
@@ -118,7 +119,7 @@ class Violation:
 
 _ERRORS = {"ShapeMismatch": ShapeMismatchError, "IndexOutOfRange": IndexOutOfRangeError,
            "DuplicateEdge": DuplicateEdgeError, "MissingReverseEdge": AsymmetricEdgeError,
-           "AsymmetricEdgeAttr": AsymmetricEdgeError}
+           "AsymmetricEdgeAttr": AsymmetricEdgeError, "TooManyAtoms": DomainError}
 
 
 def adjacency_array(a) -> np.ndarray:
@@ -162,13 +163,16 @@ def dense_to_coo(a, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.n
 
 def validate(g: Graph) -> list[Violation]:
     """Check every Graph invariant; violations are returned, never raised:
-    the shapes first (and then nothing else), then each edge out of range
-    or repeated, in edge order, then each pair without its reverse or with
-    other features than its reverse, in order of the pair's first edge."""
+    the shapes first, then more than MAX_ATOMS nodes (after either, nothing
+    else), then each edge out of range or repeated, in edge order, then
+    each pair without its reverse or with other features than its reverse,
+    in order of the pair's first edge."""
     return _violations([g])[0]
 
 
-def _shape_violation(g: Graph) -> Optional[Violation]:
+def _graph_violation(g: Graph) -> Optional[Violation]:
+    """A violation that leaves the graph's edges unchecked: a shape, or
+    too many nodes to number its cells."""
     if g.x.ndim != 2:
         return Violation("ShapeMismatch", f"x must be 2-D, got shape {g.x.shape}")
     if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
@@ -178,6 +182,8 @@ def _shape_violation(g: Graph) -> Optional[Violation]:
     if g.edge_attr.ndim != 2 or g.edge_attr.shape[0] != u:
         return Violation("ShapeMismatch",
                          f"edge_attr has shape {g.edge_attr.shape}, expected ({u}, s)")
+    if g.num_nodes > MAX_ATOMS:
+        return Violation("TooManyAtoms", f"{g.num_nodes} atoms, more than MAX_ATOMS = {MAX_ATOMS}")
     return None
 
 
@@ -212,11 +218,11 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
     out: list[list[Violation]] = [[] for _ in graphs]
     regular = []
     for k, g in enumerate(graphs):
-        shape = _shape_violation(g)
-        if shape is None:
+        whole = _graph_violation(g)
+        if whole is None:
             regular.append(k)
         else:
-            out[k].append(shape)
+            out[k].append(whole)
     if not regular:
         return out
     gs = [graphs[k] for k in regular]
@@ -266,50 +272,24 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
 
 def first_defect(graphs: Sequence[Graph]) -> Optional[tuple[int, str, TiergaeError]]:
     """The first graph that breaks an invariant of `validate` or that the
-    tier path cannot take (no atoms or no node features, more than
-    MAX_ATOMS atoms, or edge features whose pooled sums could overflow),
-    as (its index, the problem as the corpus reports it, the error a
-    library entry point raises); None if every graph passes. A graph's
-    first violation comes before those three, in that order."""
+    tier path cannot take (no atoms or no node features, or edge features
+    whose pooled sums could overflow), as (its index, the problem as the
+    corpus reports it, the error a library entry point raises); None if
+    every graph passes. A graph's first violation comes before those two,
+    in that order."""
     limit, found = len(graphs), None
     for k, vs in enumerate(_violations(graphs)):
         if vs:
             limit, found = k, (k, str(vs[0]), vs[0].error())
             break
-    for k, g in enumerate(graphs[:limit]):
-        error = _size_error(g)
-        if error is not None:
-            limit, found = k, (k, str(error), error)
-            break
-    unfit = _unpoolable(graphs[:limit]) if limit else None
-    if unfit is not None:
-        text = "edge features too large to pool"
-        return unfit, text, DomainError(text)
-    return found
-
-
-def _size_error(g: Graph) -> Optional[TiergaeError]:
-    if 0 in g.x.shape:
-        return ShapeMismatchError(f"x has shape {g.x.shape}, no atoms or features")
-    if g.num_nodes > MAX_ATOMS:
-        return DomainError(f"{g.num_nodes} atoms, more than MAX_ATOMS = {MAX_ATOMS}")
-    return None
-
-
-def _unpoolable(graphs: Sequence[Graph]) -> Optional[int]:
-    """The first graph whose edge features could overflow a pooled sum:
-    a pooled entry sums each edge feature at most once, in any order, so
-    twice the sum of each channel's magnitudes must be finite."""
-    e = _Edges.of(graphs)
-    has = np.flatnonzero(np.diff(np.append(e.start, e.attr.shape[0])) > 0)
-    if not has.size:
-        return None
     with np.errstate(over="ignore"):
-        mass = 2.0 * np.add.reduceat(np.abs(e.attr), e.start[has])
-        # the order of a sum moves only its last bits, so only a mass this
-        # near the float range can fall on the other side of it; such a
-        # graph is summed alone, as the check of one graph sums it
-        for k in has[~(mass < 2.0 ** 1020).all(axis=1)].tolist():
-            if not np.isfinite(2.0 * np.abs(graphs[k].edge_attr).sum(axis=0)).all():
-                return k
-    return None
+        for k, g in enumerate(graphs[:limit]):
+            if 0 in g.x.shape:
+                error = ShapeMismatchError(f"x has shape {g.x.shape}, no atoms or features")
+            # a pooled entry sums each edge feature at most once, in any order
+            elif not np.isfinite(2.0 * np.abs(g.edge_attr).sum(axis=0)).all():
+                error = DomainError("edge features too large to pool")
+            else:
+                continue
+            return k, str(error), error
+    return found

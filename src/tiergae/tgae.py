@@ -437,19 +437,17 @@ def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
 
 
 def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, MembershipMatrix]],
-                        train: Callable, pool: Callable, *,
-                        checked: bool = False) -> dict[int, list[float]]:
+                        train: Callable, pool: Callable) -> dict[int, list[float]]:
     """Bottom-up schedule: stack a tier's samples, train the tier with
     `train(tier, model, stacks)`, freeze it, build the next tier's samples
     with `pool(model, samples, stacks, memberships)`, move up. Each graph's
     dense adjacency is pooled as its sample is built, so one graph's
     N x N x s array at a time is alive, not the corpus's. The items go
-    through `check_items` first, unless `checked` says they have."""
+    through `check_items` first."""
     _check_models(models)
     if not items:
         raise ValueError("empty corpus")
-    if not checked:
-        check_items([g for g, _ in items], [m for _, m in items])
+    check_items([g for g, _ in items], [m for _, m in items])
     samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in items]
     hist = {}
     for model, ms in zip(models, _next_memberships([m for _, m in items])):
@@ -462,14 +460,14 @@ def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, Membershi
 
 def train_tiered(models: Sequence[TierModel],
                  items: Sequence[tuple[Graph, MembershipMatrix]],
-                 config: RunConfig, *, checked: bool = False) -> dict[int, list[float]]:
+                 config: RunConfig) -> dict[int, list[float]]:
     """Bottom-up schedule: train a tier, freeze it, pool, move up."""
     return run_tiered_schedule(
         models, items, lambda _tier, model, stacks: train_tier(model, stacks, config),
-        next_tier_samples, checked=checked)
+        next_tier_samples)
 
 
-def encode_tiers(graphs, memberships, models: Sequence, *, checked: bool = False):
+def encode_tiers(graphs, memberships, models: Sequence):
     """Inference pass through all tiers on `model.embed`, tape-free: one
     `TieredRepresentation` per graph of `graphs`, whose tier-1 memberships
     are `memberships`; a lone Graph and its membership give its one
@@ -477,13 +475,11 @@ def encode_tiers(graphs, memberships, models: Sequence, *, checked: bool = False
     embedded (`embed_stacks`) and pooled into the next tier's (`pool_rows`),
     as training's handoff does, so the stacking changes no bit. Tier 1 keeps
     each graph's own COO; the pooled tiers take theirs from `dense_to_coo`.
-    The graphs go through `check_items` first, unless `checked` says they
-    have."""
+    The graphs go through `check_items` first."""
     if isinstance(graphs, Graph):
-        return encode_tiers([graphs], [memberships], models, checked=checked)[0]
+        return encode_tiers([graphs], [memberships], models)[0]
     _check_models(models)
-    if not checked:
-        check_items(graphs, memberships)
+    check_items(graphs, memberships)
     if not graphs:
         return []
     samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in zip(graphs, memberships)]
@@ -504,9 +500,9 @@ def encode_tiers(graphs, memberships, models: Sequence, *, checked: bool = False
     return reps
 
 
-def encode_tiered(graphs, memberships, models: Sequence[TierModel], *, checked: bool = False):
+def encode_tiered(graphs, memberships, models: Sequence[TierModel]):
     """Inference pass through all tiers; deterministic, tape-free."""
-    return encode_tiers(graphs, memberships, models, checked=checked)
+    return encode_tiers(graphs, memberships, models)
 
 
 def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,

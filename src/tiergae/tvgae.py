@@ -156,18 +156,16 @@ def next_tier_samples_variational(model: VariationalTierModel,
 
 def train_tiered_variational(models: Sequence[VariationalTierModel],
                              items: Sequence[tuple[Graph, MembershipMatrix]],
-                             config: RunConfig, *,
-                             checked: bool = False) -> dict[int, list[float]]:
+                             config: RunConfig) -> dict[int, list[float]]:
     """Bottom-up schedule with one noise stream per tier."""
     return run_tiered_schedule(
         models, items,
         lambda tier, model, stacks: train_tier_variational(
             model, stacks, config, seeded_rng(config.seed, tier, NOISE_ROLE)),
-        next_tier_samples_variational, checked=checked)
+        next_tier_samples_variational)
 
 
 def encode_tiered_variational(graphs, memberships,
-                              models: Sequence[VariationalTierModel], *,
-                              checked: bool = False):
+                              models: Sequence[VariationalTierModel]):
     """Mu-mode inference: z_t = mu_t everywhere, no sampling, no rng."""
-    return encode_tiers(graphs, memberships, models, checked=checked)
+    return encode_tiers(graphs, memberships, models)

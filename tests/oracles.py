@@ -48,9 +48,9 @@ follow the blocks are read by the library's own helpers.
 `corpus_items_loop` is `cli.corpus_items` as it was before the corpus was
 decoded and checked together: one molecule at a time, each through every
 check before the next starts, with the molecule-size bound (`graphs.
-MAX_ATOMS`) checked after the no-atoms check. Its membership is
+MAX_ATOMS`) checked after the shape checks. Its membership is
 `membership_from_partition_one`, `fgroups.membership_from_partition` as it
-was for one partition, and its graph check the shape checks of
+was for one partition, and its graph check the shape and size checks of
 `graphs.validate` followed by `validate_loop`.
 
 `permute_graph`, `decode_adjacency_numpy`, `formula_from_molecule` and
@@ -719,8 +719,8 @@ def membership_from_partition_one(p: GroupPartition, n: int) -> MembershipMatrix
 
 
 def _first_violation(g: Graph):
-    """The first violation `graphs.validate` reports, from its shape checks
-    and `validate_loop`; None if there is none."""
+    """The first violation `graphs.validate` reports, from its shape and
+    size checks and `validate_loop`; None if there is none."""
     if g.x.ndim != 2:
         return Violation("ShapeMismatch", f"x must be 2-D, got shape {g.x.shape}")
     if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
@@ -729,6 +729,9 @@ def _first_violation(g: Graph):
     if g.edge_attr.ndim != 2 or g.edge_attr.shape[0] != u:
         return Violation("ShapeMismatch",
                          f"edge_attr has shape {g.edge_attr.shape}, expected ({u}, s)")
+    if g.num_nodes > graphs.MAX_ATOMS:
+        return Violation("TooManyAtoms",
+                         f"{g.num_nodes} atoms, more than MAX_ATOMS = {graphs.MAX_ATOMS}")
     violations = validate_loop(g)
     return violations[0] if violations else None
 
@@ -755,9 +758,6 @@ def corpus_items_loop(entries) -> list[tuple[Graph, MembershipMatrix]]:
             raise ConfigError(f"{what}: {violation}")
         if 0 in graph.x.shape:
             raise ConfigError(f"{what}: x has shape {graph.x.shape}, no atoms or features")
-        if graph.num_nodes > graphs.MAX_ATOMS:
-            raise ConfigError(f"{what}: {graph.num_nodes} atoms, more than "
-                              f"MAX_ATOMS = {graphs.MAX_ATOMS}")
         # a pooled entry sums each edge feature at most once, in any order
         with np.errstate(over="ignore"):
             if not np.isfinite(2.0 * np.abs(graph.edge_attr).sum(axis=0)).all():

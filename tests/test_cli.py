@@ -1093,7 +1093,7 @@ def test_main_unwritable_checkpoint_leaves_no_history(tmp_path, capsys, corpus_p
 
 
 def test_main_failed_history_write_keeps_the_previous_checkpoint(tmp_path, capsys,
-                                                                 corpus_path):
+                                                                 corpus_path, monkeypatch):
     out, history = tmp_path / "ck.json", tmp_path / "ck_history.csv"
     argv = ["train", str(corpus_path), "--epochs", "2", "--out", str(out)]
     assert main(argv) == 0
@@ -1114,13 +1114,29 @@ def test_main_failed_history_write_keeps_the_previous_checkpoint(tmp_path, capsy
     assert out.read_bytes() == checkpoint and history.is_dir()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck_history.csv",
                                                           "corpus.json"]
+    # a move that fails after the history's leaves the old checkpoint
+    history.rmdir()
+    replace = cli.os.replace
+
+    def refuse_checkpoint(src, dst):
+        if Path(dst) == out:
+            raise PermissionError(13, "Permission denied")
+        replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", refuse_checkpoint)
+    assert main(["train", str(corpus_path), "--epochs", "3", "--out", str(out)]) == 2
+    assert f"tiergae train: cannot write {out}: Permission denied" in capsys.readouterr().err
+    assert out.read_bytes() == checkpoint
+    assert len(history.read_text().split("\n")) == 1 + 3 * 3 + 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck_history.csv",
+                                                          "corpus.json"]
 
 
 def test_main_molecule_over_max_atoms_exits_2(tmp_path, capsys, corpus_path, monkeypatch):
     ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
     monkeypatch.setattr(graphs, "MAX_ATOMS", 18)  # vanillin has 19 atoms
     out, export = tmp_path / "m.json", tmp_path / "export"
-    expected = "corpus molecule '1183': 19 atoms, more than MAX_ATOMS = 18"
+    expected = "corpus molecule '1183': TooManyAtoms: 19 atoms, more than MAX_ATOMS = 18"
     assert main(["train", str(corpus_path), "--epochs", "2", "--out", str(out)]) == 2
     assert f"tiergae train: {expected}\n" in capsys.readouterr().err
     assert main(["embed", str(corpus_path), "--checkpoint", str(ckpt),

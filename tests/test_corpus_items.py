@@ -147,6 +147,8 @@ DEFECTS = {
     "groups not a list": lambda rng, e: e.update(groups=3),
     "no atoms": no_atoms,
     "no features": lambda rng, e: e["x"].update(shape=[e["x"]["shape"][0], 0], data=[]),
+    # no features, so the data fits any row count; no groups can cover it
+    "huge row count": lambda rng, e: e["x"].update(shape=[10 ** 10, 0], data=[]),
     "past the pool bound": lambda rng, e: e["edge_attr"].update(
         data=[1e308] * len(e["edge_attr"]["data"])),
     "not an object": None,

@@ -223,10 +223,10 @@ def test_a_stacked_pass_failure_counts_at_its_shares_first_molecule(tmp_path, mo
     real_encode = getattr(cli, name)
     parent = os.getpid()
 
-    def encode(graphs, memberships, models, **kwargs):
+    def encode(graphs, memberships, models):
         if os.getpid() != parent:
             raise DomainError(f"stacked pass of {len(graphs)} molecules")
-        return real_encode(graphs, memberships, models, **kwargs)
+        return real_encode(graphs, memberships, models)
 
     monkeypatch.setattr(cli, name, encode)
     out = tmp_path / "export"

@@ -162,6 +162,17 @@ def test_membership_rejects_incomplete_cover():
         membership_from_partition(p, 3)
 
 
+def test_membership_list_refuses_a_huge_node_count_before_numbering_its_atoms():
+    # an x with no features may declare any row count; a bincount over the
+    # declared nodes would ask for 80 GB before the cover check refused it
+    ok = GroupPartition(groups=[[0], [1]], kinds=[SKELETON, SKELETON])
+    huge = GroupPartition(groups=[[0, 1]], kinds=[SKELETON])
+    text = r"groups hold 2 atom indices, not each of \[0, 10000000000\) once"
+    with pytest.raises(IncompleteCoverError, match=text) as info:
+        membership_from_partition([ok, huge, ok], [2, 10 ** 10, 2])
+    assert info.value.index == 1
+
+
 def test_membership_rejects_overlap():
     p = GroupPartition(groups=[(0, 1), (1, 2)], kinds=[SKELETON, SKELETON])
     with pytest.raises(IncompleteCoverError):

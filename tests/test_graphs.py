@@ -18,11 +18,13 @@ from tiergae.graphs import (
     adjacency_array,
     coo_to_dense,
     dense_to_coo,
+    MAX_ATOMS,
     edge_mask,
+    first_defect,
     validate,
 )
 from tiergae.sdf import featurize, parse_sdf
-from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
+from tiergae.tgae import RunConfig, check_items, encode_tiered, make_tier_models, train_tiered
 from tiergae.tvgae import (
     encode_tiered_variational,
     make_variational_tier_models,
@@ -424,6 +426,25 @@ def test_first_bad_edge_is_reported():
         "IndexOutOfRange: edge 5 references (0, -1), N=4",
         "AsymmetricEdgeAttr: edge features of (0, 1) and (1, 0) differ",
     ]
+
+
+def test_a_graph_past_max_atoms_is_refused_before_its_edges_are_numbered():
+    # n^2 of 2^32 nodes wraps to 0 in int64: numbered together, each graph's
+    # one-way edge would find its reverse among the other's cells
+    a = Graph(x=np.zeros((2**32, 0)), edge_index=np.array([[0], [1]]),
+              edge_attr=np.ones((1, 1)))
+    b = Graph(x=np.zeros((2**32, 0)), edge_index=np.array([[1], [0]]),
+              edge_attr=np.ones((1, 1)))
+    text = f"{2**32} atoms, more than MAX_ATOMS = {MAX_ATOMS}"
+    assert [str(v) for v in validate(a)] == [f"TooManyAtoms: {text}"]
+    index, problem, error = first_defect([a, b])
+    assert (index, problem) == (0, f"TooManyAtoms: {text}")
+    assert type(error) is DomainError and str(error) == text
+    one_way = Graph(x=np.zeros((2, 1)), edge_index=np.array([[0], [1]]),
+                    edge_attr=np.ones((1, 1)))
+    m1 = MembershipMatrix(np.zeros(2, dtype=np.int64), 1)
+    with pytest.raises(AsymmetricEdgeError, match=r"\(0, 1\) present but \(1, 0\) absent"):
+        check_items([one_way, a, b], [m1, m1, m1])
 
 
 def test_validate_pair_violations_follow_first_edge_order():
