@@ -187,29 +187,6 @@ def _graph_violation(g: Graph) -> Optional[Violation]:
     return None
 
 
-@dataclass
-class _Edges:
-    """The edges of several graphs, concatenated: `owner` is each edge's
-    graph, `start` each graph's first edge and `attr` the edge features,
-    zero-padded to the widest graph's channel count."""
-
-    i: np.ndarray
-    j: np.ndarray
-    owner: np.ndarray
-    start: np.ndarray
-    attr: np.ndarray
-
-    @classmethod
-    def of(cls, graphs: Sequence[Graph]) -> _Edges:
-        u = np.array([g.num_edges for g in graphs], dtype=np.int64)
-        s = max(g.num_edge_channels for g in graphs)
-        attr = np.concatenate([g.edge_attr if g.num_edge_channels == s else
-                               np.pad(g.edge_attr, ((0, 0), (0, s - g.num_edge_channels)))
-                               for g in graphs])
-        i, j = np.concatenate([g.edge_index for g in graphs], axis=1)
-        return cls(i, j, np.repeat(np.arange(len(graphs)), u), np.cumsum(u) - u, attr)
-
-
 def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
     """`validate` of each graph, the edges of all of them checked at once:
     in-range edge (i, j) of graph k is the cell c_k + i * n_k + j, with c_k
@@ -226,22 +203,30 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
     if not regular:
         return out
     gs = [graphs[k] for k in regular]
-    e = _Edges.of(gs)
+    u = np.array([g.num_edges for g in gs], dtype=np.int64)
+    start = np.cumsum(u) - u                    # each graph's first edge
+    owner = np.repeat(np.arange(len(gs)), u)    # each edge's graph
+    ei, ej = np.concatenate([g.edge_index for g in gs], axis=1)
+    # edge features, zero-padded to the widest graph's channel count
+    s = max(g.num_edge_channels for g in gs)
+    attr = np.concatenate([g.edge_attr if g.num_edge_channels == s else
+                           np.pad(g.edge_attr, ((0, 0), (0, s - g.num_edge_channels)))
+                           for g in gs])
     n = np.array([g.num_nodes for g in gs], dtype=np.int64)
-    n_e = n[e.owner]
-    in_range = (e.i >= 0) & (e.i < n_e) & (e.j >= 0) & (e.j < n_e)
+    n_e = n[owner]
+    in_range = (ei >= 0) & (ei < n_e) & (ej >= 0) & (ej < n_e)
     kept = np.flatnonzero(in_range)
     base = np.cumsum(n * n) - n * n
     # a stable sort, so return_index gives each cell's first edge
-    cells, first = np.unique(base[e.owner[kept]] + e.i[kept] * n_e[kept] + e.j[kept],
+    cells, first = np.unique(base[owner[kept]] + ei[kept] * n_e[kept] + ej[kept],
                              return_index=True)
     first = kept[first]
     repeated = in_range.copy()
     repeated[first] = False
     # edge-level violations, in edge order
     for edge in np.flatnonzero(~in_range | repeated).tolist():
-        k = int(e.owner[edge])
-        local, i, j = edge - int(e.start[k]), int(e.i[edge]), int(e.j[edge])
+        k = int(owner[edge])
+        local, i, j = edge - int(start[k]), int(ei[edge]), int(ej[edge])
         if in_range[edge]:
             out[regular[k]].append(Violation(
                 "DuplicateEdge", f"entry ({i}, {j}) repeated at edge {local}",
@@ -253,11 +238,11 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
     if not cells.size:
         return out
     # pair-level violations, in order of each entry's first edge
-    src, dst, owner = e.i[first], e.j[first], e.owner[first]
-    reverse = base[owner] + dst * n[owner] + src
+    src, dst, graph = ei[first], ej[first], owner[first]
+    reverse = base[graph] + dst * n[graph] + src
     c = np.minimum(np.searchsorted(cells, reverse), cells.size - 1)
     missing = cells[c] != reverse
-    differ = ~missing & (src < dst) & (e.attr[first] != e.attr[first[c]]).any(axis=1)
+    differ = ~missing & (src < dst) & (attr[first] != attr[first[c]]).any(axis=1)
     bad = np.flatnonzero(missing | differ)
     for pair in bad[np.argsort(first[bad])].tolist():
         i, j = int(src[pair]), int(dst[pair])
@@ -266,7 +251,7 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
         else:
             v = Violation("AsymmetricEdgeAttr",
                           f"edge features of ({i}, {j}) and ({j}, {i}) differ")
-        out[regular[int(owner[pair])]].append(v)
+        out[regular[int(graph[pair])]].append(v)
     return out
 
 

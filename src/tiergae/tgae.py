@@ -362,10 +362,11 @@ def _check_models(models: Sequence) -> None:
 
 
 def check_items(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]) -> None:
-    """The checks of the corpus boundary (`cli.corpus_items`), for graphs
-    and tier-1 memberships that did not come through it: the error of
-    `graphs.first_defect`'s graph, then a membership whose row count is not
-    its graph's node count. The tier path checks none of this again."""
+    """The graph check of the corpus boundary (`cli.corpus_items`), which
+    every library entry point runs on its graphs and tier-1 memberships:
+    the error of `graphs.first_defect`'s graph, then a membership whose row
+    count is not its graph's node count. The tier path checks none of this
+    again."""
     found = first_defect(graphs)
     if found is not None:
         raise found[2]
