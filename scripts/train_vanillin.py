@@ -5,6 +5,9 @@ three-tier autoencoder on the single molecule, and prints the tiered
 embeddings. Pass --variational to train the variational flavor instead;
 everything stays deterministic for a fixed seed either way.
 
+A setting that `tiergae train` would refuse (--epochs 0, --lr nan) ends
+in a one-line message and exit code 2, as there.
+
 Usage:
     python3 scripts/train_vanillin.py
     python3 scripts/train_vanillin.py --variational --epochs 300
@@ -13,9 +16,12 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
+from tiergae.cli import validate_config
+from tiergae.errors import TiergaeError
 from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
 from tiergae.sdf import Molecule, featurize, parse_sdf
 from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
@@ -53,6 +59,17 @@ def parse_args() -> argparse.Namespace:
 
 def main() -> int:
     args = parse_args()
+    try:
+        return run(args)
+    except TiergaeError as exc:
+        print(f"train_vanillin: {exc}", file=sys.stderr)
+        return 2
+
+
+def run(args: argparse.Namespace) -> int:
+    cfg = validate_config(RunConfig(
+        model="tvgae" if args.variational else "tgae", seed=args.seed, epochs=args.epochs,
+        lr=args.lr, hidden=args.hidden, d_z=args.d_z, kl_weight=args.kl_weight))
     mols = parse_sdf(args.sdf.read_bytes())
     mol = mols[0]
     graph = featurize(mol)
@@ -64,9 +81,6 @@ def main() -> int:
     print(group_report(mol, part))
     print()
 
-    cfg = RunConfig(model="tvgae" if args.variational else "tgae", seed=args.seed,
-                    epochs=args.epochs, lr=args.lr, hidden=args.hidden, d_z=args.d_z,
-                    kl_weight=args.kl_weight)
     if args.variational:
         make, train, encode = (make_variational_tier_models, train_tiered_variational,
                                encode_tiered_variational)

@@ -38,8 +38,7 @@ import numpy as np
 
 from . import graphs, pubchem
 from .autodiff import Param
-from .errors import (CliError, ConfigError, DomainError, IncompleteCoverError,
-                     ShapeMismatchError, TiergaeError)
+from .errors import CliError, ConfigError, DomainError, ShapeMismatchError, TiergaeError
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
 from .gcn import MAX_LAYERS, MIN_LAYERS
 from .graphs import Graph, MembershipMatrix, first_defect
@@ -93,13 +92,20 @@ def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
     """Inverse of `array_to_json`. An integer array is read exactly: a value
     that is not a JSON int in the dtype's range (1.0, true, 2**63) is a
     ConfigError, as is a value of a float array that is not a finite JSON
-    number (true, "1.5", NaN)."""
+    number (true, "1.5", NaN). So is a shape that is not a list of
+    non-negative ints, as `_ARRAY_SCHEMA` has it (-1, 3, [true, 3])."""
+    shape = obj["shape"]
+    if not isinstance(shape, list):
+        raise ConfigError(f"array shape {shape!r} is not a list")
+    for size in shape:
+        if type(size) is not int or size < 0:
+            raise ConfigError(f"array shape holds {size!r}, not a non-negative int")
     data = obj["data"]
     if np.dtype(dtype).kind == "i":
         info = np.iinfo(dtype)
         try:
             if set(map(type, data)) <= {int}:
-                return np.array(data, dtype=dtype).reshape(obj["shape"])
+                return np.array(data, dtype=dtype).reshape(shape)
         except OverflowError:  # an int past the dtype's range
             pass
         bad = next(v for v in data if type(v) is not int or not info.min <= v <= info.max)
@@ -113,7 +119,7 @@ def json_to_array(obj: dict, dtype=np.float64) -> np.ndarray:
         raise ConfigError(f"array data: {exc}") from None
     if not np.isfinite(arr).all():
         raise ConfigError("array data holds a non-finite value")
-    return arr.reshape(obj["shape"])
+    return arr.reshape(shape)
 
 
 def params_state(params: Iterable[Param]) -> dict:
@@ -400,50 +406,40 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
     the molecule. The library entry points run the same graph check again
     (`tgae.check_items`), which costs a few milliseconds a corpus.
 
-    Each molecule is decoded in turn, up to the first malformed one; then
-    the memberships of those before it are built in one pass and their
-    graphs checked in one. Each step looks only at the molecules before
-    the first that an earlier step refused, so the error raised is the one
-    of the first molecule that fails, and its text is the one that
-    molecule alone gives."""
-    first, error = len(entries), None
-
-    def refuse(index: int, problem) -> None:
-        nonlocal first, error
-        first = index
-        error = ConfigError(f"{_molecule_name(entries[index], index)}: {problem}")
-
-    built = []
+    Each molecule is decoded and its membership built in turn, up to the
+    first malformed one; then the graphs before it are checked in one
+    pass. A graph that this check refuses comes before the malformed
+    molecule, so the error raised is the one of the first molecule that
+    fails, and its text is the one that molecule alone gives."""
+    items, error = [], None
     for index, entry in enumerate(entries):
         try:
             _require_object(entry, f"corpus molecule #{index}",
                             ("x", "edge_index", "edge_attr", "groups"))
         except ConfigError as exc:
-            first, error = index, exc
+            error = exc
             break
         try:
-            built.append(Graph(
+            graph = Graph(
                 x=json_to_array(entry["x"]),
                 edge_index=json_to_array(entry["edge_index"], dtype=np.int64),
                 edge_attr=json_to_array(entry["edge_attr"]),
                 id=entry.get("id"),
-            ))
+            )
+            # a 0-d x has no rows; the graph check refuses its shape
+            membership = membership_from_partition(GroupPartition(entry["groups"]),
+                                                   graph.x.shape[0] if graph.x.ndim else 0)
         except (KeyError, TypeError, ValueError) as exc:
-            refuse(index, exc)
+            error = ConfigError(f"{_molecule_name(entry, index)}: {exc}")
             break
-    try:
-        # a 0-d x has no rows; the graph check refuses its shape
-        memberships = membership_from_partition(
-            [GroupPartition(entry["groups"]) for entry in entries[:first]],
-            [graph.x.shape[0] if graph.x.ndim else 0 for graph in built])
-    except IncompleteCoverError as exc:
-        refuse(exc.index, exc)
-    found = first_defect(built[:first])
+        items.append((graph, membership))
+    found = first_defect([graph for graph, _ in items])
     if found is not None:
-        refuse(*found[:2])
+        index, problem, _ = found
+        raise ConfigError(f"{_molecule_name(entries[index], index)}: {problem}")
     if error is not None:
         raise error
-    return list(zip(built, memberships))
+    return items
 
 
 def _check_feature_width(entries: Sequence[dict], items, d_in: int, source: str) -> None:

@@ -33,7 +33,8 @@ op), and Z Z^T as two tape nodes.
 
 `membership_from_partition_dense` is `fgroups.membership_from_partition` as
 it was while a membership held its dense N x G matrix, and returns that
-matrix. `membership_from_dense` and `dense_membership` convert between the
+matrix; a partition that is not a cover gets the library's error and
+text. `membership_from_dense` and `dense_membership` convert between the
 dense matrix and the group-index vector that `MembershipMatrix` holds.
 
 `parse_sdf_per_line`, `featurize_loop`, `mark_atoms_loop` and
@@ -48,16 +49,15 @@ follow the blocks are read by the library's own helpers.
 `corpus_items_loop` is `cli.corpus_items` as it was before the corpus was
 decoded and checked together: one molecule at a time, each through every
 check before the next starts, with the molecule-size bound (`graphs.
-MAX_ATOMS`) checked after the shape checks. Its membership is
-`membership_from_partition_one`, `fgroups.membership_from_partition` as it
-was for one partition, and its graph check the shape and size checks of
-`graphs.validate` followed by `validate_loop`.
+MAX_ATOMS`) checked after the shape checks. Its membership is the one
+`fgroups.membership_from_partition` builds, as in the library; its graph
+check is the shape and size checks of `graphs.validate` followed by
+`validate_loop`, where the library checks every graph in one pass.
 
 `permute_graph`, `decode_adjacency_numpy`, `formula_from_molecule` and
 `functional_groups` are reference helpers that the pipeline does not call.
 """
 
-import itertools
 import math
 import warnings
 
@@ -77,7 +77,7 @@ from tiergae.errors import (
     ShapeMismatchError,
     TruncatedBlockError,
 )
-from tiergae.fgroups import FUNCTIONAL, SKELETON, GroupPartition
+from tiergae.fgroups import FUNCTIONAL, SKELETON, GroupPartition, membership_from_partition
 from tiergae.graphs import (
     Graph,
     MembershipMatrix,
@@ -693,31 +693,6 @@ def encode_tiers_per_graph(graph: Graph, m1: MembershipMatrix, models) -> Tiered
 # ---------------------------------------------------------------- corpus
 
 
-def membership_from_partition_one(p: GroupPartition, n: int) -> MembershipMatrix:
-    """Membership of n nodes in the partition's groups, the groups numbered
-    by smallest member index. The groups are non-empty lists of ints (no
-    bools) that cover [0, n) once."""
-    groups = p.groups
-    if not (isinstance(groups, (list, tuple))
-            and all(isinstance(g, (list, tuple)) and g for g in groups)
-            and set(map(type, itertools.chain.from_iterable(groups))) <= {int}):
-        raise IncompleteCoverError("groups must be a list of non-empty lists of int indices")
-    atoms = list(itertools.chain.from_iterable(groups))
-    not_a_cover = f"groups hold {len(atoms)} atom indices, not each of [0, {n}) once"
-    if len(atoms) != n or (n and not 0 <= min(atoms) <= max(atoms) < n):
-        raise IncompleteCoverError(not_a_cover)
-    atoms = np.array(atoms, dtype=np.int64)
-    if np.bincount(atoms, minlength=n).max(initial=0) > 1:
-        raise IncompleteCoverError(not_a_cover)
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    starts = np.cumsum(sizes) - sizes
-    column = np.empty(len(groups), dtype=np.int64)
-    column[np.argsort(np.minimum.reduceat(atoms, starts))] = np.arange(len(groups))
-    group = np.empty(n, dtype=np.int64)
-    group[atoms] = column.repeat(sizes)
-    return MembershipMatrix.unchecked(group, p.group_count)
-
-
 def _first_violation(g: Graph):
     """The first violation `graphs.validate` reports, from its shape and
     size checks and `validate_loop`; None if there is none."""
@@ -749,8 +724,8 @@ def corpus_items_loop(entries) -> list[tuple[Graph, MembershipMatrix]]:
                 edge_attr=json_to_array(entry["edge_attr"]),
                 id=entry.get("id"),
             )
-            membership = membership_from_partition_one(GroupPartition(entry["groups"]),
-                                                       graph.x.shape[0])
+            membership = membership_from_partition(GroupPartition(entry["groups"]),
+                                                   graph.x.shape[0])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{what}: {exc}") from None
         violation = _first_violation(graph)

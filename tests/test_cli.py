@@ -110,6 +110,20 @@ def test_json_to_array_rejects_values_that_are_not_ints(data):
         json_to_array({"shape": [2, 1], "data": data}, dtype=np.int64)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64])
+@pytest.mark.parametrize("shape,message", [
+    ([-1, 3], "array shape holds -1, not a non-negative int"),
+    (3, "array shape 3 is not a list"),
+    ([True, 3], "array shape holds True, not a non-negative int"),
+    ([2.0, 3], "array shape holds 2.0, not a non-negative int"),
+    ("23", "array shape '23' is not a list"),
+])
+def test_json_to_array_refuses_a_shape_that_is_not_non_negative_ints(dtype, shape, message):
+    with pytest.raises(ConfigError) as info:
+        json_to_array({"shape": shape, "data": [0, 1, 2, 3, 4, 5]}, dtype=dtype)
+    assert str(info.value) == message
+
+
 def test_write_json_is_byte_stable(tmp_path):
     doc = {"b": [1, 2], "a": {"y": 0.5, "x": 1.0}}
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,8 +21,8 @@ from tiergae.fgroups import (
 from tiergae.graphs import MembershipMatrix
 from tiergae.sdf import Atom, Bond, Molecule
 
-from oracles import dense_membership, functional_groups
-from test_scripts import load_script
+from oracles import dense_membership, functional_groups, membership_from_partition_dense
+from test_scripts import ROOT, load_script
 
 
 def mol_from(symbols, bonds):
@@ -162,15 +167,65 @@ def test_membership_rejects_incomplete_cover():
         membership_from_partition(p, 3)
 
 
-def test_membership_list_refuses_a_huge_node_count_before_numbering_its_atoms():
-    # an x with no features may declare any row count; a bincount over the
-    # declared nodes would ask for 80 GB before the cover check refused it
-    ok = GroupPartition(groups=[[0], [1]], kinds=[SKELETON, SKELETON])
-    huge = GroupPartition(groups=[[0, 1]], kinds=[SKELETON])
-    text = r"groups hold 2 atom indices, not each of \[0, 10000000000\) once"
-    with pytest.raises(IncompleteCoverError, match=text) as info:
-        membership_from_partition([ok, huge, ok], [2, 10 ** 10, 2])
-    assert info.value.index == 1
+def test_membership_refuses_a_huge_node_count_before_numbering_its_atoms():
+    # an x with no features may declare any row count; anything sized by the
+    # declared nodes would ask for 80 GB before the cover check refused it.
+    # Under a 4 GiB address-space limit that ask is a MemoryError, not a
+    # machine out of memory
+    code = textwrap.dedent("""
+        import resource
+        from tiergae.errors import IncompleteCoverError
+        from tiergae.fgroups import GroupPartition, membership_from_partition
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, resource.RLIM_INFINITY))
+        try:
+            membership_from_partition(GroupPartition(groups=[[0, 1]]), 10 ** 10)
+        except IncompleteCoverError as exc:
+            print(exc)
+    """)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "groups hold 2 atom indices, not each of [0, 10000000000) once\n"
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), n=st.integers(1, 30),
+       defect=st.sampled_from(["dropped", "repeated", "out of range", "past int64",
+                               "bool", "float", "empty group"]))
+def test_broken_partition_raises_what_the_dense_oracle_raises(data, n, defect):
+    labels = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    members: dict[int, list[int]] = {}
+    for atom, label in enumerate(labels):
+        members.setdefault(label, []).append(atom)
+    groups = data.draw(st.permutations([data.draw(st.permutations(g))
+                                        for g in members.values()]))
+    g = data.draw(st.integers(0, len(groups) - 1))
+    at = data.draw(st.integers(0, len(groups[g]) - 1))
+    if defect == "dropped":
+        del groups[g][at]
+    elif defect == "repeated":
+        groups[g].append(data.draw(st.integers(0, n - 1)))
+    elif defect == "out of range":
+        groups[g][at] = data.draw(st.sampled_from([-1, -n, n, n + 7]))
+    elif defect == "past int64":
+        groups[g][at] = data.draw(st.sampled_from([2 ** 63, 2 ** 70, -2 ** 63 - 1]))
+    elif defect == "bool":
+        groups[g][at] = data.draw(st.booleans())
+    elif defect == "float":
+        groups[g][at] = float(groups[g][at])
+    else:
+        groups.insert(g, [])
+    p = GroupPartition(groups=groups)
+
+    def outcome(fn):
+        try:
+            fn(p, n)
+        except IncompleteCoverError as exc:
+            return type(exc), str(exc)
+        raise AssertionError(f"{fn.__name__} took {groups!r} as a cover of [0, {n})")
+
+    assert outcome(membership_from_partition) == outcome(membership_from_partition_dense)
 
 
 def test_membership_rejects_overlap():

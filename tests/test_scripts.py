@@ -12,10 +12,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name: str, *args: str) -> str:
+def script_process(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    done = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_script(name: str, *args: str) -> str:
+    done = script_process(name, *args)
     assert done.returncode == 0, done.stderr
     return done.stdout
 
@@ -34,6 +38,15 @@ def test_train_vanillin_runs(flags):
     kind = "variational" if flags else "deterministic"
     assert f"trained {kind} model, 2 epochs per tier" in out
     assert "tier 3: 1 nodes, embedding 1x16" in out
+
+
+@pytest.mark.parametrize("flags,field", [(("--epochs", "0"), "epochs"),
+                                         (("--lr", "nan"), "lr")])
+def test_train_vanillin_refuses_a_bad_setting_in_one_line(flags, field):
+    done = script_process("train_vanillin.py", *flags)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"train_vanillin: config field {field!r}: ")
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def test_bench_pairs_summary_applies_the_win_and_spread_rule():
