@@ -5,8 +5,9 @@ three-tier autoencoder on the single molecule, and prints the tiered
 embeddings. Pass --variational to train the variational flavor instead;
 everything stays deterministic for a fixed seed either way.
 
-A setting that `tiergae train` would refuse (--epochs 0, --lr nan) ends
-in a one-line message and exit code 2, as there.
+A setting that `tiergae train` would refuse (--epochs 0, --lr nan), or an
+--sdf file that cannot be read or holds no molecule, ends in a one-line
+message and exit code 2, as `tiergae` does.
 
 Usage:
     python3 scripts/train_vanillin.py
@@ -21,7 +22,7 @@ import time
 from pathlib import Path
 
 from tiergae.cli import validate_config
-from tiergae.errors import TiergaeError
+from tiergae.errors import CliError, TiergaeError
 from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
 from tiergae.sdf import Molecule, featurize, parse_sdf
 from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
@@ -70,7 +71,13 @@ def run(args: argparse.Namespace) -> int:
     cfg = validate_config(RunConfig(
         model="tvgae" if args.variational else "tgae", seed=args.seed, epochs=args.epochs,
         lr=args.lr, hidden=args.hidden, d_z=args.d_z, kl_weight=args.kl_weight))
-    mols = parse_sdf(args.sdf.read_bytes())
+    try:
+        data = args.sdf.read_bytes()
+    except OSError as exc:
+        raise CliError(f"cannot read {args.sdf}: {exc.strerror or exc}") from None
+    mols = parse_sdf(data)
+    if not mols:
+        raise CliError(f"no molecule in {args.sdf}")
     mol = mols[0]
     graph = featurize(mol)
     part = partition_molecule(mol)

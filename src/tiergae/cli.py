@@ -29,7 +29,6 @@ import math
 import os
 import sys
 import time
-import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -42,7 +41,7 @@ from .errors import CliError, ConfigError, DomainError, ShapeMismatchError, Tier
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
 from .gcn import MAX_LAYERS, MIN_LAYERS
 from .graphs import Graph, MembershipMatrix, first_defect
-from .sdf import featurize, formula_from_features, parse_sdf
+from .sdf import ELEMENT_VOCAB, featurize, formula_from_features, parse_sdf
 from .tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
 from .tvgae import (
     encode_tiered_variational,
@@ -505,78 +504,54 @@ def _input_bytes(paths: Sequence[Path]) -> int:
     return total
 
 
-def _drain(caught: list, events: list) -> None:
-    """Move the warnings recorded in `caught` to `events`, each as the
-    arguments of `_warn_again`."""
-    events.extend((w.message, w.category, w.filename, w.lineno) for w in caught)
-    caught.clear()
-
-
-def _ingest_file(path: Path, events: list, caught: list) -> Optional[list[str]]:
+def _ingest_file(path: Path, lines: list) -> Optional[list[str]]:
     """Read, parse, featurize and partition one SDF file: each molecule's
     corpus entry as JSON text, or None if the file is skipped as unreadable.
-    Its stderr lines, and the warnings recorded into `caught` before each,
-    go into `events` in the order they happen, so an exception leaves the
-    events up to it there."""
-
-    def emit(line: str) -> None:
-        _drain(caught, events)
-        events.append(line)
-
+    Its stderr lines go into `lines` as they happen, so an exception leaves
+    the lines up to it there."""
     try:
         molecules = parse_sdf(path.read_bytes())
     except (TiergaeError, OSError) as exc:
-        emit(f"ingest: {path}: {exc}")
+        lines.append(f"ingest: {path}: {exc}")
         return None
     fragments = []
     for mol in molecules:
         if mol.atom_count == 0:
-            emit(f"ingest: {path}: skipping empty molecule")
+            lines.append(f"ingest: {path}: skipping empty molecule")
             continue
         if mol.atom_count > graphs.MAX_ATOMS:
-            emit(f"ingest: {path}: skipping a molecule of {mol.atom_count} atoms, "
-                 f"more than MAX_ATOMS = {graphs.MAX_ATOMS}")
+            lines.append(f"ingest: {path}: skipping a molecule of {mol.atom_count} atoms, "
+                         f"more than MAX_ATOMS = {graphs.MAX_ATOMS}")
             continue
         graph = featurize(mol)
         partition = partition_molecule(mol)
         fragments.append(to_json(_molecule_entry(mol, graph, partition)))
-        emit(f"ingest: {graph.id or path}: {mol.atom_count} atoms, "
-             f"{partition.group_count} groups")
+        name = graph.id or path
+        unknown = [symbol for symbol in dict.fromkeys(atom.symbol for atom in mol.atoms)
+                   if symbol not in ELEMENT_VOCAB]
+        if unknown:
+            lines.append(f"ingest: {name}: element(s) {', '.join(map(repr, unknown))} "
+                         "not in vocabulary, using the catch-all bucket")
+        lines.append(f"ingest: {name}: {mol.atom_count} atoms, "
+                     f"{partition.group_count} groups")
     return fragments
 
 
 def _ingest_share(sdf_paths: Sequence[Path], share) -> Report:
-    """`_ingest_file` on the files at `share`, in order, with every warning
-    recorded: one (index, events, fragments) result per file, and (index,
-    exception) of the first exception other than a skipped file's, whose
-    result holds the events up to it."""
+    """`_ingest_file` on the files at `share`, in order: one (index, lines,
+    fragments) result per file, and (index, exception) of the first
+    exception other than a skipped file's, whose result holds the lines up
+    to it."""
     results = []
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for index in share:
-            events = []
-            try:
-                fragments = _ingest_file(sdf_paths[index], events, caught)
-            except Exception as exc:
-                _drain(caught, events)
-                results.append((index, events, []))
-                return results, (index, exc)
-            results.append((index, events, fragments))
+    for index in share:
+        lines = []
+        try:
+            fragments = _ingest_file(sdf_paths[index], lines)
+        except Exception as exc:
+            results.append((index, lines, []))
+            return results, (index, exc)
+        results.append((index, lines, fragments))
     return results, None
-
-
-def _warn_again(message, category, filename: str, lineno: int) -> None:
-    """Issue a warning that `_ingest_share` recorded as `warnings.warn`
-    issued it: through this process's filters, and under the registry of
-    the module that warned, so that the `default` action shows it once."""
-    module = next((m for m in list(sys.modules.values())
-                   if getattr(m, "__file__", None) == filename), None)
-    if module is None:
-        warnings.warn_explicit(message, category, filename, lineno)
-        return
-    scope = vars(module)
-    warnings.warn_explicit(message, category, filename, lineno, scope["__name__"],
-                           scope.setdefault("__warningregistry__", {}), scope)
 
 
 def cmd_ingest(paths: Sequence, out_path) -> Path:
@@ -585,9 +560,9 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     The files are shared by stride over `workers.worker_count` processes,
     at most one per INGEST_BYTES_PER_PROCESS of input: this one takes files
     0, k, 2k, ..., forked children the rest, and each returns its files'
-    stderr lines, warnings and JSON entries. They come out in file order,
-    and the exception raised is the one a one-process run meets first,
-    after the lines that run prints before it."""
+    stderr lines and JSON entries. They come out in file order, and the
+    exception raised is the one a one-process run meets first, after the
+    lines that run prints before it."""
     sdf_paths = _iter_sdf_paths(paths)
     if not sdf_paths:
         raise CliError("no input files")
@@ -598,14 +573,11 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     last = len(sdf_paths) if failure is None else failure[0]
     fragments: list[str] = []
     failures = 0
-    for index, events, file_fragments in sorted(results):  # indices are unique
+    for index, lines, file_fragments in sorted(results):  # indices are unique
         if index > last:
             break
-        for event in events:
-            if isinstance(event, str):
-                print(event, file=sys.stderr)
-            else:
-                _warn_again(*event)
+        for line in lines:
+            print(line, file=sys.stderr)
         if file_fragments is None:
             failures += 1
         else:

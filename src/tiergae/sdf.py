@@ -14,7 +14,6 @@ numbering (e.g. ALATIS) is what makes embeddings comparable across runs.
 from __future__ import annotations
 
 import re
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -304,14 +303,11 @@ def featurize(mol: Molecule) -> Graph:
     other), formal charge, degree. Edge features (width 4): bond-order
     one-hot with aromatic as its own channel. Indices shift from the file's
     1-based convention to 0-based; every bond emits both directed entries.
+    An element outside ELEMENT_VOCAB takes the `other` column silently;
+    `tiergae ingest` names it on stderr.
     """
     n = mol.atom_count
     element = [_ELEMENT_INDEX.get(atom.symbol, OTHER_BUCKET) for atom in mol.atoms]
-    if OTHER_BUCKET in element:
-        for atom in mol.atoms:
-            if atom.symbol not in _ELEMENT_INDEX:
-                warnings.warn(f"element {atom.symbol!r} not in vocabulary, "
-                              "using the catch-all bucket")
     bonds = np.array([(b.a1 - 1, b.a2 - 1, _BOND_CHANNEL[b.order]) for b in mol.bonds],
                      dtype=np.int64).reshape(-1, 3)
     ends = bonds[:, :2]  # (E, 2), 0-based

@@ -19,9 +19,8 @@ run's `RunConfig` and noise a (B, N, d_z) standard normal array, zero on pad
 rows (None for `tgae`). The loss of a stack is the sum of its graphs' losses, and
 no pad entry reaches it. A model that takes noise also has a `d_z`
 attribute, the width of that array.
-`fit_tier`, `pool_samples`, `run_tiered_schedule`, `encode_tiers` and
-`pipeline_loss` are the shared epoch loop, tier handoff, schedule, inference
-pass and end-to-end loss. Training and inference both work on a tier's
+`fit_tier`, `pool_samples`, `run_tiered_schedule` and `encode_tiers` are
+the shared epoch loop, tier handoff, schedule and inference pass. Training and inference both work on a tier's
 padded stacks (`stack_samples`): the handoff embeds the tier's training
 stacks and inference stacks the graphs it is given, and both embed and pool
 them the same way (`embed_stacks`, `pool_rows`).
@@ -504,38 +503,3 @@ def encode_tiers(graphs, memberships, models: Sequence):
 def encode_tiered(graphs, memberships, models: Sequence[TierModel]):
     """Inference pass through all tiers; deterministic, tape-free."""
     return encode_tiers(graphs, memberships, models)
-
-
-def pipeline_loss(models: Sequence, x: np.ndarray, a, m1: MembershipMatrix,
-                  tape: Tape, config: RunConfig = RunConfig(),
-                  noises: Sequence = (None, None, None)) -> int:
-    """Sum of all three tier losses with pooling on the tape; `noises` holds
-    one noise array per tier (each None for `tgae`).
-
-    Training never needs cross-tier gradients (lower tiers are frozen), but
-    the chain is differentiable end to end; this builds it in one tape so
-    a finite-difference check can exercise every parameter at once.
-    """
-    _check_models(models)
-    if len(noises) != 3:
-        raise ValueError(f"need one noise array per tier, got {len(noises)}")
-    a_cur = a
-    # the graph is a stack of one: every array gets a leading axis of 1
-    x_node = tape.const(np.asarray(x, dtype=np.float64)[None])
-    memberships = (m1, graph_tier_membership(m1.num_groups), None)
-    total = None
-    for model, m, noise in zip(models, memberships, noises):
-        s = tier_sample(tape.value(x_node)[0], a_cur, m)
-        st, = stack_samples([s])
-        if noise is not None:
-            noise = np.asarray(noise, dtype=np.float64)[None]
-        loss, pooled = model.loss(tape, x_node, tape.const(st.a_norm),
-                                  bce_weights(st.mask, st.nodes), config, noise)
-        total = loss if total is None else tape.add(total, loss)
-        if m is not None:
-            # M^T, the G x N binary matrix of the membership
-            mt = (np.arange(m.num_groups)[:, None] == m.group).astype(np.float64)
-            x_node = tape.matmul(tape.const(mt[None]), pooled)
-            a_cur = s.pooled_a
-    return total
-

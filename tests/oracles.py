@@ -54,12 +54,16 @@ MAX_ATOMS`) checked after the shape checks. Its membership is the one
 check is the shape and size checks of `graphs.validate` followed by
 `validate_loop`, where the library checks every graph in one pass.
 
+`pipeline_loss` is the sum of all three tier losses of one graph, with
+the pooling between tiers on one tape, so that a finite-difference check
+reaches every parameter of both flavors at once. Training never needs it:
+a trained tier is frozen, so no gradient crosses a tier boundary.
+
 `permute_graph`, `decode_adjacency_numpy`, `formula_from_molecule` and
 `functional_groups` are reference helpers that the pipeline does not call.
 """
 
 import math
-import warnings
 
 import numpy as np
 
@@ -101,9 +105,11 @@ from tiergae.sdf import (
 )
 from tiergae.gcn import gcn_norm
 from tiergae.tgae import (
+    RunConfig,
     TierBundle,
     TieredRepresentation,
     TierSample,
+    _check_models,
     bce_weights,
     stack_samples,
     tier_sample,
@@ -188,7 +194,6 @@ def _element_index(symbol: str) -> int:
     try:
         return ELEMENT_VOCAB.index(symbol)
     except ValueError:
-        warnings.warn(f"element {symbol!r} not in vocabulary, using the catch-all bucket")
         return OTHER_BUCKET
 
 
@@ -689,6 +694,33 @@ def encode_tiers_per_graph(graph: Graph, m1: MembershipMatrix, models) -> Tiered
     return rep
 
 
+def pipeline_loss(models, x: np.ndarray, a, m1: MembershipMatrix, tape: Tape,
+                  config: RunConfig = RunConfig(), noises=(None, None, None)) -> int:
+    """Sum of all three tier losses with pooling on the tape; `noises` holds
+    one noise array per tier (each None for `tgae`)."""
+    _check_models(models)
+    if len(noises) != 3:
+        raise ValueError(f"need one noise array per tier, got {len(noises)}")
+    a_cur = a
+    # the graph is a stack of one: every array gets a leading axis of 1
+    x_node = tape.const(np.asarray(x, dtype=np.float64)[None])
+    memberships = (m1, graph_tier_membership(m1.num_groups), None)
+    total = None
+    for model, m, noise in zip(models, memberships, noises):
+        s = tier_sample(tape.value(x_node)[0], a_cur, m)
+        st, = stack_samples([s])
+        if noise is not None:
+            noise = np.asarray(noise, dtype=np.float64)[None]
+        loss, pooled = model.loss(tape, x_node, tape.const(st.a_norm),
+                                  bce_weights(st.mask, st.nodes), config, noise)
+        total = loss if total is None else tape.add(total, loss)
+        if m is not None:
+            # M^T, the G x N binary matrix of the membership
+            mt = (np.arange(m.num_groups)[:, None] == m.group).astype(np.float64)
+            x_node = tape.matmul(tape.const(mt[None]), pooled)
+            a_cur = s.pooled_a
+    return total
+
 
 # ---------------------------------------------------------------- corpus
 
@@ -724,8 +756,9 @@ def corpus_items_loop(entries) -> list[tuple[Graph, MembershipMatrix]]:
                 edge_attr=json_to_array(entry["edge_attr"]),
                 id=entry.get("id"),
             )
+            # a 0-d x has no rows; `_first_violation` refuses its shape
             membership = membership_from_partition(GroupPartition(entry["groups"]),
-                                                   graph.x.shape[0])
+                                                   graph.x.shape[0] if graph.x.ndim else 0)
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"{what}: {exc}") from None
         violation = _first_violation(graph)

@@ -27,7 +27,6 @@ from tiergae.tgae import (
     encode_tiered,
     make_tier_models,
     next_tier_samples,
-    pipeline_loss,
     stack_samples,
     tier_sample,
     train_tier,
@@ -53,6 +52,7 @@ from oracles import (
     functional_groups,
     membership_from_dense,
     permute_graph,
+    pipeline_loss,
 )
 from test_pooling import pool_oracle, random_membership, random_symmetric_adjacency
 from test_pubchem import RecordingTransport

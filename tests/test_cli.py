@@ -1242,7 +1242,6 @@ def _ingest_exit_code(data: bytes) -> int:
         return main(["ingest", str(sdf), "--out", str(Path(tmp) / "corpus.json")])
 
 
-@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
 @settings(deadline=None, max_examples=60)
 @given(data=st.binary(max_size=3000))
 def test_ingest_arbitrary_bytes_exit_0_or_2(data):
@@ -1270,7 +1269,6 @@ def mutated(data: bytes, edits) -> bytes:
     return bytes(data)
 
 
-@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
 @settings(deadline=None, max_examples=120)
 @given(edits=st.lists(_EDIT, min_size=1, max_size=5))
 def test_ingest_mutated_vanillin_exit_0_or_2(edits):

@@ -126,6 +126,7 @@ DEFECTS = {
     "bool index": lambda rng, e: _set_value(rng, e, "edge_index", False),
     "shape product": lambda rng, e: e["x"]["shape"].__setitem__(1, 4),
     "1-D x": lambda rng, e: e["x"].update(shape=[len(e["x"]["data"])]),
+    "0-d x": lambda rng, e: e["x"].update(shape=[], data=e["x"]["data"][:1]),
     "3-D edge_attr": lambda rng, e: e["edge_attr"]["shape"].append(1),
     "edge_index rows": lambda rng, e: e["edge_index"].update(
         shape=[1, len(e["edge_index"]["data"])]),

@@ -2,8 +2,6 @@
 molecules, the featurized arrays, the groups and memberships, and the
 error of every broken field."""
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,12 +79,9 @@ def sdf_texts(draw) -> str:
 
 
 def featurized(featurize_fn, mol: Molecule):
-    """Arrays, id and warning messages of one featurization."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        g = featurize_fn(mol)
-    arrays = [(a.dtype, a.shape, a.tobytes()) for a in (g.x, g.edge_index, g.edge_attr)]
-    return arrays, g.id, [str(w.message) for w in caught]
+    """Arrays and id of one featurization."""
+    g = featurize_fn(mol)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (g.x, g.edge_index, g.edge_attr)], g.id
 
 
 def assert_groups_match_loop(mol: Molecule) -> None:

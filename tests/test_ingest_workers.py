@@ -1,8 +1,8 @@
 """`ingest` shares its SDF files out by stride over one process per CPU in
 the affinity mask, once the input holds `cli.INGEST_BYTES_PER_PROCESS` for
-each. The corpus and stderr must not depend on the number of processes,
-warnings must come out as in one process, a failure must be the one a run
-in one process raises, and no child may outlive the command.
+each. The corpus and stderr must not depend on the number of processes
+or on the warning filters, a failure must be the one a run in one process
+raises, and no child may outlive the command.
 
 The byte floor is lowered by replacing its constant; the process count is
 set and the children counted with the helpers of `forks.py`.
@@ -13,6 +13,8 @@ import io
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import tempfile
 import threading
 import warnings
@@ -33,7 +35,7 @@ from forks import assert_no_child_left, count_forks, use_cpus
 from test_blas_threads import chain_molecule
 from test_cli import _EDIT, mutated
 
-OOV = "element 'Se' not in vocabulary, using the catch-all bucket"
+OOV = "element(s) 'Se' not in vocabulary, using the catch-all bucket"
 
 
 def selenium_chain(carbons: int) -> Molecule:
@@ -70,18 +72,17 @@ def low_floor(monkeypatch) -> None:
 
 
 def ingest(paths, out: Path, capsys, action: str = "always") -> dict:
-    """Corpus bytes (None if none was written), stderr text and the shown
-    warnings of one `cmd_ingest` under the warnings `action`; an exception
-    it raises is kept as its type and text."""
-    with warnings.catch_warnings(record=True) as shown:
+    """Corpus bytes (None if none was written) and stderr text of one
+    `cmd_ingest` under the warnings `action`; an exception it raises is
+    kept as its type and text."""
+    with warnings.catch_warnings():
         warnings.simplefilter(action)
         try:
             result = cmd_ingest(paths, out) == out
         except Exception as exc:
             result = type(exc), str(exc)
     return {"result": result, "corpus": out.read_bytes() if out.exists() else None,
-            "stderr": capsys.readouterr().err,
-            "warnings": [(str(w.message), w.category, w.filename, w.lineno) for w in shown]}
+            "stderr": capsys.readouterr().err}
 
 
 def serial(monkeypatch, paths, out: Path, capsys, action: str = "always") -> dict:
@@ -92,7 +93,7 @@ def serial(monkeypatch, paths, out: Path, capsys, action: str = "always") -> dic
 # ---------------------------------------------------------------- same bytes
 
 
-@pytest.mark.parametrize("action", ["always", "default"])
+@pytest.mark.parametrize("action", ["always", "default", "error"])
 @pytest.mark.parametrize("cpus", [1, 2, 3, 13])
 def test_corpus_and_stderr_do_not_depend_on_the_process_count(tmp_path, monkeypatch, capsys,
                                                               sdf_paths, low_floor, cpus,
@@ -104,22 +105,38 @@ def test_corpus_and_stderr_do_not_depend_on_the_process_count(tmp_path, monkeypa
     assert len(forks) == min(cpus, len(sdf_paths)) - 1
     assert_no_child_left()
     assert split == one
-    assert one["stderr"].count("\n") == 11 and "skipping empty molecule" in one["stderr"]
-    # `default` shows the one message once, although both files warn
-    assert [w[0] for w in one["warnings"]] == [OOV] * (2 if action == "always" else 1)
+    assert one["result"] is True
+    assert one["stderr"].count("\n") == 13 and "skipping empty molecule" in one["stderr"]
+    # each selenium chain names the element once, just before its summary line
+    lines = one["stderr"].splitlines()
+    assert sum(OOV in line for line in lines) == 2
+    for name in ("chain4", "chain6"):
+        i = lines.index(f"ingest: {name}: {OOV}")
+        assert lines[i + 1].startswith(f"ingest: {name}: ") and "atoms" in lines[i + 1]
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_a_warning_under_an_error_filter_is_raised_as_in_one_process(tmp_path, monkeypatch,
-                                                                     capsys, sdf_paths,
-                                                                     low_floor, cpus):
-    one = serial(monkeypatch, sdf_paths, tmp_path / "one.json", capsys, "error")
+def test_an_error_filter_changes_nothing(tmp_path, monkeypatch, capsys, sdf_paths, low_floor,
+                                         cpus):
+    one = serial(monkeypatch, sdf_paths, tmp_path / "one.json", capsys, "ignore")
     use_cpus(monkeypatch, cpus)
     split = ingest(sdf_paths, tmp_path / "split.json", capsys, "error")
     assert_no_child_left()
     assert split == one
-    assert one["result"] == (UserWarning, OOV) and one["corpus"] is None
-    assert one["stderr"].splitlines()[-1].startswith(f"ingest: {sdf_paths[3]}: ")
+    assert one["result"] is True and one["corpus"] is not None
+
+
+def test_python_w_error_ingests_the_selenium_file_as_without_it(tmp_path, sdf_paths):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    runs = []
+    for flags in ((), ("-W", "error")):
+        out = tmp_path / f"corpus{len(flags)}.json"
+        done = subprocess.run([sys.executable, *flags, "-m", "tiergae.cli", "ingest",
+                               str(sdf_paths[4]), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        runs.append((done.returncode, done.stderr, out.read_bytes()))
+    assert runs[1] == runs[0]
+    assert runs[0][:2] == (0, f"ingest: chain4: {OOV}\ningest: chain4: 13 atoms, 3 groups\n")
 
 
 # ---------------------------------------------------------------- one process
@@ -247,7 +264,6 @@ def test_a_child_exception_is_raised_as_in_one_process(tmp_path, monkeypatch, ca
         "ingest: chain5: 16 atoms, 4 groups", f"ingest: {sdf_paths[5]}: skipping empty molecule"]
 
 
-@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
 def test_an_unpicklable_child_exception_is_a_runtime_error(tmp_path, monkeypatch, capsys,
                                                            sdf_paths, low_floor):
     class LocalError(Exception):
@@ -264,7 +280,6 @@ def test_an_unpicklable_child_exception_is_a_runtime_error(tmp_path, monkeypatch
     capsys.readouterr()
 
 
-@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
 def test_a_killed_child_exits_2_and_writes_no_corpus(tmp_path, monkeypatch, capsys, sdf_paths,
                                                      low_floor):
     parent = os.getpid()
@@ -320,7 +335,6 @@ def run_main(argv: list[str]) -> tuple[int, str]:
     return code, err.getvalue()
 
 
-@pytest.mark.filterwarnings("ignore:element .* not in vocabulary:UserWarning")
 @settings(deadline=None, max_examples=40)
 @given(files=st.lists(st.lists(_EDIT, min_size=1, max_size=5), min_size=2, max_size=5))
 def test_forked_ingest_of_mutated_vanillin_matches_one_process(files):

@@ -49,6 +49,18 @@ def test_train_vanillin_refuses_a_bad_setting_in_one_line(flags, field):
     assert done.stderr.count("\n") == 1, done.stderr
 
 
+@pytest.mark.parametrize("content", [None, b""])
+def test_train_vanillin_refuses_an_sdf_it_cannot_use_in_one_line(tmp_path, content):
+    sdf = tmp_path / "in.sdf"
+    if content is not None:
+        sdf.write_bytes(content)
+    done = script_process("train_vanillin.py", "--sdf", str(sdf))
+    assert done.returncode == 2 and done.stdout == ""
+    want = f"no molecule in {sdf}" if content is not None else f"cannot read {sdf}: "
+    assert done.stderr.startswith(f"train_vanillin: {want}")
+    assert done.stderr.count("\n") == 1, done.stderr
+
+
 def test_bench_pairs_summary_applies_the_win_and_spread_rule():
     bench_pairs = load_script("bench_pairs.py")
     end_to_end = [

@@ -22,7 +22,6 @@ from tiergae.tgae import (
     encode_tiered,
     make_tier_models,
     next_tier_samples,
-    pipeline_loss,
     reconstruction_loss,
     stack_samples,
     tier_sample,
@@ -38,6 +37,7 @@ from oracles import (
     dense_membership,
     membership_from_dense,
     permute_graph,
+    pipeline_loss,
     stable_sigmoid,
 )
 

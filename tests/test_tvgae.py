@@ -16,7 +16,6 @@ from tiergae.tgae import (
     bce_weights,
     encode_tiered,
     make_tier_models,
-    pipeline_loss,
     stack_samples,
     tier_sample,
     train_tier,
@@ -42,7 +41,7 @@ from conftest import (
     recon_value,
 )
 from gradcheck import assert_grads_match, finite_difference_grads
-from oracles import decode_adjacency_numpy
+from oracles import decode_adjacency_numpy, pipeline_loss
 from test_tgae import path4_graph, path4_items
 
 
