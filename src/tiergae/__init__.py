@@ -15,7 +15,7 @@ import os
 os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                  "MKL_NUM_THREADS"), "1"))
 
-from .autodiff import Adam, Param, Tape, seeded_rng, zero_grads
+from .autodiff import Adam, Param, Tape, seeded_rng
 from .errors import TiergaeError
 from .fgroups import (
     GroupPartition,
@@ -97,5 +97,4 @@ __all__ = [
     "train_tiered_variational",
     "validate",
     "write_sdf",
-    "zero_grads",
 ]

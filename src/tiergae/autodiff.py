@@ -5,10 +5,9 @@ are topological by construction. backward() seeds the scalar loss with 1 and
 sweeps the tape once in reverse, accumulating vector-Jacobian products into
 Param.grad. The op set is what training records: fused GCN layers
 (`gcn_layer`), the inner-product decoder (`gram`, Z Z^T), a BCE-on-logits
-loss (`bce_logits`), the KL and reparameterization terms (`add`,
-`elementwise_mul`, `scalar_mul`, `exp`, `graph_sum`, `clip`) and the pooling
-product of the end-to-end loss (`matmul`). Every rule is checkable against
-central finite differences.
+loss (`bce_logits`) and the KL and reparameterization terms (`add`,
+`elementwise_mul`, `scalar_mul`, `exp`, `graph_sum`, `clip`). Every rule is
+checkable against central finite differences.
 
 Constants get no gradient. A leaf made by `const` holds no Param and no
 vector-Jacobian product (VJP), so nothing reads a gradient formed for it; an
@@ -16,14 +15,14 @@ op whose input is such a leaf may skip that gradient, and its VJP then
 returns None in that input's place, which backward skips. `gcn_layer` does
 so for the first layer's features, and requires a constant A.
 
-A stack of B matrices sits on a leading axis, (B, n, m). `matmul` multiplies
-2-D @ 2-D, or a stack slice by slice with a stack of the same B; `gcn_layer`
-shares its weight and bias across a stack, so their gradients are summed
-over the batch. The elementwise ops are shape-agnostic; `bce_logits` and
-`graph_sum`, the two reductions to a scalar, sum each graph of a stack apart
-and weight it by a number of its own.
+A stack of B matrices sits on a leading axis, (B, n, m). `gram` forms the
+product of each matrix apart; `gcn_layer` shares its weight and bias across
+a stack, so their gradients are summed over the batch. The elementwise ops
+are shape-agnostic; `bce_logits` and `graph_sum`, the two reductions to a
+scalar, sum each graph of a stack apart and weight it by a number of its
+own.
 
-Gradients accumulate: replaying a tape without zero_grads doubles them,
+Gradients accumulate: replaying a tape without zeroing them doubles them,
 and the backward passes of several tapes sum into the same Param.grad.
 Training relies on this to give each stack of graphs a tape of its own.
 """
@@ -31,7 +30,7 @@ Training relies on this to give each stack of graphs a tape of its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -88,17 +87,6 @@ class Tape:
         return self._record(p.value, (), None, param=p)
 
     # forward ops ----------------------------------------------------------
-
-    def matmul(self, a: int, b: int) -> int:
-        """2-D @ 2-D, or stack @ stack of the same B."""
-        va, vb = self.value(a), self.value(b)
-        if (va.ndim not in (2, 3) or vb.ndim != va.ndim
-                or va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]):
-            raise ShapeMismatchError(
-                f"matmul: incompatible shapes {va.shape} @ {vb.shape}"
-            )
-        return self._record(va @ vb, (a, b), lambda g: (
-            g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g))
 
     def gram(self, z: int) -> int:
         """Z Z^T of a matrix, or of each matrix in a stack."""
@@ -255,11 +243,6 @@ class Tape:
                     grads[pid] = grads[pid] + pg
                 else:
                     grads[pid] = pg
-
-
-def zero_grads(params: Iterable[Param]) -> None:
-    for p in params:
-        p.grad[...] = 0.0
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and its guard

@@ -24,6 +24,7 @@ import csv
 import errno
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -161,34 +162,33 @@ def to_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_text(path: Path, text: str) -> None:
-    """`text` and a newline into `path`, creating its directory."""
-    with _writing(path):
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n", encoding="utf-8")
+_TEMP_IDS = itertools.count()  # with the pid, names a temporary no other write shares
 
 
-def write_texts(files: Sequence[tuple[Path, str]]) -> None:
-    """Each (path, text) pair as `write_text` writes it: every text goes to
-    a temporary sibling of its path first, in order, and the siblings
-    replace the paths, in reverse order, only once every text is written.
-    A path that is a directory is refused before any file moves. A move
-    can still fail after the ones before it (a permission error, a
-    directory made in the meantime), so a caller lists first the file
-    that must not be new without the others: it moves last."""
+def write_texts(files: Sequence[tuple[Path, str | bytes]]) -> None:
+    """The one writer of files. Each (path, content) pair's content, text
+    as UTF-8 and bytes unchanged, goes first to a temporary sibling of its
+    path, `.tiergae-<pid>-<n>.tmp` whatever the path's length, in order,
+    and the siblings replace the paths, in reverse order, only once every
+    content is written. A path that is a directory is refused before any
+    file moves. A move can still fail after the ones before it (a
+    permission error, a directory made in the meantime), so a caller lists
+    first the file that must not be new without the others: it moves last."""
     staged: list[Path] = []
     try:
-        for path, text in files:
-            staged.append(path.with_name(f".{path.name}.{os.getpid()}.tmp"))
+        for path, content in files:
+            staged.append(path.parent / f".tiergae-{os.getpid()}-{next(_TEMP_IDS)}.tmp")
+            data = content.encode("utf-8") if isinstance(content, str) else content
             with _writing(path):
                 path.parent.mkdir(parents=True, exist_ok=True)
-                staged[-1].write_text(text + "\n", encoding="utf-8")
+                staged[-1].write_bytes(data)
         for path, _ in files:
             if path.is_dir():
                 raise CliError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
         for (path, _), tmp in reversed(list(zip(files, staged))):
             with _writing(path):
                 os.replace(tmp, path)
+            staged.pop()  # moved: nothing left to remove
     finally:
         for tmp in staged:
             with contextlib.suppress(OSError):
@@ -196,7 +196,7 @@ def write_texts(files: Sequence[tuple[Path, str]]) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    write_text(path, to_json(obj))
+    write_texts([(path, to_json(obj) + "\n")])
 
 
 def read_json(path: Path) -> dict:
@@ -453,8 +453,7 @@ def _check_feature_width(entries: Sequence[dict], items, d_in: int, source: str)
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
-              base: Optional[str] = None, delay: float = 0.2) -> list[Path]:
+def cmd_fetch(cids: Sequence[int], out_dir, transport=None, delay: float = 0.2) -> list[Path]:
     """Download one SDF per CID into out_dir. Returns written paths."""
     if not 0.0 <= delay <= MAX_FETCH_DELAY:  # NaN fails both comparisons
         raise CliError(f"delay must be between 0 and {MAX_FETCH_DELAY:g} seconds, "
@@ -470,14 +469,13 @@ def cmd_fetch(cids: Sequence[int], out_dir, transport=None,
         if i and delay > 0:
             time.sleep(delay)
         try:
-            body = pubchem.fetch_pubchem_sdf(int(cid), transport, base=base)
+            body = pubchem.fetch_pubchem_sdf(int(cid), transport)
         except TiergaeError as exc:
             failures += 1
             print(f"fetch: cid {cid}: {exc}", file=sys.stderr)
             continue
         path = out / f"{int(cid)}.sdf"
-        with _writing(path):
-            path.write_bytes(body)
+        write_texts([(path, body)])
         written.append(path)
     if cids and not written:
         raise CliError(f"all {failures} requests failed")
@@ -587,8 +585,8 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     if not fragments:
         raise CliError(f"no molecules ingested ({failures} file(s) failed)")
     out = Path(out_path)
-    write_text(out, f'{{"format_version":{CORPUS_FORMAT_VERSION},"molecules":['
-               + ",".join(fragments) + "]}")
+    write_texts([(out, f'{{"format_version":{CORPUS_FORMAT_VERSION},"molecules":['
+                       + ",".join(fragments) + "]}\n")])
     return out
 
 
@@ -629,7 +627,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
         for epoch, loss in enumerate(histories[tier]):
             writer.writerow([epoch, tier, repr(loss)])
     # no new checkpoint without its history: a failed write keeps the old one
-    write_texts([(out, to_json(checkpoint)), (history_path, history.getvalue()[:-1])])
+    write_texts([(out, to_json(checkpoint) + "\n"), (history_path, history.getvalue())])
     return out, history_path
 
 

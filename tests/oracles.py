@@ -54,6 +54,11 @@ MAX_ATOMS`) checked after the shape checks. Its membership is the one
 check is the shape and size checks of `graphs.validate` followed by
 `validate_loop`, where the library checks every graph in one pass.
 
+`matmul` is the tape's general product node, 2-D @ 2-D or a stack slice by
+slice with a stack of the same B, and `zero_grads` zeroes the gradient of
+each Param given. The pipeline calls neither: its decoder is `Tape.gram`
+and its optimizer zeroes its own gradient vector (`Adam.zero_grads`).
+
 `pipeline_loss` is the sum of all three tier losses of one graph, with
 the pooling between tiers on one tape, so that a finite-difference check
 reaches every parameter of both flavors at once. Training never needs it:
@@ -398,11 +403,28 @@ def bce_logits_two_softplus(tape: Tape, logits: int, c1, c2, count) -> int:
     return tape._record(loss, (logits,), vjp)
 
 
+def matmul(tape: Tape, a: int, b: int) -> int:
+    """2-D @ 2-D, or stack @ stack of the same B."""
+    va, vb = tape.value(a), tape.value(b)
+    if (va.ndim not in (2, 3) or vb.ndim != va.ndim
+            or va.shape[:-2] != vb.shape[:-2] or va.shape[-1] != vb.shape[-2]):
+        raise ShapeMismatchError(
+            f"matmul: incompatible shapes {va.shape} @ {vb.shape}"
+        )
+    return tape._record(va @ vb, (a, b), lambda g: (
+        g @ np.swapaxes(vb, -1, -2), np.swapaxes(va, -1, -2) @ g))
+
+
+def zero_grads(params) -> None:
+    for p in params:
+        p.grad[...] = 0.0
+
+
 def decode_adjacency_matmul(tape: Tape, z: int) -> int:
     """Z Z^T as a transpose node and a matmul node."""
     zt = tape._record(np.swapaxes(tape.value(z), -1, -2), (z,),
                       lambda g: (np.swapaxes(g, -1, -2),))
-    return tape.matmul(z, zt)
+    return matmul(tape, z, zt)
 
 
 def pool_features_loop(z: np.ndarray, m: MembershipMatrix) -> np.ndarray:
@@ -717,7 +739,7 @@ def pipeline_loss(models, x: np.ndarray, a, m1: MembershipMatrix, tape: Tape,
         if m is not None:
             # M^T, the G x N binary matrix of the membership
             mt = (np.arange(m.num_groups)[:, None] == m.group).astype(np.float64)
-            x_node = tape.matmul(tape.const(mt[None]), pooled)
+            x_node = matmul(tape, tape.const(mt[None]), pooled)
             a_cur = s.pooled_a
     return total
 

@@ -1,9 +1,13 @@
+import ast
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import jsonschema
@@ -36,12 +40,16 @@ from tiergae.errors import CliError, ConfigError
 from tiergae.fgroups import membership_from_partition, partition_molecule
 from tiergae.graphs import coo_to_dense, validate
 from tiergae.pooling import graph_tier_membership, pool_adjacency
+from tiergae.sdf import write_sdf
 from tiergae.tgae import make_tier_models, train_tiered
 from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
 
 from conftest import VANILLIN_SDF, export_violations
 from oracles import dense_membership, membership_from_partition_dense
+from test_blas_threads import chain_molecule
 from test_pubchem import RecordingTransport
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -1144,6 +1152,138 @@ def test_main_failed_history_write_keeps_the_previous_checkpoint(tmp_path, capsy
     assert len(history.read_text().split("\n")) == 1 + 3 * 3 + 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.json", "ck_history.csv",
                                                           "corpus.json"]
+
+
+def test_main_train_writes_names_two_short_of_name_max(tmp_path, capsys, corpus_path):
+    # the checkpoint's name is 246 characters and its history's 253, both
+    # within NAME_MAX (255); a temporary named after either would not be
+    stem = "m" * 241
+    out = tmp_path / f"{stem}.json"
+    assert main(["train", str(corpus_path), "--epochs", "1", "--out", str(out)]) == 0, (
+        capsys.readouterr().err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["corpus.json", out.name, f"{stem}_history.csv"])
+
+
+def test_main_embed_writes_an_export_name_of_name_max(tmp_path, capsys):
+    sdf = tmp_path / "long.sdf"
+    sdf.write_text(write_sdf([replace(chain_molecule(3), name="n" * 250)]))
+    corpus = cmd_ingest([sdf], tmp_path / "corpus.json")
+    ckpt, _ = cmd_train(small_cfg(epochs=1), corpus, tmp_path / "model.json")
+    export = tmp_path / "export"
+    assert main(["embed", str(corpus), "--checkpoint", str(ckpt), "--out", str(export)]) == 0, (
+        capsys.readouterr().err)
+    assert [p.name for p in export.iterdir()] == ["n" * 250 + ".json"]
+
+
+# a file size the output of each command below passes
+FSIZE_LIMIT = 1024
+
+# `main` on the arguments, with `fetch`'s transport a fake that answers
+# every request with the bytes on stdin
+LIMITED_MAIN = """
+import sys
+from tiergae import cli
+body = sys.stdin.buffer.read()
+cli.pubchem.urllib_transport = lambda: lambda url: (200, body)
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command", ["ingest", "embed", "fetch", "train"])
+def test_main_write_past_the_file_size_limit_keeps_the_previous_output(
+        tmp_path, monkeypatch, corpus_path, command):
+    resource = pytest.importorskip("resource")
+    out = tmp_path / "out"
+    body = VANILLIN_SDF.read_bytes()
+    if command == "ingest":
+        target = out / "corpus.json"
+        argv = ["ingest", str(VANILLIN_SDF), "--out", str(target)]
+    elif command == "embed":
+        ckpt, _ = cmd_train(small_cfg(epochs=1), corpus_path, tmp_path / "model.json")
+        target = out / "1183.json"
+        argv = ["embed", str(corpus_path), "--checkpoint", str(ckpt), "--out", str(out)]
+    elif command == "fetch":
+        monkeypatch.setattr(cli.pubchem, "urllib_transport",
+                            lambda: RecordingTransport([(200, body)]))
+        target = out / "1183.sdf"
+        argv = ["fetch", "1183", "--out", str(out)]
+    else:
+        target = out / "model.json"
+        argv = ["train", str(corpus_path), "--epochs", "1", "--hidden", "6", "--d-z", "3",
+                "--out", str(target)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before[target.name]) > FSIZE_LIMIT
+    # the limit is set in the child only; Python ignores SIGXFSZ, so the
+    # write that passes it fails with EFBIG
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_MAIN, *argv], input=body, capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (FSIZE_LIMIT,) * 2),
+        timeout=120)
+    err = done.stderr.decode()
+    assert done.returncode == 2, err
+    assert err.splitlines()[-1] == f"tiergae {command}: cannot write {target}: File too large"
+    # the previous bytes, and no temporary left beside them
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _write_mode(call: ast.Call, mode_at: int) -> bool:
+    """Whether the mode of an `open` call, its argument `mode_at` or its
+    `mode` keyword ("r" if neither), writes; a mode that is not a literal
+    counts as writing."""
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                call.args[mode_at] if len(call.args) > mode_at else ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+class _FileWrites(ast.NodeVisitor):
+    """The functions of a module that write a file by its path: a call of
+    `write_text`, `write_bytes`, `os.open`, or `open` (the builtin, `io`'s
+    or `Path.open`) in a mode that writes. An `open` of a name bound from
+    `os.pipe()` opens a file descriptor, not a path, and is skipped."""
+
+    def __init__(self):
+        self.scope, self.pipe_ends, self.writers = ["<module>"], set(), set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Assign(self, node):
+        value = node.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "os.pipe":
+            self.pipe_ends |= {n.id for t in node.targets for n in ast.walk(t)
+                               if isinstance(n, ast.Name)}
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        func = ast.unparse(node.func)
+        name = func.rsplit(".", 1)[-1]
+        if name in ("write_text", "write_bytes") or func == "os.open":
+            writes = True
+        elif func in ("open", "io.open"):
+            first = node.args[0] if node.args else None
+            writes = (not (isinstance(first, ast.Name) and first.id in self.pipe_ends)
+                      and _write_mode(node, 1))
+        else:
+            writes = name == "open" and _write_mode(node, 0)  # Path.open
+        if writes:
+            self.writers.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_one_function_of_the_package_writes_files():
+    writers = set()
+    for module in sorted((SRC / "tiergae").glob("*.py")):
+        found = _FileWrites()
+        found.visit(ast.parse(module.read_text(encoding="utf-8")))
+        writers |= {f"{module.stem}.{name}" for name in found.writers}
+    assert writers == {"cli.write_texts"}
 
 
 def test_main_molecule_over_max_atoms_exits_2(tmp_path, capsys, corpus_path, monkeypatch):

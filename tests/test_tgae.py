@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Param, Tape, zero_grads
+from tiergae.autodiff import Param, Tape
 from tiergae.cli import params_state
 from tiergae.errors import DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
@@ -39,6 +39,7 @@ from oracles import (
     permute_graph,
     pipeline_loss,
     stable_sigmoid,
+    zero_grads,
 )
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Param, Tape, seeded_rng, zero_grads
+from tiergae.autodiff import Param, Tape, seeded_rng
 from tiergae.cli import params_state
 from tiergae.errors import ShapeMismatchError
 from tiergae.gcn import gcn_norm
@@ -41,7 +41,7 @@ from conftest import (
     recon_value,
 )
 from gradcheck import assert_grads_match, finite_difference_grads
-from oracles import decode_adjacency_numpy, pipeline_loss
+from oracles import decode_adjacency_numpy, pipeline_loss, zero_grads
 from test_tgae import path4_graph, path4_items
 
 
