@@ -199,9 +199,12 @@ def _finish_record(lines: list[str], cursor: int, name: Optional[str],
             parts = line.split()
             for a_txt, v_txt in zip(parts[3::2], parts[4::2]):
                 try:
-                    chg_entries.append((_ascii_int(a_txt), _ascii_int(v_txt)))
+                    entry = _ascii_int(a_txt), _ascii_int(v_txt)
                 except ValueError:
                     raise SdfError(f"M CHG: cannot read integers from {line!r}") from None
+                if not -15 <= entry[1] <= 15:  # the V2000 range of M  CHG
+                    raise SdfError(f"M CHG: charge outside -15..15 in {line!r}")
+                chg_entries.append(entry)
     if chg_entries:
         for atom in atoms:
             atom.charge = 0

@@ -362,18 +362,26 @@ def _check_models(models: Sequence) -> None:
 
 def check_items(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]) -> None:
     """The graph check of the corpus boundary (`cli.corpus_items`), which
-    every library entry point runs on its graphs and tier-1 memberships:
-    the error of `graphs.first_defect`'s graph, then a membership whose row
-    count is not its graph's node count. The tier path checks none of this
-    again."""
+    every library entry point runs on its graphs and tier-1 memberships: a
+    graph without a membership or the reverse, the error of
+    `graphs.first_defect`'s graph, then a membership whose row count is not
+    its graph's node count or a graph whose node-feature width is not the
+    first graph's. The tier path checks none of this again."""
+    if len(memberships) < len(graphs):
+        raise ShapeMismatchError(f"graph #{len(memberships)} has no membership")
+    if len(memberships) > len(graphs):
+        raise ShapeMismatchError(f"membership #{len(graphs)} has no graph")
     found = first_defect(graphs)
     if found is not None:
         raise found[2]
-    for graph, m1 in zip(graphs, memberships, strict=True):
+    for k, (graph, m1) in enumerate(zip(graphs, memberships)):
         if m1.num_nodes != graph.num_nodes:
             raise ShapeMismatchError(
                 f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
             )
+        if graph.x.shape[1] != graphs[0].x.shape[1]:
+            raise ShapeMismatchError(f"graph #{k} has {graph.x.shape[1]} node features, "
+                                     f"graph #0 has {graphs[0].x.shape[1]}")
 
 
 def _next_memberships(memberships: Sequence[MembershipMatrix]) -> tuple:

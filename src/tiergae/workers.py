@@ -156,16 +156,6 @@ def run_strides(run_share: Callable[..., Report], n: int, k: int,
             min(failures, key=lambda f: f[0], default=None))
 
 
-def pin(cpu: int) -> bool:
-    """Move this process to `cpu` alone; False, with the mask unchanged, if
-    the kernel refuses that CPU."""
-    try:
-        os.sched_setaffinity(0, {cpu})
-    except OSError:
-        return False
-    return True
-
-
 def send(fd: int, buf) -> None:
     """Write all of `buf` (a contiguous array or bytes) to `fd`."""
     view = memoryview(buf).cast("B")
@@ -228,13 +218,10 @@ class StackWorkers:
     A child keeps its stacks, and its copy of the noise generator, from the
     fork, so it draws each epoch's normals in step with the caller.
 
-    While the tier trains, each process is pinned to a CPU of the mask of
-    its own (unpinned, the pipe writes woke each child on the writer's CPU
-    and the split ran slower than one process); a CPU the kernel refuses
-    leaves its process unpinned. On leaving, every child is reaped and the
-    caller's mask restored. A failure is raised as the one-process loop
-    would meet it first, at the highest stack index; a child that ends
-    without a report is a WorkerError.
+    Every process keeps the caller's affinity mask, and the kernel places
+    them. On leaving, every child is reaped. A failure is raised as the
+    one-process loop would meet it first, at the highest stack index; a
+    child that ends without a report is a WorkerError.
     """
 
     def __init__(self, count: int, opt: Adam, run_stack: Callable, draw: Callable,
@@ -242,7 +229,6 @@ class StackWorkers:
         self.count, self.opt, self.run_stack, self.draw = count, opt, run_stack, draw
         self.label = label  # names the tier in a WorkerError
         self.children: list[_Child] = []
-        self.mask = None  # the caller's affinity mask while it is pinned
 
     def _reply_rows(self, n: int) -> np.ndarray:
         return np.empty((n, 1 + self.opt.value.size))
@@ -257,10 +243,6 @@ class StackWorkers:
         try:
             self.own = start_strides(self._fork, self.count, worker_count(self.count),
                                      self.children)
-            if self.children:
-                mask = os.sched_getaffinity(0)
-                if pin(min(mask)):
-                    self.mask = mask
         except BaseException:
             self.close()
             raise
@@ -272,8 +254,8 @@ class StackWorkers:
         self.close()
 
     def close(self) -> list[Failure]:
-        """Let every child end and reap it, and restore the caller's mask;
-        the failures the children reported."""
+        """Let every child end and reap it; the failures the children
+        reported."""
         children, self.children = self.children, []
         failures = []
         try:
@@ -285,9 +267,6 @@ class StackWorkers:
                 what = f"{self.label} stacks " + ", ".join(f"#{s}" for s in child.share)
                 failures.append(reap(child.pid, child.report, what,
                                      self._rank(child.share[-1]))[1])
-            if self.mask is not None:
-                os.sched_setaffinity(0, self.mask)
-                self.mask = None
         return [f for f in failures if f is not None]
 
     def epoch(self) -> list[float]:
@@ -326,9 +305,7 @@ class StackWorkers:
     # a child -----------------------------------------------------------------
 
     def _fork(self, share: list[int]) -> Optional[_Child]:
-        """Start the child that runs `share` on the CPU of the mask that its
-        first stack indexes, or None if it could not start."""
-        cpu = sorted(os.sched_getaffinity(0))[share[0]]
+        """Start the child that runs `share`, or None if it could not start."""
         down = up = ()
         try:
             down = os.pipe()
@@ -348,7 +325,6 @@ class StackWorkers:
         def serve(share: list[int]) -> Report:
             for fd in inherited:
                 os.close(fd)
-            pin(cpu)
             rows = self._reply_rows(len(share))
             while receive(down[0], self.opt.value):
                 failure = self._run_share(share, rows, self.draw())

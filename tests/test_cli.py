@@ -255,6 +255,9 @@ def test_ingest_skips_broken_file_but_reports(tmp_path, capsys):
     ("0.0000 C   0  0", "0.0000 C   0  x"),
     # value of an M  CHG pair
     ("M  END", "M  CHG  1   1  y\nM  END"),
+    # M  CHG values past the float range and past the V2000 range
+    ("M  END", f"M  CHG  1   1 {'1' + '0' * 399}\nM  END"),
+    ("M  END", "M  CHG  1   1  16\nM  END"),
 ])
 def test_ingest_skips_file_with_unreadable_charge(tmp_path, good, bad):
     text = VANILLIN_SDF.read_text()

@@ -186,6 +186,41 @@ def entry_points_accept(g: Graph) -> None:
     encode_tiered_variational([g], [m1], make_variational_tier_models(g.x.shape[1], cfg))
 
 
+# two graphs of one bonded pair, with 3 and 4 node features
+NARROW, WIDE = (Graph(x=np.ones((2, d)), edge_index=np.array([[0, 1], [1, 0]]),
+                      edge_attr=np.ones((2, 1))) for d in (3, 4))
+PAIR = MembershipMatrix(np.zeros(2, dtype=np.int64), 1)
+SMALL = RunConfig(epochs=1, hidden=2, d_z=2)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: train_tiered(make_tier_models(3, SMALL), [(NARROW, PAIR), (WIDE, PAIR)], SMALL),
+    lambda: encode_tiered([NARROW, WIDE], [PAIR, PAIR], make_tier_models(3, SMALL)),
+    lambda: train_tiered_variational(make_variational_tier_models(3, SMALL),
+                                     [(NARROW, PAIR), (WIDE, PAIR)], SMALL),
+    lambda: encode_tiered_variational([NARROW, WIDE], [PAIR, PAIR],
+                                      make_variational_tier_models(3, SMALL)),
+], ids=["train", "encode", "train-variational", "encode-variational"])
+def test_entry_points_refuse_graphs_of_two_feature_widths(call):
+    with pytest.raises(ShapeMismatchError, match=r"^graph #1 has 4 node features, graph #0 has 3$"):
+        call()
+
+
+@pytest.mark.parametrize("encode, make", [
+    (encode_tiered, make_tier_models),
+    (encode_tiered_variational, make_variational_tier_models),
+], ids=["encode", "encode-variational"])
+@pytest.mark.parametrize("graphs, memberships, problem", [
+    ([NARROW, NARROW], [PAIR], "graph #1 has no membership"),
+    ([NARROW], [PAIR, PAIR], "membership #1 has no graph"),
+], ids=["fewer-memberships", "fewer-graphs"])
+def test_encode_refuses_memberships_that_do_not_pair_with_the_graphs(encode, make, graphs,
+                                                                     memberships, problem):
+    # training takes (graph, membership) pairs, so it cannot be given these
+    with pytest.raises(ShapeMismatchError, match=f"^{problem}$"):
+        encode(graphs, memberships, make(3, SMALL))
+
+
 def test_coo_to_dense_rejects_out_of_range():
     # coo_to_dense trusts its graph; the library entry points refuse this one
     g = Graph(x=np.zeros((3, 1)), edge_index=np.array([[0, 7], [7, 0]]),

@@ -9,6 +9,7 @@ from tiergae.errors import NotFoundError, TransportError
 from tiergae.pubchem import (
     BASE_URL_ENV_VAR,
     DEFAULT_BASE_URL,
+    RETRIES,
     base_url,
     fetch_pubchem_sdf,
     sdf_url,
@@ -42,11 +43,6 @@ def test_base_url_precedence(monkeypatch):
     assert base_url() == DEFAULT_BASE_URL
     monkeypatch.setenv(BASE_URL_ENV_VAR, "http://mirror.example/pug/")
     assert base_url() == "http://mirror.example/pug"
-    assert sdf_url(7, "http://direct.example") == (
-        "http://direct.example/compound/cid/7/record/SDF"
-    )
-    # explicit argument beats the environment
-    assert base_url("http://direct.example") == "http://direct.example"
 
 
 def test_fetch_success(vanillin_sdf_bytes):
@@ -54,12 +50,6 @@ def test_fetch_success(vanillin_sdf_bytes):
     body = fetch_pubchem_sdf(1183, t)
     assert body == vanillin_sdf_bytes
     assert t.urls == [sdf_url(1183)]
-
-
-def test_fetch_uses_base_override():
-    t = RecordingTransport([(200, b"ok")])
-    fetch_pubchem_sdf(5, t, base="http://mirror.example")
-    assert t.urls == ["http://mirror.example/compound/cid/5/record/SDF"]
 
 
 def test_404_raises_not_found_without_retry():
@@ -80,35 +70,28 @@ def test_invalid_cid_rejected_locally():
 def test_transport_exception_retried_then_raised():
     t = RecordingTransport([OSError("timed out"), OSError("timed out again")])
     with pytest.raises(TransportError) as exc:
-        fetch_pubchem_sdf(7, t, retries=1)
+        fetch_pubchem_sdf(7, t)
     assert len(t.urls) == 2
     assert "7" in str(exc.value)
 
 
 def test_retry_recovers_from_transient_failure():
     t = RecordingTransport([OSError("blip"), (200, b"data")])
-    assert fetch_pubchem_sdf(7, t, retries=1) == b"data"
+    assert fetch_pubchem_sdf(7, t) == b"data"
     assert len(t.urls) == 2
 
 
 def test_server_error_retried():
     t = RecordingTransport([(503, b""), (200, b"data")])
-    assert fetch_pubchem_sdf(7, t, retries=1) == b"data"
+    assert fetch_pubchem_sdf(7, t) == b"data"
 
 
 def test_server_error_exhausts_retries():
     t = RecordingTransport([(500, b""), (500, b""), (500, b"")])
     with pytest.raises(TransportError) as exc:
-        fetch_pubchem_sdf(7, t, retries=2)
-    assert len(t.urls) == 3
+        fetch_pubchem_sdf(7, t)
+    assert len(t.urls) == 1 + RETRIES == 2
     assert "500" in str(exc.value)
-
-
-def test_zero_retries_single_attempt():
-    t = RecordingTransport([OSError("down")])
-    with pytest.raises(TransportError):
-        fetch_pubchem_sdf(7, t, retries=0)
-    assert len(t.urls) == 1
 
 
 def test_importing_the_cli_leaves_urllib_unloaded():

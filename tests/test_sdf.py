@@ -170,6 +170,20 @@ def test_m_chg_out_of_range_rejected():
         parse_sdf(text)
 
 
+@pytest.mark.parametrize("value", [-15, 15])
+def test_m_chg_takes_the_v2000_range(value):
+    text = molfile([("C", 0)], [], props=[f"M  CHG  1   1{value:>4}"])
+    assert parse_sdf(text)[0].atoms[0].charge == value
+
+
+@pytest.mark.parametrize("value", [-16, 16])
+def test_m_chg_refuses_a_charge_past_the_v2000_range(value):
+    line = f"M  CHG  1   1{value:>4}"
+    with pytest.raises(SdfError) as info:
+        parse_sdf(molfile([("C", 0)], [], props=[line]))
+    assert str(info.value) == f"M CHG: charge outside -15..15 in {line!r}"
+
+
 def test_multiline_data_item():
     text = molfile(
         [("C", 0)], [],

@@ -1,8 +1,9 @@
 """`train` shares each tier's stacks out over one process per CPU in the
-affinity mask, forked while the tier trains and pinned one per CPU. The
-checkpoint and history must not depend on the number of processes, a
-failure must be the one a run in one process raises, no child may outlive
-the command, and the caller's affinity mask must be the same afterwards.
+affinity mask, forked while the tier trains; every process keeps the
+caller's mask. The checkpoint and history must not depend on the number of
+processes, a failure must be the one a run in one process raises, no child
+may outlive the command, and the caller's affinity mask must be the same
+afterwards.
 
 The process count is set and the children counted with the helpers of
 `forks.py`.
@@ -193,7 +194,8 @@ def test_a_failed_fork_leaves_its_share_to_the_caller(tmp_path, monkeypatch, cor
     assert_mask_restored()
 
 
-def test_refused_cpus_leave_their_workers_unpinned(tmp_path, monkeypatch, corpus, serial):
+def test_a_mask_naming_refused_cpus_keeps_the_bytes_and_fork_count(tmp_path, monkeypatch,
+                                                                   corpus, serial):
     flavor, expected = serial
     mask = REAL_MASK | {REFUSED, REFUSED + 1}
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask)
@@ -204,38 +206,23 @@ def test_refused_cpus_leave_their_workers_unpinned(tmp_path, monkeypatch, corpus
     assert_mask_restored()
 
 
-@pytest.mark.skipif(len(REAL_MASK) < 2, reason="needs two CPUs")
-@pytest.mark.parametrize("refused", [0, 2])
-def test_each_process_is_pinned_while_a_tier_trains(tmp_path, monkeypatch, corpus, refused):
+def test_every_process_keeps_the_callers_mask_while_a_tier_trains(tmp_path, monkeypatch,
+                                                                  corpus):
     seen = tmp_path / "seen"
     seen.mkdir()
 
     def record(_n):
-        (seen / str(os.getpid())).write_text(repr(sorted(real_affinity())))
+        with open(seen / str(os.getpid()), "a", encoding="utf-8") as fh:
+            fh.write(repr(sorted(real_affinity())) + "\n")
 
     parent = on_backward(monkeypatch, record)
-    cpus = sorted(REAL_MASK)[:2] + [REFUSED + i for i in range(refused)]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+    use_cpus(monkeypatch, 2)
     forks = count_forks(monkeypatch)
     train("tgae", corpus, tmp_path)
-    # each tier forks a child per CPU but the first, in order; one on a
-    # CPU the kernel refuses keeps the whole mask
-    per_tier = [repr([cpus[1]])] + [repr(sorted(REAL_MASK))] * refused
-    masks = {int(p.name): p.read_text() for p in seen.iterdir()}
-    # the caller's last backward pass is tier 3's, one stack, unforked
-    assert masks.pop(parent) == repr(sorted(REAL_MASK))
-    assert masks == dict(zip(forks, per_tier * 2))
-    assert_no_child_left()
-    assert_mask_restored()
-
-
-def test_the_caller_is_pinned_while_a_tier_trains(monkeypatch):
-    masks = []
-    on_backward(monkeypatch, lambda _n: masks.append(real_affinity()))
-    use_cpus(monkeypatch, 2)
-    model = make_tier_models(4, RunConfig(hidden=5, d_z=3))[0]
-    fit_tier(model, tgae.stack_samples(samples()), RunConfig(epochs=2))
-    assert masks and all(m == {min(REAL_MASK)} for m in masks)
+    # every backward pass of the caller and of each tier's child
+    masks = {int(p.name): set(p.read_text().splitlines()) for p in seen.iterdir()}
+    assert len(forks) == 2 and set(masks) == {parent, *forks}
+    assert all(m == {repr(sorted(REAL_MASK))} for m in masks.values())
     assert_no_child_left()
     assert_mask_restored()
 
