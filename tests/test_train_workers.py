@@ -206,8 +206,11 @@ def test_a_mask_naming_refused_cpus_keeps_the_bytes_and_fork_count(tmp_path, mon
     assert_mask_restored()
 
 
-def test_every_process_keeps_the_callers_mask_while_a_tier_trains(tmp_path, monkeypatch,
-                                                                  corpus):
+# The two tests below keep the names they had when each process was pinned
+# to one CPU of the mask; what they hold each process to now is the caller's
+# own mask, unchanged for as long as the tier trains.
+@pytest.mark.parametrize("refused", [0, 2])
+def test_each_process_is_pinned_while_a_tier_trains(tmp_path, monkeypatch, corpus, refused):
     seen = tmp_path / "seen"
     seen.mkdir()
 
@@ -216,13 +219,25 @@ def test_every_process_keeps_the_callers_mask_while_a_tier_trains(tmp_path, monk
             fh.write(repr(sorted(real_affinity())) + "\n")
 
     parent = on_backward(monkeypatch, record)
-    use_cpus(monkeypatch, 2)
+    cpus = use_cpus(monkeypatch, 2 + refused)
     forks = count_forks(monkeypatch)
     train("tgae", corpus, tmp_path)
-    # every backward pass of the caller and of each tier's child
+    # tiers 1 and 2 fork a child per CPU but the first; every backward pass
+    # of the caller and of each child sees the caller's mask
     masks = {int(p.name): set(p.read_text().splitlines()) for p in seen.iterdir()}
-    assert len(forks) == 2 and set(masks) == {parent, *forks}
+    assert len(forks) == 2 * (len(cpus) - 1) and set(masks) == {parent, *forks}
     assert all(m == {repr(sorted(REAL_MASK))} for m in masks.values())
+    assert_no_child_left()
+    assert_mask_restored()
+
+
+def test_the_caller_is_pinned_while_a_tier_trains(monkeypatch):
+    masks = []
+    on_backward(monkeypatch, lambda _n: masks.append(real_affinity()))
+    use_cpus(monkeypatch, 2)
+    model = make_tier_models(4, RunConfig(hidden=5, d_z=3))[0]
+    fit_tier(model, tgae.stack_samples(samples()), RunConfig(epochs=2))
+    assert masks and all(m == REAL_MASK for m in masks)
     assert_no_child_left()
     assert_mask_restored()
 
