@@ -21,7 +21,6 @@ import sys
 import time
 from pathlib import Path
 
-from tiergae.cli import validate_config
 from tiergae.errors import CliError, TiergaeError
 from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
 from tiergae.sdf import Molecule, featurize, parse_sdf
@@ -68,9 +67,9 @@ def main() -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    cfg = validate_config(RunConfig(
-        model="tvgae" if args.variational else "tgae", seed=args.seed, epochs=args.epochs,
-        lr=args.lr, hidden=args.hidden, d_z=args.d_z, kl_weight=args.kl_weight))
+    cfg = RunConfig(model="tvgae" if args.variational else "tgae", seed=args.seed,
+                    epochs=args.epochs, lr=args.lr, hidden=args.hidden, d_z=args.d_z,
+                    kl_weight=args.kl_weight)
     try:
         data = args.sdf.read_bytes()
     except OSError as exc:

@@ -26,11 +26,10 @@ import functools
 import io
 import itertools
 import json
-import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -40,10 +39,9 @@ from . import graphs, pubchem
 from .autodiff import Param
 from .errors import CliError, ConfigError, DomainError, ShapeMismatchError, TiergaeError
 from .fgroups import GroupPartition, membership_from_partition, partition_molecule
-from .gcn import MAX_LAYERS, MIN_LAYERS
 from .graphs import Graph, MembershipMatrix, first_defect
 from .sdf import ELEMENT_VOCAB, featurize, formula_from_features, parse_sdf
-from .tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
+from .tgae import MAX_WIDTH, MODELS, RunConfig, encode_tiered, make_tier_models, train_tiered
 from .tvgae import (
     encode_tiered_variational,
     make_variational_tier_models,
@@ -54,15 +52,6 @@ from .workers import Report, run_strides, worker_count
 CORPUS_FORMAT_VERSION = 3
 CHECKPOINT_FORMAT_VERSION = 1
 EXPORT_FORMAT_VERSION = 3
-
-MODELS = ("tgae", "tvgae")
-
-# widest `hidden` and `d_z`. A layer's weight is at most MAX_WIDTH**2
-# float64 values (8 MiB), so the largest model (6 layers, 3 tiers, the
-# variational flavor's two encoders, each weight with its gradient and
-# Adam's two moments) holds about 1 GiB; --hidden 2147483648 asked numpy
-# for 208 GiB and died with a MemoryError traceback
-MAX_WIDTH = 1024
 
 # SDF bytes that each ingest process must have to pay for its fork. On
 # 2 vCPUs, two processes against one on the first files of the perfbench
@@ -305,44 +294,13 @@ def load_config_file(path) -> dict:
     return values
 
 
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """The one rule set of run settings, from flags, config files and
-    checkpoints alike: each value has the type of its default (so 2.5 and
-    true are not ints), and then the per-field bounds."""
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if type(value) is not type(f.default):
-            raise ConfigError(f"config field {f.name!r}: expected "
-                              f"{type(f.default).__name__}, got {value!r}")
-    if cfg.model not in MODELS:
-        raise ConfigError(f"config field 'model': must be one of {MODELS}, got {cfg.model!r}")
-    if cfg.seed < 0:
-        raise ConfigError("config field 'seed': must be nonnegative")
-    for name in ("epochs", "lr", "hidden", "d_z", "kl_weight", "k"):
-        value = getattr(cfg, name)
-        # math.isfinite overflows on an int past the float range (10**400)
-        if type(value) is float and not math.isfinite(value):
-            raise ConfigError(f"config field {name!r}: must be finite, got {value}")
-        if value <= 0:
-            raise ConfigError(f"config field {name!r}: must be strictly positive")
-    if not (MIN_LAYERS <= cfg.k <= MAX_LAYERS):
-        raise ConfigError(f"config field 'k': must be in [{MIN_LAYERS}, {MAX_LAYERS}], "
-                          f"got {cfg.k}")
-    for name in ("hidden", "d_z"):
-        if getattr(cfg, name) > MAX_WIDTH:
-            raise ConfigError(f"config field {name!r}: must be at most {MAX_WIDTH}, "
-                              f"got {getattr(cfg, name)}")
-    return cfg
-
-
 def resolve_config(config_path=None, **flag_overrides) -> RunConfig:
-    """Precedence: explicit flags > config file > defaults."""
-    cfg = RunConfig()
-    if config_path is not None:
-        cfg = replace(cfg, **load_config_file(config_path))
-    overrides = {k: v for k, v in flag_overrides.items() if v is not None}
-    cfg = replace(cfg, **overrides)
-    return validate_config(cfg)
+    """Precedence: explicit flags > config file > defaults. The settings are
+    merged first and built into one RunConfig, so a config file value that
+    a flag overrides is never checked."""
+    values = {} if config_path is None else load_config_file(config_path)
+    values.update((k, v) for k, v in flag_overrides.items() if v is not None)
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +596,8 @@ def load_checkpoint(path, d_in: Optional[int] = None):
     dims = doc["dims"]
     _require_object(dims, f"checkpoint {path}: dims", ("d_in", "hidden", "d_z", "k"))
     try:
-        cfg = validate_config(RunConfig(model=doc["model"], hidden=dims["hidden"],
-                                        d_z=dims["d_z"], k=dims["k"]))
+        cfg = RunConfig(model=doc["model"], hidden=dims["hidden"], d_z=dims["d_z"],
+                        k=dims["k"])
     except ConfigError as exc:
         raise ConfigError(f"checkpoint {path}: {exc}") from None
     if type(dims["d_in"]) is not int or dims["d_in"] <= 0:

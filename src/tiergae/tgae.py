@@ -29,14 +29,14 @@ them the same way (`embed_stacks`, `pool_rows`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .autodiff import Adam, Param, Tape, seeded_rng
-from .errors import DomainError, ShapeMismatchError
-from .gcn import GnnEncoder, encode, encode_numpy, gcn_norm, make_encoder
+from .errors import ConfigError, DomainError, ShapeMismatchError
+from .gcn import MAX_LAYERS, MIN_LAYERS, GnnEncoder, encode, encode_numpy, gcn_norm, make_encoder
 from .graphs import (Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo,
                      edge_mask, first_defect)
 from .pooling import graph_tier_membership, pool_adjacency, pool_features
@@ -65,12 +65,23 @@ NOISE_ROLE = 2
 # 16384 is as fast but pads 9.1% of the tier-1 cells, against 3.6% here.
 STACK_CELLS = 8192
 
+MODELS = ("tgae", "tvgae")
+
+# widest `hidden` and `d_z`. A layer's weight is at most MAX_WIDTH**2
+# float64 values (8 MiB), so the largest model (6 layers, 3 tiers, the
+# variational flavor's two encoders, each weight with its gradient and
+# Adam's two moments) holds about 1 GiB; --hidden 2147483648 asked numpy
+# for 208 GiB and died with a MemoryError traceback
+MAX_WIDTH = 1024
+
 
 @dataclass(frozen=True)
 class RunConfig:
     """The settings of one run, from the command line down to the epoch
     loop. `model` picks the flavor; each flavor's builder and trainer read
-    the fields they need (`tgae` skips kl_weight)."""
+    the fields they need (`tgae` skips kl_weight). A value not of its
+    default's type (2.5 is not an int) or past its field's bound is a
+    ConfigError when the config is built, also by `dataclasses.replace`."""
 
     model: str = "tgae"
     seed: int = 0
@@ -80,6 +91,32 @@ class RunConfig:
     d_z: int = 16
     kl_weight: float = 1.0
     k: int = 2
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) is not type(f.default):
+                raise ConfigError(f"config field {f.name!r}: expected "
+                                  f"{type(f.default).__name__}, got {value!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"config field 'model': must be one of {MODELS}, "
+                              f"got {self.model!r}")
+        if self.seed < 0:
+            raise ConfigError("config field 'seed': must be nonnegative")
+        for name in ("epochs", "lr", "hidden", "d_z", "kl_weight", "k"):
+            value = getattr(self, name)
+            # math.isfinite overflows on an int past the float range (10**400)
+            if type(value) is float and not math.isfinite(value):
+                raise ConfigError(f"config field {name!r}: must be finite, got {value}")
+            if value <= 0:
+                raise ConfigError(f"config field {name!r}: must be strictly positive")
+        if not (MIN_LAYERS <= self.k <= MAX_LAYERS):
+            raise ConfigError(f"config field 'k': must be in [{MIN_LAYERS}, {MAX_LAYERS}], "
+                              f"got {self.k}")
+        for name in ("hidden", "d_z"):
+            if getattr(self, name) > MAX_WIDTH:
+                raise ConfigError(f"config field {name!r}: must be at most {MAX_WIDTH}, "
+                                  f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -355,22 +392,40 @@ def train_tier(model: TierModel, stacks: Sequence[TierStack],
     return fit_tier(model, stacks, config)
 
 
-def _check_models(models: Sequence) -> None:
-    if len(models) != 3 or [m.tier for m in models] != [1, 2, 3]:
-        raise ValueError("expected models for tiers 1, 2, 3 in order")
+def _check_models(models: Sequence, flavor: type = object) -> None:
+    """ShapeMismatchError unless `models` are three `flavor`s of tiers 1, 2, 3."""
+    if len(models) != 3 or any(not isinstance(m, flavor) or getattr(m, "tier", None) != tier
+                               for tier, m in zip((1, 2, 3), models)):
+        raise ShapeMismatchError("expected models for tiers 1, 2, 3 in order")
+
+
+def split_items(items: Sequence[tuple[Graph, MembershipMatrix]]) -> tuple[list, list]:
+    """The graphs and the memberships of training's `items`; a
+    ShapeMismatchError naming the first item that is not a pair."""
+    for k, item in enumerate(items):
+        if not isinstance(item, (tuple, list)) or len(item) != 2:
+            raise ShapeMismatchError(f"item #{k} is not a (Graph, MembershipMatrix) pair")
+    return [g for g, _ in items], [m for _, m in items]
 
 
 def check_items(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]) -> None:
     """The graph check of the corpus boundary (`cli.corpus_items`), which
     every library entry point runs on its graphs and tier-1 memberships: a
-    graph without a membership or the reverse, the error of
-    `graphs.first_defect`'s graph, then a membership whose row count is not
-    its graph's node count or a graph whose node-feature width is not the
-    first graph's. The tier path checks none of this again."""
+    graph without a membership or the reverse, an entry that is not a Graph
+    or not a MembershipMatrix, the error of `graphs.first_defect`'s graph,
+    then a membership whose row count is not its graph's node count or a
+    graph whose node-feature width is not the first graph's. The tier path
+    checks none of this again."""
     if len(memberships) < len(graphs):
         raise ShapeMismatchError(f"graph #{len(memberships)} has no membership")
     if len(memberships) > len(graphs):
         raise ShapeMismatchError(f"membership #{len(graphs)} has no graph")
+    for k, (graph, m1) in enumerate(zip(graphs, memberships)):
+        if not isinstance(graph, Graph):
+            raise ShapeMismatchError(f"graph #{k} is a {type(graph).__name__}, not a Graph")
+        if not isinstance(m1, MembershipMatrix):
+            raise ShapeMismatchError(f"membership #{k} is a {type(m1).__name__}, "
+                                     "not a MembershipMatrix")
     found = first_defect(graphs)
     if found is not None:
         raise found[2]
@@ -445,20 +500,22 @@ def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
 
 
 def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, MembershipMatrix]],
-                        train: Callable, pool: Callable) -> dict[int, list[float]]:
+                        train: Callable, pool: Callable, flavor: type) -> dict[int, list[float]]:
     """Bottom-up schedule: stack a tier's samples, train the tier with
     `train(tier, model, stacks)`, freeze it, build the next tier's samples
     with `pool(model, samples, stacks, memberships)`, move up. Each graph's
     dense adjacency is pooled as its sample is built, so one graph's
-    N x N x s array at a time is alive, not the corpus's. The items go
-    through `check_items` first."""
-    _check_models(models)
+    N x N x s array at a time is alive, not the corpus's. The models must
+    be `flavor`s, and the items go through `split_items` and `check_items`
+    first."""
+    _check_models(models, flavor)
     if not items:
-        raise ValueError("empty corpus")
-    check_items([g for g, _ in items], [m for _, m in items])
-    samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in items]
+        raise ConfigError("empty corpus")
+    graphs, memberships = split_items(items)
+    check_items(graphs, memberships)
+    samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in zip(graphs, memberships)]
     hist = {}
-    for model, ms in zip(models, _next_memberships([m for _, m in items])):
+    for model, ms in zip(models, _next_memberships(memberships)):
         stacks = stack_samples(samples)
         hist[model.tier] = train(model.tier, model, stacks)
         if ms is not None:
@@ -472,7 +529,7 @@ def train_tiered(models: Sequence[TierModel],
     """Bottom-up schedule: train a tier, freeze it, pool, move up."""
     return run_tiered_schedule(
         models, items, lambda _tier, model, stacks: train_tier(model, stacks, config),
-        next_tier_samples)
+        next_tier_samples, TierModel)
 
 
 def encode_tiers(graphs, memberships, models: Sequence):

@@ -162,7 +162,7 @@ def train_tiered_variational(models: Sequence[VariationalTierModel],
         models, items,
         lambda tier, model, stacks: train_tier_variational(
             model, stacks, config, seeded_rng(config.seed, tier, NOISE_ROLE)),
-        next_tier_samples_variational)
+        next_tier_samples_variational, VariationalTierModel)
 
 
 def encode_tiered_variational(graphs, memberships,

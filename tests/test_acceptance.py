@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from tiergae.autodiff import Param, Tape, seeded_rng
-from tiergae.cli import RunConfig, cmd_embed, cmd_ingest, cmd_train, validate_config
+from tiergae.cli import RunConfig, cmd_embed, cmd_ingest, cmd_train
 from tiergae.fgroups import mark_atoms, membership_from_partition, partition_molecule
 from tiergae.graphs import Graph, MembershipMatrix, dense_to_coo
 from tiergae.pooling import pool_adjacency, pool_features
@@ -394,7 +394,7 @@ def test_criterion_6_tier_invariances():
 def test_criterion_7_pipeline_determinism(tmp_path):
     with criterion(7, "two ingest-train-embed runs with the same seed write "
                       "byte-identical corpus, checkpoint, and exports"):
-        cfg = validate_config(RunConfig(epochs=5, hidden=6, d_z=3, seed=11))
+        cfg = RunConfig(epochs=5, hidden=6, d_z=3, seed=11)
         outputs = {}
         for run in ("one", "two"):
             root = tmp_path / run

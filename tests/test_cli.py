@@ -33,7 +33,6 @@ from tiergae.cli import (
     main,
     params_state,
     resolve_config,
-    validate_config,
     write_json,
 )
 from tiergae.errors import CliError, ConfigError
@@ -60,7 +59,7 @@ def corpus_path(tmp_path):
 def small_cfg(**kw):
     base = dict(epochs=5, hidden=6, d_z=3, seed=0)
     base.update(kw)
-    return validate_config(RunConfig(**base))
+    return RunConfig(**base)
 
 
 # ---------------------------------------------------------------- arrays
@@ -186,7 +185,17 @@ def test_flags_beat_file_beats_defaults(tmp_path):
     assert cfg.lr == 0.005          # file wins over default
     assert cfg.hidden == 32         # default survives
     cfg = resolve_config(None)
-    assert cfg == validate_config(RunConfig())
+    assert cfg == RunConfig()
+
+
+def test_a_flag_overrides_a_refused_file_value(tmp_path):
+    # the settings are merged before they are checked, so a file value
+    # that a flag replaces is never refused; the same value left in is
+    p = tmp_path / "run.cfg"
+    p.write_text("epochs = 0\nlr = nan\nk = 9\n")
+    assert resolve_config(p, epochs=2, lr=0.5, k=3) == RunConfig(epochs=2, lr=0.5, k=3)
+    with pytest.raises(ConfigError, match=r"^config field 'lr': must be finite, got nan$"):
+        resolve_config(p, epochs=2)
 
 
 def test_validation_names_the_offending_field():
@@ -206,7 +215,7 @@ def test_validation_names_the_offending_field():
     ]
     for kw, field_name in cases:
         with pytest.raises(ConfigError) as exc:
-            validate_config(RunConfig(**kw))
+            RunConfig(**kw)
         assert field_name in str(exc.value)
 
 
@@ -879,7 +888,7 @@ def test_main_width_past_the_bound_exits_2_and_draws_no_weight(tmp_path, capsys,
     assert main(["train", str(corpus_path), "--config", str(config), "--out", str(out)]) == 2
     assert width_error(field, value) in capsys.readouterr().err
     assert sorted(tmp_path.iterdir()) == [corpus_path, config]
-    validate_config(RunConfig(**{field: cli.MAX_WIDTH}))  # the bound itself is valid
+    RunConfig(**{field: cli.MAX_WIDTH})  # the bound itself is valid
 
 
 @pytest.mark.parametrize("value", WIDE)
@@ -1336,12 +1345,11 @@ def test_main_checkpoint_with_non_number_param_exits_2(tmp_path, capsys, corpus_
     assert not (tmp_path / "export").exists()
 
 
-def test_main_train_writes_no_file_after_a_non_finite_loss(tmp_path, capsys, corpus_path,
-                                                          monkeypatch):
-    # with the config check bypassed, a NaN learning rate reaches training
-    monkeypatch.setattr(cli, "validate_config", lambda cfg: cfg)
+def test_main_train_writes_no_file_after_a_non_finite_loss(tmp_path, capsys, corpus_path):
+    # a learning rate of 1e308 is a valid setting; epoch 0's update
+    # overflows the weights, so epoch 1's loss is NaN
     out = tmp_path / "m.json"
-    assert main(["train", str(corpus_path), "--epochs", "3", "--lr", "nan",
+    assert main(["train", str(corpus_path), "--epochs", "3", "--lr", "1e308",
                  "--out", str(out)]) == 2
     assert "tier 1: epoch 1 loss is nan" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [corpus_path]

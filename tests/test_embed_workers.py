@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from tiergae import cli, tgae
-from tiergae.cli import cmd_embed, cmd_ingest, cmd_train, load_corpus, main, validate_config
+from tiergae.cli import cmd_embed, cmd_ingest, cmd_train, load_corpus, main
 from tiergae.errors import CliError, DomainError
 from tiergae.sdf import write_sdf
 from tiergae.tgae import RunConfig
@@ -46,7 +46,7 @@ def corpus(tmp_path_factory) -> Path:
 
 @pytest.fixture(scope="module", params=["tgae", "tvgae"])
 def checkpoint(request, corpus, tmp_path_factory) -> Path:
-    cfg = validate_config(RunConfig(model=request.param, epochs=2, hidden=6, d_z=3, seed=0))
+    cfg = RunConfig(model=request.param, epochs=2, hidden=6, d_z=3, seed=0)
     return cmd_train(cfg, corpus, tmp_path_factory.mktemp("model") / "model.json")[0]
 
 

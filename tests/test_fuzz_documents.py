@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 
 import numpy as np
 
-from tiergae.cli import array_to_json, cmd_ingest, cmd_train, json_to_array, validate_config
+from tiergae.cli import array_to_json, cmd_ingest, cmd_train, json_to_array
 from tiergae.cli import main as cli_main
 from tiergae.tgae import RunConfig
 
@@ -115,7 +115,7 @@ def documents(tmp_path_factory) -> dict:
     corpus = cmd_ingest([VANILLIN_SDF], root / "corpus.json")
     docs = {"corpus": corpus, "corpus_doc": json.loads(corpus.read_text())}
     for flavor in ("tgae", "tvgae"):
-        cfg = validate_config(RunConfig(model=flavor, epochs=2, hidden=4, d_z=2))
+        cfg = RunConfig(model=flavor, epochs=2, hidden=4, d_z=2)
         checkpoint, _ = cmd_train(cfg, corpus, root / f"{flavor}.json")
         docs[flavor] = json.loads(checkpoint.read_text())
     return docs

@@ -22,7 +22,7 @@ import pytest
 
 from tiergae import tgae
 from tiergae.autodiff import Tape
-from tiergae.cli import cmd_ingest, cmd_train, main, validate_config
+from tiergae.cli import cmd_ingest, cmd_train, main
 from tiergae.errors import DomainError
 from tiergae.sdf import write_sdf
 from tiergae.tgae import STACK_CELLS, RunConfig, fit_tier, make_tier_models
@@ -55,7 +55,7 @@ def corpus(tmp_path_factory) -> Path:
 
 
 def config(flavor: str) -> RunConfig:
-    return validate_config(RunConfig(model=flavor, epochs=3, hidden=6, d_z=3, seed=0))
+    return RunConfig(model=flavor, epochs=3, hidden=6, d_z=3, seed=0)
 
 
 def real_affinity() -> set[int]:

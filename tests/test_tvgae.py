@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tiergae.autodiff import Param, Tape, seeded_rng
-from tiergae.cli import params_state
-from tiergae.errors import ShapeMismatchError
+from tiergae.errors import ConfigError, ShapeMismatchError
 from tiergae.gcn import gcn_norm
 from tiergae.tgae import (
     NOISE_ROLE,
@@ -264,17 +264,14 @@ def test_elbo_zero_weight_is_pure_reconstruction():
 # ---------------------------------------------------------------- training
 
 
-def test_variational_zero_epochs_changes_nothing():
-    var = make_variational_tier_models(4, RunConfig(hidden=4, d_z=2, seed=1))[0]
-    before = params_state(var.params())
-    s = tier_sample(path4_features(), path4_adjacency())
-    hist = train_tier_variational(
-        var, stack_samples([s]), RunConfig(epochs=0), np.random.default_rng(0)
-    )
-    assert hist == []
-    after = params_state(var.params())
-    for k in before:
-        assert np.array_equal(before[k], after[k])
+def test_variational_zero_epochs_is_refused():
+    # as for tgae: a variational run of no epochs is refused when its
+    # config is built
+    cfg = RunConfig(model="tvgae", epochs=1)
+    for build in (lambda: RunConfig(model="tvgae", epochs=0), lambda: replace(cfg, epochs=0)):
+        with pytest.raises(ConfigError,
+                           match=r"^config field 'epochs': must be strictly positive$"):
+            build()
 
 
 def test_variational_training_descends():
