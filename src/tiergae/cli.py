@@ -359,15 +359,16 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
     the entry's `groups`. A malformed entry, or a graph that
     `graphs.first_defect` refuses (an invariant of `graphs.validate`, among
     them at most `graphs.MAX_ATOMS` atoms; no atoms or node features; edge
-    features whose pooled sums could overflow), is a ConfigError naming
-    the molecule. The library entry points run the same graph check again
+    features whose pooled sums could overflow; another node-feature width
+    than the first molecule's), is a ConfigError naming the molecule. The
+    library entry points run the same graph check again
     (`tgae.check_items`), which costs a few milliseconds a corpus.
 
     Each molecule is decoded and its membership built in turn, up to the
     first malformed one; then the graphs before it are checked in one
     pass. A graph that this check refuses comes before the malformed
     molecule, so the error raised is the one of the first molecule that
-    fails, and its text is the one that molecule alone gives."""
+    fails, in molecule order."""
     items, error = [], None
     for index, entry in enumerate(entries):
         try:
@@ -390,22 +391,13 @@ def corpus_items(entries: Sequence[dict]) -> list[tuple[Graph, MembershipMatrix]
             error = ConfigError(f"{_molecule_name(entry, index)}: {exc}")
             break
         items.append((graph, membership))
-    found = first_defect([graph for graph, _ in items])
+    found = first_defect([graph for graph, _ in items], [m for _, m in items])
     if found is not None:
-        index, problem, _ = found
+        index, problem = found
         raise ConfigError(f"{_molecule_name(entries[index], index)}: {problem}")
     if error is not None:
         raise error
     return items
-
-
-def _check_feature_width(entries: Sequence[dict], items, d_in: int, source: str) -> None:
-    """ConfigError naming the first molecule whose node-feature width is not
-    `d_in`, the width of `source`."""
-    for index, (entry, (graph, _)) in enumerate(zip(entries, items)):
-        if graph.x.shape[1] != d_in:
-            raise ConfigError(f"{_molecule_name(entry, index)}: {graph.x.shape[1]} "
-                              f"node features, {source} has {d_in}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,12 +555,10 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     entries = load_corpus(corpus_path)
     items = corpus_items(entries)
     d_in = items[0][0].x.shape[1]
-    _check_feature_width(entries, items, d_in, "the first molecule")
     del entries  # the graphs hold all that training reads
     make_models, train_tiered_fn, _ = _flavor(cfg.model)
     models = make_models(d_in, cfg)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run ends at a loss check
-        histories = train_tiered_fn(models, items, cfg)
+    histories = train_tiered_fn(models, items, cfg)
     checkpoint = {
         "format_version": CHECKPOINT_FORMAT_VERSION,
         "model": cfg.model,
@@ -662,8 +652,6 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
     entries = [{key: entry.get(key) for key in ("id", "cid", "inchi")} for entry in entries]
     d_in = items[0][0].x.shape[1]
     models, kind = load_checkpoint(checkpoint_path, d_in=d_in)
-    # every molecule is checked before the first export is written
-    _check_feature_width(entries, items, d_in, f"checkpoint {checkpoint_path}")
     first: dict[str, int] = {}  # export filename -> index of its molecule
     for index, entry in enumerate(entries):
         name = _export_filename(entry, index)

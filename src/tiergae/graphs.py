@@ -9,7 +9,7 @@ form is a plain N x N x s float64 array with one channel per edge feature.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -102,19 +102,13 @@ class MembershipMatrix:
 
 @dataclass(frozen=True)
 class Violation:
-    """One failed graph invariant; ``kind`` is machine-checkable. `message`
-    is the text of the error that `error` gives, where it is not `detail`."""
+    """One failed graph invariant; ``kind`` is machine-checkable."""
 
     kind: str
     detail: str
-    message: str = field(default="", compare=False)
 
     def __str__(self) -> str:
         return f"{self.kind}: {self.detail}"
-
-    def error(self) -> TiergaeError:
-        """The error a library entry point raises for this violation."""
-        return _ERRORS[self.kind](self.message or self.detail)
 
 
 _ERRORS = {"ShapeMismatch": ShapeMismatchError, "IndexOutOfRange": IndexOutOfRangeError,
@@ -229,12 +223,10 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
         local, i, j = edge - int(start[k]), int(ei[edge]), int(ej[edge])
         if in_range[edge]:
             out[regular[k]].append(Violation(
-                "DuplicateEdge", f"entry ({i}, {j}) repeated at edge {local}",
-                f"duplicate COO entry ({i}, {j}) at edge {local}"))
+                "DuplicateEdge", f"entry ({i}, {j}) repeated at edge {local}"))
         else:
             out[regular[k]].append(Violation(
-                "IndexOutOfRange", f"edge {local} references ({i}, {j}), N={n[k]}",
-                f"edge {local} references node ({i}, {j}) outside [0, {n[k]})"))
+                "IndexOutOfRange", f"edge {local} references ({i}, {j}), N={n[k]}"))
     if not cells.size:
         return out
     # pair-level violations, in order of each entry's first edge
@@ -255,26 +247,33 @@ def _violations(graphs: Sequence[Graph]) -> list[list[Violation]]:
     return out
 
 
-def first_defect(graphs: Sequence[Graph]) -> Optional[tuple[int, str, TiergaeError]]:
-    """The first graph that breaks an invariant of `validate` or that the
-    tier path cannot take (no atoms or no node features, or edge features
-    whose pooled sums could overflow), as (its index, the problem as the
-    corpus reports it, the error a library entry point raises); None if
-    every graph passes. A graph's first violation comes before those two,
-    in that order."""
+def first_defect(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]
+                 ) -> Optional[tuple[int, TiergaeError]]:
+    """The first graph that the tier path cannot take, as (its index, its
+    error); None if all pass. Its defect is the first of: a `validate`
+    violation v (its kind's error, text `str(v)`); no atoms or no node
+    features; edge features whose pooled sums could overflow; another
+    node-feature width than graph 0's; a membership row count other than
+    its node count. The corpus and the library both report this text."""
     limit, found = len(graphs), None
     for k, vs in enumerate(_violations(graphs)):
         if vs:
-            limit, found = k, (k, str(vs[0]), vs[0].error())
+            limit, found = k, (k, _ERRORS[vs[0].kind](str(vs[0])))
             break
     with np.errstate(over="ignore"):
-        for k, g in enumerate(graphs[:limit]):
+        for k, (g, m) in enumerate(zip(graphs[:limit], memberships)):
             if 0 in g.x.shape:
                 error = ShapeMismatchError(f"x has shape {g.x.shape}, no atoms or features")
             # a pooled entry sums each edge feature at most once, in any order
             elif not np.isfinite(2.0 * np.abs(g.edge_attr).sum(axis=0)).all():
                 error = DomainError("edge features too large to pool")
+            elif g.x.shape[1] != graphs[0].x.shape[1]:
+                error = ShapeMismatchError(f"{g.x.shape[1]} node features, "
+                                           f"the first molecule has {graphs[0].x.shape[1]}")
+            elif m.num_nodes != g.num_nodes:
+                error = ShapeMismatchError(f"membership rows {m.num_nodes} != "
+                                           f"node count {g.num_nodes}")
             else:
                 continue
-            return k, str(error), error
+            return k, error
     return found

@@ -74,6 +74,11 @@ MODELS = ("tgae", "tvgae")
 # for 208 GiB and died with a MemoryError traceback
 MAX_WIDTH = 1024
 
+# most `epochs`. The history CSV holds a row per tier and epoch, so at most
+# 3 million rows (about 80 MB); --epochs 9223372036854775808 trained
+# without end and without a message
+MAX_EPOCHS = 10**6
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -113,9 +118,9 @@ class RunConfig:
         if not (MIN_LAYERS <= self.k <= MAX_LAYERS):
             raise ConfigError(f"config field 'k': must be in [{MIN_LAYERS}, {MAX_LAYERS}], "
                               f"got {self.k}")
-        for name in ("hidden", "d_z"):
-            if getattr(self, name) > MAX_WIDTH:
-                raise ConfigError(f"config field {name!r}: must be at most {MAX_WIDTH}, "
+        for name, bound in (("epochs", MAX_EPOCHS), ("hidden", MAX_WIDTH), ("d_z", MAX_WIDTH)):
+            if getattr(self, name) > bound:
+                raise ConfigError(f"config field {name!r}: must be at most {bound}, "
                                   f"got {getattr(self, name)}")
 
 
@@ -342,7 +347,8 @@ def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
     one draw per graph), followed by one row of zeros, and gathers each
     stack's rows from it: a pad row gets the zeros. A loss that
     is not finite is a DomainError naming the tier and epoch, raised before
-    that epoch's update. The stacks are shared out over one process per CPU
+    that epoch's update; a diverging run overflows without numpy warnings
+    and ends there. The stacks are shared out over one process per CPU
     (`workers.StackWorkers`); the losses and parameters do not depend on
     the process count, to the bit.
     """
@@ -372,7 +378,8 @@ def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
         return value
 
     history: list[float] = []
-    with StackWorkers(len(stacks), opt, run_stack, draw, f"tier {model.tier}") as workers:
+    with np.errstate(over="ignore", invalid="ignore"), \
+            StackWorkers(len(stacks), opt, run_stack, draw, f"tier {model.tier}") as workers:
         for epoch in range(config.epochs):
             losses = workers.epoch()
             total = losses[0]
@@ -394,14 +401,17 @@ def train_tier(model: TierModel, stacks: Sequence[TierStack],
 
 def _check_models(models: Sequence, flavor: type = object) -> None:
     """ShapeMismatchError unless `models` are three `flavor`s of tiers 1, 2, 3."""
-    if len(models) != 3 or any(not isinstance(m, flavor) or getattr(m, "tier", None) != tier
-                               for tier, m in zip((1, 2, 3), models)):
+    if not isinstance(models, (list, tuple)) or len(models) != 3 or any(
+            not isinstance(m, flavor) or getattr(m, "tier", None) != tier
+            for tier, m in zip((1, 2, 3), models)):
         raise ShapeMismatchError("expected models for tiers 1, 2, 3 in order")
 
 
 def split_items(items: Sequence[tuple[Graph, MembershipMatrix]]) -> tuple[list, list]:
     """The graphs and the memberships of training's `items`; a
-    ShapeMismatchError naming the first item that is not a pair."""
+    ShapeMismatchError unless `items` is a list or tuple of pairs."""
+    if not isinstance(items, (list, tuple)):
+        raise ShapeMismatchError(f"items must be a list or tuple, got {type(items).__name__}")
     for k, item in enumerate(items):
         if not isinstance(item, (tuple, list)) or len(item) != 2:
             raise ShapeMismatchError(f"item #{k} is not a (Graph, MembershipMatrix) pair")
@@ -410,12 +420,14 @@ def split_items(items: Sequence[tuple[Graph, MembershipMatrix]]) -> tuple[list, 
 
 def check_items(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]) -> None:
     """The graph check of the corpus boundary (`cli.corpus_items`), which
-    every library entry point runs on its graphs and tier-1 memberships: a
-    graph without a membership or the reverse, an entry that is not a Graph
-    or not a MembershipMatrix, the error of `graphs.first_defect`'s graph,
-    then a membership whose row count is not its graph's node count or a
-    graph whose node-feature width is not the first graph's. The tier path
-    checks none of this again."""
+    every library entry point runs on its graphs and tier-1 memberships:
+    two lists or tuples, of Graphs and of as many MembershipMatrix entries,
+    then `graphs.first_defect`, its error raised with `graph #k: ` before
+    its text. The tier path checks none of this again."""
+    for name, value in (("graphs", graphs), ("memberships", memberships)):
+        if not isinstance(value, (list, tuple)):
+            raise ShapeMismatchError(f"{name} must be a list or tuple, "
+                                     f"got {type(value).__name__}")
     if len(memberships) < len(graphs):
         raise ShapeMismatchError(f"graph #{len(memberships)} has no membership")
     if len(memberships) > len(graphs):
@@ -426,17 +438,10 @@ def check_items(graphs: Sequence[Graph], memberships: Sequence[MembershipMatrix]
         if not isinstance(m1, MembershipMatrix):
             raise ShapeMismatchError(f"membership #{k} is a {type(m1).__name__}, "
                                      "not a MembershipMatrix")
-    found = first_defect(graphs)
+    found = first_defect(graphs, memberships)
     if found is not None:
-        raise found[2]
-    for k, (graph, m1) in enumerate(zip(graphs, memberships)):
-        if m1.num_nodes != graph.num_nodes:
-            raise ShapeMismatchError(
-                f"membership rows {m1.num_nodes} != node count {graph.num_nodes}"
-            )
-        if graph.x.shape[1] != graphs[0].x.shape[1]:
-            raise ShapeMismatchError(f"graph #{k} has {graph.x.shape[1]} node features, "
-                                     f"graph #0 has {graphs[0].x.shape[1]}")
+        k, error = found
+        raise type(error)(f"graph #{k}: {error}")
 
 
 def _next_memberships(memberships: Sequence[MembershipMatrix]) -> tuple:
@@ -488,8 +493,10 @@ def pool_samples(model, samples: Sequence[TierSample], stacks: Sequence[TierStac
                  memberships: Sequence[Optional[MembershipMatrix]]) -> list[TierSample]:
     """Frozen embeddings of a trained tier, from its training `stacks` of
     `samples`, pooled into next-tier samples; `memberships` pool those
-    samples in turn (None at the top tier)."""
-    return pool_rows(embed_stacks(model, stacks), samples, memberships)
+    samples in turn (None at the top tier). Diverged weights overflow
+    without warnings; the next tier's loss check ends the run."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return pool_rows(embed_stacks(model, stacks), samples, memberships)
 
 
 def next_tier_samples(model: TierModel, samples: Sequence[TierSample],
@@ -509,9 +516,9 @@ def run_tiered_schedule(models: Sequence, items: Sequence[tuple[Graph, Membershi
     be `flavor`s, and the items go through `split_items` and `check_items`
     first."""
     _check_models(models, flavor)
+    graphs, memberships = split_items(items)
     if not items:
         raise ConfigError("empty corpus")
-    graphs, memberships = split_items(items)
     check_items(graphs, memberships)
     samples = [tier_sample(g.x, coo_to_dense(g), m) for g, m in zip(graphs, memberships)]
     hist = {}

@@ -52,7 +52,8 @@ check before the next starts, with the molecule-size bound (`graphs.
 MAX_ATOMS`) checked after the shape checks. Its membership is the one
 `fgroups.membership_from_partition` builds, as in the library; its graph
 check is the shape and size checks of `graphs.validate` followed by
-`validate_loop`, where the library checks every graph in one pass.
+`validate_loop`, where the library checks every graph in one pass, then
+the empty, pooled-overflow and node-feature-width checks.
 
 `matmul` is the tape's general product node, 2-D @ 2-D or a stack slice by
 slice with a stack of the same B, and `zero_grads` zeroes the gradient of
@@ -455,13 +456,16 @@ def pool_adjacency_loop(a, m: MembershipMatrix, mirror: bool = True) -> np.ndarr
 
 
 def coo_to_dense_loop(g: Graph) -> np.ndarray:
+    """The N x N x s array of g, one edge at a time; its first bad edge
+    raises the error of its violation with the text `str(violation)`."""
     n = g.num_nodes
     u = g.num_edges
     if g.edge_index.ndim != 2 or g.edge_index.shape[0] != 2:
-        raise ShapeMismatchError(f"edge_index must be 2 x U, got {g.edge_index.shape}")
+        raise ShapeMismatchError(
+            f"ShapeMismatch: edge_index must be 2 x U, got {g.edge_index.shape}")
     if g.edge_attr.shape[0] != u:
         raise ShapeMismatchError(
-            f"edge_attr has {g.edge_attr.shape[0]} rows, expected {u}"
+            f"ShapeMismatch: edge_attr has shape {g.edge_attr.shape}, expected ({u}, s)"
         )
     a = np.zeros((n, n, g.num_edge_channels), dtype=np.float64)
     seen = set()
@@ -470,10 +474,10 @@ def coo_to_dense_loop(g: Graph) -> np.ndarray:
         j = int(g.edge_index[1, e])
         if not (0 <= i < n and 0 <= j < n):
             raise IndexOutOfRangeError(
-                f"edge {e} references node ({i}, {j}) outside [0, {n})"
+                f"IndexOutOfRange: edge {e} references ({i}, {j}), N={n}"
             )
         if (i, j) in seen:
-            raise DuplicateEdgeError(f"duplicate COO entry ({i}, {j}) at edge {e}")
+            raise DuplicateEdgeError(f"DuplicateEdge: entry ({i}, {j}) repeated at edge {e}")
         seen.add((i, j))
         a[i, j, :] = g.edge_attr[e]
     return a
@@ -792,5 +796,9 @@ def corpus_items_loop(entries) -> list[tuple[Graph, MembershipMatrix]]:
         with np.errstate(over="ignore"):
             if not np.isfinite(2.0 * np.abs(graph.edge_attr).sum(axis=0)).all():
                 raise ConfigError(f"{what}: edge features too large to pool")
+        width = (items[0][0] if items else graph).x.shape[1]
+        if graph.x.shape[1] != width:
+            raise ConfigError(f"{what}: {graph.x.shape[1]} node features, "
+                              f"the first molecule has {width}")
         items.append((graph, membership))
     return items

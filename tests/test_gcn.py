@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gradcheck import assert_grads_match, finite_difference_grads
 from tiergae.autodiff import Param, Tape, seeded_rng
-from tiergae.errors import ShapeMismatchError
+from tiergae.errors import AsymmetricEdgeError, ShapeMismatchError
 from tiergae.gcn import (
     GcnLayer,
     GnnEncoder,
@@ -58,7 +58,8 @@ def test_gcn_norm_rejects_bad_input():
     models = make_tier_models(1, RunConfig(hidden=2, d_z=2))
     for call in (lambda: train_tiered(models, [(one_way, m1)], RunConfig(epochs=1)),
                  lambda: encode_tiered([one_way], [m1], models)):
-        with pytest.raises(ValueError, match=r"^\(0, 1\) present but \(1, 0\) absent$"):
+        with pytest.raises(AsymmetricEdgeError, match=r"^graph #0: MissingReverseEdge: "
+                                                      r"\(0, 1\) present but \(1, 0\) absent$"):
             call()
 
 

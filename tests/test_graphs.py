@@ -202,7 +202,8 @@ SMALL = RunConfig(epochs=1, hidden=2, d_z=2)
                                       make_variational_tier_models(3, SMALL)),
 ], ids=["train", "encode", "train-variational", "encode-variational"])
 def test_entry_points_refuse_graphs_of_two_feature_widths(call):
-    with pytest.raises(ShapeMismatchError, match=r"^graph #1 has 4 node features, graph #0 has 3$"):
+    with pytest.raises(ShapeMismatchError,
+                       match=r"^graph #1: 4 node features, the first molecule has 3$"):
         call()
 
 
@@ -278,7 +279,7 @@ def test_validate_violations_match_coo_to_dense_errors():
                     edge_attr=np.ones((1, 1)))
     error = entry_point_error(one_way)
     assert isinstance(error, AsymmetricEdgeError)
-    assert str(error) == validate(one_way)[0].detail
+    assert str(error) == f"graph #0: {validate(one_way)[0]}"
 
 
 def test_dense_adj_channel_coercion():
@@ -374,26 +375,28 @@ def _same_outcome(fn, oracle, arg):
 
 def _check_graph_against_loops(g):
     """validate and its loop agree. A graph that coo_to_dense_loop refuses
-    gets the same error from the library entry points, and so does one
-    that it takes while validate finds a violation (the error of the first
-    one) or whose edge features could overflow a pooled sum; any other
-    goes through coo_to_dense and dense_to_coo as through their loops."""
+    gets the same error from the library entry points, its text after
+    `graph #0: `, and so does one that it takes while validate finds a
+    violation (the error of the first one) or whose edge features could
+    overflow a pooled sum; any other goes through coo_to_dense and
+    dense_to_coo as through their loops."""
     violations = validate(g)
     assert violations == validate_loop(g)
     try:
         want = coo_to_dense_loop(g)
     except Exception as exc:  # noqa: BLE001 - the oracle's error is the expectation
         got = entry_point_error(g)
-        assert type(got) is type(exc) and str(got) == str(exc)
+        assert type(got) is type(exc) and str(got) == f"graph #0: {exc}"
         return
     if violations:
         got = entry_point_error(g)
-        assert type(got) is AsymmetricEdgeError and str(got) == violations[0].detail
+        assert type(got) is AsymmetricEdgeError and str(got) == f"graph #0: {violations[0]}"
         return
     with np.errstate(invalid="ignore"):
         if not np.isfinite(2.0 * np.abs(g.edge_attr).sum(axis=0)).all():
             got = entry_point_error(g)
-            assert type(got) is DomainError and str(got) == "edge features too large to pool"
+            assert type(got) is DomainError
+            assert str(got) == "graph #0: edge features too large to pool"
             return
     got = coo_to_dense(g)
     assert_same_bits(got, want)
@@ -449,11 +452,11 @@ def test_first_bad_edge_is_reported():
     dup_first = _edges((0, 1), (1, 0), (0, 1), (9, 0), (1, 0), (0, -1))
     error = entry_point_error(dup_first)
     assert type(error) is DuplicateEdgeError
-    assert str(error) == "duplicate COO entry (0, 1) at edge 2"
+    assert str(error) == "graph #0: DuplicateEdge: entry (0, 1) repeated at edge 2"
     range_first = _edges((0, 1), (1, 0), (2, 4), (0, 1), (-1, 0))
     error = entry_point_error(range_first)
     assert type(error) is IndexOutOfRangeError
-    assert str(error) == "edge 2 references node (2, 4) outside [0, 4)"
+    assert str(error) == "graph #0: IndexOutOfRange: edge 2 references (2, 4), N=4"
     assert [str(v) for v in validate(dup_first)] == [
         "DuplicateEdge: entry (0, 1) repeated at edge 2",
         "IndexOutOfRange: edge 3 references (9, 0), N=4",
@@ -470,15 +473,17 @@ def test_a_graph_past_max_atoms_is_refused_before_its_edges_are_numbered():
               edge_attr=np.ones((1, 1)))
     b = Graph(x=np.zeros((2**32, 0)), edge_index=np.array([[1], [0]]),
               edge_attr=np.ones((1, 1)))
-    text = f"{2**32} atoms, more than MAX_ATOMS = {MAX_ATOMS}"
-    assert [str(v) for v in validate(a)] == [f"TooManyAtoms: {text}"]
-    index, problem, error = first_defect([a, b])
-    assert (index, problem) == (0, f"TooManyAtoms: {text}")
-    assert type(error) is DomainError and str(error) == text
+    text = f"TooManyAtoms: {2**32} atoms, more than MAX_ATOMS = {MAX_ATOMS}"
+    assert [str(v) for v in validate(a)] == [text]
     one_way = Graph(x=np.zeros((2, 1)), edge_index=np.array([[0], [1]]),
                     edge_attr=np.ones((1, 1)))
     m1 = MembershipMatrix(np.zeros(2, dtype=np.int64), 1)
-    with pytest.raises(AsymmetricEdgeError, match=r"\(0, 1\) present but \(1, 0\) absent"):
+    # a membership of 2**32 rows would not fit in memory; the rows rule
+    # comes after the size rule, so these are not read
+    index, error = first_defect([a, b], [m1, m1])
+    assert index == 0 and type(error) is DomainError and str(error) == text
+    with pytest.raises(AsymmetricEdgeError, match=r"^graph #0: MissingReverseEdge: "
+                                                  r"\(0, 1\) present but \(1, 0\) absent$"):
         check_items([one_way, a, b], [m1, m1, m1])
 
 

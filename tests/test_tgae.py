@@ -11,7 +11,7 @@ from tiergae.autodiff import Param, Tape
 from tiergae.errors import ConfigError, DomainError, ShapeMismatchError
 from tiergae.fgroups import membership_from_partition, partition_molecule
 from tiergae.gcn import gcn_norm
-from tiergae.graphs import Graph, coo_to_dense, dense_to_coo, edge_mask
+from tiergae.graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo, edge_mask
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
 from tiergae.tgae import (
@@ -28,6 +28,7 @@ from tiergae.tgae import (
     train_tier,
     train_tiered,
 )
+from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
 
 from conftest import path4_adjacency, path4_features, recon_value
 from gradcheck import assert_grads_match, finite_difference_grads
@@ -288,9 +289,27 @@ def test_train_tier_rejects_non_finite_loss(tier):
     s = tier_sample(x, path4_adjacency())
     # epoch 0 is finite; its update at a learning rate of 1e308 overflows
     # the weights, which makes epoch 1's loss NaN
-    with pytest.raises(DomainError, match=rf"^tier {tier}: epoch 1 loss is nan$"), \
-            np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(DomainError, match=rf"^tier {tier}: epoch 1 loss is nan$"):
         train_tier(model, stack_samples([s]), RunConfig(epochs=3, lr=1e308))
+
+
+@pytest.mark.parametrize("train, make", [
+    (train_tiered, make_tier_models),
+    (train_tiered_variational, make_variational_tier_models),
+], ids=["tgae", "tvgae"])
+@pytest.mark.parametrize("epochs, message", [
+    # one epoch: tier 1's only update overflows, and so does its handoff
+    (1, "tier 2: epoch 0 loss is nan"),
+    (3, "tier 1: epoch 1 loss is nan"),
+])
+def test_a_diverging_library_run_ends_at_its_loss_check(train, make, epochs, message):
+    # the suite turns numpy's warnings into errors; the library owns the
+    # overflow of a diverging run, so no caller needs np.errstate
+    g = Graph(x=np.ones((2, 3)), edge_index=np.array([[0, 1], [1, 0]]),
+              edge_attr=np.ones((2, 1)))
+    cfg = RunConfig(epochs=epochs, lr=1e308, hidden=2, d_z=2)
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        train(make(3, cfg), [(g, MembershipMatrix(np.zeros(2, dtype=np.int64), 1))], cfg)
 
 
 def test_tiered_training_keeps_lower_tiers_frozen():
