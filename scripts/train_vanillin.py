@@ -2,8 +2,9 @@
 
 Parses the SDF fixture, builds the functional-group partition, trains a
 three-tier autoencoder on the single molecule, and prints the tiered
-embeddings. Pass --variational to train the variational flavor instead;
-everything stays deterministic for a fixed seed either way.
+embeddings. The run settings are the flags of `tiergae train`, with its
+defaults (seed 0); pass --model tvgae to train the variational flavor.
+Everything stays deterministic for a fixed seed either way.
 
 A setting that `tiergae train` would refuse (--epochs 0, --lr nan), or an
 --sdf file that cannot be read or holds no molecule, ends in a one-line
@@ -11,7 +12,7 @@ message and exit code 2, as `tiergae` does.
 
 Usage:
     python3 scripts/train_vanillin.py
-    python3 scripts/train_vanillin.py --variational --epochs 300
+    python3 scripts/train_vanillin.py --model tvgae --epochs 300 --k 3
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ import sys
 import time
 from pathlib import Path
 
+from tiergae.cli import CONFIG_TYPES, add_run_flags, resolve_config
 from tiergae.errors import CliError, TiergaeError
 from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
 from tiergae.sdf import Molecule, featurize, parse_sdf
-from tiergae.tgae import RunConfig, encode_tiered, make_tier_models, train_tiered
+from tiergae.tgae import encode_tiered, make_tier_models, train_tiered
 from tiergae.tvgae import (
     encode_tiered_variational,
     make_variational_tier_models,
@@ -46,14 +48,7 @@ def group_report(mol: Molecule, p: GroupPartition) -> str:
 def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sdf", type=Path, default=DEFAULT_SDF, help="input SDF file")
-    ap.add_argument("--epochs", type=int, default=200)
-    ap.add_argument("--lr", type=float, default=0.01)
-    ap.add_argument("--hidden", type=int, default=32)
-    ap.add_argument("--d-z", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=42)
-    ap.add_argument("--variational", action="store_true",
-                    help="train the variational model instead of the deterministic one")
-    ap.add_argument("--kl-weight", type=float, default=1.0)
+    add_run_flags(ap)
     return ap.parse_args()
 
 
@@ -67,9 +62,7 @@ def main() -> int:
 
 
 def run(args: argparse.Namespace) -> int:
-    cfg = RunConfig(model="tvgae" if args.variational else "tgae", seed=args.seed,
-                    epochs=args.epochs, lr=args.lr, hidden=args.hidden, d_z=args.d_z,
-                    kl_weight=args.kl_weight)
+    cfg = resolve_config(None, **{name: getattr(args, name) for name in CONFIG_TYPES})
     try:
         data = args.sdf.read_bytes()
     except OSError as exc:
@@ -87,7 +80,7 @@ def run(args: argparse.Namespace) -> int:
     print(group_report(mol, part))
     print()
 
-    if args.variational:
+    if cfg.model == "tvgae":
         make, train, encode = (make_variational_tier_models, train_tiered_variational,
                                encode_tiered_variational)
     else:
@@ -98,8 +91,8 @@ def run(args: argparse.Namespace) -> int:
     rep, = encode([graph], [m1], models)  # one representation per graph
     elapsed = time.perf_counter() - t0
 
-    kind = "variational" if args.variational else "deterministic"
-    print(f"trained {kind} model, {args.epochs} epochs per tier, {elapsed:.2f}s")
+    kind = "variational" if cfg.model == "tvgae" else "deterministic"
+    print(f"trained {kind} model, {cfg.epochs} epochs per tier, {elapsed:.2f}s")
     for tier in (1, 2, 3):
         losses = hist[tier]
         print(f"  tier {tier}: loss {losses[0]:.4e} -> {losses[-1]:.4e}")

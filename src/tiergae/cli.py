@@ -263,13 +263,25 @@ EXPORT_SCHEMA = {
 # ---------------------------------------------------------------------------
 # configuration
 
-_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
+# each RunConfig field's name and the type of its default, which a config
+# file value and a train flag are parsed as
+CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
+
+
+def add_run_flags(parser: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field (`--d-z` for d_z), parsed as the type
+    of its default. A flag not given parses as None, which `resolve_config`
+    leaves to the config file or the default."""
+    for name, kind in CONFIG_TYPES.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind,
+                            choices=MODELS if name == "model" else None,
+                            help=f"default {getattr(RunConfig, name)}")
 
 
 def _coerce(field_name: str, raw: str):
     """Parse a config file value as the type of the field's default."""
     try:
-        return type(getattr(RunConfig(), field_name))(raw)
+        return CONFIG_TYPES[field_name](raw)
     except ValueError:
         raise ConfigError(f"config field {field_name!r}: cannot parse {raw!r}") from None
 
@@ -288,7 +300,7 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_FIELDS:
+        if key not in CONFIG_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config field {key!r}")
         values[key] = _coerce(key, value)
     return values
@@ -297,7 +309,7 @@ def load_config_file(path) -> dict:
 def resolve_config(config_path=None, **flag_overrides) -> RunConfig:
     """Precedence: explicit flags > config file > defaults. The settings are
     merged first and built into one RunConfig, so a config file value that
-    a flag overrides is never checked."""
+    a flag overrides is never checked. A flag of None is not given."""
     values = {} if config_path is None else load_config_file(config_path)
     values.update((k, v) for k, v in flag_overrides.items() if v is not None)
     return RunConfig(**values)
@@ -712,15 +724,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = subs.add_parser("train", help="train a tiered autoencoder")
     p_train.add_argument("corpus")
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--hidden", type=int)
-    p_train.add_argument("--d-z", dest="d_z", type=int)
-    p_train.add_argument("--kl-weight", dest="kl_weight", type=float)
-    p_train.add_argument("--k", type=int)
-    p_train.add_argument("--config", help="flat key = value config file")
-    p_train.add_argument("--seed", type=int, help="rng seed (overrides config file)")
-    p_train.add_argument("--model", choices=MODELS, help="autoencoder variant")
+    add_run_flags(p_train)
+    p_train.add_argument("--config", help="flat key = value config file; a flag overrides it")
     p_train.add_argument("--out", default="checkpoint.json",
                          help="checkpoint file")
 
@@ -740,11 +745,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         elif args.command == "ingest":
             cmd_ingest(args.paths, args.out)
         elif args.command == "train":
-            cfg = resolve_config(
-                args.config, model=args.model, seed=args.seed, epochs=args.epochs,
-                lr=args.lr, hidden=args.hidden, d_z=args.d_z,
-                kl_weight=args.kl_weight, k=args.k,
-            )
+            cfg = resolve_config(args.config, **{name: getattr(args, name)
+                                                 for name in CONFIG_TYPES})
             checkpoint, history = cmd_train(cfg, args.corpus, args.out)
             print(f"wrote {checkpoint} and {history}", file=sys.stderr)
         elif args.command == "embed":

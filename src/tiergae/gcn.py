@@ -1,10 +1,12 @@
 """GCN encoder: K stacked layers of normalized-adjacency propagation.
 
 Each layer computes act((A_norm @ H) @ W + b), one `Tape.gcn_layer` node on
-a tape. A_norm is the symmetrically normalized adjacency with self-loops, made
-from a graph's edge mask (`graphs.edge_mask`). Edge feature channels never
-enter the encoder: only the existence of an edge is normalized, and the
-full channels flow through pooling untouched.
+a tape. act is relu after every layer but the last and the identity after
+the last: the layer's position decides it, as in PyTorch Geometric's
+stacked models. A_norm is the symmetrically normalized adjacency with
+self-loops, made from a graph's edge mask (`graphs.edge_mask`). Edge feature
+channels never enter the encoder: only the existence of an edge is
+normalized, and the full channels flow through pooling untouched.
 
 `encode` and `encode_numpy` take one graph, x (N, d) with a_norm (N, N), or a
 stack of B graphs padded to N nodes, x (B, N, d) with a_norm (B, N, N); the
@@ -23,18 +25,13 @@ from .errors import ShapeMismatchError
 MIN_LAYERS = 2
 MAX_LAYERS = 6
 
-ACTIVATIONS = ("relu", "identity")
-
 
 @dataclass
 class GcnLayer:
     weight: Param  # d_in x d_out
     bias: Param    # 1 x d_out
-    activation: str
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if self.bias.value.shape != (1, self.weight.value.shape[1]):
             raise ShapeMismatchError(
                 f"bias shape {self.bias.value.shape} does not match "
@@ -49,7 +46,7 @@ class GnnEncoder:
     def __post_init__(self):
         k = len(self.layers)
         if not (MIN_LAYERS <= k <= MAX_LAYERS):
-            raise ValueError(f"layer count K={k} outside [{MIN_LAYERS}, {MAX_LAYERS}]")
+            raise ShapeMismatchError(f"layer count K={k} outside [{MIN_LAYERS}, {MAX_LAYERS}]")
         for lo, hi in zip(self.layers, self.layers[1:]):
             if lo.weight.value.shape[1] != hi.weight.value.shape[0]:
                 raise ShapeMismatchError(
@@ -79,7 +76,7 @@ class GnnEncoder:
 
 def make_encoder(d_in: int, hidden: int, d_z: int, k: int,
                  rng: np.random.Generator, name_prefix: str = "") -> GnnEncoder:
-    """Glorot-uniform weights, zero biases; relu hidden, identity output."""
+    """Glorot-uniform weights, zero biases."""
     widths = [d_in] + [hidden] * (k - 1) + [d_z]
     layers = []
     for i in range(k):
@@ -88,7 +85,6 @@ def make_encoder(d_in: int, hidden: int, d_z: int, k: int,
             weight=Param(glorot_uniform(rng, f_in, f_out),
                          name=f"{name_prefix}layer{i}.weight"),
             bias=Param(np.zeros((1, f_out)), name=f"{name_prefix}layer{i}.bias"),
-            activation="identity" if i == k - 1 else "relu",
         ))
     return GnnEncoder(layers)
 
@@ -135,9 +131,9 @@ def encode(enc: GnnEncoder, x: int, a_norm: int, tape: Tape) -> int:
     a_norm is a constant."""
     _check_inputs(enc, tape.value(x).shape, tape.value(a_norm).shape)
     h = x
-    for layer in enc.layers:
+    for i, layer in enumerate(enc.layers, 1):
         h = tape.gcn_layer(a_norm, h, tape.param(layer.weight), tape.param(layer.bias),
-                           layer.activation == "relu")
+                           i < enc.k)
     return h
 
 
@@ -145,8 +141,8 @@ def encode_numpy(enc: GnnEncoder, x: np.ndarray, a_norm: np.ndarray) -> np.ndarr
     """Inference forward pass; the same arithmetic as encode, no tape."""
     h = np.asarray(x, dtype=np.float64)
     _check_inputs(enc, h.shape, np.shape(a_norm))
-    for layer in enc.layers:
+    for i, layer in enumerate(enc.layers, 1):
         h = a_norm @ h @ layer.weight.value + layer.bias.value
-        if layer.activation == "relu":
+        if i < enc.k:
             h = np.maximum(h, 0.0)
     return h

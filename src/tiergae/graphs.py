@@ -75,13 +75,14 @@ class MembershipMatrix:
         if group.ndim != 1:
             raise ShapeMismatchError(f"membership must be 1-D, got {group.shape}")
         if group.dtype.kind not in "iu":
-            raise ValueError(f"membership entries must be integer group indices, "
-                             f"got {group.dtype}")
+            raise ShapeMismatchError(f"membership entries must be integer group indices, "
+                                     f"got {group.dtype}")
         self.num_groups = g = operator.index(self.num_groups)
         bad = np.flatnonzero((group < 0) | (group >= g))
         if bad.size:
             i = int(bad[0])
-            raise ValueError(f"membership node {i} is in group {group[i]}, not in [0, {g})")
+            raise IndexOutOfRangeError(f"membership node {i} is in group {group[i]}, "
+                                       f"not in [0, {g})")
         self.group = group.astype(np.int64)
         empty = np.flatnonzero(np.bincount(self.group, minlength=g) == 0)
         if empty.size:

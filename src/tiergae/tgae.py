@@ -131,7 +131,7 @@ class TierModel:
 
     def __post_init__(self):
         if self.tier not in (1, 2, 3):
-            raise ValueError(f"tier must be 1, 2 or 3, got {self.tier}")
+            raise ShapeMismatchError(f"tier must be 1, 2 or 3, got {self.tier}")
 
     def params(self) -> list[Param]:
         return self.encoder.params()
@@ -353,7 +353,7 @@ def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
     the process count, to the bit.
     """
     if not stacks:
-        raise ValueError("training a tier needs at least one sample")
+        raise ConfigError("training a tier needs at least one sample")
     bces = [bce_weights(st.mask, st.nodes) for st in stacks]
     node_rows = sum(int(st.nodes.sum()) for st in stacks)
     scale = 1.0 / sum(len(st.index) for st in stacks)

@@ -49,7 +49,7 @@ class VariationalTierModel:
 
     def __post_init__(self):
         if self.tier not in (1, 2, 3):
-            raise ValueError(f"tier must be 1, 2 or 3, got {self.tier}")
+            raise ShapeMismatchError(f"tier must be 1, 2 or 3, got {self.tier}")
         same_in = self.encoder_mu.d_in == self.encoder_logsigma.d_in
         same_out = self.encoder_mu.d_out == self.encoder_logsigma.d_out
         if not (same_in and same_out):

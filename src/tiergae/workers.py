@@ -12,7 +12,7 @@ for a training tier and sends them the tier's `Adam` vectors as they are.
 
 Plain `os` and `pickle`, not `multiprocessing`: a `multiprocessing`
 prototype of `embed` raised peak RSS by 1.6-2.4%, and `os`, `pickle` and
-`threading` are loaded by `import tiergae` anyway.
+`threading` are loaded with numpy anyway.
 """
 
 from __future__ import annotations

@@ -64,10 +64,10 @@ def test_gcn_norm_rejects_bad_input():
 
 
 def _identity_encoder(dim):
+    # the first layer applies relu, which keeps a non-negative x as it is
     layers = [
         GcnLayer(Param(np.eye(dim), name=f"l{i}.w"),
-                 Param(np.zeros((1, dim)), name=f"l{i}.b"),
-                 "identity")
+                 Param(np.zeros((1, dim)), name=f"l{i}.b"))
         for i in range(2)
     ]
     return GnnEncoder(layers)
@@ -168,19 +168,48 @@ def test_layer_count_bounds():
 
 def test_encoder_width_chaining_enforced():
     w1 = GcnLayer(Param(np.zeros((3, 4)), name="a.w"),
-                  Param(np.zeros((1, 4)), name="a.b"), "relu")
+                  Param(np.zeros((1, 4)), name="a.b"))
     w2 = GcnLayer(Param(np.zeros((5, 2)), name="b.w"),
-                  Param(np.zeros((1, 2)), name="b.b"), "identity")
+                  Param(np.zeros((1, 2)), name="b.b"))
     with pytest.raises(ShapeMismatchError):
         GnnEncoder([w1, w2])
 
 
 def test_make_encoder_structure():
     enc = make_encoder(7, 5, 3, k=3, rng=seeded_rng(1), name_prefix="t.")
-    assert [l.activation for l in enc.layers] == ["relu", "relu", "identity"]
     assert [l.weight.value.shape for l in enc.layers] == [(7, 5), (5, 5), (5, 3)]
     assert all((l.bias.value == 0).all() for l in enc.layers)
     assert enc.layers[0].weight.name == "t.layer0.weight"
+
+
+class _InputSpy:
+    """An a_norm that records the input H of every layer's `a_norm @ H`."""
+
+    def __init__(self, a):
+        self.a, self.inputs = a, []
+
+    def __array__(self, dtype=None, copy=None):
+        return self.a
+
+    def __matmul__(self, h):
+        self.inputs.append(h)
+        return self.a @ h
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_relu_follows_every_layer_but_the_last(k):
+    rng = seeded_rng(k)
+    enc = make_encoder(4, 6, 3, k=k, rng=rng)
+    x = rng.standard_normal((6, 4))
+    a_norm = gcn_norm(path_adjacency(6))
+    spy = _InputSpy(a_norm)
+    z = encode_numpy(enc, x, spy)
+    hidden = spy.inputs[1:]  # the outputs of layers 1 to K - 1
+    assert len(hidden) == k - 1
+    assert all((h >= 0).all() and (h > 0).any() for h in hidden)
+    assert (z < 0).any()
+    t = Tape()
+    assert np.array_equal(t.value(encode(enc, t.const(x), t.const(a_norm), t)), z)
 
 
 def test_encode_rejects_width_mismatch():

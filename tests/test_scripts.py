@@ -32,8 +32,9 @@ def load_script(name: str):
     return module
 
 
-@pytest.mark.parametrize("flags", [(), ("--variational",)])
+@pytest.mark.parametrize("flags", [(), ("--model", "tvgae", "--k", "3")])
 def test_train_vanillin_runs(flags):
+    # the script takes the flags of `tiergae train`
     out = run_script("train_vanillin.py", "--epochs", "2", *flags)
     kind = "variational" if flags else "deterministic"
     assert f"trained {kind} model, 2 epochs per tier" in out

@@ -7,10 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Param, Tape
-from tiergae.errors import ConfigError, DomainError, ShapeMismatchError
+from tiergae.autodiff import Param, Tape, seeded_rng
+from tiergae.errors import (
+    ConfigError,
+    DomainError,
+    IndexOutOfRangeError,
+    ShapeMismatchError,
+    TiergaeError,
+)
 from tiergae.fgroups import membership_from_partition, partition_molecule
-from tiergae.gcn import gcn_norm
+from tiergae.gcn import gcn_norm, make_encoder
 from tiergae.graphs import Graph, MembershipMatrix, coo_to_dense, dense_to_coo, edge_mask
 from tiergae.pooling import graph_tier_membership, pool_adjacency
 from tiergae.sdf import featurize
@@ -20,6 +26,7 @@ from tiergae.tgae import (
     bce_weights,
     decode_adjacency,
     encode_tiered,
+    fit_tier,
     make_tier_models,
     next_tier_samples,
     reconstruction_loss,
@@ -28,7 +35,11 @@ from tiergae.tgae import (
     train_tier,
     train_tiered,
 )
-from tiergae.tvgae import make_variational_tier_models, train_tiered_variational
+from tiergae.tvgae import (
+    VariationalTierModel,
+    make_variational_tier_models,
+    train_tiered_variational,
+)
 
 from conftest import path4_adjacency, path4_features, recon_value
 from gradcheck import assert_grads_match, finite_difference_grads
@@ -339,6 +350,34 @@ def test_tiered_training_rejects_empty_corpus():
     models = make_tier_models(4, RunConfig(hidden=4, d_z=2))
     with pytest.raises(ValueError):
         train_tiered(models, [], RunConfig(epochs=1))
+
+
+def _tier_model(tier):
+    return TierModel(make_tier_models(3, RunConfig(hidden=2, d_z=2))[0].encoder, tier)
+
+
+def _variational_tier_model(tier):
+    model = make_variational_tier_models(3, RunConfig(hidden=2, d_z=2))[0]
+    return VariationalTierModel(model.encoder_mu, model.encoder_logsigma, tier)
+
+
+@pytest.mark.parametrize("refused, error, text", [
+    (lambda: MembershipMatrix(np.array([0.5]), 1), ShapeMismatchError,
+     "membership entries must be integer group indices, got float64"),
+    (lambda: MembershipMatrix(np.array([3]), 1), IndexOutOfRangeError,
+     "membership node 0 is in group 3, not in [0, 1)"),
+    (lambda: _tier_model(4), ShapeMismatchError, "tier must be 1, 2 or 3, got 4"),
+    (lambda: _variational_tier_model(0), ShapeMismatchError, "tier must be 1, 2 or 3, got 0"),
+    (lambda: fit_tier(_tier_model(1), [], RunConfig(epochs=1)), ConfigError,
+     "training a tier needs at least one sample"),
+    (lambda: make_encoder(3, 2, 2, k=7, rng=seeded_rng(0)), ShapeMismatchError,
+     "layer count K=7 outside [2, 6]"),
+], ids=["membership-dtype", "membership-group", "tier-model", "variational-tier-model",
+        "fit-tier-without-stacks", "encoder-layer-count"])
+def test_library_input_checks_raise_package_errors(refused, error, text):
+    with pytest.raises(TiergaeError) as info:
+        refused()
+    assert type(info.value) is error and str(info.value) == text
 
 
 def test_tier_sample_computes_one_edge_mask(monkeypatch):
