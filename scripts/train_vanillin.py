@@ -22,16 +22,10 @@ import sys
 import time
 from pathlib import Path
 
-from tiergae.cli import CONFIG_TYPES, add_run_flags, resolve_config
+from tiergae.cli import CONFIG_TYPES, add_run_flags, flavor, resolve_config
 from tiergae.errors import CliError, TiergaeError
 from tiergae.fgroups import GroupPartition, membership_from_partition, partition_molecule
 from tiergae.sdf import Molecule, featurize, parse_sdf
-from tiergae.tgae import encode_tiered, make_tier_models, train_tiered
-from tiergae.tvgae import (
-    encode_tiered_variational,
-    make_variational_tier_models,
-    train_tiered_variational,
-)
 
 DEFAULT_SDF = Path(__file__).resolve().parents[1] / "tests" / "data" / "vanillin.sdf"
 
@@ -80,11 +74,7 @@ def run(args: argparse.Namespace) -> int:
     print(group_report(mol, part))
     print()
 
-    if cfg.model == "tvgae":
-        make, train, encode = (make_variational_tier_models, train_tiered_variational,
-                               encode_tiered_variational)
-    else:
-        make, train, encode = make_tier_models, train_tiered, encode_tiered
+    make, train, encode = flavor(cfg.model)
     t0 = time.perf_counter()
     models = make(graph.x.shape[1], cfg)
     hist = train(models, [(graph, m1)], cfg)

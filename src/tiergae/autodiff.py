@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NonScalarLossError, ShapeMismatchError
+from .errors import ConfigError, NonScalarLossError, ShapeMismatchError
 
 
 def _as_f64(value) -> np.ndarray:
@@ -138,7 +138,7 @@ class Tape:
                 f"gcn_layer: A {va.shape}, H {vh.shape}, W {vw.shape}, b {vb.shape}"
             )
         if not self._is_const(a_norm):
-            raise ValueError("gcn_layer: A must be a constant node")
+            raise ConfigError("gcn_layer: A must be a constant node")
         h_const = self._is_const(h)
         ah = va @ vh
         pre = ah @ vw + vb
@@ -254,13 +254,13 @@ class Adam:
     Adam holds its parameters: their values and gradients are copied, in
     param order, into one `value` and one `grad` vector, and each
     Param.value and Param.grad becomes a view into them, so a Param given
-    twice is a ValueError. `step` updates the whole vectors at once; the
+    twice is a ConfigError. `step` updates the whole vectors at once; the
     update is elementwise, so it gives the bits of one update per Param."""
 
     def __init__(self, params: Sequence[Param], lr: float = 0.01):
         params = list(params)
         if len({id(p) for p in params}) != len(params):
-            raise ValueError("Adam: a Param is given more than once")
+            raise ConfigError("Adam: a Param is given more than once")
         self.lr, self.t = lr, 0
         self.value = np.concatenate([p.value.ravel() for p in params] or [np.empty(0)])
         self.grad = np.concatenate([p.grad.ravel() for p in params] or [np.empty(0)])

@@ -116,7 +116,7 @@ def params_state(params: Iterable[Param]) -> dict:
     state: dict[str, dict] = {}
     for p in params:
         if p.name in state:
-            raise ValueError(f"duplicate param name {p.name!r}")
+            raise ConfigError(f"duplicate param name {p.name!r}")
         state[p.name] = array_to_json(p.value)
     return state
 
@@ -552,7 +552,7 @@ def cmd_ingest(paths: Sequence, out_path) -> Path:
     return out
 
 
-def _flavor(kind: str):
+def flavor(kind: str):
     """(make_models, train_tiered, encode_tiered) of a model kind. The
     functions are read from the module on each call, so wrappers installed
     on them (the perfbench tracer's) are the ones run."""
@@ -568,7 +568,7 @@ def cmd_train(cfg: RunConfig, corpus_path, out_path) -> tuple[Path, Path]:
     items = corpus_items(entries)
     d_in = items[0][0].x.shape[1]
     del entries  # the graphs hold all that training reads
-    make_models, train_tiered_fn, _ = _flavor(cfg.model)
+    make_models, train_tiered_fn, _ = flavor(cfg.model)
     models = make_models(d_in, cfg)
     histories = train_tiered_fn(models, items, cfg)
     checkpoint = {
@@ -610,7 +610,7 @@ def load_checkpoint(path, d_in: Optional[int] = None):
             f"checkpoint {path}: trained with d_in {dims['d_in']}, corpus has {d_in}"
         )
     # the weights drawn here are all overwritten, so the seed is not read
-    models = _flavor(cfg.model)[0](dims["d_in"], cfg)
+    models = flavor(cfg.model)[0](dims["d_in"], cfg)
     try:
         set_params_state([p for m in models for p in m.params()], doc["params"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -670,7 +670,7 @@ def cmd_embed(checkpoint_path, corpus_path, out_dir) -> list[Path]:
         if first.setdefault(name, index) != index:
             raise ConfigError(f"{_molecule_name(entries[first[name]], first[name])} and "
                               f"{_molecule_name(entry, index)} both export to {name}")
-    encode = _flavor(kind)[2]
+    encode = flavor(kind)[2]
     out = Path(out_dir)
     with _writing(out):
         out.mkdir(parents=True, exist_ok=True)

@@ -40,7 +40,7 @@ from .gcn import MAX_LAYERS, MIN_LAYERS, GnnEncoder, encode, encode_numpy, gcn_n
 from .graphs import (Graph, MembershipMatrix, adjacency_array, coo_to_dense, dense_to_coo,
                      edge_mask, first_defect)
 from .pooling import graph_tier_membership, pool_adjacency, pool_features
-from .workers import StackWorkers
+from .workers import Report, Workers, worker_count
 
 # rng stream roles within one (seed, tier) pair; the deterministic model and
 # the mu encoder of the variational one share role 0 so their initial weights
@@ -348,9 +348,17 @@ def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
     stack's rows from it: a pad row gets the zeros. A loss that
     is not finite is a DomainError naming the tier and epoch, raised before
     that epoch's update; a diverging run overflows without numpy warnings
-    and ends there. The stacks are shared out over one process per CPU
-    (`workers.StackWorkers`); the losses and parameters do not depend on
-    the process count, to the bit.
+    and ends there.
+
+    The stacks are shared out by stride over one process per CPU
+    (`workers.Workers`), forked once for the tier, and each epoch is one
+    round: the caller sends `opt.value` to every child, every process runs
+    its stacks and replies with one array, and the caller adds the rows
+    into a zeroed `opt.grad` in reverse stack order. A child keeps its
+    stacks, and its copy of the noise generator, from the fork, so it draws
+    each epoch's normals in step with the caller. The losses and parameters
+    do not depend on the process count, to the bit. A failure is raised as
+    the one-process loop would meet it first, at the highest stack index.
     """
     if not stacks:
         raise ConfigError("training a tier needs at least one sample")
@@ -366,22 +374,50 @@ def fit_tier(model, stacks: Sequence[TierStack], config: RunConfig,
         noise.standard_normal(out=eps[:-1])
         return eps
 
-    def run_stack(k: int, eps: Optional[np.ndarray]) -> float:
-        """Forward and backward of stack k, its gradient added into
-        `opt.grad`; its loss."""
-        st, tape = stacks[k], Tape()
-        st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
-        loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm), bces[k],
-                             config, st_eps)
-        value = float(tape.value(loss))
-        tape.backward(tape.scalar_mul(scale, loss))
-        return value
+    def run_share(share: list[int], value: np.ndarray) -> Report:
+        """Each stack of `share`, highest index first, forward and backward
+        on the parameters `value` and a zeroed `opt.grad`: one array of a
+        row per stack, its loss then its gradient, or the failure of the
+        first stack that raises, ranked at its place in the one-process
+        loop, which runs the last stack first."""
+        opt.value[...] = value
+        eps = draw()
+        rows = np.empty((len(share), 1 + opt.value.size))
+        for j in reversed(range(len(share))):
+            st, tape = stacks[share[j]], Tape()
+            try:
+                opt.zero_grads()
+                st_eps = None if eps is None else eps[st.rows].reshape(*st.x.shape[:2], -1)
+                loss, _ = model.loss(tape, tape.const(st.x), tape.const(st.a_norm),
+                                     bces[share[j]], config, st_eps)
+                rows[j, 0] = float(tape.value(loss))
+                tape.backward(tape.scalar_mul(scale, loss))
+                rows[j, 1:] = opt.grad
+            except Exception as exc:
+                return None, (len(stacks) - 1 - share[j], exc)
+        return [rows], None
+
+    def describe(share: list[int]) -> tuple[str, int]:
+        return (f"tier {model.tier} stacks " + ", ".join(f"#{s}" for s in share),
+                len(stacks) - 1 - share[-1])
 
     history: list[float] = []
+    rows = np.empty((len(stacks), 1 + opt.value.size))  # every stack's row
     with np.errstate(over="ignore", invalid="ignore"), \
-            StackWorkers(len(stacks), opt, run_stack, draw, f"tier {model.tier}") as workers:
+            Workers(run_share, len(stacks), worker_count(len(stacks)), describe) as workers:
         for epoch in range(config.epochs):
-            losses = workers.epoch()
+            results, failure = workers.round(opt.value, last=epoch == config.epochs - 1)
+            if failure is not None:
+                raise failure[1]
+            for share, (share_rows,) in zip(workers.shares, results):
+                rows[share] = share_rows
+            # a stack adds into each Param.grad once, so its row holds
+            # 0.0 + g, and a sum from +0.0 is never -0.0: `opt.grad` gets
+            # the bits of adding every stack straight into it
+            opt.grad[...] = 0.0
+            for row in rows[::-1]:
+                opt.grad += row[1:]
+            losses = rows[:, 0].tolist()
             total = losses[0]
             for value in losses[1:]:
                 total += value

@@ -4,11 +4,12 @@ Three commands split work whose result does not depend on how it is split:
 `cli.cmd_ingest` shares out its SDF files, `cli.cmd_embed` its molecules
 and `tgae.fit_tier` (under `cli.cmd_train`) each tier's stacks. The rules
 live here, once: when not to fork (`worker_count`), how units are shared
-out by stride (`start_strides`), how a child's results and first failure
-travel back (`fork_share` writes them pickled, `reap` reads them) and what
-a child that ended without a report becomes (`WorkerError`). `run_strides`
-(ingest, embed) runs each share once; `StackWorkers` keeps its children up
-for a training tier and sends them the tier's `Adam` vectors as they are.
+out by stride (`start_strides`), and how the shares run (`Workers`). The
+children are forked once and then run rounds: in each, the caller writes
+one pickled message to every child, runs its own share, and reads every
+child's pickled `Report`; a child serves rounds until the caller closes its
+pipe, and one that ends without a report becomes a `WorkerError`.
+`run_strides` (ingest, embed) runs one round; `fit_tier` one per epoch.
 
 Plain `os` and `pickle`, not `multiprocessing`: a `multiprocessing`
 prototype of `embed` raised peak RSS by 1.6-2.4%, and `os`, `pickle` and
@@ -17,16 +18,14 @@ prototype of `embed` raised peak RSS by 1.6-2.4%, and `os`, `pickle` and
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
-import numpy as np
-
-from .autodiff import Adam
 from .errors import WorkerError
 
 # (rank, exception) of a share's first failure; the caller raises the
@@ -64,110 +63,20 @@ def pickled_report(report: Report) -> bytes:
     except Exception:
         rank, exc = failure
         failure = rank, RuntimeError(f"{type(exc).__name__}: {exc}")
-    return pickle.dumps((results, failure))
+    return pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL)
 
 
-def fork_share(run_share: Callable[..., Report], share) -> Optional[tuple[int, int]]:
-    """Fork a child that runs `run_share(share)`, writes the report it
-    returns, pickled, to a pipe, and leaves with `os._exit` in a `finally`,
-    so it never returns into the caller's stack or runs atexit handlers.
-    (pid, read end of the pipe), or None if no child could be started."""
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(rfd)
-            payload = pickled_report(run_share(share))
-            with open(wfd, "wb") as fh:
-                fh.write(payload)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(wfd)
-    return pid, rfd
-
-
-def reap(pid: int, rfd: int, what: str, rank: int) -> Report:
-    """The report of a child of `fork_share`, once it has ended. A child
-    that did not end with status 0, so did not finish its report (a signal,
-    OOM), gives no results and a WorkerError naming `what` it was running,
-    ranked at `rank`. The pipe is read first, so a child never blocks on a
-    full pipe."""
-    try:
-        with open(rfd, "rb") as fh:
-            payload = fh.read()
-    finally:
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return pickle.loads(payload)
-    how = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
-    return None, (rank, WorkerError(f"worker process {pid} for {what} {how}"))
-
-
-def start_strides(fork: Callable[[list[int]], Optional[object]], n: int, k: int,
-                  children: list) -> list[int]:
-    """Units 0 .. n-1 shared by stride over k processes. Share i, units i,
-    i + k, ..., goes to a child that `fork(share)` starts, and its record
-    is appended to `children` at once, so the caller can reap it whatever
-    happens next; this process keeps share 0 and each share whose `fork`
-    returned None. This process's units, ascending, as every share is."""
-    own = list(range(0, n, k))
-    for i in range(1, k):
-        share = list(range(i, n, k))
-        child = fork(share)
-        if child is None:
-            own += share
-        else:
-            children.append(child)
-    return sorted(own)
-
-
-def run_strides(run_share: Callable[..., Report], n: int, k: int,
-                label: str) -> Report:
-    """Units 0 .. n-1 shared by stride over k processes (`start_strides`),
-    each child forked by `fork_share`; `run_share(share)` runs the units of
-    `share` in order and returns their report. The results of every share,
-    in no set order, and the failure of the lowest rank; a child that ended
-    without a report is a WorkerError naming its `label`ed units, ranked at
-    its first unit. Every child is reaped before this returns or raises."""
-
-    def fork(share: list[int]) -> Optional[tuple[int, int, int]]:
-        child = fork_share(run_share, share)
-        return None if child is None else (*child, share[0])
-
-    children = []  # (pid, read end of its pipe, first unit of its share)
-    reports = []
-    try:
-        reports.append(run_share(start_strides(fork, n, k, children)))
-    finally:
-        reports += [reap(pid, rfd, f"{label} #{start}, #{start + k}, ...", start)
-                    for pid, rfd, start in children]
-    failures = [failure for _, failure in reports if failure is not None]
-    return ([r for results, _ in reports for r in results or ()],
-            min(failures, key=lambda f: f[0], default=None))
-
-
-def send(fd: int, buf) -> None:
-    """Write all of `buf` (a contiguous array or bytes) to `fd`."""
-    view = memoryview(buf).cast("B")
+def send(fd: int, payload: bytes) -> None:
+    """Write `payload` to `fd`, after its length in 8 bytes."""
+    view = memoryview(len(payload).to_bytes(8, "little") + payload)
     while view:
         view = view[os.write(fd, view):]
 
 
-def receive(fd: int, buf) -> bool:
-    """Fill `buf` (a contiguous array) from `fd`, a non-blocking read end;
-    False if the pipe ends before it is full. It polls for up to SPIN_S
-    before it blocks."""
-    view = memoryview(buf).cast("B")
+def _fill(fd: int, buf: bytearray) -> bool:
+    """Fill `buf` from `fd`, a non-blocking read end; False if the pipe
+    ends before it is full. It polls for up to SPIN_S before it blocks."""
+    view = memoryview(buf)
     deadline = None
     while view:
         try:
@@ -188,156 +97,167 @@ def receive(fd: int, buf) -> bool:
     return True
 
 
+def receive(fd: int) -> Optional[bytearray]:
+    """The next payload that `send` wrote to the pipe whose non-blocking
+    read end is `fd`, or None if the pipe ends first."""
+    head = bytearray(8)
+    if not _fill(fd, head):
+        return None
+    payload = bytearray(int.from_bytes(head, "little"))
+    return payload if _fill(fd, payload) else None
+
+
+def start_strides(fork: Callable[[list[int]], Optional[object]], n: int, k: int,
+                  children: list) -> list[int]:
+    """Units 0 .. n-1 shared by stride over k processes. Share i, units i,
+    i + k, ..., goes to a child that `fork(share)` starts, and its record
+    is appended to `children` at once, so the caller can reap it whatever
+    happens next; this process keeps share 0 and each share whose `fork`
+    returned None. This process's units, ascending, as every share is."""
+    own = list(range(0, n, k))
+    for i in range(1, k):
+        share = list(range(i, n, k))
+        child = fork(share)
+        if child is None:
+            own += share
+        else:
+            children.append(child)
+    return sorted(own)
+
+
 @dataclass
 class _Child:
-    """A forked child of `StackWorkers`, as its caller sees it."""
+    """A forked child of `Workers`, as its caller sees it."""
 
     pid: int
-    report: int          # read end of the pipe of its failure report
-    down: int            # write end of the pipe of parameter values
-    up: int              # read end of the pipe of its replies
-    share: list[int]     # its stacks, ascending
-    rows: np.ndarray     # its reply: one row per stack, the loss then the gradient
+    down: Optional[int]  # write end of the pipe of its messages, until closed
+    up: int              # non-blocking read end of the pipe of its reports
+    share: list[int]     # its units, ascending
 
 
-class StackWorkers:
-    """The epochs of one tier of `tgae.fit_tier`, its stacks shared out by
-    stride (`start_strides`) over one process per CPU in the affinity mask
-    (`worker_count`). `opt` is the tier's `Adam`; `run_stack(s, eps)` runs
-    stack s forward and backward, adding its gradient into `opt.grad`, and
-    returns its loss; `draw()` gives an epoch's noise (or None).
+class Workers:
+    """Units 0 .. n-1 shared by stride over k processes (`start_strides`),
+    the children forked on entering and reaped on leaving, whatever is
+    raised. `run_share(share, message)` runs the units of `share` on a
+    round's message and returns their `Report`; `describe(share)` gives
+    what a child's share is called in a WorkerError and the rank of its
+    failure.
 
-    An epoch: the caller writes `opt.value` to each child, which reads it
-    straight into its parameters; every process runs its stacks, highest
-    first, each on a zeroed `opt.grad` that it copies into the stack's
-    reply row after the loss; the children send their rows back, and the
-    caller adds all rows into a zeroed `opt.grad` in reverse stack order.
-    One process runs the same code with no children. A stack adds into each
-    Param.grad once, so its row holds 0.0 + g, and a sum from +0.0 is never
-    -0.0: `opt.grad` gets the bits of adding every stack straight into it.
-    A child keeps its stacks, and its copy of the noise generator, from the
-    fork, so it draws each epoch's normals in step with the caller.
-
-    Every process keeps the caller's affinity mask, and the kernel places
-    them. On leaving, every child is reaped. A failure is raised as the
-    one-process loop would meet it first, at the highest stack index; a
-    child that ends without a report is a WorkerError.
+    A round (`round`): the caller writes the message, pickled, to each
+    child, runs its own share and reads each child's pickled report. A
+    child keeps its state from the fork and across rounds, serves rounds
+    until the caller closes its pipe, then ends with status 0; it closes
+    the caller's ends of every pipe, so that each child sees its pipe end
+    when the caller closes it, and leaves with `os._exit`, so it never
+    returns into the caller's stack or runs atexit handlers. Every process
+    keeps the caller's affinity mask, and the kernel places them.
     """
 
-    def __init__(self, count: int, opt: Adam, run_stack: Callable, draw: Callable,
-                 label: str):
-        self.count, self.opt, self.run_stack, self.draw = count, opt, run_stack, draw
-        self.label = label  # names the tier in a WorkerError
+    def __init__(self, run_share: Callable[[list[int], Any], Report], n: int, k: int,
+                 describe: Callable[[list[int]], tuple[str, int]]):
+        self.run_share, self.n, self.k, self.describe = run_share, n, k, describe
         self.children: list[_Child] = []
 
-    def _reply_rows(self, n: int) -> np.ndarray:
-        return np.empty((n, 1 + self.opt.value.size))
-
-    def _rank(self, s: int) -> int:
-        """Place of stack s in the one-process loop, which runs the last first."""
-        return self.count - 1 - s
-
-    # the caller ------------------------------------------------------------
-
-    def __enter__(self) -> StackWorkers:
+    def __enter__(self) -> Workers:
         try:
-            self.own = start_strides(self._fork, self.count, worker_count(self.count),
-                                     self.children)
+            own = start_strides(self._fork, self.n, self.k, self.children)
         except BaseException:
             self.close()
             raise
-        self.rows = self._reply_rows(self.count)  # every stack's reply row
-        self.own_rows = [self.rows[s] for s in self.own]
+        # every share, this process's first, in the order of `round`'s results
+        self.shares = [own] + [child.share for child in self.children]
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
 
+    def round(self, message=None,
+              last: bool = False) -> tuple[list[Optional[list]], Optional[Failure]]:
+        """Run every share once on `message`. The results of each share, in
+        the order of `shares`, and the failure of the lowest rank. A child
+        that ended without a report is found when its pipe ends: then every
+        child is reaped, and it is a WorkerError naming its exit status.
+        With `last`, no round follows: each child's pipe is closed once it
+        has the message, so the child ends after its report, while this
+        process still runs its own share, not after the round."""
+        # with no child, a round is a plain call of `run_share`
+        payload = pickle.dumps(message, pickle.HIGHEST_PROTOCOL) if self.children else b""
+        for child in self.children:
+            with contextlib.suppress(BrokenPipeError):  # reading its report finds it
+                send(child.down, payload)
+            if last:
+                os.close(child.down)
+                child.down = None
+        reports = [self.run_share(self.shares[0], message)]
+        # every report is read, so no child is left blocked on its pipe
+        replies = [receive(child.up) for child in self.children]
+        reports += [(None, None) if r is None else pickle.loads(r) for r in replies]
+        failures = [failure for _, failure in reports if failure is not None]
+        if None in replies:
+            failures += self.close()
+        return ([results for results, _ in reports],
+                min(failures, key=lambda f: f[0], default=None))
+
     def close(self) -> list[Failure]:
-        """Let every child end and reap it; the failures the children
-        reported."""
+        """Let every child end and reap it; a WorkerError for each that did
+        not end with status 0, so did not finish its rounds (a signal, OOM)."""
         children, self.children = self.children, []
         failures = []
         try:
-            for child in children:  # a child ends at the end of its down pipe
-                os.close(child.down)
+            for child in children:
+                if child.down is not None:
+                    os.close(child.down)
                 os.close(child.up)
         finally:
             for child in children:
-                what = f"{self.label} stacks " + ", ".join(f"#{s}" for s in child.share)
-                failures.append(reap(child.pid, child.report, what,
-                                     self._rank(child.share[-1]))[1])
-        return [f for f in failures if f is not None]
-
-    def epoch(self) -> list[float]:
-        """Run every stack once on the current parameters; leave the epoch's
-        gradient in `opt.grad` and return the stack losses."""
-        for child in self.children:
-            send(child.down, self.opt.value)
-        failure = self._run_share(self.own, self.own_rows, self.draw())
-        # every reply is read, so no child is left blocked on its pipe
-        ended = [not receive(child.up, child.rows) for child in self.children]
-        if failure is not None or any(ended):
-            failures = self.close() + ([failure] if failure else [])
-            raise min(failures, key=lambda f: f[0])[1]
-        for child in self.children:
-            self.rows[child.share] = child.rows
-        grad = self.opt.grad
-        grad[...] = 0.0
-        for row in self.rows[::-1]:
-            grad += row[1:]
-        return self.rows[:, 0].tolist()
-
-    def _run_share(self, share: list[int], rows,
-                   eps: Optional[np.ndarray]) -> Optional[Failure]:
-        """Each stack of `share`, highest index first, on a zeroed
-        `opt.grad`, its loss and gradient into its row of `rows`; the
-        failure of the first that raises, or None."""
-        for j in reversed(range(len(share))):
-            try:
-                self.opt.zero_grads()
-                rows[j][0] = self.run_stack(share[j], eps)
-                rows[j][1:] = self.opt.grad
-            except Exception as exc:
-                return self._rank(share[j]), exc
-        return None
-
-    # a child -----------------------------------------------------------------
+                code = os.waitstatus_to_exitcode(os.waitpid(child.pid, 0)[1])
+                if code:
+                    what, rank = self.describe(child.share)
+                    how = (f"killed by signal {-code}" if code < 0
+                           else f"exited with status {code}")
+                    failures.append((rank, WorkerError(
+                        f"worker process {child.pid} for {what} {how}")))
+        return failures
 
     def _fork(self, share: list[int]) -> Optional[_Child]:
-        """Start the child that runs `share`, or None if it could not start."""
+        """Start the child that serves `share`, or None if it could not start."""
         down = up = ()
         try:
             down = os.pipe()
             up = os.pipe()
+            pid = os.fork()
         except OSError:
             for fd in down + up:
                 os.close(fd)
             return None
-        for fd in (down[0], up[0]):  # the ends that `receive` polls
-            os.set_blocking(fd, False)
-        # the caller's ends of every pipe, which the child closes, so that
-        # each child sees its down pipe end when the caller closes it
-        inherited = [down[1], up[0]]
-        for child in self.children:
-            inherited += [child.down, child.up, child.report]
-
-        def serve(share: list[int]) -> Report:
-            for fd in inherited:
-                os.close(fd)
-            rows = self._reply_rows(len(share))
-            while receive(down[0], self.opt.value):
-                failure = self._run_share(share, rows, self.draw())
-                if failure is not None:
-                    return None, failure
-                send(up[1], rows)
-            return None, None
-
-        started = fork_share(serve, share)
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (down[1], up[0], *(fd for child in self.children
+                                              for fd in (child.down, child.up))):
+                    os.close(fd)
+                os.set_blocking(down[0], False)
+                while (message := receive(down[0])) is not None:
+                    report = self.run_share(share, pickle.loads(message))
+                    send(up[1], pickled_report(report))
+                code = 0
+            finally:
+                os._exit(code)
         os.close(down[0])
         os.close(up[1])
-        if started is None:
-            os.close(down[1])
-            os.close(up[0])
-            return None
-        return _Child(*started, down[1], up[0], share, self._reply_rows(len(share)))
+        os.set_blocking(up[0], False)
+        return _Child(pid, down[1], up[0], share)
+
+
+def run_strides(run_share: Callable[[list[int]], Report], n: int, k: int,
+                label: str) -> Report:
+    """One round of `Workers` with no message: `run_share(share)` runs the
+    units of `share` in order and returns their report. The results of
+    every share, in no set order, and the failure of the lowest rank; a
+    child that ended without a report is a WorkerError naming its
+    `label`ed units, ranked at its first unit."""
+    with Workers(lambda share, _: run_share(share), n, k,
+                 lambda share: (f"{label} #{share[0]}, #{share[0] + k}, ...", share[0])
+                 ) as workers:
+        results, failure = workers.round(last=True)
+    return [r for share_results in results for r in share_results or ()], failure

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiergae.autodiff import Param, Tape, seeded_rng
+from tiergae.autodiff import Adam, Param, Tape, seeded_rng
+from tiergae.cli import params_state
 from tiergae.errors import (
     ConfigError,
     DomainError,
@@ -361,6 +362,16 @@ def _variational_tier_model(tier):
     return VariationalTierModel(model.encoder_mu, model.encoder_logsigma, tier)
 
 
+def _param(name="p"):
+    return Param(np.ones((1, 1)), name=name)
+
+
+def _gcn_layer_on_a_param_a():
+    t = Tape()
+    one = t.const(np.ones((1, 1)))
+    return t.gcn_layer(t.param(_param("a")), one, one, one, relu=False)
+
+
 @pytest.mark.parametrize("refused, error, text", [
     (lambda: MembershipMatrix(np.array([0.5]), 1), ShapeMismatchError,
      "membership entries must be integer group indices, got float64"),
@@ -372,8 +383,14 @@ def _variational_tier_model(tier):
      "training a tier needs at least one sample"),
     (lambda: make_encoder(3, 2, 2, k=7, rng=seeded_rng(0)), ShapeMismatchError,
      "layer count K=7 outside [2, 6]"),
+    (lambda: graph_tier_membership(0), ShapeMismatchError, "need at least one group, got 0"),
+    (lambda: Adam([_param()] * 2), ConfigError, "Adam: a Param is given more than once"),
+    (_gcn_layer_on_a_param_a, ConfigError, "gcn_layer: A must be a constant node"),
+    (lambda: params_state([_param("x"), _param("x")]), ConfigError,
+     "duplicate param name 'x'"),
 ], ids=["membership-dtype", "membership-group", "tier-model", "variational-tier-model",
-        "fit-tier-without-stacks", "encoder-layer-count"])
+        "fit-tier-without-stacks", "encoder-layer-count", "graph-tier-membership",
+        "adam-param-twice", "gcn-layer-param-a", "params-state-duplicate-name"])
 def test_library_input_checks_raise_package_errors(refused, error, text):
     with pytest.raises(TiergaeError) as info:
         refused()

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from tiergae import tgae
-from tiergae.autodiff import Tape
+from tiergae.autodiff import Adam, Tape
 from tiergae.cli import cmd_ingest, cmd_train, main
 from tiergae.errors import DomainError
 from tiergae.sdf import write_sdf
@@ -257,6 +257,33 @@ def test_a_killed_child_exits_2_and_writes_nothing(tmp_path, monkeypatch, capsys
     assert len(forks) == 1
     assert_no_child_left()
     assert_mask_restored()
+    err = capsys.readouterr().err
+    assert (f"tiergae train: worker process {forks[0]} for tier 1 stacks #1, #3 "
+            f"killed by signal {int(signal.SIGKILL)}") in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_child_killed_between_epochs_exits_2_and_writes_nothing(tmp_path, monkeypatch,
+                                                                 capsys, corpus):
+    step = Adam.step
+
+    def kill_child(opt):
+        if os.getpid() == parent and not killed:
+            os.kill(forks[0], signal.SIGKILL)
+            # ended, not yet reaped: the next epoch's write meets a dead pipe
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            killed.append(forks[0])
+        return step(opt)
+
+    killed = []
+    parent = os.getpid()
+    monkeypatch.setattr(Adam, "step", kill_child)
+    use_cpus(monkeypatch, 2)
+    forks = count_forks(monkeypatch)
+    assert main(train_argv(corpus, tmp_path, "tgae")) == 2
+    assert killed == forks[:1]
+    assert_no_child_left()
     err = capsys.readouterr().err
     assert (f"tiergae train: worker process {forks[0]} for tier 1 stacks #1, #3 "
             f"killed by signal {int(signal.SIGKILL)}") in err
